@@ -27,13 +27,17 @@ comparison.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Dict, List, Optional, Tuple
+
+import numpy as np
 
 from repro.analysis import metrics as M
 from repro.analysis.patterns import barrier_split, late_receiver_wait, late_sender_wait, nxn_waits
 from repro.clocks.base import TimestampedTrace
 from repro.cube.profile import CubeProfile
 from repro.cube.systemtree import SystemTree
+from repro.measure.columnar import ColumnarConversionError, aux_values
 from repro.sim.events import (
     BURST,
     COLL_END,
@@ -76,17 +80,8 @@ def _classify(name: str) -> int:
 def analyze_trace(tt: TimestampedTrace) -> CubeProfile:
     """Analyze ``tt`` and return the profile (severities in clock units)."""
     trace = tt.trace
-    ts = tt.times
-    ev_index = [0] * trace.n_locations
-
-    def stream():
-        for loc, ev in trace.merged():
-            i = ev_index[loc]
-            ev_index[loc] = i + 1
-            yield loc, ev, float(ts[loc][i])
-
     return analyze_stream(
-        stream(),
+        _merged_chunks(trace, tt.times),
         mode=tt.mode,
         regions=trace.regions,
         locations=trace.locations,
@@ -94,14 +89,58 @@ def analyze_trace(tt: TimestampedTrace) -> CubeProfile:
     )
 
 
-def analyze_stream(events, *, mode, regions, locations, pinning=None) -> CubeProfile:
-    """Wait-state analysis over a merged-order ``(loc, ev, t)`` stream.
+#: events per chunk of walker lists: bounds the lists' memory
+_WALK_CHUNK = 16384
 
-    The streaming core of :func:`analyze_trace`: walker state is bounded
-    by locations x call paths plus in-flight synchronisation groups, so
-    an out-of-core archive (:class:`repro.measure.shards.ShardedTrace`)
-    can be analyzed without materializing the whole trace -- feed it
-    ``(loc, ev, ev.t)`` for a physical-time (tsc) analysis.
+
+def _merged_chunks(trace, times):
+    """The walker's ``(loc, kind, region, aux, t)`` lists in merged order,
+    :data:`_WALK_CHUNK` events at a time.
+
+    Gathered from the trace's columnar view (which the clock replay has
+    already built), or from the ``Ev`` attributes of traces whose
+    payloads the columnar view rejects.
+    """
+    if [len(t) for t in times] != [len(evs) for evs in trace.events]:
+        raise ValueError("timestamp arrays do not match the trace's events")
+    try:
+        cols = trace.columns()
+    except ColumnarConversionError:
+        cols = None
+        perm, loc = trace.merged_order()
+        flat = list(chain.from_iterable(trace.events))
+    else:
+        perm, loc = cols.merged_order()
+        etype, region, aux_a, aux_b = (
+            cols.column(f) for f in ("etype", "region", "aux_a", "aux_b"))
+    t = np.concatenate(times).astype(np.float64, copy=False) if len(perm) else None
+    for lo in range(0, len(perm), _WALK_CHUNK):
+        part = perm[lo:lo + _WALK_CHUNK]
+        if cols is None:
+            evs = [flat[i] for i in part.tolist()]
+            kinds = [ev.etype for ev in evs]
+            regions = [ev.region for ev in evs]
+            aux = [ev.aux for ev in evs]
+        else:
+            et = etype[part]
+            kinds = et.tolist()
+            regions = region[part].tolist()
+            aux = aux_values(et, aux_a[part], aux_b[part])
+        yield (loc[lo:lo + _WALK_CHUNK].tolist(), kinds, regions, aux,
+               t[part].tolist())
+
+
+def analyze_stream(chunks, *, mode, regions, locations, pinning=None) -> CubeProfile:
+    """Wait-state analysis over events in merged order (the one walker).
+
+    ``chunks`` yields tuples of flat per-event lists ``(loc, kind,
+    region, aux, t)`` -- location id, event kind, region id, ``Ev.aux``
+    payload and the mode's timestamp -- which together list every event
+    of the trace once, in merged order.  :func:`analyze_trace` passes
+    chunks of :data:`_WALK_CHUNK` events; an out-of-core archive passes
+    one per shard (:meth:`repro.measure.shards.ShardedTrace.event_lists`,
+    physical time).  Walker state stays bounded by locations x call
+    paths plus in-flight synchronisation groups.
     """
     n_loc = len(locations)
 
@@ -172,131 +211,131 @@ def analyze_stream(events, *, mode, regions, locations, pinning=None) -> CubePro
 
     add = profile.add_id
 
-    for loc, ev, t in events:
-        et = ev.etype
-        rank = loc_rank[loc]
-        master = is_master[loc]
+    for loc_l, kind_l, region_l, aux_l, t_l in chunks:
+        for loc, et, rid, aux, t in zip(loc_l, kind_l, region_l, aux_l, t_l):
+            rank = loc_rank[loc]
+            master = is_master[loc]
 
-        # ---- phase A: attribute the interval since the previous event ----
-        if started[loc]:
-            dt = t - last_ts[loc]
-        else:
-            dt = 0.0
-            started[loc] = True
-        last_ts[loc] = t
+            # ---- phase A: attribute the interval since the previous event ----
+            if started[loc]:
+                dt = t - last_ts[loc]
+            else:
+                dt = 0.0
+                started[loc] = True
+            last_ts[loc] = t
 
-        if dt > 0.0 and not worker_idle[loc]:
-            kstack = kind_stack[loc]
-            kind = kstack[-1]
-            cpid = cp_stack[loc][-1]
-            if et == BURST:
-                name, _k = region_info(ev.region)
-                cpid = child_cp(cp_stack[loc][-1], ev.region, path_stack[loc][-1], name)
-                add(M.COMP, cpid, loc, dt)
-            elif kind == _K_USER or kind == _K_OMP_FOR:
-                add(M.COMP, cpid, loc, dt)
-            elif kind == _K_MPI_P2P:
-                key = (cpid, loc)
-                p2p_total[key] = p2p_total.get(key, 0.0) + dt
-            elif kind == _K_MPI_COLL:
-                key = (cpid, loc)
-                coll_total[key] = coll_total.get(key, 0.0) + dt
-            elif kind == _K_OMP_PAR:
-                add(M.OMP_MANAGEMENT, cpid, loc, dt)
-            # _K_OMP_BAR: barrier groups split this interval below.
+            if dt > 0.0 and not worker_idle[loc]:
+                kstack = kind_stack[loc]
+                kind = kstack[-1]
+                cpid = cp_stack[loc][-1]
+                if et == BURST:
+                    name, _k = region_info(rid)
+                    cpid = child_cp(cp_stack[loc][-1], rid, path_stack[loc][-1], name)
+                    add(M.COMP, cpid, loc, dt)
+                elif kind == _K_USER or kind == _K_OMP_FOR:
+                    add(M.COMP, cpid, loc, dt)
+                elif kind == _K_MPI_P2P:
+                    key = (cpid, loc)
+                    p2p_total[key] = p2p_total.get(key, 0.0) + dt
+                elif kind == _K_MPI_COLL:
+                    key = (cpid, loc)
+                    coll_total[key] = coll_total.get(key, 0.0) + dt
+                elif kind == _K_OMP_PAR:
+                    add(M.OMP_MANAGEMENT, cpid, loc, dt)
+                # _K_OMP_BAR: barrier groups split this interval below.
 
-            if master:
-                if workers_of[rank] > 0 and in_par_depth[loc] == 0:
-                    add(M.IDLE_THREADS, cpid, loc, dt * workers_of[rank])
-                ep = epoch[rank]
-                ep[cpid] = ep.get(cpid, 0.0) + dt
+                if master:
+                    if workers_of[rank] > 0 and in_par_depth[loc] == 0:
+                        add(M.IDLE_THREADS, cpid, loc, dt * workers_of[rank])
+                    ep = epoch[rank]
+                    ep[cpid] = ep.get(cpid, 0.0) + dt
 
-        # ---- stack / pattern effects of the event itself ----
-        if et == ENTER:
-            name, kind = region_info(ev.region)
-            parent = cp_stack[loc][-1]
-            cpid = child_cp(parent, ev.region, path_stack[loc][-1], name)
-            cp_stack[loc].append(cpid)
-            path_stack[loc].append(path_stack[loc][-1] + (name,))
-            kind_stack[loc].append(kind)
-            enter_stack[loc].append(t)
-            if kind == _K_OMP_PAR and master:
-                in_par_depth[loc] += 1
-        elif et == LEAVE:
-            kind = kind_stack[loc][-1]
-            if kind == _K_OMP_PAR and master:
-                in_par_depth[loc] -= 1
-            cp_stack[loc].pop()
-            path_stack[loc].pop()
-            kind_stack[loc].pop()
-            enter_stack[loc].pop()
-        elif et == MPI_SEND:
-            match_id, rndv = ev.aux
-            snap = dict(epoch[rank]) if master else {}
-            sends[match_id] = (t, loc, cp_stack[loc][-1], rndv, snap, rank)
-        elif et == MPI_RECV:
-            send_ts, send_loc, send_cp, rndv, send_snap, _send_rank = sends.pop(ev.aux)
-            recv_enter = enter_stack[loc][-1]
-            cpid = cp_stack[loc][-1]
-            w = late_sender_wait(send_ts, recv_enter, t)
-            if w > 0.0:
-                key = (cpid, loc)
-                ls_wait[key] = ls_wait.get(key, 0.0) + w
-                _attribute_delay(
-                    profile, M.DELAY_LATESENDER, w, send_snap, epoch[rank], send_loc
+            # ---- stack / pattern effects of the event itself ----
+            if et == ENTER:
+                name, kind = region_info(rid)
+                parent = cp_stack[loc][-1]
+                cpid = child_cp(parent, rid, path_stack[loc][-1], name)
+                cp_stack[loc].append(cpid)
+                path_stack[loc].append(path_stack[loc][-1] + (name,))
+                kind_stack[loc].append(kind)
+                enter_stack[loc].append(t)
+                if kind == _K_OMP_PAR and master:
+                    in_par_depth[loc] += 1
+            elif et == LEAVE:
+                kind = kind_stack[loc][-1]
+                if kind == _K_OMP_PAR and master:
+                    in_par_depth[loc] -= 1
+                cp_stack[loc].pop()
+                path_stack[loc].pop()
+                kind_stack[loc].pop()
+                enter_stack[loc].pop()
+            elif et == MPI_SEND:
+                match_id, rndv = aux
+                snap = dict(epoch[rank]) if master else {}
+                sends[match_id] = (t, loc, cp_stack[loc][-1], rndv, snap, rank)
+            elif et == MPI_RECV:
+                send_ts, send_loc, send_cp, rndv, send_snap, _send_rank = sends.pop(aux)
+                recv_enter = enter_stack[loc][-1]
+                cpid = cp_stack[loc][-1]
+                w = late_sender_wait(send_ts, recv_enter, t)
+                if w > 0.0:
+                    key = (cpid, loc)
+                    ls_wait[key] = ls_wait.get(key, 0.0) + w
+                    _attribute_delay(
+                        profile, M.DELAY_LATESENDER, w, send_snap, epoch[rank], send_loc
+                    )
+                if rndv:
+                    wlr = late_receiver_wait(send_ts, recv_enter, t)
+                    if wlr > 0.0:
+                        key = (send_cp, send_loc)
+                        lr_wait[key] = lr_wait.get(key, 0.0) + wlr
+            elif et == COLL_END:
+                coll_id, size = aux
+                name, _kind = region_info(rid)
+                grp = coll_groups.setdefault(
+                    coll_id, {"size": size, "members": [], "barrier": name == "MPI_Barrier"}
                 )
-            if rndv:
-                wlr = late_receiver_wait(send_ts, recv_enter, t)
-                if wlr > 0.0:
-                    key = (send_cp, send_loc)
-                    lr_wait[key] = lr_wait.get(key, 0.0) + wlr
-        elif et == COLL_END:
-            coll_id, size = ev.aux
-            name, _kind = region_info(ev.region)
-            grp = coll_groups.setdefault(
-                coll_id, {"size": size, "members": [], "barrier": name == "MPI_Barrier"}
-            )
-            snap = dict(epoch[rank])
-            epoch[rank] = {}
-            grp["members"].append((loc, cp_stack[loc][-1], enter_stack[loc][-1], t, snap))
-            if len(grp["members"]) == size:
-                _finish_collective(profile, grp, coll_wait_cells)
-                del coll_groups[coll_id]
-        elif et == FORK:
-            fork_info[ev.aux] = (path_stack[loc][-1], cp_stack[loc][-1])
-        elif et == JOIN:
-            pass
-        elif et == TEAM_BEGIN:
-            base_path, base_cp = fork_info[ev.aux]
-            cp_stack[loc] = [base_cp]
-            path_stack[loc] = [base_path]
-            kind_stack[loc] = [_K_OMP_PAR]
-            enter_stack[loc] = [t]
-            worker_idle[loc] = False
-        elif et == OBAR_ENTER:
-            name, kind = region_info(ev.region)
-            parent = cp_stack[loc][-1]
-            cpid = child_cp(parent, ev.region, path_stack[loc][-1], name)
-            cp_stack[loc].append(cpid)
-            path_stack[loc].append(path_stack[loc][-1] + (name,))
-            kind_stack[loc].append(kind)
-            enter_stack[loc].append(t)
-        elif et == OBAR_LEAVE:
-            omp_id, size = ev.aux
-            grp = bar_groups.setdefault(omp_id, {"size": size, "members": []})
-            grp["members"].append((loc, cp_stack[loc][-1], enter_stack[loc][-1], t))
-            cp_stack[loc].pop()
-            path_stack[loc].pop()
-            kind_stack[loc].pop()
-            enter_stack[loc].pop()
-            if not master:
-                # The implicit barrier ends the worker's participation in
-                # this construct; it idles until the next TEAM_BEGIN.
-                worker_idle[loc] = True
-            if len(grp["members"]) == size:
-                _finish_barrier(profile, grp)
-                del bar_groups[omp_id]
-        # BURST: no stack effect (interval already attributed above)
+                snap = dict(epoch[rank])
+                epoch[rank] = {}
+                grp["members"].append((loc, cp_stack[loc][-1], enter_stack[loc][-1], t, snap))
+                if len(grp["members"]) == size:
+                    _finish_collective(profile, grp, coll_wait_cells)
+                    del coll_groups[coll_id]
+            elif et == FORK:
+                fork_info[aux] = (path_stack[loc][-1], cp_stack[loc][-1])
+            elif et == JOIN:
+                pass
+            elif et == TEAM_BEGIN:
+                base_path, base_cp = fork_info[aux]
+                cp_stack[loc] = [base_cp]
+                path_stack[loc] = [base_path]
+                kind_stack[loc] = [_K_OMP_PAR]
+                enter_stack[loc] = [t]
+                worker_idle[loc] = False
+            elif et == OBAR_ENTER:
+                name, kind = region_info(rid)
+                parent = cp_stack[loc][-1]
+                cpid = child_cp(parent, rid, path_stack[loc][-1], name)
+                cp_stack[loc].append(cpid)
+                path_stack[loc].append(path_stack[loc][-1] + (name,))
+                kind_stack[loc].append(kind)
+                enter_stack[loc].append(t)
+            elif et == OBAR_LEAVE:
+                omp_id, size = aux
+                grp = bar_groups.setdefault(omp_id, {"size": size, "members": []})
+                grp["members"].append((loc, cp_stack[loc][-1], enter_stack[loc][-1], t))
+                cp_stack[loc].pop()
+                path_stack[loc].pop()
+                kind_stack[loc].pop()
+                enter_stack[loc].pop()
+                if not master:
+                    # The implicit barrier ends the worker's participation in
+                    # this construct; it idles until the next TEAM_BEGIN.
+                    worker_idle[loc] = True
+                if len(grp["members"]) == size:
+                    _finish_barrier(profile, grp)
+                    del bar_groups[omp_id]
+            # BURST: no stack effect (interval already attributed above)
 
     if coll_groups or bar_groups:
         raise AssertionError(

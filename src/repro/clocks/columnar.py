@@ -1,9 +1,9 @@
 """Vectorized clock replay over columnar (structure-of-arrays) traces.
 
 The per-event replay in :mod:`repro.clocks.lamport` walks every event of
-the merged trace through Python, paying for a heap pop, an increment
-callable and a NumPy scalar write per event.  This module exploits the
-structure of the Lamport replay instead:
+the merged trace through Python, paying for an increment callable and
+a NumPy scalar write per event.  This module exploits the structure of
+the Lamport replay instead:
 
 * Between synchronisation events a location's clock is a plain running
   sum of its work increments, so the increments are computed **in bulk**
@@ -18,13 +18,14 @@ structure of the Lamport replay instead:
 The result is **bit-identical** to :class:`~repro.clocks.lamport.
 LamportClock` for every mode: ``itertools.accumulate`` performs exactly
 the sequential left-to-right float additions the legacy loop performs,
-the merged order of the
-synchronisation events is the same ``(t, loc)``-heap order, and the
-group-completion counter overwrite is replayed at the exact merged
-position at which the legacy loop performs it (including the corner case
-of a member recording further events between its own completion record
-and the group's last arrival).  ``tests/test_columnar.py`` locks this
-equivalence for all six modes.
+the synchronisation events are visited in the trace's merged order
+(:meth:`TraceColumns.sync_order` filters the same
+:func:`~repro.measure.trace.merged_order` that ``RawTrace.merged``
+walks), and the group-completion counter overwrite is replayed at the
+exact merged position at which the legacy loop performs it (including
+the corner case of a member recording further events between its own
+completion record and the group's last arrival).
+``tests/test_columnar.py`` locks this equivalence for all six modes.
 """
 
 from __future__ import annotations
@@ -160,8 +161,10 @@ def _build_replay_plan(cols: TraceColumns):
     the errors the per-event replay raises for malformed traces (receive
     before send, team begin without fork, incomplete groups).
     """
-    t_lists = cols.t_lists()
-    t_arrays = [lc.t for lc in cols.locs]
+    perm, _loc = cols.merged_order()
+    rank = np.empty_like(perm)
+    rank[perm] = np.arange(len(perm))  # merged position of every event
+    bounds = cols.offsets().tolist()
     last = [-1] * cols.n_locations  # highest event index already planned
     send_pos = {}
     fork_pos = {}
@@ -169,7 +172,7 @@ def _build_replay_plan(cols: TraceColumns):
     groups = {}
     records = []
 
-    s_loc, s_idx, s_et, s_a, s_b, s_t = cols.sync_order()
+    s_loc, s_idx, s_et, s_a, s_b, s_pos = cols.sync_order()
     for s in range(len(s_loc)):
         loc = s_loc[s]
         i = s_idx[s]
@@ -187,7 +190,7 @@ def _build_replay_plan(cols: TraceColumns):
             if len(grp) < s_b[s]:
                 records.append((loc, i, a, _OP_RECORD, s))
                 continue
-            t_c = s_t[s]
+            pos = s_pos[s]
             overwrites = []
             for l2, i2, _slot in grp:
                 # The group max lands on member l2 at the exact merged
@@ -195,21 +198,11 @@ def _build_replay_plan(cols: TraceColumns):
                 # after its own completion but before this point keep
                 # their provisional timestamps.
                 nxt = last[l2] + 1
-                if l2 == loc:
+                lo, hi = bounds[l2], bounds[l2 + 1]
+                if l2 == loc or lo + nxt >= hi or rank[lo + nxt] > pos:
                     p2 = nxt
                 else:
-                    tl2 = t_lists[l2]
-                    if nxt >= len(tl2):
-                        p2 = nxt
-                    else:
-                        t_next = tl2[nxt]
-                        if t_next > t_c or (t_next == t_c and l2 > loc):
-                            p2 = nxt
-                        else:
-                            p2 = int(np.searchsorted(
-                                t_arrays[l2], t_c,
-                                side="right" if l2 < loc else "left",
-                            ))
+                    p2 = int(np.searchsorted(rank[lo:hi], pos))
                 if p2 > nxt:
                     last[l2] = p2 - 1
                 overwrites.append((l2, i2, nxt, p2))

@@ -33,11 +33,19 @@ Conversion is strict: traces whose ``aux`` payloads do not follow the
 engine's conventions (possible for hand-built test traces) raise
 :class:`ColumnarConversionError`, and callers fall back to the per-event
 representation.
+
+The way back to events is one bulk builder, :func:`events_from_columns`,
+shared by :meth:`TraceColumns.to_raw` and the sharded archive reader.  It
+interns :class:`~repro.sim.kernels.WorkDelta` instances by value
+(:class:`DeltaTable`): a trace holds few distinct deltas -- LULESH-2 has
+835 distinct values across 113,589 events -- and ``WorkDelta`` is frozen,
+so events may share them, as the engine's own events already do.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from itertools import chain
+from typing import TYPE_CHECKING, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -60,7 +68,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.machine.topology import Pinning
     from repro.measure.trace import RawTrace
 
-__all__ = ["ColumnarConversionError", "LocationColumns", "TraceColumns"]
+__all__ = ["COLUMN_FIELDS", "ColumnarConversionError", "DeltaTable",
+           "LocationColumns", "TraceColumns", "aux_values",
+           "events_from_columns", "location_counts", "split_columns"]
 
 #: event kinds that participate in clock synchronisation (send/fork are
 #: producers, the rest consumers); everything else only accumulates work
@@ -70,6 +80,11 @@ _PAIR_AUX = (MPI_SEND, COLL_END, OBAR_LEAVE, RESTART)
 _SCALAR_AUX = (MPI_RECV, FORK, JOIN, TEAM_BEGIN, FAULT)
 
 _DELTA_FIELDS = ("omp_iters", "bb", "stmt", "instr", "burst_calls", "omp_calls")
+
+#: every column, in ``LocationColumns`` slot order; the integer ones
+#: hold event kind, region and aux payload, the rest are float64
+COLUMN_FIELDS = ("etype", "region", "t", "t_enter", "aux_a", "aux_b") + _DELTA_FIELDS
+_INT_FIELDS = ("etype", "region", "aux_a", "aux_b")
 
 _INT_TYPES = (int, np.integer)
 
@@ -81,8 +96,7 @@ class ColumnarConversionError(ValueError):
 class LocationColumns:
     """The event columns of one location (all arrays share one length)."""
 
-    __slots__ = ("etype", "region", "t", "t_enter", "aux_a", "aux_b",
-                 "omp_iters", "bb", "stmt", "instr", "burst_calls", "omp_calls")
+    __slots__ = COLUMN_FIELDS
 
     def __init__(self, **arrays):
         for name in self.__slots__:
@@ -92,63 +106,167 @@ class LocationColumns:
         return len(self.etype)
 
 
-def _location_to_columns(evs: List[Ev]) -> LocationColumns:
-    n = len(evs)
-    etype = np.empty(n, dtype=np.int64)
-    region = np.empty(n, dtype=np.int64)
-    t = np.empty(n, dtype=np.float64)
-    t_enter = np.empty(n, dtype=np.float64)
-    aux_a = np.full(n, -1, dtype=np.int64)
-    aux_b = np.full(n, -1, dtype=np.int64)
-    deltas = {f: np.zeros(n, dtype=np.float64) for f in _DELTA_FIELDS}
-    try:
-        for i, ev in enumerate(evs):
-            et = ev.etype
-            etype[i] = et
-            region[i] = ev.region
-            t[i] = ev.t
-            t_enter[i] = ev.t_enter
-            aux = ev.aux
-            if et in _PAIR_AUX:
-                a, b = aux
-                if not isinstance(a, _INT_TYPES) or not isinstance(b, _INT_TYPES):
-                    raise ColumnarConversionError(
-                        f"non-integer aux pair {aux!r} on event kind {et}"
-                    )
-                aux_a[i] = a
-                aux_b[i] = b
-            elif et in _SCALAR_AUX:
-                if not isinstance(aux, _INT_TYPES):
-                    raise ColumnarConversionError(
-                        f"non-integer aux {aux!r} on event kind {et}"
-                    )
-                aux_a[i] = aux
-            elif aux is not None:
-                raise ColumnarConversionError(
-                    f"unexpected aux payload {aux!r} on event kind {et}"
-                )
-            d = ev.delta
-            if not d.is_empty:
-                for f in _DELTA_FIELDS:
-                    v = getattr(d, f)
-                    if v:
-                        deltas[f][i] = v
-    except ColumnarConversionError:
-        raise
-    except (TypeError, ValueError) as exc:
+class DeltaTable(dict):
+    """``WorkDelta`` instances interned by value (the six fields in order)."""
+
+    __slots__ = ()
+
+    def __missing__(self, key: tuple) -> WorkDelta:
+        delta = self[key] = WorkDelta(*key)
+        return delta
+
+
+def _require_ints(values: list, what: str, kinds) -> None:
+    """Every value an integer (``int`` or NumPy integer), else raise."""
+    if all(issubclass(tp, _INT_TYPES) for tp in set(map(type, values))):
+        return
+    bad = next(v for v in values if not isinstance(v, _INT_TYPES))
+    raise ColumnarConversionError(f"non-integer {what} {bad!r} on event kind "
+                                  f"in {sorted(kinds)}")
+
+
+def _aux_columns(etype: np.ndarray, aux: list) -> Tuple[np.ndarray, np.ndarray]:
+    """Split per-event ``aux`` payloads into the two integer columns."""
+    aux_a = np.full(len(aux), -1, dtype=np.int64)
+    aux_b = np.full(len(aux), -1, dtype=np.int64)
+    pair = np.flatnonzero(np.isin(etype, _PAIR_AUX))
+    if len(pair):
+        pairs = [aux[i] for i in pair.tolist()]
+        first = [a for a, _b in pairs]
+        second = [b for _a, b in pairs]
+        _require_ints(first + second, "aux pair member", _PAIR_AUX)
+        aux_a[pair] = first
+        aux_b[pair] = second
+    scalar = np.flatnonzero(np.isin(etype, _SCALAR_AUX))
+    if len(scalar):
+        values = [aux[i] for i in scalar.tolist()]
+        _require_ints(values, "aux", _SCALAR_AUX)
+        aux_a[scalar] = values
+    # the checks above reject None, so payload-free kinds own every None
+    if list(map(type, aux)).count(type(None)) != len(aux) - len(pair) - len(scalar):
+        rest = np.flatnonzero(~np.isin(etype, _PAIR_AUX + _SCALAR_AUX)).tolist()
+        i = next(i for i in rest if aux[i] is not None)
         raise ColumnarConversionError(
-            f"event payload not columnar-convertible: {exc}"
-        ) from exc
-    return LocationColumns(etype=etype, region=region, t=t, t_enter=t_enter,
-                           aux_a=aux_a, aux_b=aux_b, **deltas)
+            f"unexpected aux payload {aux[i]!r} on event kind {int(etype[i])}")
+    return aux_a, aux_b
 
 
-def _reconstruct_aux(et: int, a: int, b: int):
-    if et in _PAIR_AUX:
-        return (int(a), int(b))
-    if et in _SCALAR_AUX:
-        return int(a)
-    return None
+def _delta_columns(deltas: list) -> List[np.ndarray]:
+    """The six work-delta columns of per-event ``WorkDelta`` objects."""
+    distinct = dict(zip(map(id, deltas), deltas))
+    row_of = {key: row for row, key in enumerate(distinct)}
+    rows = np.fromiter(map(row_of.__getitem__, map(id, deltas)),
+                       dtype=np.int64, count=len(deltas))
+    # falsy fields (zeros, including -0.0) are stored as 0.0
+    table = np.array([[v if v else 0.0 for v in
+                       (d.omp_iters, d.bb, d.stmt, d.instr, d.burst_calls,
+                        d.omp_calls)]
+                      for d in distinct.values()],
+                     dtype=np.float64).reshape(-1, len(_DELTA_FIELDS))
+    return [table[:, j][rows] for j in range(len(_DELTA_FIELDS))]
+
+
+def aux_values(etype: np.ndarray, aux_a: np.ndarray, aux_b: np.ndarray) -> list:
+    """Per-event Python ``aux`` payloads rebuilt from the integer columns."""
+    aux = [None] * len(etype)
+    pair = np.flatnonzero(np.isin(etype, _PAIR_AUX))
+    for i, v in zip(pair.tolist(),
+                    zip(aux_a[pair].tolist(), aux_b[pair].tolist())):
+        aux[i] = v
+    scalar = np.flatnonzero(np.isin(etype, _SCALAR_AUX))
+    for i, v in zip(scalar.tolist(), aux_a[scalar].tolist()):
+        aux[i] = v
+    return aux
+
+
+def events_from_columns(columns: Mapping[str, np.ndarray],
+                        deltas: DeltaTable) -> List[Ev]:
+    """One :class:`Ev` per row of ``columns`` (the bulk event builder).
+
+    ``columns`` maps every name of :data:`COLUMN_FIELDS` to a 1-D array
+    (a NumPy structured array qualifies).  Work deltas are interned in
+    ``deltas``; rows whose six delta fields are all zero share
+    :data:`~repro.sim.kernels.EMPTY_DELTA`.
+    """
+    etype = columns["etype"]
+    n = len(etype)
+    dcols = [columns[f] for f in _DELTA_FIELDS]
+    nonzero = np.flatnonzero(np.logical_or.reduce([d != 0 for d in dcols]))
+    delta_l = [EMPTY_DELTA] * n
+    keys = zip(*(d[nonzero].tolist() for d in dcols))
+    for i, d in zip(nonzero.tolist(), map(deltas.__getitem__, keys)):
+        delta_l[i] = d
+    return list(map(Ev, etype.tolist(), columns["region"].tolist(),
+                    columns["t"].tolist(), delta_l,
+                    aux_values(etype, columns["aux_a"], columns["aux_b"]),
+                    columns["t_enter"].tolist()))
+
+
+def split_columns(path, columns: Mapping[str, np.ndarray], n_locations: int,
+                  offsets=None, loc=None) -> List[LocationColumns]:
+    """Validated per-location views of flat archive columns.
+
+    Rows are either location-major with ``offsets`` (the npz layout) or
+    in any order that keeps each location's own order, tagged by ``loc``
+    (the shard layout).  Raises :class:`~repro.measure.io.TraceFormatError`
+    naming the member whose offsets, length, dtype or location ids do not
+    describe a trace of ``n_locations`` locations.
+    """
+    from repro.measure.io import TraceFormatError
+
+    cols = {}
+    n = None
+    for f in COLUMN_FIELDS:
+        arr = columns[f]
+        want = "iu" if f in _INT_FIELDS else "f"
+        if arr.ndim != 1 or arr.dtype.kind not in want:
+            raise TraceFormatError(
+                path, f"column {f} has dtype {arr.dtype} and shape "
+                f"{arr.shape}, expected a 1-D "
+                f"{'integer' if f in _INT_FIELDS else 'float'} column",
+                offset=f)
+        if n is None:
+            n = len(arr)
+        elif len(arr) != n:
+            raise TraceFormatError(
+                path, f"column {f} has {len(arr)} rows, column etype {n}",
+                offset=f)
+        cols[f] = arr.astype(np.int64 if f in _INT_FIELDS else np.float64,
+                             copy=False)
+    if loc is not None:
+        counts = location_counts(path, loc, n_locations, "loc")
+        order = np.argsort(loc, kind="stable")
+        cols = {f: a[order] for f, a in cols.items()}
+        offsets = np.concatenate(([0], np.cumsum(counts)))
+    offsets = np.asarray(offsets)
+    if (offsets.ndim != 1 or offsets.dtype.kind not in "iu"
+            or len(offsets) != n_locations + 1 or offsets[0] != 0
+            or offsets[-1] != n or np.any(np.diff(offsets) < 0)):
+        raise TraceFormatError(
+            path, f"offsets {offsets.tolist()[:8]}... do not split {n} rows "
+            f"into {n_locations} locations", offset="offsets")
+    return _location_views(cols, offsets.tolist())
+
+
+def _location_views(flat: Mapping[str, np.ndarray],
+                    bounds: List[int]) -> List[LocationColumns]:
+    """Per-location views of location-major columns split at ``bounds``."""
+    return [LocationColumns(**{f: a[lo:hi] for f, a in flat.items()})
+            for lo, hi in zip(bounds, bounds[1:])]
+
+
+def location_counts(path, loc: np.ndarray, n_locations: int,
+                    member: str) -> np.ndarray:
+    """Rows per location of a ``loc`` column (``TraceFormatError`` if any
+    id lies outside ``[0, n_locations)``)."""
+    from repro.measure.io import TraceFormatError
+
+    if len(loc) and (int(loc.min()) < 0 or int(loc.max()) >= n_locations):
+        bad = int(loc.min()) if int(loc.min()) < 0 else int(loc.max())
+        raise TraceFormatError(
+            path, f"location id {bad} outside the {n_locations} locations",
+            offset=member)
+    return np.bincount(loc, minlength=n_locations)
 
 
 class TraceColumns:
@@ -179,19 +297,39 @@ class TraceColumns:
         self.locs = locs
         self.runtime = runtime
         self.pinning = pinning
+        self._order = None
         self._sync_order = None
-        self._t_lists = None
         self._replay_plan = None  # compiled by repro.clocks.columnar
 
     # -- construction ----------------------------------------------------
     @classmethod
     def from_raw(cls, trace: "RawTrace") -> "TraceColumns":
-        """Convert a per-event trace once (O(events), single pass)."""
+        """Convert a per-event trace once (one list comprehension per field)."""
+        evs = list(chain.from_iterable(trace.events))
+        try:
+            etype = np.array([ev.etype for ev in evs], dtype=np.int64)
+            flat = {
+                "etype": etype,
+                "region": np.array([ev.region for ev in evs], dtype=np.int64),
+                "t": np.array([ev.t for ev in evs], dtype=np.float64),
+                "t_enter": np.array([ev.t_enter for ev in evs], dtype=np.float64),
+            }
+            flat["aux_a"], flat["aux_b"] = _aux_columns(
+                etype, [ev.aux for ev in evs])
+            flat.update(zip(_DELTA_FIELDS,
+                            _delta_columns([ev.delta for ev in evs])))
+        except ColumnarConversionError:
+            raise
+        except (TypeError, ValueError) as exc:
+            raise ColumnarConversionError(
+                f"event payload not columnar-convertible: {exc}"
+            ) from exc
+        bounds = np.cumsum([0] + [len(e) for e in trace.events]).tolist()
         return cls(
             mode=trace.mode,
             regions=trace.regions,
             locations=list(trace.locations),
-            locs=[_location_to_columns(evs) for evs in trace.events],
+            locs=_location_views(flat, bounds),
             runtime=trace.runtime,
             pinning=trace.pinning,
         )
@@ -200,33 +338,14 @@ class TraceColumns:
         """Materialize an equivalent per-event :class:`RawTrace`."""
         from repro.measure.trace import RawTrace
 
-        events: List[List[Ev]] = []
-        for lc in self.locs:
-            evs = []
-            etype = lc.etype.tolist()
-            region = lc.region.tolist()
-            t = lc.t.tolist()
-            t_enter = lc.t_enter.tolist()
-            aux_a = lc.aux_a.tolist()
-            aux_b = lc.aux_b.tolist()
-            dlists = [getattr(lc, f).tolist() for f in _DELTA_FIELDS]
-            for i in range(len(lc)):
-                if (dlists[0][i] or dlists[1][i] or dlists[2][i]
-                        or dlists[3][i] or dlists[4][i] or dlists[5][i]):
-                    delta = WorkDelta(*(d[i] for d in dlists))
-                else:
-                    delta = EMPTY_DELTA
-                evs.append(Ev(
-                    etype[i], region[i], t[i], delta,
-                    aux=_reconstruct_aux(etype[i], aux_a[i], aux_b[i]),
-                    t_enter=t_enter[i],
-                ))
-            events.append(evs)
+        evs = events_from_columns(
+            {f: self.column(f) for f in COLUMN_FIELDS}, DeltaTable())
+        bounds = self.offsets().tolist()
         return RawTrace(
             mode=self.mode,
             regions=self.regions,
             locations=list(self.locations),
-            events=events,
+            events=[evs[lo:hi] for lo, hi in zip(bounds, bounds[1:])],
             runtime=self.runtime,
             pinning=self.pinning,
         )
@@ -240,47 +359,48 @@ class TraceColumns:
     def n_events(self) -> int:
         return sum(len(lc) for lc in self.locs)
 
-    def t_lists(self) -> List[List[float]]:
-        """Per-location physical timestamps as plain lists (memoized)."""
-        if self._t_lists is None:
-            self._t_lists = [lc.t.tolist() for lc in self.locs]
-        return self._t_lists
+    def column(self, field: str) -> np.ndarray:
+        """One field over all locations, concatenated location-major."""
+        parts = [getattr(lc, field) for lc in self.locs]
+        if parts:
+            return np.concatenate(parts)
+        return np.empty(0, dtype=np.int64 if field in _INT_FIELDS else np.float64)
+
+    def offsets(self) -> np.ndarray:
+        """Start of every location's rows in :meth:`column` (plus the end)."""
+        return np.cumsum([0] + [len(lc) for lc in self.locs])
+
+    def merged_order(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The ``(perm, loc)`` arrays of the global merged order (memoized;
+        see :func:`repro.measure.trace.merged_order`)."""
+        if self._order is None:
+            from repro.measure.trace import merged_order
+
+            self._order = merged_order([lc.t for lc in self.locs])
+        return self._order
 
     def sync_order(self):
         """Synchronisation events in global merged order (memoized).
 
-        Returns six parallel lists ``(loc, idx, etype, aux_a, aux_b, t)``
-        of all :data:`SYNC_KINDS` events, sorted by ``(t, loc, idx)`` --
-        exactly the order in which :meth:`RawTrace.merged` visits them
-        (the heap merge orders by ``(t, loc)`` and preserves per-location
-        order).  Mode-independent, so one sort serves all clock replays.
+        Returns six parallel lists ``(loc, idx, etype, aux_a, aux_b, pos)``
+        of all :data:`SYNC_KINDS` events: :meth:`merged_order` filtered to
+        those kinds, ``pos`` being each event's position in the full
+        merged order.  Mode-independent, so one filter serves all clock
+        replays.
         """
         if self._sync_order is None:
-            locs_parts, idx_parts, et_parts, a_parts, b_parts, t_parts = \
-                [], [], [], [], [], []
-            for loc, lc in enumerate(self.locs):
-                mask = np.isin(lc.etype, SYNC_KINDS)
-                idx = np.nonzero(mask)[0]
-                locs_parts.append(np.full(len(idx), loc, dtype=np.int64))
-                idx_parts.append(idx)
-                et_parts.append(lc.etype[idx])
-                a_parts.append(lc.aux_a[idx])
-                b_parts.append(lc.aux_b[idx])
-                t_parts.append(lc.t[idx])
-            loc_all = np.concatenate(locs_parts) if locs_parts else np.empty(0, np.int64)
-            idx_all = np.concatenate(idx_parts) if idx_parts else np.empty(0, np.int64)
-            et_all = np.concatenate(et_parts) if et_parts else np.empty(0, np.int64)
-            a_all = np.concatenate(a_parts) if a_parts else np.empty(0, np.int64)
-            b_all = np.concatenate(b_parts) if b_parts else np.empty(0, np.int64)
-            t_all = np.concatenate(t_parts) if t_parts else np.empty(0, np.float64)
-            order = np.lexsort((idx_all, loc_all, t_all))
+            perm, loc = self.merged_order()
+            etype = self.column("etype")[perm]
+            pos = np.flatnonzero(np.isin(etype, SYNC_KINDS))
+            flat = perm[pos]
+            loc = loc[pos]
             self._sync_order = (
-                loc_all[order].tolist(),
-                idx_all[order].tolist(),
-                et_all[order].tolist(),
-                a_all[order].tolist(),
-                b_all[order].tolist(),
-                t_all[order].tolist(),
+                loc.tolist(),
+                (flat - self.offsets()[loc]).tolist(),
+                etype[pos].tolist(),
+                self.column("aux_a")[flat].tolist(),
+                self.column("aux_b")[flat].tolist(),
+                pos.tolist(),
             )
         return self._sync_order
 

@@ -1,12 +1,17 @@
 """Trace (de)serialisation: JSON-lines and columnar archive formats.
 
-Two formats, dispatched on the file suffix:
+Three formats, dispatched on the file suffix:
 
-* ``*.json.gz`` (and any non-``.npz`` path) -- ``repro-trace-1``, a
+* ``*.json.gz`` (and any path not matched below) -- ``repro-trace-1``, a
   gzipped JSON-lines stream: line 1 is the header (mode, runtime,
   locations, region table), each following line one event ``[loc, etype,
   region, t, delta?, aux?, t_enter?]`` with the delta as a sparse dict.
-  Line-oriented so huge traces stream; human-greppable.
+  Line-oriented so huge traces stream; human-greppable.  The writer
+  spells each line itself (byte-identical to ``json.dumps`` of the
+  record, with one cached text per work delta); the reader decodes
+  bounded chunks of lines with one ``json.loads`` each, and line by line
+  where a chunk fails its checks, so a malformed record is reported at
+  its exact line.
 * ``*.npz`` -- ``repro-trace-npz-1``, the columnar dump: the
   structure-of-arrays columns of :class:`~repro.measure.columnar.
   TraceColumns` concatenated over locations plus an offsets array,
@@ -19,8 +24,8 @@ Two formats, dispatched on the file suffix:
   (:class:`~repro.measure.shards.ShardedTrace`) analyze it while holding
   at most one shard in memory; see :mod:`repro.measure.shards`.
 
-Both round-trip exactly (float timestamps bit-preserved) and are covered
-by the suite.  Used by the CLI tools (``repro-run`` writes,
+All three round-trip exactly (float timestamps bit-preserved) and are
+covered by the suite.  Used by the CLI tools (``repro-run`` writes,
 ``repro-analyze`` reads).
 
 All archive writes are *atomic*: the bytes go to a temporary file in the
@@ -41,13 +46,19 @@ import os
 import tempfile
 import zipfile
 import zlib
+from itertools import chain, repeat
 from pathlib import Path
-from typing import List, Optional, Tuple, Union
+from typing import Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro import obs
-from repro.measure.columnar import LocationColumns, TraceColumns
+from repro.measure.columnar import (
+    COLUMN_FIELDS,
+    DeltaTable,
+    TraceColumns,
+    split_columns,
+)
 from repro.measure.trace import RawTrace
 from repro.sim.events import Ev, RegionRegistry
 from repro.sim.kernels import EMPTY_DELTA, WorkDelta
@@ -191,10 +202,15 @@ def atomic_write_text(path: Union[str, Path], text: str,
     :func:`atomic_write_bytes`)."""
     atomic_write_bytes(path, text.encode(encoding))
 
-_COLUMN_FIELDS = ("etype", "region", "t", "t_enter", "aux_a", "aux_b",
-                  "omp_iters", "bb", "stmt", "instr", "burst_calls", "omp_calls")
-
 _DELTA_FIELDS = ("omp_iters", "bb", "stmt", "instr", "burst_calls", "omp_calls")
+
+#: lines decoded per ``json.loads`` call by the JSON-lines reader; small
+#: enough that a chunk's decoded records die young in the cyclic garbage
+#: collector instead of reaching (and triggering) its full collections,
+#: and that one call holds the interpreter lock for well under a
+#: millisecond (the service validates uploads on a thread beside its
+#: event loop)
+_CHUNK_LINES = 128
 
 
 def _delta_to_obj(d: WorkDelta):
@@ -245,8 +261,10 @@ def trace_archive_bytes(trace: RawTrace,
     """
     buf = io.BytesIO()
     with gzip.GzipFile(fileobj=buf, mode="wb", mtime=0) as gz:
+        # one write per line: the text layer's flush points decide the
+        # deflate input chunks, and with them the compressed bytes
         with io.TextIOWrapper(gz, encoding="utf-8") as fh:
-            _dump_trace_jsonl(trace, manifest, fh)
+            fh.writelines(_jsonl_lines(trace, manifest))
     return buf.getvalue()
 
 
@@ -255,7 +273,8 @@ def _write_trace_jsonl(trace: RawTrace, path: Path,
     atomic_write_bytes(path, trace_archive_bytes(trace, manifest))
 
 
-def _dump_trace_jsonl(trace: RawTrace, manifest: Optional[dict], fh) -> None:
+def _jsonl_lines(trace: RawTrace, manifest: Optional[dict]) -> Iterator[str]:
+    """The archive's lines: the header, then one record per event."""
     header = {
         "format": "repro-trace-1",
         "mode": trace.mode,
@@ -266,19 +285,45 @@ def _dump_trace_jsonl(trace: RawTrace, manifest: Optional[dict], fh) -> None:
     }
     if manifest is not None:
         header["provenance"] = manifest
-    fh.write(json.dumps(header) + "\n")
+    yield json.dumps(header) + "\n"
+    delta_text: dict = {}  # id(delta) -> JSON text; the trace keeps them alive
     for loc, evs in enumerate(trace.events):
-        for ev in evs:
-            rec = [
-                loc,
-                ev.etype,
-                ev.region,
-                ev.t,
-                _delta_to_obj(ev.delta),
-                list(ev.aux) if isinstance(ev.aux, tuple) else ev.aux,
-                ev.t_enter or None,
-            ]
-            fh.write(json.dumps(rec) + "\n")
+        yield from _jsonl_records(loc, evs, delta_text)
+
+
+def _jsonl_records(loc: int, evs, delta_text: dict) -> Iterator[str]:
+    """One line per event, equal to ``json.dumps([loc, etype, region, t,
+    delta, aux, t_enter or None]) + "\\n"``.  Plain ints and finite floats
+    are spelled as ``json`` spells them (``repr``); records holding
+    anything else go through ``json.dumps`` whole."""
+    dumps = json.dumps
+    for ev in evs:
+        et, rg, t, te, aux, d = ev.etype, ev.region, ev.t, ev.t_enter, ev.aux, ev.delta
+        dt = delta_text.get(id(d))
+        if dt is None:
+            dt = delta_text[id(d)] = dumps(_delta_to_obj(d))
+        if aux is None:
+            at = "null"
+        elif type(aux) is int:
+            at = f"{aux}"
+        elif type(aux) is tuple and len(aux) == 2 \
+                and type(aux[0]) is int and type(aux[1]) is int:
+            at = f"[{aux[0]}, {aux[1]}]"
+        else:
+            at = None
+        if not te:
+            te_text = "null"
+        elif type(te) is float and te - te == 0.0:
+            te_text = f"{te!r}"
+        else:
+            te_text = None
+        if (at is not None and te_text is not None and type(et) is int
+                and type(rg) is int and type(t) is float and t - t == 0.0):
+            yield f"[{loc}, {et}, {rg}, {t!r}, {dt}, {at}, {te_text}]\n"
+        else:
+            yield dumps([loc, et, rg, t, _delta_to_obj(d),
+                         list(aux) if isinstance(aux, tuple) else aux,
+                         te or None]) + "\n"
 
 
 def read_trace(path: Union[str, Path]) -> RawTrace:
@@ -344,14 +389,15 @@ def _read_trace_jsonl(path: Path) -> RawTrace:
                 regions.intern(name, paradigm)
             locations: List[Tuple[int, int]] = [tuple(lt) for lt in header["locations"]]
             events: List[List[Ev]] = [[] for _ in locations]
+            deltas = DeltaTable()
+            lines: List[str] = []
             for line in fh:
                 lineno += 1
-                loc, etype, region, t, delta, aux, t_enter = json.loads(line)
-                if isinstance(aux, list):
-                    aux = tuple(aux)
-                events[loc].append(
-                    Ev(etype, region, t, _delta_from_obj(delta), aux=aux, t_enter=t_enter or 0.0)
-                )
+                lines.append(line)
+                if len(lines) == _CHUNK_LINES:
+                    _load_records(path, lines, lineno, events, deltas)
+                    lines = []
+            _load_records(path, lines, lineno, events, deltas)
         trace = RawTrace(
             mode=header["mode"],
             regions=regions,
@@ -368,6 +414,97 @@ def _read_trace_jsonl(path: Path) -> RawTrace:
             offset=f"line {lineno}") from exc
     trace.provenance = header.get("provenance")
     return trace
+
+
+def _load_records(path: Path, lines: List[str], last_lineno: int,
+                  events: List[List[Ev]], deltas: DeltaTable) -> None:
+    """Append the events of ``lines`` (ending at line ``last_lineno``).
+
+    The chunk is decoded as one JSON array.  That decode stands for the
+    line-by-line one when every line starts with ``[`` and ends with
+    ``]``, the array has one element per line and every element passes
+    :func:`_bulk_fields`: a record split across a line break would then
+    need a line to start with a nested list where a record holds none.
+    Anything else -- a malformed record above all -- is decoded line by
+    line, which raises at the exact line.
+    """
+    if not lines:
+        return
+    recs = None
+    if all(map(str.startswith, lines, repeat("["))) \
+            and all(map(str.endswith, lines, repeat(("]\n", "]")))):
+        try:
+            recs = json.loads("[" + ",".join(lines) + "]")
+        except ValueError:
+            pass
+    fields = _bulk_fields(recs, len(lines), len(events)) if recs else None
+    if fields is None:
+        _load_lines(path, lines, last_lineno - len(lines) + 1, events)
+        return
+    locs, ets, rgs, ts, ds, auxs, tes = fields
+    get = dict.get
+    evs = list(map(Ev, ets, rgs, ts,
+                   [deltas[(get(d, "omp_iters", 0.0), get(d, "bb", 0.0),
+                            get(d, "stmt", 0.0), get(d, "instr", 0.0),
+                            get(d, "burst_calls", 0.0),
+                            get(d, "omp_calls", 0.0))] if d else EMPTY_DELTA
+                    for d in ds],
+                   [tuple(a) if type(a) is list else a for a in auxs],
+                   [x or 0.0 for x in tes]))
+    loc_arr = np.array(locs)
+    cuts = [0] + (np.flatnonzero(loc_arr[1:] != loc_arr[:-1]) + 1).tolist() \
+        + [len(evs)]
+    for a, b in zip(cuts, cuts[1:]):
+        events[locs[a]].extend(evs[a:b])
+
+
+#: JSON types allowed for the scalar event fields on the bulk path
+_SCALARS = {int, float, bool, type(None)}
+
+
+def _bulk_fields(recs: list, n_lines: int, n_loc: int) -> Optional[tuple]:
+    """The seven field columns of a decoded chunk, or ``None`` unless it
+    qualifies for the bulk path: one 7-field record per line, locations
+    in range, scalar fields, deltas as dicts of float fields, aux
+    payloads as ints or flat int lists."""
+    if len(recs) != n_lines or set(map(type, recs)) != {list} \
+            or set(map(len, recs)) != {7}:
+        return None
+    fields = locs, ets, rgs, ts, ds, auxs, tes = tuple(zip(*recs))
+    if set(map(type, locs)) != {int} or min(locs) < 0 or max(locs) >= n_loc:
+        return None
+    if not set(map(type, chain(ets, rgs, ts, tes))) <= _SCALARS:
+        return None
+    dicts = [d for d in ds if d]
+    if not (set(map(type, ds)) <= {dict, type(None)}
+            and set(chain.from_iterable(dicts)) <= set(_DELTA_FIELDS)
+            and set(map(type, chain.from_iterable(map(dict.values, dicts))))
+            <= {float}):
+        return None
+    lists = [a for a in auxs if type(a) is list]
+    if not (set(map(type, auxs)) <= {int, list, type(None)}
+            and set(map(type, chain.from_iterable(lists))) <= {int}):
+        return None
+    return fields
+
+
+def _load_lines(path: Path, lines: List[str], first_lineno: int,
+                events: List[List[Ev]]) -> None:
+    """Line-by-line decode of a chunk; raises at the first bad record."""
+    for k, line in enumerate(lines):
+        try:
+            loc, etype, region, t, delta, aux, t_enter = json.loads(line)
+            if type(loc) is not int or not 0 <= loc < len(events):
+                raise ValueError(f"location {loc!r} outside the "
+                                 f"{len(events)} locations")
+            if isinstance(aux, list):
+                aux = tuple(aux)
+            events[loc].append(Ev(etype, region, t, _delta_from_obj(delta),
+                                  aux=aux, t_enter=t_enter or 0.0))
+        except _READ_ERRORS as exc:
+            raise TraceFormatError(
+                path, f"corrupt JSON-lines archive: {type(exc).__name__}: "
+                f"{exc}", offset=f"line {first_lineno + k}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -390,15 +527,13 @@ def _write_trace_npz(trace: RawTrace, path: Path,
     }
     if manifest is not None:
         header["provenance"] = manifest
-    offsets = np.cumsum([0] + [len(lc) for lc in cols.locs])
     arrays = {
         "header": np.frombuffer(json.dumps(header).encode("utf-8"), dtype=np.uint8),
-        "offsets": offsets,
+        "offsets": cols.offsets(),
     }
-    for field in _COLUMN_FIELDS:
-        parts = [getattr(lc, field) for lc in cols.locs]
-        arrays[field] = (np.concatenate(parts) if parts
-                         else np.empty(0, dtype=np.float64))
+    for field in COLUMN_FIELDS:
+        arrays[field] = cols.column(field) if cols.locs \
+            else np.empty(0, dtype=np.float64)
     buf = io.BytesIO()
     np.savez_compressed(buf, **arrays)
     atomic_write_bytes(path, buf.getvalue())
@@ -417,7 +552,7 @@ def _read_trace_npz(path: Path) -> RawTrace:
             member = "offsets"
             offsets = data["offsets"]
             columns = {}
-            for f in _COLUMN_FIELDS:
+            for f in COLUMN_FIELDS:
                 member = f
                 columns[f] = data[f]
         member = "header"
@@ -425,17 +560,11 @@ def _read_trace_npz(path: Path) -> RawTrace:
         for name, paradigm in zip(header["regions"], header["paradigms"]):
             regions.intern(name, paradigm)
         locations: List[Tuple[int, int]] = [tuple(lt) for lt in header["locations"]]
-        member = "offsets"
-        locs = [
-            LocationColumns(**{f: columns[f][offsets[i]:offsets[i + 1]]
-                               for f in _COLUMN_FIELDS})
-            for i in range(len(locations))
-        ]
         cols = TraceColumns(
             mode=header["mode"],
             regions=regions,
             locations=locations,
-            locs=locs,
+            locs=split_columns(path, columns, len(locations), offsets=offsets),
             runtime=header["runtime"],
             pinning=None,
         )

@@ -14,15 +14,16 @@ shards plus a small JSON manifest:
 
 Each shard is a NumPy structured array (one record per event: location id,
 event kind, region id, timestamps, aux payload, work-delta components)
-stored in **global merged order** -- sorted by ``(t, loc, index-in-loc)``,
-exactly the order :meth:`repro.measure.trace.RawTrace.merged` visits a
-well-formed trace.  Storing the merge order makes every merged-order
-consumer (sanitize, race replay, clock replay, wait-state analysis) a
-single forward scan: :class:`ShardedTrace` memory-maps one shard at a
-time (``numpy.load(..., mmap_mode="r")``), materializes at most that
-shard's rows as Python objects, and drops them before opening the next
-shard.  Peak memory is bounded by the shard size regardless of trace
-length, which is what lets campaign-scale traces be analyzed out of core.
+stored in **global merged order** -- exactly the order
+:meth:`repro.measure.trace.RawTrace.merged` visits the trace (see
+:func:`repro.measure.trace.merged_order`).  Storing the merge order makes
+every merged-order consumer (sanitize, race replay, clock replay,
+wait-state analysis) a single forward scan: :class:`ShardedTrace`
+memory-maps one shard at a time (``numpy.load(..., mmap_mode="r")``),
+materializes at most that shard's rows as Python objects, and drops them
+before opening the next shard.  Peak memory is bounded by the shard size
+regardless of trace length, which is what lets campaign-scale traces be
+analyzed out of core.
 
 :func:`read_shard_manifest` reads *only* ``manifest.json`` -- provenance
 and shape queries never touch the event body.
@@ -42,10 +43,17 @@ from typing import Dict, Iterator, List, Optional, Tuple, Union
 import numpy as np
 
 from repro import obs
-from repro.measure.columnar import _reconstruct_aux
+from repro.measure.columnar import (
+    COLUMN_FIELDS,
+    DeltaTable,
+    TraceColumns,
+    aux_values,
+    events_from_columns,
+    location_counts,
+    split_columns,
+)
 from repro.measure.trace import RawTrace
 from repro.sim.events import Ev, RegionRegistry
-from repro.sim.kernels import EMPTY_DELTA, WorkDelta
 
 __all__ = [
     "DEFAULT_SHARD_EVENTS",
@@ -66,11 +74,6 @@ MANIFEST_NAME = "manifest.json"
 #: open/decode overhead
 DEFAULT_SHARD_EVENTS = 65536
 
-_COLUMN_FIELDS = ("etype", "region", "t", "t_enter", "aux_a", "aux_b",
-                  "omp_iters", "bb", "stmt", "instr", "burst_calls", "omp_calls")
-
-_DELTA_FIELDS = ("omp_iters", "bb", "stmt", "instr", "burst_calls", "omp_calls")
-
 #: one record per event; ``loc`` first so a shard is self-describing
 SHARD_DTYPE = np.dtype([
     ("loc", np.int32),
@@ -89,6 +92,10 @@ SHARD_DTYPE = np.dtype([
 ])
 
 
+#: rows turned into ``Ev`` objects at a time by :meth:`ShardedTrace.merged`
+_EVENT_BATCH = 512
+
+
 def _shard_name(i: int) -> str:
     return f"shard-{i:04d}.npy"
 
@@ -102,8 +109,8 @@ def write_sharded_trace(
     """Write ``trace`` as a sharded archive directory at ``path``.
 
     Events are written in global merged order (the order
-    :meth:`RawTrace.merged` yields them for well-formed traces), split
-    into shards of at most ``shard_events`` rows.  ``manifest`` (a
+    :meth:`RawTrace.merged` yields them), split into shards of at most
+    ``shard_events`` rows.  ``manifest`` (a
     :func:`repro.obs.build_manifest` document) is embedded as provenance.
     Returns the archive directory path.
     """
@@ -116,29 +123,12 @@ def write_sharded_trace(
 
     with obs.span("io.write_sharded", shard_events=shard_events):
         cols = trace.columns()  # validates aux payload conventions
-        parts_loc, parts_idx = [], []
-        for loc, lc in enumerate(cols.locs):
-            n = len(lc)
-            parts_loc.append(np.full(n, loc, dtype=np.int64))
-            parts_idx.append(np.arange(n, dtype=np.int64))
-        if parts_loc:
-            loc_all = np.concatenate(parts_loc)
-            idx_all = np.concatenate(parts_idx)
-            t_all = np.concatenate([lc.t for lc in cols.locs])
-        else:
-            loc_all = idx_all = np.empty(0, dtype=np.int64)
-            t_all = np.empty(0, dtype=np.float64)
-        # merged order: by (t, loc, per-location index); matches the heap
-        # merge of RawTrace.merged() for per-location monotone traces
-        order = np.lexsort((idx_all, loc_all, t_all))
-
-        n_total = len(order)
+        perm, loc = cols.merged_order()
+        n_total = len(perm)
         rec = np.empty(n_total, dtype=SHARD_DTYPE)
-        rec["loc"] = loc_all[order]
-        for field in _COLUMN_FIELDS:
-            col = (np.concatenate([getattr(lc, field) for lc in cols.locs])
-                   if cols.locs else np.empty(0))
-            rec[field] = col[order]
+        rec["loc"] = loc
+        for field in COLUMN_FIELDS:
+            rec[field] = cols.column(field)[perm]
 
         shard_meta = []
         for i, start in enumerate(range(0, max(n_total, 1), shard_events)):
@@ -151,8 +141,8 @@ def write_sharded_trace(
             shard_meta.append({
                 "file": _shard_name(i),
                 "n_events": int(len(chunk)),
-                "t_min": float(chunk["t"][0]) if len(chunk) else 0.0,
-                "t_max": float(chunk["t"][-1]) if len(chunk) else 0.0,
+                "t_min": float(chunk["t"].min()) if len(chunk) else 0.0,
+                "t_max": float(chunk["t"].max()) if len(chunk) else 0.0,
             })
 
         header = {
@@ -298,10 +288,13 @@ class ShardedTrace:
 
         Each yielded array is a read-only ``numpy.memmap`` over one shard
         file; the previous map is dropped before the next is opened, so at
-        most one shard is resident.
+        most one shard is resident.  Every shard is checked against the
+        manifest (record layout, row count, location ids), and a full
+        pass checks the rows per location against ``loc_counts``.
         """
         from repro.measure.io import TraceFormatError
 
+        seen = np.zeros(self.n_locations, dtype=np.int64)
         for meta in self.header["shards"]:
             try:
                 arr = np.load(self.path / meta["file"], mmap_mode="r")
@@ -319,9 +312,23 @@ class ShardedTrace:
                     self.path,
                     f"{len(arr)} rows, manifest says {meta['n_events']}",
                     offset=meta.get("file"))
+            seen += location_counts(self.path, arr["loc"], self.n_locations,
+                                    meta["file"])
             self.stats.shards_opened += 1
             yield arr
             del arr  # release the map before opening the next shard
+        if seen.tolist() != self.loc_counts or int(seen.sum()) != self.n_events:
+            raise TraceFormatError(
+                self.path, f"rows per location {seen.tolist()} contradict "
+                f"the manifest's loc_counts {self.loc_counts} or n_events "
+                f"{self.n_events}", offset=MANIFEST_NAME)
+
+    def _resident(self, n: int) -> None:
+        stats = self.stats
+        stats.rows_streamed += n
+        if n > stats.peak_resident_rows:
+            stats.peak_resident_rows = n
+            obs.gauge("io.shards.peak_resident_rows").set(float(n))
 
     def merged(self) -> Iterator[Tuple[int, Ev]]:
         """All events as ``(loc, Ev)`` in global merged order, streamed.
@@ -329,50 +336,38 @@ class ShardedTrace:
         Equivalent to :meth:`RawTrace.merged` on the materialized trace,
         but holds at most one shard's rows in memory.
         """
-        stats = self.stats
+        deltas = DeltaTable()
         for arr in self.iter_shards():
-            # one bulk copy per column per shard (bounded by shard size);
-            # plain lists are much faster to walk than np scalar reads
-            loc_l = arr["loc"].tolist()
-            et_l = arr["etype"].tolist()
-            reg_l = arr["region"].tolist()
-            t_l = arr["t"].tolist()
-            te_l = arr["t_enter"].tolist()
-            a_l = arr["aux_a"].tolist()
-            b_l = arr["aux_b"].tolist()
-            d_ls = [arr[f].tolist() for f in _DELTA_FIELDS]
-            d0, d1, d2, d3, d4, d5 = d_ls
-            n = len(loc_l)
-            stats.rows_streamed += n
-            if n > stats.peak_resident_rows:
-                stats.peak_resident_rows = n
-                obs.gauge("io.shards.peak_resident_rows").set(float(n))
-            for i in range(n):
-                et = et_l[i]
-                if d0[i] or d1[i] or d2[i] or d3[i] or d4[i] or d5[i]:
-                    delta = WorkDelta(d0[i], d1[i], d2[i], d3[i], d4[i], d5[i])
-                else:
-                    delta = EMPTY_DELTA
-                yield loc_l[i], Ev(
-                    et, reg_l[i], t_l[i], delta,
-                    aux=_reconstruct_aux(et, a_l[i], b_l[i]),
-                    t_enter=te_l[i],
-                )
+            self._resident(len(arr))
+            # build in small batches: events die young as the consumer
+            # moves on, instead of a shard's worth surviving into the
+            # collector's oldest generation
+            for lo in range(0, len(arr), _EVENT_BATCH):
+                rows = arr[lo:lo + _EVENT_BATCH]
+                yield from zip(rows["loc"].tolist(),
+                               events_from_columns(rows, deltas))
+
+    def event_lists(self) -> Iterator[tuple]:
+        """Per shard, the flat ``(loc, kind, region, aux, t)`` lists of
+        :func:`repro.analysis.analyzer.analyze_stream` (physical time)."""
+        for arr in self.iter_shards():
+            self._resident(len(arr))
+            etype = arr["etype"]
+            yield (arr["loc"].tolist(), etype.tolist(), arr["region"].tolist(),
+                   aux_values(etype, arr["aux_a"], arr["aux_b"]),
+                   arr["t"].tolist())
 
     # -- materialization (the non-streaming escape hatch) ---------------
     def to_raw(self) -> RawTrace:
         """Materialize the full per-event :class:`RawTrace` (O(events))."""
-        events: List[List[Ev]] = [[] for _ in self.locations]
-        for loc, ev in self.merged():
-            events[loc].append(ev)
-        trace = RawTrace(
-            mode=self.mode,
-            regions=self.regions,
-            locations=list(self.locations),
-            events=events,
-            runtime=self.runtime,
-            pinning=None,
-        )
+        shards = list(self.iter_shards())
+        rec = (np.concatenate(shards) if shards
+               else np.empty(0, dtype=SHARD_DTYPE))
+        del shards
+        self._resident(len(rec))
+        locs = split_columns(self.path, rec, self.n_locations, loc=rec["loc"])
+        trace = TraceColumns(self.mode, self.regions, list(self.locations),
+                             locs, runtime=self.runtime).to_raw()
         trace.provenance = self.provenance
         return trace
 

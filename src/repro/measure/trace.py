@@ -8,12 +8,42 @@ from it, and the analyzer (:mod:`repro.analysis`) replays it.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from itertools import chain
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.machine.topology import Pinning
 from repro.sim.events import Ev, RegionRegistry
 
-__all__ = ["RawTrace"]
+__all__ = ["RawTrace", "merged_order"]
+
+
+def merged_order(t_by_location: Sequence) -> Tuple[np.ndarray, np.ndarray]:
+    """The global merged order of per-location timestamp sequences.
+
+    Returns ``(perm, loc)``: ``perm[k]`` is the position of the ``k``-th
+    merged event in the location-major concatenation of the sequences,
+    ``loc[k]`` its location.  Events are sorted by three keys: the
+    running maximum of ``t`` on the event's location, then the location,
+    then the index within it.  That is exactly the order of a heap merge
+    keyed ``(t, loc)`` that holds one head per location (the historical
+    :meth:`RawTrace.merged`): an event whose timestamp is below an
+    earlier one on its location enters the heap as its smallest key and
+    leaves it right behind its predecessor, i.e. it sorts as if it
+    carried the running maximum.  One stable argsort of the running
+    maxima does the rest, since the concatenation is already ordered by
+    location and index.
+    """
+    counts = [len(t) for t in t_by_location]
+    if not sum(counts):
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty
+    keys = np.concatenate([np.maximum.accumulate(np.asarray(t, dtype=np.float64))
+                           for t in t_by_location])
+    perm = np.argsort(keys, kind="stable")
+    loc = np.repeat(np.arange(len(counts), dtype=np.int64), counts)[perm]
+    return perm, loc
 
 
 class RawTrace:
@@ -59,6 +89,7 @@ class RawTrace:
             lt: i for i, lt in enumerate(locations)
         }
         self._columns = None
+        self._order = None
 
     # -- queries ---------------------------------------------------------
     @property
@@ -98,30 +129,33 @@ class RawTrace:
             self._columns = TraceColumns.from_raw(self)
         return self._columns
 
+    def merged_order(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The ``(perm, loc)`` arrays of :func:`merged_order`, built once.
+
+        A snapshot like :meth:`columns`: editing timestamps or event lists
+        after the first call is not reflected.
+        """
+        if self._order is None:
+            if self._columns is not None:
+                self._order = self._columns.merged_order()
+            else:
+                self._order = merged_order(
+                    [[ev.t for ev in evs] for evs in self.events])
+        return self._order
+
     def merged(self) -> Iterator[Tuple[int, Ev]]:
         """All events in a global order consistent with happens-before.
 
         Per-location order is preserved; across locations, events are
-        merged by physical timestamp (ties broken by location id).  In
+        merged by physical timestamp (ties broken by location id; see
+        :func:`merged_order` for timestamps that step backwards).  In
         this simulator physical timestamps respect causality, so the
         merged order is a valid topological order of the event DAG -- the
         property the logical-clock replay relies on.
         """
-        import heapq
-
-        iters = []
-        for loc, evs in enumerate(self.events):
-            it = iter(evs)
-            first = next(it, None)
-            if first is not None:
-                iters.append((first.t, loc, first, it))
-        heapq.heapify(iters)
-        while iters:
-            t, loc, ev, it = heapq.heappop(iters)
-            yield loc, ev
-            nxt = next(it, None)
-            if nxt is not None:
-                heapq.heappush(iters, (nxt.t, loc, nxt, it))
+        perm, loc = self.merged_order()
+        flat = list(chain.from_iterable(self.events))
+        return zip(loc.tolist(), map(flat.__getitem__, perm.tolist()))
 
     def validate(self) -> None:
         """Check per-location monotonicity and matching consistency.

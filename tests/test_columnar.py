@@ -36,7 +36,7 @@ from repro.measure.columnar import TraceColumns
 from repro.miniapps.minife import MiniFE, MiniFEConfig
 from repro.miniapps.tealeaf import TeaLeaf, TeaLeafConfig
 from repro.sim import CostModel, Engine
-from repro.sim.events import ENTER, LEAVE, MPI_RECV, Ev, RegionRegistry
+from repro.sim.events import ENTER, LEAVE, MPI_RECV, MPI_SEND, Ev, RegionRegistry
 from repro.sim.kernels import EMPTY_DELTA, WorkDelta
 
 
@@ -119,9 +119,65 @@ class TestReplayEquivalence:
                          events=[evs])
         tt = timestamp_trace(trace, "ltbb")
         assert [list(t) for t in tt.times] == [[3.0, 4.0]]
+        # ...and analyze like its convertible twin (the walker gathers
+        # its lists from the Ev attributes instead of the columns)...
+        from repro.analysis import analyze_trace
+
+        twin = RawTrace(mode="tsc", regions=regions, locations=[(0, 0)],
+                        events=[[evs[0], Ev(LEAVE, rid, 1.0, EMPTY_DELTA)]])
+        got = analyze_trace(tt)
+        want = analyze_trace(timestamp_trace(twin, "ltbb"))
+        assert got.metrics == want.metrics
+        assert all(got.cells(m) == want.cells(m) for m in want.metrics)
+        assert got.total_time() > 0.0
         # ...while an explicit columnar request surfaces the conversion error.
         with pytest.raises(ColumnarConversionError):
             timestamp_trace(trace, "ltbb", impl="columnar")
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("moved_to", ["past-receive", "before-receive"])
+    def test_replay_paths_agree_on_non_monotone_trace(self, tmp_path, mode,
+                                                      moved_to):
+        # Move the ENTER/LEAVE in front of an MPI_SEND to a later time, so
+        # its location's timestamps step backwards.  Past the matching
+        # receive, the merged order puts the send behind the receive and
+        # every replay must fail alike; before it, all must agree bit for
+        # bit.  Each replay walks its own copy of the merged order.
+        from repro.clocks.streaming import stream_clock_replay
+        from repro.experiments.configs import make_app, make_cluster
+        from repro.measure.shards import open_sharded_trace, write_sharded_trace
+
+        cluster = make_cluster("MiniFE-1")
+        cost = CostModel(cluster, noise=NoiseModel(NoiseConfig(), seed=1))
+        trace = Engine(make_app("MiniFE-1"), cluster, cost,
+                       measurement=Measurement("tsc")).run().trace
+        evs, i = next((evs, i) for evs in trace.events
+                      for i in range(1, len(evs))
+                      if evs[i].etype == MPI_SEND
+                      and evs[i - 1].etype in (ENTER, LEAVE))
+        send = evs[i]
+        recv_t = next(ev.t for other in trace.events for ev in other
+                      if ev.etype == MPI_RECV and ev.aux == send.aux[0])
+        evs[i - 1].t = (recv_t + 1e-9 if moved_to == "past-receive"
+                        else (send.t + recv_t) / 2)
+
+        def outcome(replay):
+            try:
+                return [float(x) for x in replay()]
+            except AssertionError as exc:
+                return str(exc)
+
+        archive = tmp_path / "moved.shards"
+        write_sharded_trace(trace, archive, shard_events=512)
+        outcomes = [
+            outcome(lambda: [t[-1] for t in timestamp_trace(
+                trace, mode, counter_seed=4, impl=impl).times])
+            for impl in ("legacy", "columnar")
+        ] + [outcome(lambda: stream_clock_replay(
+            open_sharded_trace(archive), mode, counter_seed=4).final)]
+        assert outcomes[0] == outcomes[1] == outcomes[2]
+        if moved_to == "past-receive" and mode != "tsc":
+            assert "before/without its send" in outcomes[0]
 
     def test_unknown_impl_rejected(self, minife_trace):
         with pytest.raises(ValueError, match="replay impl"):

@@ -1,0 +1,75 @@
+"""Golden fingerprints of the bytes the trace hand-offs must not change.
+
+For each mini-app's ``tiny()`` configuration, recorded at one noise seed
+under every measurement mode, ``goldens.json`` holds the sha256 of
+
+* ``trace_archive_bytes(trace)`` -- the JSON-lines archive the serving
+  layer stores content-addressed, and
+* ``json.dumps(profile_doc(analyze_trace(timestamp_trace(trace))))`` --
+  the wait-state profile of that trace in its own mode.
+
+A change to the archive writer, the merged order, the clock replay or
+the analyzer walk that moves a single byte fails here.  Re-record (only
+for an intended format change) with::
+
+    PYTHONPATH=src python -m tests.test_goldens
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from repro.analysis import analyze_trace
+from repro.clocks import timestamp_trace
+from repro.cube.io import profile_doc
+from repro.machine import jureca_dc
+from repro.machine.noise import NoiseConfig, NoiseModel
+from repro.measure import MODES, Measurement, trace_archive_bytes
+from repro.miniapps.lulesh import Lulesh, LuleshConfig
+from repro.miniapps.minife import MiniFE, MiniFEConfig
+from repro.miniapps.tealeaf import TeaLeaf, TeaLeafConfig
+from repro.sim import CostModel, Engine
+
+GOLDENS = Path(__file__).with_name("goldens.json")
+SEED = 3
+APPS = {
+    "minife": lambda: MiniFE(MiniFEConfig.tiny()),
+    "lulesh": lambda: Lulesh(LuleshConfig.tiny()),
+    "tealeaf": lambda: TeaLeaf(TeaLeafConfig.tiny()),
+}
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def fingerprints(app: str, mode: str) -> dict:
+    cluster = jureca_dc(1)
+    cost = CostModel(cluster, noise=NoiseModel(NoiseConfig(), seed=SEED))
+    trace = Engine(APPS[app](), cluster, cost,
+                   measurement=Measurement(mode)).run().trace
+    profile = analyze_trace(timestamp_trace(trace, mode, counter_seed=SEED))
+    return {
+        "archive": _sha(trace_archive_bytes(trace)),
+        "profile": _sha(json.dumps(profile_doc(profile)).encode("utf-8")),
+    }
+
+
+@pytest.fixture(scope="module")
+def goldens():
+    return json.loads(GOLDENS.read_text())
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("app", sorted(APPS))
+def test_golden_fingerprints(goldens, app, mode):
+    assert fingerprints(app, mode) == goldens[app][mode]
+
+
+if __name__ == "__main__":
+    doc = {app: {mode: fingerprints(app, mode) for mode in MODES}
+           for app in sorted(APPS)}
+    GOLDENS.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {GOLDENS}")

@@ -463,6 +463,58 @@ class TestTraceFormatError:
             for _ in sharded.iter_shards():
                 pass
 
+    @pytest.mark.parametrize("damage", [
+        "npz-last-offset-cut", "npz-offsets-swapped", "npz-t-column-longer",
+        "npz-float-etype", "shards-loc-out-of-range",
+        "shards-row-moved-location",
+    ])
+    def test_malformed_columnar_structure(self, tmp_path, minife_trace,
+                                          damage):
+        # archives that decode cleanly but do not describe a trace: the
+        # readers must reject them naming the member, not read back a
+        # different trace or crash with a bare IndexError
+        import numpy as np
+
+        from repro.measure.shards import MANIFEST_NAME, open_sharded_trace
+
+        fmt, _, what = damage.partition("-")
+        path = tmp_path / f"t.{fmt}"
+        write_trace(minife_trace, path)
+        if fmt == "npz":
+            with np.load(path) as data:
+                arrays = dict(data)
+            if what == "last-offset-cut":
+                arrays["offsets"][-1] -= 5
+                member = "offsets"
+            elif what == "offsets-swapped":
+                o = arrays["offsets"]
+                o[1], o[2] = o[2], o[1]
+                member = "offsets"
+            elif what == "t-column-longer":
+                arrays["t"] = np.concatenate([arrays["t"], [1.0, 2.0]])
+                member = "t"
+            else:
+                arrays["etype"] = arrays["etype"].astype(np.float64)
+                arrays["etype"][0] = 0.5
+                member = "etype"
+            with open(path, "wb") as fh:
+                np.savez_compressed(fh, **arrays)
+        else:
+            shard = path / "shard-0000.npy"
+            rows = np.load(shard)
+            rows["loc"][3] = 999 if what == "loc-out-of-range" \
+                else (rows["loc"][3] + 1) % minife_trace.n_locations
+            np.save(shard, rows)
+            member = shard.name if what == "loc-out-of-range" \
+                else MANIFEST_NAME
+            with pytest.raises(TraceFormatError) as err:
+                list(open_sharded_trace(path).merged())
+            assert err.value.offset == member
+        with pytest.raises(TraceFormatError) as err:
+            read_trace(path)
+        assert err.value.offset == member
+        assert err.value.path == str(path)
+
     def test_shard_manifest_garbage(self, tmp_path):
         from repro.measure.shards import MANIFEST_NAME, read_shard_manifest
 

@@ -9,6 +9,9 @@ invariants that every component of the pipeline relies on:
 * logical timestamps are invariant under the noise seed,
 * the analyzer's time tree exactly partitions the measured execution,
 * severities are non-negative and the Jaccard score stays in [0, 1].
+
+A last property pins the NumPy merged order to the heap merge it
+replaced, kept here as the test oracle.
 """
 
 import numpy as np
@@ -138,3 +141,51 @@ def test_jaccard_bounds_on_real_profiles(steps):
     j = jaccard_metric_callpath(a, b)
     assert 0.0 <= j <= 1.0
     assert jaccard_metric_callpath(a, a) == pytest.approx(1.0)
+
+
+# ---------------------------------------------------------------------------
+# the global merged order
+# ---------------------------------------------------------------------------
+
+def heap_merged(t_by_location):
+    """Test oracle: the k-way heap merge the merged order is defined by.
+
+    One head per location, keyed ``(t, loc)``; popping a head pushes the
+    location's next event.  Yields ``(loc, index)`` pairs.
+    """
+    import heapq
+
+    heads = [(ts[0], loc, 0) for loc, ts in enumerate(t_by_location) if ts]
+    heapq.heapify(heads)
+    while heads:
+        _t, loc, i = heapq.heappop(heads)
+        yield loc, i
+        if i + 1 < len(t_by_location[loc]):
+            heapq.heappush(heads, (t_by_location[loc][i + 1], loc, i + 1))
+
+
+# few distinct values: ties across locations, equal timestamps within a
+# location and backward steps are all common; min_size=0 gives empty
+# locations
+location_times = st.lists(
+    st.lists(st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 3.0]), max_size=12),
+    min_size=1, max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(location_times)
+def test_merged_order_equals_heap_merge(t_by_location):
+    from repro.measure import RawTrace
+    from repro.measure.trace import merged_order
+    from repro.sim.events import ENTER, Ev, RegionRegistry
+
+    expected = list(heap_merged(t_by_location))
+    perm, loc = merged_order(t_by_location)
+    starts = np.cumsum([0] + [len(ts) for ts in t_by_location])
+    assert list(zip(loc.tolist(), (perm - starts[loc]).tolist())) == expected
+
+    events = [[Ev(ENTER, 0, t) for t in ts] for ts in t_by_location]
+    trace = RawTrace("tsc", RegionRegistry(),
+                     [(r, 0) for r in range(len(events))], events)
+    assert [(l, ev) for l, ev in trace.merged()] \
+        == [(l, events[l][i]) for l, i in expected]

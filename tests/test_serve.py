@@ -580,12 +580,26 @@ class TestIngestHardening:
 
     def test_malformed_archive_upload_400_and_quarantined(
             self, tmp_path, session):
+        import io
+
+        import numpy as np
+
         from repro.measure import write_trace
 
         f1 = tmp_path / "a.trace.json.gz"
         write_trace(_make_trace("ltbb", seed=1), f1)
         data = bytearray(f1.read_bytes())
         data[len(data) // 2] ^= 0xFF          # corrupt the gzip stream
+        # a well-formed npz whose offsets drop the last location's tail
+        f2 = tmp_path / "b.npz"
+        write_trace(_make_trace("ltbb", seed=2), f2)
+        with np.load(f2) as npz:
+            arrays = dict(npz)
+        arrays["offsets"][-1] -= 5
+        buf = io.BytesIO()
+        np.savez_compressed(buf, **arrays)
+        uploads = [(bytes(data), "bad.trace.json.gz"),
+                   (buf.getvalue(), "bad.npz")]
 
         async def main():
             svc = _service(tmp_path)
@@ -593,21 +607,22 @@ class TestIngestHardening:
             try:
                 from repro.serve.client import http_request
 
-                resp = await http_request(
+                resps = [await http_request(
                     "127.0.0.1", svc.port, "PUT", "/v1/traces",
-                    body=bytes(data),
-                    headers={"X-Archive-Name": "bad.trace.json.gz"})
+                    body=body, headers={"X-Archive-Name": name})
+                    for body, name in uploads]
                 root = svc.store.root
             finally:
                 await svc.stop()
-            return resp, root
+            return resps, root
 
-        resp, root = asyncio.run(main())
-        assert resp.status == 400
-        assert "malformed trace archive" in resp.json()["error"]
-        assert resp.headers.get("x-repro-quarantine")
-        assert list(root.glob("*.corrupt-*"))
-        assert _total(session, "serve.upload_rejects") == 1.0
+        resps, root = asyncio.run(main())
+        for resp in resps:
+            assert resp.status == 400
+            assert "malformed trace archive" in resp.json()["error"]
+            assert resp.headers.get("x-repro-quarantine")
+        assert len(list(root.glob("*.corrupt-*"))) == 2
+        assert _total(session, "serve.upload_rejects") == 2.0
 
     def test_analyze_on_archive_corrupted_in_store_answers_400(
             self, tmp_path, session):

@@ -172,7 +172,7 @@ class TestStreamingConsumers:
         st = open_sharded_trace(archive)
         full = analyze_trace(timestamp_trace(trace, "tsc"))
         streamed = analyze_stream(
-            ((loc, ev, ev.t) for loc, ev in st.merged()),
+            st.event_lists(),
             mode="tsc", regions=st.regions, locations=st.locations)
         assert streamed.metrics == full.metrics
         for metric in full.metrics:
