@@ -101,18 +101,20 @@ def _merged_chunks(trace, times):
     already built), or from the ``Ev`` attributes of traces whose
     payloads the columnar view rejects.
     """
-    if [len(t) for t in times] != [len(evs) for evs in trace.events]:
-        raise ValueError("timestamp arrays do not match the trace's events")
     try:
         cols = trace.columns()
     except ColumnarConversionError:
         cols = None
+        counts = [len(evs) for evs in trace.events]
         perm, loc = trace.merged_order()
         flat = list(chain.from_iterable(trace.events))
     else:
+        counts = [len(lc) for lc in cols.locs]
         perm, loc = cols.merged_order()
         etype, region, aux_a, aux_b = (
             cols.column(f) for f in ("etype", "region", "aux_a", "aux_b"))
+    if [len(t) for t in times] != counts:
+        raise ValueError("timestamp arrays do not match the trace's events")
     t = np.concatenate(times).astype(np.float64, copy=False) if len(perm) else None
     for lo in range(0, len(perm), _WALK_CHUNK):
         part = perm[lo:lo + _WALK_CHUNK]

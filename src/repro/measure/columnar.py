@@ -3,17 +3,20 @@
 A :class:`TraceColumns` holds the same information as the event lists of a
 :class:`~repro.measure.trace.RawTrace`, but as per-location NumPy arrays:
 one array per field (event kind, region, timestamp, work-delta components,
-auxiliary payload) instead of one Python object per event.  This is the
-layout the vectorized clock replay (:mod:`repro.clocks.columnar`) and the
-bulk archive I/O (:mod:`repro.measure.io`) operate on.
+auxiliary payload) instead of one Python object per event.  It is the
+form a trace is born in -- :class:`~repro.measure.measurement.Measurement`
+records columns, and the npz and shards readers return them -- and the
+layout the vectorized clock replay (:mod:`repro.clocks.columnar`), the
+analyzer walk and the bulk archive I/O (:mod:`repro.measure.io`) operate
+on.
 
 The ``aux`` payload of :class:`~repro.sim.events.Ev` is kind-specific --
 a ``(match_id, rendezvous)`` pair for sends, a match id for receives, a
 ``(group_id, size)`` pair for collective and barrier completions, an OpenMP
 construct id for fork/join/team events, and absent otherwise.  Columnar
 storage decomposes it into two integer columns ``aux_a``/``aux_b`` with
-``-1`` marking "no payload"; :meth:`TraceColumns.to_raw` reconstructs the
-exact original Python values from the kind table below.
+``-1`` marking "no payload"; :func:`aux_values` reconstructs the exact
+original Python values from the kind table below.
 
 =============  =========  =========
 event kind     aux_a      aux_b
@@ -29,13 +32,16 @@ RESTART        restart id n_ranks
 (all others)   --         --
 =============  =========  =========
 
-Conversion is strict: traces whose ``aux`` payloads do not follow the
-engine's conventions (possible for hand-built test traces) raise
-:class:`ColumnarConversionError`, and callers fall back to the per-event
-representation.
+Conversion (:meth:`TraceColumns.from_fields`, shared by the measurement
+and :meth:`TraceColumns.from_raw`) is strict: traces whose ``aux``
+payloads do not follow the engine's conventions (possible for hand-built
+test traces) raise :class:`ColumnarConversionError`, and callers fall
+back to the per-event representation.
 
 The way back to events is one bulk builder, :func:`events_from_columns`,
-shared by :meth:`TraceColumns.to_raw` and the sharded archive reader.  It
+shared by :meth:`TraceColumns.event_lists` (what
+:attr:`RawTrace.events <repro.measure.trace.RawTrace.events>` builds on
+demand) and the sharded archive's streaming reader.  It
 interns :class:`~repro.sim.kernels.WorkDelta` instances by value
 (:class:`DeltaTable`): a trace holds few distinct deltas -- LULESH-2 has
 835 distinct values across 113,589 events -- and ``WorkDelta`` is frozen,
@@ -45,6 +51,7 @@ so events may share them, as the engine's own events already do.
 from __future__ import annotations
 
 from itertools import chain
+from operator import attrgetter
 from typing import TYPE_CHECKING, List, Mapping, Optional, Tuple
 
 import numpy as np
@@ -80,6 +87,7 @@ _PAIR_AUX = (MPI_SEND, COLL_END, OBAR_LEAVE, RESTART)
 _SCALAR_AUX = (MPI_RECV, FORK, JOIN, TEAM_BEGIN, FAULT)
 
 _DELTA_FIELDS = ("omp_iters", "bb", "stmt", "instr", "burst_calls", "omp_calls")
+_delta_values = attrgetter(*_DELTA_FIELDS)
 
 #: every column, in ``LocationColumns`` slot order; the integer ones
 #: hold event kind, region and aux payload, the rest are float64
@@ -153,15 +161,15 @@ def _aux_columns(etype: np.ndarray, aux: list) -> Tuple[np.ndarray, np.ndarray]:
 
 def _delta_columns(deltas: list) -> List[np.ndarray]:
     """The six work-delta columns of per-event ``WorkDelta`` objects."""
-    distinct = dict(zip(map(id, deltas), deltas))
-    row_of = {key: row for row, key in enumerate(distinct)}
-    rows = np.fromiter(map(row_of.__getitem__, map(id, deltas)),
-                       dtype=np.int64, count=len(deltas))
-    # falsy fields (zeros, including -0.0) are stored as 0.0
-    table = np.array([[v if v else 0.0 for v in
-                       (d.omp_iters, d.bb, d.stmt, d.instr, d.burst_calls,
-                        d.omp_calls)]
-                      for d in distinct.values()],
+    ids = list(map(id, deltas))
+    distinct = dict(zip(ids, deltas))
+    row_of = dict(zip(distinct, range(len(distinct))))
+    rows = np.fromiter(map(row_of.__getitem__, ids), dtype=np.int64,
+                       count=len(ids))
+    # falsy fields (zeros, including -0.0) are stored as 0.0; one flat
+    # list, so no per-delta container reaches the cyclic collector
+    table = np.array([v if v else 0.0 for d in distinct.values()
+                      for v in _delta_values(d)],
                      dtype=np.float64).reshape(-1, len(_DELTA_FIELDS))
     return [table[:, j][rows] for j in range(len(_DELTA_FIELDS))]
 
@@ -273,9 +281,14 @@ class TraceColumns:
     """Columnar view of a whole trace (the SoA analogue of ``RawTrace``).
 
     Attributes mirror :class:`~repro.measure.trace.RawTrace`; ``locs[l]``
-    is the :class:`LocationColumns` of location ``l``.  The object is a
-    *snapshot*: mutating the source trace's event lists afterwards is not
-    reflected here.
+    is the :class:`LocationColumns` of location ``l``.  Treated as
+    immutable: it memoizes the merged order, the synchronisation order
+    and the compiled replay plan.  A column-backed ``RawTrace`` owns one
+    and drops it when a caller first takes its event lists (see
+    :attr:`RawTrace.events <repro.measure.trace.RawTrace.events>`), so
+    edits to those lists reach the next conversion.  A trace built from
+    events converts on first use and memoizes the result: a snapshot that
+    later edits to its lists do not reach.
     """
 
     def __init__(
@@ -303,52 +316,63 @@ class TraceColumns:
 
     # -- construction ----------------------------------------------------
     @classmethod
-    def from_raw(cls, trace: "RawTrace") -> "TraceColumns":
-        """Convert a per-event trace once (one list comprehension per field)."""
-        evs = list(chain.from_iterable(trace.events))
+    def from_fields(cls, mode: str, regions: RegionRegistry,
+                    locations: List[Tuple[int, int]], counts: List[int],
+                    etype, region, t, delta, aux, t_enter,
+                    runtime: float = 0.0,
+                    pinning: Optional["Pinning"] = None) -> "TraceColumns":
+        """Columns of per-event field sequences (the one field conversion).
+
+        The six sequences list every event location-major, ``counts[l]``
+        of them on location ``l``, in :class:`~repro.sim.events.Ev`
+        argument order: kind, region, timestamp, ``WorkDelta``, ``aux``
+        payload and enter time.  Falsy delta fields are stored as 0.0;
+        payloads that do not follow the engine's conventions raise
+        :class:`ColumnarConversionError`.
+        """
         try:
-            etype = np.array([ev.etype for ev in evs], dtype=np.int64)
+            etype = np.array(etype, dtype=np.int64)
             flat = {
                 "etype": etype,
-                "region": np.array([ev.region for ev in evs], dtype=np.int64),
-                "t": np.array([ev.t for ev in evs], dtype=np.float64),
-                "t_enter": np.array([ev.t_enter for ev in evs], dtype=np.float64),
+                "region": np.array(region, dtype=np.int64),
+                "t": np.array(t, dtype=np.float64),
+                "t_enter": np.array(t_enter, dtype=np.float64),
             }
-            flat["aux_a"], flat["aux_b"] = _aux_columns(
-                etype, [ev.aux for ev in evs])
-            flat.update(zip(_DELTA_FIELDS,
-                            _delta_columns([ev.delta for ev in evs])))
+            flat["aux_a"], flat["aux_b"] = _aux_columns(etype, aux)
+            flat.update(zip(_DELTA_FIELDS, _delta_columns(delta)))
         except ColumnarConversionError:
             raise
         except (TypeError, ValueError) as exc:
             raise ColumnarConversionError(
                 f"event payload not columnar-convertible: {exc}"
             ) from exc
-        bounds = np.cumsum([0] + [len(e) for e in trace.events]).tolist()
-        return cls(
-            mode=trace.mode,
-            regions=trace.regions,
-            locations=list(trace.locations),
-            locs=_location_views(flat, bounds),
-            runtime=trace.runtime,
-            pinning=trace.pinning,
-        )
+        bounds = np.cumsum([0] + list(counts)).tolist()
+        return cls(mode, regions, list(locations),
+                   _location_views(flat, bounds), runtime, pinning)
 
-    def to_raw(self) -> "RawTrace":
-        """Materialize an equivalent per-event :class:`RawTrace`."""
-        from repro.measure.trace import RawTrace
+    @classmethod
+    def from_raw(cls, trace: "RawTrace") -> "TraceColumns":
+        """The columns of ``trace``: its own while it is column-backed,
+        else a fresh conversion of its event lists (see
+        :meth:`from_fields`)."""
+        if trace.column_backed:
+            return trace.columns()
+        evs = list(chain.from_iterable(trace.events))
+        return cls.from_fields(
+            trace.mode, trace.regions, trace.locations,
+            [len(e) for e in trace.events],
+            [ev.etype for ev in evs], [ev.region for ev in evs],
+            [ev.t for ev in evs], [ev.delta for ev in evs],
+            [ev.aux for ev in evs], [ev.t_enter for ev in evs],
+            runtime=trace.runtime, pinning=trace.pinning)
 
+    def event_lists(self) -> List[List[Ev]]:
+        """Fresh per-location ``Ev`` lists of these rows (built in bulk by
+        :func:`events_from_columns`)."""
         evs = events_from_columns(
             {f: self.column(f) for f in COLUMN_FIELDS}, DeltaTable())
         bounds = self.offsets().tolist()
-        return RawTrace(
-            mode=self.mode,
-            regions=self.regions,
-            locations=list(self.locations),
-            events=[evs[lo:hi] for lo, hi in zip(bounds, bounds[1:])],
-            runtime=self.runtime,
-            pinning=self.pinning,
-        )
+        return [evs[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
     # -- queries ---------------------------------------------------------
     @property

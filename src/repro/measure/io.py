@@ -560,15 +560,14 @@ def _read_trace_npz(path: Path) -> RawTrace:
         for name, paradigm in zip(header["regions"], header["paradigms"]):
             regions.intern(name, paradigm)
         locations: List[Tuple[int, int]] = [tuple(lt) for lt in header["locations"]]
-        cols = TraceColumns(
+        trace = RawTrace.from_columns(TraceColumns(
             mode=header["mode"],
             regions=regions,
             locations=locations,
             locs=split_columns(path, columns, len(locations), offsets=offsets),
             runtime=header["runtime"],
             pinning=None,
-        )
-        trace = cols.to_raw()
+        ))
     except TraceFormatError:
         raise
     except _READ_ERRORS as exc:

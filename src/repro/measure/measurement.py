@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import List, Optional, Tuple
 
 from repro.measure.config import validate_mode
@@ -13,12 +14,26 @@ from repro.sim.kernels import WorkDelta
 
 __all__ = ["Measurement"]
 
+#: fields per recorded event: etype, region, t, delta, aux, t_enter
+RECORD_WIDTH = 6
+
 
 class Measurement:
     """Collects trace events for one run and models instrumentation cost.
 
     One instance serves exactly one engine run (mirroring one Score-P
     experiment directory).  Construct a fresh instance per run.
+
+    Events are recorded as fields, never as :class:`~repro.sim.events.Ev`
+    objects: every location owns one buffer, a flat list holding each
+    event's kind, region, timestamp, work delta, aux payload and enter
+    time back to back (:data:`RECORD_WIDTH` entries in ``Ev`` argument
+    order).  The engine's emission sites extend it directly through
+    :meth:`sinks`; :meth:`record` takes an ``Ev`` where the caller has
+    one (the legacy drain, and every event while an online sanitizer
+    observes the stream).  :meth:`finish` converts the buffers into the
+    :class:`~repro.measure.columnar.TraceColumns` of a column-backed
+    :class:`RawTrace` and releases them.
     """
 
     def __init__(
@@ -31,7 +46,8 @@ class Measurement:
         self.mode = validate_mode(mode)
         self.overhead = overhead if overhead is not None else OverheadModel()
         self.filter_rules = filter_rules if filter_rules is not None else FilterRules()
-        self._events: List[List[Ev]] = []
+        #: per location: the fields of its events, RECORD_WIDTH per event
+        self._buffers: List[list] = []
         self._locations: List[Tuple[int, int]] = []
         self._engine = None
         self._footprint = 0.0
@@ -54,7 +70,7 @@ class Measurement:
         pinning = engine.pinning
         locs: List[Tuple[int, int]] = list(pinning.locations())
         self._locations = locs
-        self._events = [[] for _ in locs]
+        self._buffers = [[] for _ in locs]
         sockets = {}
         for (r, t) in locs:
             sid = pinning.core_of(r, t).socket_id
@@ -85,27 +101,41 @@ class Measurement:
             )
         self._engine = engine
 
+    def sinks(self) -> Optional[List]:
+        """Per location, the ``extend`` method of its buffer.
+
+        Emission sites pass it one event's fields as a tuple, ``(etype,
+        region, t, delta, aux, t_enter)``, or several events' fields back
+        to back, instead of calling :meth:`record`.  ``None`` while an
+        online sanitizer must observe every event.
+        """
+        if self._sanitizer is not None:
+            return None
+        return [buf.extend for buf in self._buffers]
+
     def mark(self) -> List[int]:
         """Snapshot of per-location event counts (a checkpoint mark)."""
-        return [len(evs) for evs in self._events]
+        return [len(buf) // RECORD_WIDTH for buf in self._buffers]
 
     def rewind(self, mark: Optional[List[int]]) -> None:
         """Drop every event recorded after ``mark`` (``None`` = drop all)."""
         if self._finished:
             raise RuntimeError("rewind() after finish()")
         if mark is None:
-            mark = [0] * len(self._events)
-        if len(mark) != len(self._events):
+            mark = [0] * len(self._buffers)
+        if len(mark) != len(self._buffers):
             raise ValueError(
-                f"mark covers {len(mark)} locations, trace has {len(self._events)}"
+                f"mark covers {len(mark)} locations, trace has {len(self._buffers)}"
             )
-        for evs, n in zip(self._events, mark):
-            del evs[n:]
+        for buf, n in zip(self._buffers, mark):
+            del buf[n * RECORD_WIDTH:]
 
     def record(self, loc: int, ev: Ev) -> None:
+        """Append one event's fields to location ``loc``'s buffer."""
         if self._sanitizer is not None:
             self._sanitizer.observe(loc, ev)
-        self._events[loc].append(ev)
+        self._buffers[loc].extend(
+            (ev.etype, ev.region, ev.t, ev.delta, ev.aux, ev.t_enter))
 
     def finish(self, runtime: float) -> RawTrace:
         """Build the RawTrace at the end of the run."""
@@ -116,14 +146,7 @@ class Measurement:
         self._finished = True
         if self._sanitizer is not None:
             self._sanitizer.final_check()
-        trace = RawTrace(
-            mode=self.mode,
-            regions=self._engine.regions,
-            locations=self._locations,
-            events=self._events,
-            runtime=runtime,
-            pinning=self._engine.pinning,
-        )
+        trace = RawTrace.from_columns(self._drain_columns(runtime))
         if self._sanitize:
             # Sanitized runs also get the happened-before race check:
             # wildcard message races and OpenMP shared-write races void
@@ -137,6 +160,25 @@ class Measurement:
                     d for d in report.diagnostics if d.severity == "error"
                 ])
         return trace
+
+    def _drain_columns(self, runtime: float):
+        """The buffers as :class:`TraceColumns`, leaving them empty.
+
+        Emptied in place: the engine and its fast path hold the buffers'
+        ``extend`` methods in a reference cycle with this object, which
+        would keep the recorded fields alive until the next cyclic
+        collection.
+        """
+        from repro.measure.columnar import TraceColumns
+
+        counts = self.mark()
+        flat = list(chain.from_iterable(self._buffers))
+        for buf in self._buffers:
+            buf.clear()
+        return TraceColumns.from_fields(
+            self.mode, self._engine.regions, self._locations, counts,
+            *(flat[j::RECORD_WIDTH] for j in range(RECORD_WIDTH)),
+            runtime=runtime, pinning=self._engine.pinning)
 
     # -- perturbation queries (hot path; engine caches most of these) ------
     def event_cost(self) -> float:

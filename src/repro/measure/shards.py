@@ -359,15 +359,16 @@ class ShardedTrace:
 
     # -- materialization (the non-streaming escape hatch) ---------------
     def to_raw(self) -> RawTrace:
-        """Materialize the full per-event :class:`RawTrace` (O(events))."""
+        """Load the whole archive as a column-backed :class:`RawTrace`."""
         shards = list(self.iter_shards())
         rec = (np.concatenate(shards) if shards
                else np.empty(0, dtype=SHARD_DTYPE))
         del shards
         self._resident(len(rec))
         locs = split_columns(self.path, rec, self.n_locations, loc=rec["loc"])
-        trace = TraceColumns(self.mode, self.regions, list(self.locations),
-                             locs, runtime=self.runtime).to_raw()
+        trace = RawTrace.from_columns(TraceColumns(
+            self.mode, self.regions, list(self.locations), locs,
+            runtime=self.runtime))
         trace.provenance = self.provenance
         return trace
 

@@ -4,6 +4,12 @@ A :class:`RawTrace` is what one instrumented run produces -- the analogue
 of an OTF2 archive.  It stores *physical* timestamps and work deltas; the
 clock modules (:mod:`repro.clocks`) derive the mode's final timestamps
 from it, and the analyzer (:mod:`repro.analysis`) replays it.
+
+A trace holds its events in one of two forms, never both as sources of
+truth: *column-backed* (a :class:`~repro.measure.columnar.TraceColumns`;
+what the measurement and the npz and shards readers produce) or
+*event-backed* (per-location ``Ev`` lists; hand-built traces, JSON-lines
+read-backs, and any trace whose :attr:`RawTrace.events` was taken).
 """
 
 from __future__ import annotations
@@ -58,7 +64,8 @@ class RawTrace:
     locations:
         ``[(rank, thread), ...]`` indexed by location id.
     events:
-        ``events[loc]`` is the time-ordered event list of that location.
+        ``events[loc]`` is the time-ordered event list of that location
+        (built on first access for a column-backed trace).
     runtime:
         Total wall runtime of the run (physical virtual-seconds).
     """
@@ -79,7 +86,7 @@ class RawTrace:
         self.mode = mode
         self.regions = regions
         self.locations = locations
-        self.events = events
+        self._events: Optional[List[List[Ev]]] = events
         self.runtime = runtime
         self.pinning = pinning
         #: provenance manifest read back from an archive (see
@@ -91,6 +98,36 @@ class RawTrace:
         self._columns = None
         self._order = None
 
+    @classmethod
+    def from_columns(cls, cols) -> "RawTrace":
+        """A column-backed trace over ``cols`` (a
+        :class:`~repro.measure.columnar.TraceColumns`, which it owns)."""
+        trace = cls(cols.mode, cols.regions, list(cols.locations),
+                    [[] for _ in cols.locations], cols.runtime, cols.pinning)
+        trace._events = None
+        trace._columns = cols
+        return trace
+
+    @property
+    def events(self) -> List[List[Ev]]:
+        """Per location, the time-ordered ``Ev`` list.
+
+        A column-backed trace builds the lists on first access and from
+        then on is event-backed: it drops its columns and merged order, so
+        a later :meth:`columns` or :meth:`merged_order` converts the lists
+        -- including any edit made to them -- afresh.
+        """
+        if self._events is None:
+            self._events = self._columns.event_lists()
+            self._columns = self._order = None
+        return self._events
+
+    @property
+    def column_backed(self) -> bool:
+        """True while the columns are the trace's source of truth, i.e.
+        until a caller takes :attr:`events`."""
+        return self._events is None
+
     # -- queries ---------------------------------------------------------
     @property
     def n_locations(self) -> int:
@@ -98,7 +135,9 @@ class RawTrace:
 
     @property
     def n_events(self) -> int:
-        return sum(len(e) for e in self.events)
+        if self._events is None:
+            return self._columns.n_events
+        return sum(len(e) for e in self._events)
 
     @property
     def n_ranks(self) -> int:
@@ -115,11 +154,13 @@ class RawTrace:
         return [self._loc_index[(r, 0)] for r in sorted({r for (r, _t) in self.locations})]
 
     def columns(self):
-        """Columnar (structure-of-arrays) view of this trace, built once.
+        """Columnar (structure-of-arrays) view of this trace.
 
-        Returns the memoized :class:`repro.measure.columnar.TraceColumns`
-        snapshot used by the vectorized clock replay and the bulk archive
-        writer.  Raises
+        A column-backed trace returns its own columns.  An event-backed
+        one converts its lists on the first call and memoizes the result,
+        a snapshot that later edits to the lists do not reach.  Used by
+        the vectorized clock replay, the analyzer and the bulk archive
+        writers.  Raises
         :class:`repro.measure.columnar.ColumnarConversionError` for traces
         whose event payloads do not follow the engine's conventions.
         """
@@ -132,8 +173,8 @@ class RawTrace:
     def merged_order(self) -> Tuple[np.ndarray, np.ndarray]:
         """The ``(perm, loc)`` arrays of :func:`merged_order`, built once.
 
-        A snapshot like :meth:`columns`: editing timestamps or event lists
-        after the first call is not reflected.
+        Memoized like :meth:`columns`: on an event-backed trace, editing
+        timestamps or event lists after the first call is not reflected.
         """
         if self._order is None:
             if self._columns is not None:
@@ -153,8 +194,8 @@ class RawTrace:
         merged order is a valid topological order of the event DAG -- the
         property the logical-clock replay relies on.
         """
-        perm, loc = self.merged_order()
         flat = list(chain.from_iterable(self.events))
+        perm, loc = self.merged_order()
         return zip(loc.tolist(), map(flat.__getitem__, perm.tolist()))
 
     def validate(self) -> None:

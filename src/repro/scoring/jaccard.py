@@ -17,7 +17,7 @@ Two instantiations are used in the evaluation:
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Hashable, Mapping, Optional, Sequence
 
 from repro.analysis import metrics as M
@@ -36,11 +36,13 @@ def jaccard(a: Mapping[Hashable, float], b: Mapping[Hashable, float]) -> float:
 
     Missing keys count as zero.  Both mappings empty (or all-zero) gives
     1.0 -- identical functions.  Negative values are a caller bug and
-    raise.
+    raise.  The sums run over ``a``'s keys in insertion order, then
+    ``b``'s remaining ones, so the float result does not depend on the
+    interpreter's hash seed.
     """
     inter = 0.0
     union = 0.0
-    for k in set(a) | set(b):
+    for k in chain(a, [k for k in b if k not in a]):
         va = a.get(k, 0.0)
         vb = b.get(k, 0.0)
         if va < 0.0 or vb < 0.0:

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import re
 import traceback
 from collections import OrderedDict, deque
 from concurrent.futures import ProcessPoolExecutor
@@ -47,6 +48,7 @@ from repro import obs
 from repro.experiments import workflow as W
 from repro.experiments.configs import EXPERIMENTS
 from repro.measure.io import (
+    UPLOAD_SUFFIXES,
     TraceFormatError,
     archive_hash,
     archive_suffix,
@@ -63,6 +65,13 @@ _JSON = "application/json"
 _TEXT = "text/plain; charset=utf-8"
 
 _BATCH_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
+
+#: a trace digest as uploads answer it: a lowercase hex sha256
+_DIGEST = re.compile(r"[0-9a-f]{64}")
+
+#: the suffixes an upload may be stored under, in the order their file
+#: names sort (the names share the ``cas-<digest>-trace`` prefix)
+_STORED_SUFFIXES = tuple(sorted(UPLOAD_SUFFIXES))
 
 #: sentinel body from ``_read_request`` for a declared-oversize request
 #: (the body is never read; the connection must close after the 413)
@@ -403,13 +412,26 @@ class AnalysisService:
         return 201, _JSON, _jdoc(doc), {}
 
     def _trace_path(self, digest: str) -> Optional[Path]:
-        hits = sorted(self.store.root.glob(f"cas-{digest[:20]}-trace*"))
-        hits = [h for h in hits if ".corrupt-" not in h.name
-                and ".tmp-" not in h.name]
-        return hits[0] if hits else None
+        """The stored upload of ``digest``, or ``None`` if there is none.
+
+        Probes the names :func:`store_archive_bytes` can give it, first in
+        name order wins.  Raises ``ValueError`` unless ``digest`` is a
+        lowercase hex sha256.
+        """
+        if not _DIGEST.fullmatch(digest):
+            raise ValueError(
+                f"trace {digest!r} is not a sha256 digest (64 lowercase hex)")
+        for suffix in _STORED_SUFFIXES:
+            path = self.store.root / f"cas-{digest[:20]}-trace{suffix}"
+            if path.is_file():
+                return path
+        return None
 
     def _get_trace(self, digest: str):
-        path = self._trace_path(digest)
+        try:
+            path = self._trace_path(digest)
+        except ValueError as exc:
+            return 400, _JSON, _jerr(str(exc)), {}
         if path is None:
             return 404, _JSON, _jerr(f"no trace {digest}"), {}
         self.store.touch(path.name)
@@ -464,15 +486,16 @@ class AnalysisService:
         if op not in J.ANALYSIS_OPS:
             return 400, _JSON, _jerr(
                 f"unknown op {op!r}; expected one of {J.ANALYSIS_OPS}"), {}
-        path = self._trace_path(trace)
+        trace_b = req.get("trace_b")
+        try:
+            path = self._trace_path(trace)
+            extra = None if trace_b is None else self._trace_path(str(trace_b))
+        except ValueError as exc:
+            return 400, _JSON, _jerr(str(exc)), {}
         if path is None:
             return 404, _JSON, _jerr(f"trace {trace} not uploaded"), {}
-        extra = None
-        trace_b = req.get("trace_b")
-        if trace_b is not None:
-            extra = self._trace_path(str(trace_b))
-            if extra is None:
-                return 404, _JSON, _jerr(f"trace {trace_b} not uploaded"), {}
+        if trace_b is not None and extra is None:
+            return 404, _JSON, _jerr(f"trace {trace_b} not uploaded"), {}
         params = dict(req.get("params", {}))
         params["trace"] = trace
         if trace_b is not None:

@@ -410,19 +410,20 @@ class Engine:
         self._rank_spans_sockets = {r: len(s) > 1 for r, s in rank_sockets.items()}
 
         # Vectorized hot path: SoA scheduler queue + per-site cost caches.
-        # Built last -- FastPath binds the measurement's event lists and
-        # the contention tables above.
+        # Built last -- FastPath binds the measurement's buffers and the
+        # contention tables above.
         if self.config.vectorized:
             self._fast = FastPath(self)
             self._equeue = SoAEventQueue(self.pinning.ranks)
-            # Direct-append emission for the whole engine (not just the
-            # fast-path dispatchers): equivalent to measurement.record()
+            # Direct emission for the whole engine (not just the fast-path
+            # dispatchers): each site extends its location's buffer with
+            # the event's fields, equivalent to measurement.record()
             # whenever no online sanitizer needs to observe each event.
-            self._ev_lists = self._fast._ev_lists
+            self._sinks = self._fast._sinks
         else:
             self._fast = None
             self._equeue = None
-            self._ev_lists = None
+            self._sinks = None
 
     # ------------------------------------------------------------------
     # identifiers and emission
@@ -434,27 +435,32 @@ class Engine:
         self._next_omp += 1
         return self._next_omp - 1
 
-    def emit(self, loc: int, ev: Ev) -> None:
-        """Record an event (no-op in reference runs and during ghost replay)."""
+    def emit(self, loc: int, etype: int, region: int, t: float,
+             delta: WorkDelta = EMPTY_DELTA, aux=None,
+             t_enter: float = 0.0) -> None:
+        """Record an event from its :class:`Ev` fields (no-op in reference
+        runs and during ghost replay)."""
         if not self._live:
             return
         self._n_events += 1
-        lists = self._ev_lists
-        if lists is not None:
-            lists[loc].append(ev)
+        sinks = self._sinks
+        if sinks is not None:
+            sinks[loc]((etype, region, t, delta, aux, t_enter))
         elif self.measurement is not None:
-            self.measurement.record(loc, ev)
+            self.measurement.record(loc, Ev(etype, region, t, delta, aux, t_enter))
 
-    def emit_master(self, rank: _RankState, ev: Ev) -> None:
+    def emit_master(self, rank: _RankState, etype: int, region: int, t: float,
+                    delta: WorkDelta = EMPTY_DELTA, aux=None) -> None:
         # inlined emit() body: this is the hottest emission entry point
         if not self._live:
             return
         self._n_events += 1
-        lists = self._ev_lists
-        if lists is not None:
-            lists[self._loc_base[rank.rank]].append(ev)
+        sinks = self._sinks
+        if sinks is not None:
+            sinks[self._loc_base[rank.rank]]((etype, region, t, delta, aux, 0.0))
         elif self.measurement is not None:
-            self.measurement.record(self._loc_base[rank.rank], ev)
+            self.measurement.record(self._loc_base[rank.rank],
+                                    Ev(etype, region, t, delta, aux))
 
     def count_cost(self, delta: WorkDelta) -> float:
         if self.measurement is None:
@@ -889,9 +895,9 @@ class Engine:
         state.pending_delta = EMPTY_DELTA
         if self._live:
             self._n_events += 1
-            lists = self._ev_lists
-            if lists is not None:
-                lists[self._loc_base[state.rank]].append(Ev(ENTER, rid, state.t, d))
+            sinks = self._sinks
+            if sinks is not None:
+                sinks[self._loc_base[state.rank]]((ENTER, rid, state.t, d, None, 0.0))
             else:
                 self.measurement.record(
                     self._loc_base[state.rank], Ev(ENTER, rid, state.t, d))
@@ -918,9 +924,9 @@ class Engine:
         state.pending_delta = EMPTY_DELTA
         if self._live:
             self._n_events += 1
-            lists = self._ev_lists
-            if lists is not None:
-                lists[self._loc_base[state.rank]].append(Ev(LEAVE, rid, state.t, d))
+            sinks = self._sinks
+            if sinks is not None:
+                sinks[self._loc_base[state.rank]]((LEAVE, rid, state.t, d, None, 0.0))
             else:
                 self.measurement.record(
                     self._loc_base[state.rank], Ev(LEAVE, rid, state.t, d))
@@ -954,10 +960,8 @@ class Engine:
                 burst_calls=action.calls,
             ) + state.flush_delta()
             state.t = t0 + dur
-            self.emit(
-                self.loc_id(state.rank, 0),
-                Ev(BURST, rid, state.t, full, t_enter=t0),
-            )
+            self.emit(self.loc_id(state.rank, 0), BURST, rid, state.t, full,
+                      t_enter=t0)
         else:
             # Filtered: the work still runs (and still pays counting
             # instrumentation) but merges into the enclosing region.
@@ -1033,9 +1037,9 @@ class Engine:
             state.pending_delta = EMPTY_DELTA
             if self._live:
                 self._n_events += 1
-                lists = self._ev_lists
-                if lists is not None:
-                    lists[self._loc_base[state.rank]].append(Ev(ENTER, rid, state.t, d))
+                sinks = self._sinks
+                if sinks is not None:
+                    sinks[self._loc_base[state.rank]]((ENTER, rid, state.t, d, None, 0.0))
                 else:
                     self.measurement.record(
                         self._loc_base[state.rank], Ev(ENTER, rid, state.t, d))
@@ -1053,10 +1057,10 @@ class Engine:
                     dt = 0.0
                 instr = self._mpi_spin * dt + self._mpi_lib_instr
                 self._n_events += 1
-                lists = self._ev_lists
-                if lists is not None:
-                    lists[self._loc_base[state.rank]].append(
-                        Ev(LEAVE, rid, t_end, WorkDelta(instr=instr)))
+                sinks = self._sinks
+                if sinks is not None:
+                    sinks[self._loc_base[state.rank]](
+                        (LEAVE, rid, t_end, WorkDelta(instr=instr), None, 0.0))
                 else:
                     self.measurement.record(
                         self._loc_base[state.rank],
@@ -1103,9 +1107,8 @@ class Engine:
         if self.measurement is not None:
             # aux: (match id, rendezvous flag) -- the analyzer needs the
             # protocol to decide whether a late receiver is possible.
-            self.emit_master(
-                state, Ev(MPI_SEND, rid, state.t, EMPTY_DELTA, aux=(match_id, 0 if eager else 1))
-            )
+            self.emit_master(state, MPI_SEND, rid, state.t, EMPTY_DELTA,
+                             (match_id, 0 if eager else 1))
             state.t += self.ev_cost
         ch = self._channel(state.rank, action.dest, action.tag)
         entry = {
@@ -1302,14 +1305,10 @@ class Engine:
             # wildcard receive's outcome can steer control flow.
             if self.measurement is not None:
                 if fault_rid >= 0:
-                    self.emit_master(
-                        receiver,
-                        Ev(FAULT, fault_rid, done, EMPTY_DELTA, aux=send_entry["match_id"]),
-                    )
-                self.emit_master(
-                    receiver,
-                    Ev(MPI_RECV, recv_entry["rid"], done, EMPTY_DELTA, aux=send_entry["match_id"]),
-                )
+                    self.emit_master(receiver, FAULT, fault_rid, done, EMPTY_DELTA,
+                                     send_entry["match_id"])
+                self.emit_master(receiver, MPI_RECV, recv_entry["rid"], done,
+                                 EMPTY_DELTA, send_entry["match_id"])
             self._mpi_leave(receiver, recv_entry["rid"], done + self.ev_cost, r_t)
             if recv_entry["parked"]:
                 self._resume(receiver, receiver.t, result=send_entry["src"])
@@ -1359,13 +1358,11 @@ class Engine:
                     continue
                 t_rec = max(t_rec, r.complete_t)
                 if r.fault_rid >= 0:
-                    self.emit_master(
-                        state, Ev(FAULT, r.fault_rid, t_rec, EMPTY_DELTA, aux=r.match_id)
-                    )
+                    self.emit_master(state, FAULT, r.fault_rid, t_rec, EMPTY_DELTA,
+                                     r.match_id)
                 rec_rid = r.any_rid if r.any_rid >= 0 else state.wait_region
-                self.emit_master(
-                    state, Ev(MPI_RECV, rec_rid, t_rec, EMPTY_DELTA, aux=r.match_id)
-                )
+                self.emit_master(state, MPI_RECV, rec_rid, t_rec, EMPTY_DELTA,
+                                 r.match_id)
         for i in state.wait_requests:
             del state.requests[i]
         was_blocked = state.blocked
@@ -1456,13 +1453,10 @@ class Engine:
                 rid = rids[r]
                 # == cost.mpi_wait_instructions(max(0, wait)) + lib * rep
                 instr = spin * max(0.0, completion - enters[r]) + lib_instr
-                self.emit_master(
-                    st,
-                    Ev(COLL_END, rid, completion,
-                       WorkDelta(instr=instr, burst_calls=extra_bc), aux=aux),
-                )
+                self.emit_master(st, COLL_END, rid, completion,
+                                 WorkDelta(instr=instr, burst_calls=extra_bc), aux)
                 st.t = t_exit
-                self.emit_master(st, Ev(LEAVE, rid, t_exit, WorkDelta(burst_calls=extra_bc)))
+                self.emit_master(st, LEAVE, rid, t_exit, WorkDelta(burst_calls=extra_bc))
                 st.t += evc_rep
                 resume(st, st.t)
         else:
@@ -1511,7 +1505,5 @@ class Engine:
             if self.measurement is not None:
                 aux = (plan.restart_id, self.pinning.n_ranks)
                 for r in self.pinning.ranks:
-                    self.emit(
-                        self.loc_id(r, 0),
-                        Ev(RESTART, self._rid_restart, t_resume, EMPTY_DELTA, aux=aux),
-                    )
+                    self.emit(self.loc_id(r, 0), RESTART, self._rid_restart,
+                              t_resume, EMPTY_DELTA, aux)

@@ -38,11 +38,12 @@ The fast path must produce *byte-identical* traces to the legacy path
   computation and the same ``flush_delta()`` resets, it only skips the
   event appends -- mirroring :meth:`Engine.emit`'s ``_live`` gate.
 
-Emission goes directly into the measurement's per-location event lists
-(the same list objects ``mark``/``rewind`` operate on), bypassing the
-``emit -> record`` call chain; when an online sanitizer is attached the
-fast path falls back to per-event ``record`` so the sanitizer observes
-every event.
+Emission builds no event objects: :meth:`FastPath.emit_fields` extends
+a location's measurement buffer (the same list ``mark``/``rewind`` operate
+on, see :meth:`~repro.measure.measurement.Measurement.sinks`) with a tuple
+of whole events' fields, one OpenMP thread's events at a time; when an
+online sanitizer is attached it falls back to per-event ``record`` so the
+sanitizer observes every event.
 """
 
 from __future__ import annotations
@@ -381,7 +382,7 @@ class _PforSite:
         "r_parallel", "r_for", "r_bar", "r_writes", "r_writes_rev",
         "runtime_delta", "tb_delta", "obe_delta", "chunk_delta",
         "bar_delta", "bar_instr_static", "omp_spin",
-        "pricers", "scales", "locs", "n_ev_threads",
+        "pricers", "scales", "locs",
         "static_vals",
     )
 
@@ -393,7 +394,7 @@ _PFOR_STATIC_FIELDS = (
     "fork_add", "join_add", "bar_add", "stagger", "evs_add",
     "runtime_delta", "tb_delta", "obe_delta", "chunk_delta",
     "bar_delta", "bar_instr_static", "omp_spin",
-    "pricers", "scales", "locs", "n_ev_threads",
+    "pricers", "scales", "locs",
 )
 
 # Bound on the cross-engine identity index: entries pin action objects, so
@@ -500,11 +501,11 @@ class FastPath:
         self._serial_by_id: Dict[Tuple[int, int], Tuple[object, _SerialSite]] = {}
         self._pfor_by_id: Dict[Tuple[int, int], Tuple[object, _PforSite]] = {}
         measurement = engine.measurement
-        # Direct-append emission: valid only when no online sanitizer
-        # needs to observe each event.  ``None`` -> per-event record().
-        self._ev_lists: Optional[List[List[Ev]]] = None
-        if measurement is not None and measurement._sanitizer is None:
-            self._ev_lists = measurement._events
+        # Direct emission into the measurement's per-location buffers;
+        # ``None`` -> per-event record() (no measurement, or an online
+        # sanitizer that must observe each event).
+        self._sinks: Optional[List] = (
+            measurement.sinks() if measurement is not None else None)
         # Dispatch-site cache statistics: plain ints on the hot path
         # (an obs counter call per dispatch would cost more than the
         # cached lookup it measures), flushed to the obs registry once
@@ -538,15 +539,19 @@ class FastPath:
         return mem
 
     # -- emission -------------------------------------------------------
-    def emit(self, loc: int, ev: Ev) -> None:
-        """Fast equivalent of :meth:`Engine.emit` (caller checks _live)."""
+    def emit_fields(self, loc: int, fields: tuple) -> None:
+        """Record the events whose :class:`Ev` fields ``fields`` lists back
+        to back, six per event (:meth:`Engine.emit` for several events at
+        once; the caller checks ``_live``)."""
         eng = self.engine
-        eng._n_events += 1
-        lists = self._ev_lists
-        if lists is not None:
-            lists[loc].append(ev)
+        eng._n_events += len(fields) // 6
+        sinks = self._sinks
+        if sinks is not None:
+            sinks[loc](fields)
         else:
-            eng.measurement.record(loc, ev)
+            record = eng.measurement.record
+            for j in range(0, len(fields), 6):
+                record(loc, Ev(*fields[j:j + 6]))
 
     # -- serial compute / burst ----------------------------------------
     def _build_serial(self, state: "_RankState", action) -> _SerialSite:
@@ -657,7 +662,7 @@ class FastPath:
                 full = site.burst_delta_base + state.flush_delta()
             state.t = t0 + dur
             if self.engine._live:
-                self.emit(site.loc, Ev(BURST, site.emit_rid, state.t, full, t_enter=t0))
+                self.emit_fields(site.loc, (BURST, site.emit_rid, state.t, full, None, t0))
         else:
             state.t = t0 + dur
             state.add_delta(site.delta)
@@ -732,9 +737,6 @@ class FastPath:
         site.scales = scales
         site.locs = locs
         site.chunk_delta = chunk_deltas
-        site.n_ev_threads = sum(
-            (5 if i > 0 else 4) + n_writes2 for i in range(n_threads)
-        )
         # prebuilt value tuple so adoption copies without getattr churn
         site.static_vals = tuple(getattr(site, f) for f in _PFOR_STATIC_FIELDS)
         return site
@@ -813,21 +815,15 @@ class FastPath:
         live = eng._live
         t = state.t
         locs = site.locs
-        # direct-append fast path: live + columnar per-location lists
-        lists = self._ev_lists if live else None
         r_parallel = site.r_parallel
 
         if instrumented:
             d_enter = state.pending_delta
             state.pending_delta = EMPTY_DELTA
-            if lists is not None:
-                ap0 = lists[locs[0]].append
-                ap0(Ev(ENTER, r_parallel, t, d_enter))
-                ap0(Ev(FORK, r_parallel, t + site.evc, site.runtime_delta, aux=omp_id))
-            elif live:
-                self.emit(locs[0], Ev(ENTER, r_parallel, t, d_enter))
-                self.emit(locs[0],
-                          Ev(FORK, r_parallel, t + site.evc, site.runtime_delta, aux=omp_id))
+            if live:
+                self.emit_fields(locs[0], (
+                    ENTER, r_parallel, t, d_enter, None, 0.0,
+                    FORK, r_parallel, t + site.evc, site.runtime_delta, omp_id, 0.0))
             t += site.evc
             t += site.evc_rep
 
@@ -846,82 +842,41 @@ class FastPath:
         if instrumented and live:
             r_for = site.r_for
             r_bar = site.r_bar
-            r_writes = site.r_writes
-            r_writes_rev = site.r_writes_rev
             runtime_delta = site.runtime_delta
             tb_delta = site.tb_delta
             obe_delta = site.obe_delta
             chunk_delta = site.chunk_delta
             bar_delta = site.bar_delta
             obar_aux = (omp_id, n)
-            if lists is not None:
-                for i in range(n):
-                    ap = lists[locs[i]].append
-                    start = starts[i]
-                    fin = finishes[i]
-                    if i > 0:
-                        ap(Ev(TEAM_BEGIN, r_parallel, start, tb_delta, aux=omp_id))
-                    ap(Ev(ENTER, r_for, start, runtime_delta))
-                    for r_w in r_writes:
-                        ap(Ev(ENTER, r_w, start, EMPTY_DELTA))
-                    for r_w in r_writes_rev:
-                        ap(Ev(LEAVE, r_w, fin, EMPTY_DELTA))
-                    ap(Ev(LEAVE, r_for, fin, chunk_delta[i]))
-                    ap(Ev(OBAR_ENTER, r_bar, fin, obe_delta))
-                    if bar_delta is None:
-                        wait = bar_done - fin
-                        bd = WorkDelta(
-                            omp_calls=site.rep,
-                            instr=site.bar_instr_static + site.omp_spin * wait,
-                            burst_calls=tb_delta.burst_calls,
-                        )
-                    else:
-                        bd = bar_delta
-                    ap(Ev(OBAR_LEAVE, r_bar, bar_done, bd, aux=obar_aux))
-                eng._n_events += site.n_ev_threads
-            else:
-                record = eng.measurement.record
-                appended = 0
-                for i in range(n):
-                    evs = []
-                    start = starts[i]
-                    fin = finishes[i]
-                    if i > 0:
-                        evs.append(Ev(TEAM_BEGIN, r_parallel, start, tb_delta, aux=omp_id))
-                    evs.append(Ev(ENTER, r_for, start, runtime_delta))
-                    for r_w in r_writes:
-                        evs.append(Ev(ENTER, r_w, start, EMPTY_DELTA))
-                    for r_w in r_writes_rev:
-                        evs.append(Ev(LEAVE, r_w, fin, EMPTY_DELTA))
-                    evs.append(Ev(LEAVE, r_for, fin, chunk_delta[i]))
-                    evs.append(Ev(OBAR_ENTER, r_bar, fin, obe_delta))
-                    if bar_delta is None:
-                        wait = bar_done - fin
-                        bd = WorkDelta(
-                            omp_calls=site.rep,
-                            instr=site.bar_instr_static + site.omp_spin * wait,
-                            burst_calls=tb_delta.burst_calls,
-                        )
-                    else:
-                        bd = bar_delta
-                    evs.append(Ev(OBAR_LEAVE, r_bar, bar_done, bd, aux=obar_aux))
-                    loc = locs[i]
-                    for ev in evs:
-                        record(loc, ev)
-                    appended += len(evs)
-                eng._n_events += appended
+            for i in range(n):
+                start = starts[i]
+                fin = finishes[i]
+                if bar_delta is None:
+                    wait = bar_done - fin
+                    bd = WorkDelta(
+                        omp_calls=site.rep,
+                        instr=site.bar_instr_static + site.omp_spin * wait,
+                        burst_calls=tb_delta.burst_calls,
+                    )
+                else:
+                    bd = bar_delta
+                fields = (ENTER, r_for, start, runtime_delta, None, 0.0)
+                if i > 0:
+                    fields = (TEAM_BEGIN, r_parallel, start, tb_delta, omp_id, 0.0) + fields
+                for r_w in site.r_writes:
+                    fields += (ENTER, r_w, start, EMPTY_DELTA, None, 0.0)
+                for r_w in site.r_writes_rev:
+                    fields += (LEAVE, r_w, fin, EMPTY_DELTA, None, 0.0)
+                self.emit_fields(locs[i], fields + (
+                    LEAVE, r_for, fin, chunk_delta[i], None, 0.0,
+                    OBAR_ENTER, r_bar, fin, obe_delta, None, 0.0,
+                    OBAR_LEAVE, r_bar, bar_done, bd, obar_aux, 0.0))
 
         join_done = bar_done + site.join_add
-        if instrumented:
-            if lists is not None:
-                ap0(Ev(JOIN, r_parallel, join_done, site.runtime_delta, aux=omp_id))
-                ap0(Ev(LEAVE, r_parallel, join_done + site.evc, EMPTY_DELTA))
-                eng._n_events += 4  # ENTER + FORK + JOIN + LEAVE
-            elif live:
-                self.emit(locs[0],
-                          Ev(JOIN, r_parallel, join_done, site.runtime_delta, aux=omp_id))
-                self.emit(locs[0],
-                          Ev(LEAVE, r_parallel, join_done + site.evc, EMPTY_DELTA))
+        if instrumented and live:
+            self.emit_fields(locs[0], (
+                JOIN, r_parallel, join_done, site.runtime_delta, omp_id, 0.0,
+                LEAVE, r_parallel, join_done + site.evc, EMPTY_DELTA, None, 0.0))
         state.t = join_done + site.two_evc
 
     # -- observability --------------------------------------------------

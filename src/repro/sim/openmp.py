@@ -41,7 +41,6 @@ from repro.sim.events import (
     OBAR_ENTER,
     OBAR_LEAVE,
     TEAM_BEGIN,
-    Ev,
     Paradigm,
 )
 from repro.sim.kernels import EMPTY_DELTA, WorkDelta
@@ -84,9 +83,9 @@ def execute_parallel_for(engine: "Engine", rank: "_RankState", pf: ParallelFor) 
     )
 
     if instrumented:
-        engine.emit_master(rank, Ev(ENTER, r_parallel, rank.t, rank.flush_delta()))
+        engine.emit_master(rank, ENTER, r_parallel, rank.t, rank.flush_delta())
         rank.t += ev_cost
-        engine.emit_master(rank, Ev(FORK, r_parallel, rank.t, runtime_delta, aux=omp_id))
+        engine.emit_master(rank, FORK, r_parallel, rank.t, runtime_delta, omp_id)
         rank.t += ev_cost * rep
 
     fork_done = rank.t + omp.fork_cost(n_threads) * rep
@@ -119,32 +118,32 @@ def execute_parallel_for(engine: "Engine", rank: "_RankState", pf: ParallelFor) 
             loc = engine.loc_id(rank.rank, i)
             chunk_delta = pf.kernel.scaled_counts(float(units[i]))
             if i == 0:
-                engine.emit(loc, Ev(ENTER, r_for, float(starts[i]), runtime_delta))
+                engine.emit(loc, ENTER, r_for, float(starts[i]), runtime_delta)
             else:
-                engine.emit(loc, Ev(TEAM_BEGIN, r_parallel, float(starts[i]),
-                                    WorkDelta(burst_calls=extra_bc), aux=omp_id))
-                engine.emit(loc, Ev(ENTER, r_for, float(starts[i]), runtime_delta))
+                engine.emit(loc, TEAM_BEGIN, r_parallel, float(starts[i]),
+                            WorkDelta(burst_calls=extra_bc), omp_id)
+                engine.emit(loc, ENTER, r_for, float(starts[i]), runtime_delta)
             # Unsynchronised shared writes (declared on the action) appear
             # as region pairs spanning each thread's chunk: concurrent
             # across the team by construction, which is precisely what the
             # happened-before race detector proves.
             for r_w in r_writes:
-                engine.emit(loc, Ev(ENTER, r_w, float(starts[i]), EMPTY_DELTA))
+                engine.emit(loc, ENTER, r_w, float(starts[i]), EMPTY_DELTA)
             for r_w in reversed(r_writes):
-                engine.emit(loc, Ev(LEAVE, r_w, float(bar_arrive[i]), EMPTY_DELTA))
-            engine.emit(loc, Ev(LEAVE, r_for, float(bar_arrive[i]), chunk_delta))
-            engine.emit(loc, Ev(OBAR_ENTER, r_bar, float(bar_arrive[i]),
-                                WorkDelta(burst_calls=extra_bc)))
+                engine.emit(loc, LEAVE, r_w, float(bar_arrive[i]), EMPTY_DELTA)
+            engine.emit(loc, LEAVE, r_for, float(bar_arrive[i]), chunk_delta)
+            engine.emit(loc, OBAR_ENTER, r_bar, float(bar_arrive[i]),
+                        WorkDelta(burst_calls=extra_bc))
             wait = bar_done - float(bar_arrive[i])
             bar_delta = WorkDelta(
                 omp_calls=rep,
                 instr=omp.runtime_instr_per_call * rep + engine.cost.omp_wait_instructions(wait),
                 burst_calls=extra_bc,
             )
-            engine.emit(loc, Ev(OBAR_LEAVE, r_bar, bar_done, bar_delta, aux=(omp_id, n_threads)))
+            engine.emit(loc, OBAR_LEAVE, r_bar, bar_done, bar_delta, (omp_id, n_threads))
 
     join_done = bar_done + omp.join_cost(n_threads) * rep
     if instrumented:
-        engine.emit_master(rank, Ev(JOIN, r_parallel, join_done, runtime_delta, aux=omp_id))
-        engine.emit_master(rank, Ev(LEAVE, r_parallel, join_done + ev_cost, EMPTY_DELTA))
+        engine.emit_master(rank, JOIN, r_parallel, join_done, runtime_delta, omp_id)
+        engine.emit_master(rank, LEAVE, r_parallel, join_done + ev_cost, EMPTY_DELTA)
     rank.t = join_done + 2 * ev_cost

@@ -60,7 +60,7 @@ def tealeaf_trace():
 class TestTraceColumns:
     def test_round_trip_reconstructs_events(self, minife_trace):
         cols = minife_trace.columns()
-        back = cols.to_raw()
+        back = RawTrace.from_columns(cols)
         assert back.mode == minife_trace.mode
         assert back.locations == list(minife_trace.locations)
         assert back.runtime == minife_trace.runtime

@@ -6,7 +6,10 @@ under every measurement mode, ``goldens.json`` holds the sha256 of
 * ``trace_archive_bytes(trace)`` -- the JSON-lines archive the serving
   layer stores content-addressed, and
 * ``json.dumps(profile_doc(analyze_trace(timestamp_trace(trace))))`` --
-  the wait-state profile of that trace in its own mode.
+  the wait-state profile of that trace in its own mode, and
+* the little-endian float64 bytes of every location's final clock value
+  under that replay (``0.0`` for an empty location) -- the clock finals
+  the replay itself produces, before the analyzer normalizes anything.
 
 A change to the archive writer, the merged order, the clock replay or
 the analyzer walk that moves a single byte fails here.  Re-record (only
@@ -19,6 +22,7 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.analysis import analyze_trace
@@ -50,9 +54,12 @@ def fingerprints(app: str, mode: str) -> dict:
     cost = CostModel(cluster, noise=NoiseModel(NoiseConfig(), seed=SEED))
     trace = Engine(APPS[app](), cluster, cost,
                    measurement=Measurement(mode)).run().trace
-    profile = analyze_trace(timestamp_trace(trace, mode, counter_seed=SEED))
+    tt = timestamp_trace(trace, mode, counter_seed=SEED)
+    finals = [float(t[-1]) if len(t) else 0.0 for t in tt.times]
+    profile = analyze_trace(tt)
     return {
         "archive": _sha(trace_archive_bytes(trace)),
+        "finals": _sha(np.array(finals, dtype="<f8").tobytes()),
         "profile": _sha(json.dumps(profile_doc(profile)).encode("utf-8")),
     }
 

@@ -8,7 +8,9 @@ invariants that every component of the pipeline relies on:
 * every clock's timestamps are strictly increasing per location,
 * logical timestamps are invariant under the noise seed,
 * the analyzer's time tree exactly partitions the measured execution,
-* severities are non-negative and the Jaccard score stays in [0, 1].
+* severities are non-negative and the Jaccard score stays in [0, 1],
+* the column-born trace's events equal, bit for bit, the ``Ev`` objects
+  the legacy drain hands the list-of-Ev measurement oracle.
 
 A last property pins the NumPy merged order to the heap merge it
 replaced, kept here as the test oracle.
@@ -22,7 +24,7 @@ from repro.analysis import TIME_LEAVES, analyze_trace
 from repro.clocks import timestamp_trace
 from repro.machine import small_test_cluster
 from repro.machine.noise import NoiseConfig, NoiseModel
-from repro.measure import Measurement
+from repro.measure import MODES, Measurement
 from repro.scoring import jaccard_metric_callpath
 from repro.sim import (
     Allreduce,
@@ -40,6 +42,8 @@ from repro.sim import (
     Program,
     Waitall,
 )
+from repro.sim.engine import EngineConfig
+from tests.oracles import EvListMeasurement, event_bits
 
 K = KernelSpec("k", flops_per_unit=1e5, bytes_per_unit=1e4, omp_iters_per_unit=1.0,
                bb_per_unit=4.0, stmt_per_unit=12.0, instr_per_unit=30.0)
@@ -83,10 +87,11 @@ class RandomProgram(Program):
         yield Leave("main")
 
 
-def _run(steps, seed, mode="tsc"):
+def _run(steps, seed, mode="tsc", measurement=None, config=None):
     cluster = small_test_cluster(cores_per_numa=4, numa_per_socket=2)
     cost = CostModel(cluster, noise=NoiseModel(NoiseConfig(), seed=seed))
-    return Engine(RandomProgram(steps), cluster, cost, measurement=Measurement(mode)).run()
+    return Engine(RandomProgram(steps), cluster, cost, config=config,
+                  measurement=measurement or Measurement(mode)).run()
 
 
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -141,6 +146,15 @@ def test_jaccard_bounds_on_real_profiles(steps):
     j = jaccard_metric_callpath(a, b)
     assert 0.0 <= j <= 1.0
     assert jaccard_metric_callpath(a, a) == pytest.approx(1.0)
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(program_strategy, st.integers(min_value=0, max_value=100), st.sampled_from(MODES))
+def test_column_born_trace_matches_ev_list_oracle(steps, seed, mode):
+    born = _run(steps, seed, mode).trace
+    oracle = _run(steps, seed, measurement=EvListMeasurement(mode),
+                  config=EngineConfig(vectorized=False)).trace
+    assert event_bits(born) == event_bits(oracle)
 
 
 # ---------------------------------------------------------------------------

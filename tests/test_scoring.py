@@ -1,5 +1,10 @@
 """Tests for the generalized Jaccard score (paper Sec. V-B)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -110,3 +115,48 @@ class TestProfileJaccard:
         c = _profile({("comp", ("g",)): 1.0})
         assert min_pairwise_jaccard([a, b]) == pytest.approx(1.0)
         assert min_pairwise_jaccard([a, b, c]) == pytest.approx(0.0)
+
+
+#: a score computed in a fresh interpreter: a synthetic pair of mappings
+#: whose float sums depend on the summation order, and MiniFE's tiny
+#: configuration under ltbb against tsc
+_SCORE_SCRIPT = """
+import random
+from repro.analysis import analyze_trace
+from repro.clocks import timestamp_trace
+from repro.machine import jureca_dc
+from repro.machine.noise import NoiseConfig, NoiseModel
+from repro.measure import Measurement
+from repro.miniapps.minife import MiniFE, MiniFEConfig
+from repro.scoring import jaccard, jaccard_metric_callpath
+from repro.sim import CostModel, Engine
+
+rng = random.Random(11)
+a = {("metric", f"path/{i}"): rng.random() * 10 ** rng.randint(-6, 2)
+     for i in range(300)}
+b = {k: v * rng.uniform(0.5, 1.5) for k, v in a.items() if rng.random() < 0.8}
+b.update({("metric", f"other/{i}"): rng.random() for i in range(50)})
+
+def profile(mode):
+    cluster = jureca_dc(1)
+    cost = CostModel(cluster, noise=NoiseModel(NoiseConfig(), seed=3))
+    trace = Engine(MiniFE(MiniFEConfig.tiny()), cluster, cost,
+                   measurement=Measurement(mode)).run().trace
+    return analyze_trace(timestamp_trace(trace, mode)).normalized()
+
+print(jaccard(a, b).hex(),
+      jaccard_metric_callpath(profile("ltbb"), profile("tsc")).hex())
+"""
+
+
+def test_scores_do_not_depend_on_the_hash_seed():
+    src = Path(__file__).resolve().parents[1] / "src"
+    outputs = set()
+    for seed in ("0", "1", "2", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(
+                       [str(src), os.environ.get("PYTHONPATH", "")]))
+        run = subprocess.run([sys.executable, "-c", _SCORE_SCRIPT], env=env,
+                             capture_output=True, text=True, check=True)
+        outputs.add(run.stdout)
+    assert len(outputs) == 1, outputs

@@ -555,6 +555,41 @@ class TestAnalysisRoutes:
         assert got.body == data
         assert gone.status == 404
 
+    def test_trace_digest_must_be_sha256(self, tmp_path, session):
+        # Glob patterns and digest prefixes used to resolve to whichever
+        # upload sorted first; only a full lowercase sha256 names a trace.
+        from repro.measure import write_trace
+        from repro.serve.client import http_request
+
+        f1 = tmp_path / "a.trace.json.gz"
+        write_trace(_make_trace("ltbb", seed=1), f1)
+
+        async def main():
+            svc = _service(tmp_path)
+            await svc.start()
+            try:
+                client = _client(svc)
+                up = await client.upload_trace(f1.read_bytes())
+                bad = ["*", "?" * 20, "[0-9a-f]*", up["hash"][:20],
+                       up["hash"].upper()]
+                posts = [await client.analyze("replay", d) for d in bad]
+                pair = await client.analyze("score", up["hash"], trace_b="*")
+                gets = [await http_request("127.0.0.1", svc.port, "GET",
+                                           "/v1/traces/" + d)
+                        for d in ("*", "[0-9a-f]*", up["hash"][:20])]
+                unknown = await client.analyze("replay", "0" * 64)
+                found = await http_request("127.0.0.1", svc.port, "GET",
+                                           "/v1/traces/" + up["hash"])
+            finally:
+                await svc.stop()
+            return posts + [pair] + gets, unknown, found
+
+        rejected, unknown, found = asyncio.run(main())
+        assert [r.status for r in rejected] == [400] * len(rejected)
+        assert all("sha256" in r.json()["error"] for r in rejected)
+        assert unknown.status == 404
+        assert found.status == 200 and found.body == f1.read_bytes()
+
 
 # ---------------------------------------------------------------------------
 # hardened upload + ingest endpoints
