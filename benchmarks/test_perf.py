@@ -2,7 +2,8 @@
 
 These are conventional pytest-benchmark measurements (multiple rounds) of
 the three hot paths: the discrete-event engine, the Lamport replay, and
-the analyzer walk.
+the wait-state analyzer (plan evaluation; the plan compiles on the first
+round).
 """
 
 import pytest

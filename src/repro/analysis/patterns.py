@@ -3,15 +3,16 @@
 These functions are clock-agnostic: they take timestamps in whatever unit
 the active clock produces (seconds for tsc, logical units otherwise) and
 return severities in the same unit.  Keeping them pure makes the pattern
-semantics unit-testable independent of the trace walker.
+semantics unit-testable independent of the analyzer.
 
-Each per-instance function switches to a NumPy evaluation above
-:data:`VECTOR_MIN` participants; the array expressions perform the exact
-same IEEE operations per element as the scalar comprehensions, so both
-paths are bit-identical (locked by ``tests/test_columnar.py``).  The
-``*_batch`` variants evaluate *many* instances in one shot over flattened
-arrays (``np.maximum.reduceat`` per group) for bulk consumers such as the
-benchmark harness.
+Each pattern has one per-instance formula (plain Python, the definition;
+the causal DAG evaluates it per synchronisation) and one bulk form that
+the analyzer's plan evaluation calls over all instances of a trace at
+once: ``*_batch`` over flattened groups (``np.maximum.reduceat`` /
+``np.minimum.reduceat`` at the group starts) and ``*_many`` over aligned
+message arrays.  The bulk forms perform the same IEEE operations per
+element as the formulas, so both are bit-identical (locked by
+``tests/test_columnar.py``).
 """
 
 from __future__ import annotations
@@ -31,12 +32,6 @@ __all__ = [
     "late_receiver_wait_many",
 ]
 
-#: participant count above which the per-instance formulas evaluate as
-#: NumPy expressions; below it, plain Python is faster (array allocation
-#: overhead exceeds the work).  Both paths are bit-identical.
-VECTOR_MIN = 32
-
-
 def nxn_waits(enters: Sequence[float], completion: float) -> List[float]:
     """Wait-at-NxN severity per participant.
 
@@ -47,10 +42,6 @@ def nxn_waits(enters: Sequence[float], completion: float) -> List[float]:
     """
     if not len(enters):
         return []
-    if len(enters) >= VECTOR_MIN:
-        e = np.asarray(enters, dtype=np.float64)
-        lim = min(float(e.max()), completion)
-        return np.maximum(0.0, lim - e).tolist()
     latest = max(enters)
     lim = min(latest, completion)
     return [max(0.0, lim - e) for e in enters]
@@ -91,10 +82,6 @@ def barrier_split(enters: Sequence[float], leaves: Sequence[float]) -> Tuple[Lis
         raise ValueError("enters and leaves must have the same length")
     if not len(enters):
         return [], []
-    if len(enters) >= VECTOR_MIN:
-        d = np.asarray(leaves, dtype=np.float64) - np.asarray(enters, dtype=np.float64)
-        overhead = max(0.0, float(d.min()))
-        return np.maximum(0.0, d - overhead).tolist(), [overhead] * len(d)
     durations = [l - e for e, l in zip(enters, leaves)]
     overhead = max(0.0, min(durations))
     waits = [max(0.0, d - overhead) for d in durations]

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 from typing import List, Optional
 
 __all__ = ["main_run", "main_analyze", "main_score", "main_report", "main_lint",
@@ -75,6 +76,25 @@ def main_run(argv: Optional[List[str]] = None) -> int:
     return 0
 
 
+#: trace-archive suffixes, longest first (what :func:`_profile_path` strips)
+_ARCHIVE_SUFFIXES = (".json.gz", ".shards", ".npz", ".gz", ".json")
+
+
+def _profile_path(trace_path: str) -> str:
+    """Default profile path of a trace archive: the archive suffix and a
+    ``.trace`` infix replaced by ``.profile.json.gz`` (``run.npz`` ->
+    ``run.profile.json.gz``, ``x.trace.json.gz`` -> ``x.profile.json.gz``)."""
+    path = Path(trace_path)
+    name = path.name
+    for suffix in _ARCHIVE_SUFFIXES:
+        if name.endswith(suffix):
+            name = name[:-len(suffix)]
+            break
+    if name.endswith(".trace"):
+        name = name[:-len(".trace")]
+    return str(path.with_name(name + ".profile.json.gz"))
+
+
 def main_analyze(argv: Optional[List[str]] = None) -> int:
     """Analyze a trace archive into a profile (Scalasca analogue)."""
     from repro.analysis import analyze_trace
@@ -92,6 +112,9 @@ def main_analyze(argv: Optional[List[str]] = None) -> int:
                         help="print the full text report (metric tree, hot "
                              "call paths, load balance)")
     args = parser.parse_args(argv)
+    out = args.output or _profile_path(args.trace)
+    if Path(out).resolve() == Path(args.trace).resolve():
+        parser.error(f"output {out} would overwrite the input trace")
 
     trace = read_trace(args.trace)
     tt = timestamp_trace(trace, args.mode, counter_seed=args.counter_seed)
@@ -104,7 +127,6 @@ def main_analyze(argv: Optional[List[str]] = None) -> int:
     else:
         for k, v in group_totals(profile).items():
             print(f"  {k:14s} {v:6.1f} %T")
-    out = args.output or args.trace.replace(".trace.", ".profile.")
     write_profile(profile, out)
     print(f"profile written to {out}")
     return 0
@@ -417,8 +439,6 @@ def main_bench(argv: Optional[List[str]] = None) -> int:
     With ``--baseline``, any gated wall-time more than ``--threshold``
     times its baseline value fails the run (exit 1) -- the CI smoke gate.
     """
-    from pathlib import Path
-
     from repro.bench import (
         campaign_warnings,
         compare_to_baseline,
@@ -500,7 +520,6 @@ def _load_cli_manifest(path: str, parser: argparse.ArgumentParser) -> dict:
     treated as raw manifest documents.
     """
     import json as _json
-    from pathlib import Path
 
     from repro import obs
 
@@ -539,7 +558,6 @@ def main_obs(argv: Optional[List[str]] = None) -> int:
     configuration hashes differ.
     """
     import json as _json
-    from pathlib import Path
 
     from repro import obs
 

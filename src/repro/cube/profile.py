@@ -18,6 +18,7 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+from repro import obs
 from repro.cube.calltree import CallPath, CallTree
 from repro.cube.systemtree import SystemTree
 
@@ -72,6 +73,19 @@ class CubeProfile:
         cell = self._sev[metric]
         key = (cpid, loc)
         cell[key] = cell.get(key, 0.0) + value
+
+    def set_cells(self, metric: str, cells: Dict[Tuple[int, int], float]) -> None:
+        """Install ``metric``'s cells wholesale (the analyzer's bulk form of
+        :meth:`add_id`).
+
+        ``cells`` maps ``(cpid, loc)`` to a nonzero severity, in the order
+        the cells were first added; the metric must not exist yet.  An
+        empty mapping creates nothing.
+        """
+        if cells:
+            if metric in self._sev:
+                raise ValueError(f"metric {metric!r} already has cells")
+            self._sev[metric] = cells
 
     # -- raw access ----------------------------------------------------------
     @property
@@ -166,15 +180,17 @@ class CubeProfile:
 
     def normalized(self) -> "CubeProfile":
         """A copy with all severities divided by the total time severity."""
-        total = self.total_time()
-        if total <= 0.0:
-            raise ValueError("cannot normalize a profile with zero total time")
-        out = CubeProfile(self.system, self.time_metrics, mode=self.mode, meta=dict(self.meta))
-        for m, cell in self._sev.items():
-            for (cpid, loc), v in cell.items():
-                out.add(m, self.calltree.path(cpid), loc, v / total)
-        out.meta["normalized"] = True
-        return out
+        with obs.span("cube.normalized", mode=self.mode):
+            total = self.total_time()
+            if total <= 0.0:
+                raise ValueError("cannot normalize a profile with zero total time")
+            out = CubeProfile(self.system, self.time_metrics, mode=self.mode,
+                              meta=dict(self.meta))
+            for m, cell in self._sev.items():
+                for (cpid, loc), v in cell.items():
+                    out.add(m, self.calltree.path(cpid), loc, v / total)
+            out.meta["normalized"] = True
+            return out
 
     @classmethod
     def mean(cls, profiles: Sequence["CubeProfile"]) -> "CubeProfile":
@@ -189,15 +205,17 @@ class CubeProfile:
         for p in profiles[1:]:
             if p.system != first.system:
                 raise ValueError("profiles to average must share the system tree")
-        out = cls(first.system, first.time_metrics, mode=first.mode, meta={"averaged_over": len(profiles)})
-        n = float(len(profiles))
-        for p in profiles:
-            norm = p.normalized()
-            for m, cell in norm._sev.items():
-                for (cpid, loc), v in cell.items():
-                    out.add(m, norm.calltree.path(cpid), loc, v / n)
-        out.meta["normalized"] = True
-        return out
+        with obs.span("cube.mean", profiles=len(profiles)):
+            out = cls(first.system, first.time_metrics, mode=first.mode,
+                      meta={"averaged_over": len(profiles)})
+            n = float(len(profiles))
+            for p in profiles:
+                norm = p.normalized()
+                for m, cell in norm._sev.items():
+                    for (cpid, loc), v in cell.items():
+                        out.add(m, norm.calltree.path(cpid), loc, v / n)
+            out.meta["normalized"] = True
+            return out
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -7,8 +7,8 @@ auxiliary payload) instead of one Python object per event.  It is the
 form a trace is born in -- :class:`~repro.measure.measurement.Measurement`
 records columns, and the npz and shards readers return them -- and the
 layout the vectorized clock replay (:mod:`repro.clocks.columnar`), the
-analyzer walk and the bulk archive I/O (:mod:`repro.measure.io`) operate
-on.
+wait-state analysis plan (:mod:`repro.analysis.analyzer`) and the bulk
+archive I/O (:mod:`repro.measure.io`) operate on.
 
 The ``aux`` payload of :class:`~repro.sim.events.Ev` is kind-specific --
 a ``(match_id, rendezvous)`` pair for sends, a match id for receives, a
@@ -282,9 +282,10 @@ class TraceColumns:
 
     Attributes mirror :class:`~repro.measure.trace.RawTrace`; ``locs[l]``
     is the :class:`LocationColumns` of location ``l``.  Treated as
-    immutable: it memoizes the merged order, the synchronisation order
-    and the compiled replay plan.  A column-backed ``RawTrace`` owns one
-    and drops it when a caller first takes its event lists (see
+    immutable: it memoizes the merged order, the synchronisation order,
+    the compiled replay plan and the compiled analysis plan, each shared
+    by all clock modes.  A column-backed ``RawTrace`` owns one and drops
+    it -- plans included -- when a caller first takes its event lists (see
     :attr:`RawTrace.events <repro.measure.trace.RawTrace.events>`), so
     edits to those lists reach the next conversion.  A trace built from
     events converts on first use and memoizes the result: a snapshot that
@@ -313,6 +314,7 @@ class TraceColumns:
         self._order = None
         self._sync_order = None
         self._replay_plan = None  # compiled by repro.clocks.columnar
+        self._analysis_plan = None  # compiled by repro.analysis.analyzer
 
     # -- construction ----------------------------------------------------
     @classmethod

@@ -17,13 +17,15 @@ event kind, region id, timestamps, aux payload, work-delta components)
 stored in **global merged order** -- exactly the order
 :meth:`repro.measure.trace.RawTrace.merged` visits the trace (see
 :func:`repro.measure.trace.merged_order`).  Storing the merge order makes
-every merged-order consumer (sanitize, race replay, clock replay,
-wait-state analysis) a single forward scan: :class:`ShardedTrace`
-memory-maps one shard at a time (``numpy.load(..., mmap_mode="r")``),
-materializes at most that shard's rows as Python objects, and drops them
-before opening the next shard.  Peak memory is bounded by the shard size
+every streaming consumer (sanitize, race replay, clock replay) a single
+forward scan: :class:`ShardedTrace` memory-maps one shard at a time
+(``numpy.load(..., mmap_mode="r")``), materializes at most that shard's
+rows as Python objects, and drops them before opening the next shard.  Peak memory is bounded by the shard size
 regardless of trace length, which is what lets campaign-scale traces be
-analyzed out of core.
+checked and replayed out of core.  Wait-state analysis reads the archive
+whole (:meth:`ShardedTrace.to_raw`, what
+:func:`repro.measure.io.read_trace` returns): its compiled plan needs the
+column-backed trace.
 
 :func:`read_shard_manifest` reads *only* ``manifest.json`` -- provenance
 and shape queries never touch the event body.
@@ -47,7 +49,6 @@ from repro.measure.columnar import (
     COLUMN_FIELDS,
     DeltaTable,
     TraceColumns,
-    aux_values,
     events_from_columns,
     location_counts,
     split_columns,
@@ -346,16 +347,6 @@ class ShardedTrace:
                 rows = arr[lo:lo + _EVENT_BATCH]
                 yield from zip(rows["loc"].tolist(),
                                events_from_columns(rows, deltas))
-
-    def event_lists(self) -> Iterator[tuple]:
-        """Per shard, the flat ``(loc, kind, region, aux, t)`` lists of
-        :func:`repro.analysis.analyzer.analyze_stream` (physical time)."""
-        for arr in self.iter_shards():
-            self._resident(len(arr))
-            etype = arr["etype"]
-            yield (arr["loc"].tolist(), etype.tolist(), arr["region"].tolist(),
-                   aux_values(etype, arr["aux_a"], arr["aux_b"]),
-                   arr["t"].tolist())
 
     # -- materialization (the non-streaming escape hatch) ---------------
     def to_raw(self) -> RawTrace:

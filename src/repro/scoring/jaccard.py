@@ -20,6 +20,7 @@ from __future__ import annotations
 from itertools import chain, combinations
 from typing import Hashable, Mapping, Optional, Sequence
 
+from repro import obs
 from repro.analysis import metrics as M
 from repro.cube.profile import CubeProfile
 
@@ -68,9 +69,10 @@ def jaccard_metric_callpath(
     This is the headline comparison of Figs. 3 and 4: how similar is a
     logical measurement's whole analysis result to the tsc result.
     """
-    ma = a.as_mapping(metrics if metrics is not None else _default_metrics(a))
-    mb = b.as_mapping(metrics if metrics is not None else _default_metrics(b))
-    return jaccard(ma, mb)
+    with obs.span("scoring.jaccard"):
+        ma = a.as_mapping(metrics if metrics is not None else _default_metrics(a))
+        mb = b.as_mapping(metrics if metrics is not None else _default_metrics(b))
+        return jaccard(ma, mb)
 
 
 def jaccard_callpaths_for_metric(a: CubeProfile, b: CubeProfile, metric: str) -> float:

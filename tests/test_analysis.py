@@ -1,5 +1,10 @@
-"""Tests for the Scalasca-analogue analysis: patterns, profiles, delays."""
+"""Tests for the Scalasca-analogue analysis: patterns, profiles, delays,
+and the compiled analysis plan against the per-event walker oracle
+(``tests/oracles.py``)."""
 
+import json
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -22,7 +27,9 @@ from repro.analysis import (
     render_metric_tree,
 )
 from repro.clocks import timestamp_trace
-from repro.measure import Measurement
+from repro.clocks.base import TimestampedTrace
+from repro.cube.io import profile_doc
+from repro.measure import Measurement, RawTrace
 from repro.sim import (
     Allreduce,
     Compute,
@@ -35,6 +42,17 @@ from repro.sim import (
     Recv,
     Send,
 )
+from repro.sim.events import (
+    BURST,
+    COLL_END,
+    ENTER,
+    LEAVE,
+    MPI_RECV,
+    MPI_SEND,
+    Ev,
+    RegionRegistry,
+)
+from tests.oracles import walker_analyze_trace
 
 K = KernelSpec("k", flops_per_unit=1e6, omp_iters_per_unit=1.0, bb_per_unit=5,
                stmt_per_unit=15, instr_per_unit=40, memory_scope="none")
@@ -301,3 +319,112 @@ class TestClockAgnosticism:
         ltbb = analyze(script, quiet_cost, mode="ltbb")
         assert tsc.percent_of_time(MPI_COLL_WAIT_NXN) > 5
         assert ltbb.percent_of_time(MPI_COLL_WAIT_NXN) > 5
+
+
+# ---------------------------------------------------------------------------
+# the compiled analysis plan against the per-event walker oracle
+# ---------------------------------------------------------------------------
+
+
+def _doc(profile) -> str:
+    return json.dumps(profile_doc(profile))
+
+
+def _hand_tt(events_by_loc, times=None):
+    """A tsc-timestamped hand-built trace; events ``(kind, region, t, aux)``."""
+    regions = RegionRegistry()
+    for name in ("main", "x", "y", "MPI_Allreduce"):
+        regions.intern(name)
+    trace = RawTrace("tsc", regions, [(r, 0) for r in range(len(events_by_loc))],
+                     [[Ev(et, rid, t, aux=aux) for et, rid, t, aux in evs]
+                      for evs in events_by_loc])
+    if times is None:
+        times = [np.array([ev.t for ev in evs]) for evs in trace.events]
+    return TimestampedTrace(trace, times, "tsc")
+
+
+class TestAnalysisPlan:
+    def test_zero_length_burst_interns_no_path(self):
+        # the first BURST of x closes a zero-length interval: the walk
+        # interns main/x only at the second one, after main/y
+        tt = _hand_tt([[(ENTER, 0, 1.0, None), (BURST, 1, 1.0, None),
+                        (ENTER, 2, 2.0, None), (LEAVE, 2, 3.0, None),
+                        (BURST, 1, 4.0, None), (LEAVE, 0, 5.0, None)]])
+        got, want = analyze_trace(tt), walker_analyze_trace(tt)
+        assert got.calltree.paths() == want.calltree.paths() == [
+            (), ("main",), ("main", "y"), ("main", "x")]
+        assert _doc(got) == _doc(want)
+        assert _doc(got.normalized()) == _doc(want.normalized())
+
+    @pytest.mark.parametrize("events", [[[], []], [[], [(ENTER, 0, 1.0, None),
+                                                       (LEAVE, 0, 2.0, None)]]])
+    def test_empty_locations(self, events):
+        tt = _hand_tt(events)
+        assert _doc(analyze_trace(tt)) == _doc(walker_analyze_trace(tt))
+
+    def test_cells_sum_left_to_right(self):
+        # 300 bursts land in one cell: its value must be the walk's
+        # sequential sum (a pairwise reduction differs in the last bits)
+        t = np.cumsum(np.random.default_rng(4).uniform(0.01, 1.0, 302)).tolist()
+        tt = _hand_tt([[(ENTER, 0, t[0], None)]
+                       + [(BURST, 1, x, None) for x in t[1:-1]]
+                       + [(LEAVE, 0, t[-1], None)]])
+        got, want = analyze_trace(tt), walker_analyze_trace(tt)
+        total = 0.0
+        for a, b in zip(t[:-2], t[1:-1]):
+            total += b - a
+        cp = got.calltree.id_of(("main", "x"))
+        assert got.cells(COMP)[(cp, 0)] == total
+        assert _doc(got) == _doc(want)
+
+    @pytest.mark.parametrize("case,exc", [
+        ("short-times", ValueError),
+        ("recv-without-send", KeyError),
+        ("incomplete-collective", AssertionError),
+        ("unmatched-send", AssertionError),
+    ])
+    def test_malformed_traces_raise_the_walkers_errors(self, case, exc):
+        main = [(ENTER, 0, 1.0, None), (LEAVE, 0, 9.0, None)]
+        if case == "short-times":
+            tt = _hand_tt([main], times=[np.array([1.0])])
+        elif case == "recv-without-send":
+            tt = _hand_tt([[main[0], (MPI_RECV, 0, 2.0, 7), main[1]], main])
+        elif case == "incomplete-collective":
+            tt = _hand_tt([[main[0], (COLL_END, 3, 2.0, (1, 2)), main[1]], main])
+        else:
+            tt = _hand_tt([[main[0], (MPI_SEND, 0, 2.0, (5, 0)), main[1]], main])
+        with pytest.raises(exc):
+            walker_analyze_trace(tt)
+        with pytest.raises(exc):
+            analyze_trace(tt)
+
+    def test_taking_events_drops_the_plan(self, quiet_cost):
+        class P(Program):
+            name = "t"
+            n_ranks = 2
+            threads_per_rank = 2
+
+            def make_rank(self, ctx):
+                yield Enter("main")
+                yield Enter("work")
+                yield Compute(K, 20 * (1 + ctx.rank))
+                yield ParallelFor("loop", K, total_units=40)
+                yield Leave("work")
+                yield Allreduce()
+                yield Leave("main")
+
+        trace = Engine(P(), quiet_cost.cluster, quiet_cost,
+                       measurement=Measurement("tsc")).run().trace
+        analyze_trace(timestamp_trace(trace, "tsc"))
+        cols = trace.columns()
+        assert cols._analysis_plan is not None
+        work = trace.regions.intern("work")
+        renamed = trace.regions.intern("renamed")
+        for ev in trace.events[0]:  # hands the events the trace's ownership
+            if ev.region == work:
+                ev.region = renamed
+        tt = timestamp_trace(trace, "tsc")
+        got = analyze_trace(tt)
+        assert trace.columns() is not cols
+        assert ("main", "renamed") in got.calltree.paths()
+        assert _doc(got) == _doc(walker_analyze_trace(tt))

@@ -20,7 +20,6 @@ from repro.analysis import (
     nxn_waits,
     nxn_waits_batch,
 )
-from repro.analysis import patterns as P
 from repro.clocks import timestamp_trace
 from repro.machine import jureca_dc
 from repro.machine.noise import NoiseConfig, NoiseModel
@@ -119,8 +118,8 @@ class TestReplayEquivalence:
                          events=[evs])
         tt = timestamp_trace(trace, "ltbb")
         assert [list(t) for t in tt.times] == [[3.0, 4.0]]
-        # ...and analyze like its convertible twin (the walker gathers
-        # its lists from the Ev attributes instead of the columns)...
+        # ...and analyze like its convertible twin (the analysis plan
+        # gathers its arrays from the Ev attributes instead of the columns)...
         from repro.analysis import analyze_trace
 
         twin = RawTrace(mode="tsc", regions=regions, locations=[(0, 0)],
@@ -215,25 +214,6 @@ class TestNpzArchive:
 
 
 class TestVectorizedPatterns:
-    def test_nxn_vector_path_matches_scalar(self):
-        rng = np.random.default_rng(5)
-        enters = rng.uniform(0.0, 10.0, size=P.VECTOR_MIN + 9).tolist()
-        completion = 8.5
-        vec = nxn_waits(enters, completion)
-        scalar = [max(0.0, min(max(enters), completion) - e) for e in enters]
-        assert vec == scalar
-
-    def test_barrier_vector_path_matches_scalar(self):
-        rng = np.random.default_rng(6)
-        n = P.VECTOR_MIN + 5
-        enters = rng.uniform(0.0, 5.0, size=n).tolist()
-        leaves = [e + d for e, d in zip(enters, rng.uniform(0.1, 2.0, size=n))]
-        waits, overheads = barrier_split(enters, leaves)
-        durations = [l - e for e, l in zip(enters, leaves)]
-        oh = max(0.0, min(durations))
-        assert waits == [max(0.0, d - oh) for d in durations]
-        assert overheads == [oh] * n
-
     def test_nxn_batch_matches_per_instance(self):
         rng = np.random.default_rng(7)
         sizes = [3, 8, 1, 40, 5]

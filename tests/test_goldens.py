@@ -1,25 +1,34 @@
 """Golden fingerprints of the bytes the trace hand-offs must not change.
 
-For each mini-app's ``tiny()`` configuration, recorded at one noise seed
-under every measurement mode, ``goldens.json`` holds the sha256 of
+For each mini-app's ``tiny()`` configuration, recorded at two noise seeds
+under every measurement mode, ``goldens.json`` holds (keyed seed, app,
+mode) the sha256 of
 
 * ``trace_archive_bytes(trace)`` -- the JSON-lines archive the serving
   layer stores content-addressed, and
 * ``json.dumps(profile_doc(analyze_trace(timestamp_trace(trace))))`` --
   the wait-state profile of that trace in its own mode, and
+* ``json.dumps(profile_doc(profile.normalized()))`` -- the normalized
+  profile.  Raw ``profile_doc`` lists metrics sorted; normalizing
+  re-interns call paths in the order the analyzer created its metrics,
+  so these bytes pin that order too, and
 * the little-endian float64 bytes of every location's final clock value
   under that replay (``0.0`` for an empty location) -- the clock finals
-  the replay itself produces, before the analyzer normalizes anything.
+  the replay itself produces, before the analyzer normalizes anything,
+
+plus the float hex of the mode's ``J_(M,C)`` score against the tsc run
+at the same seed, both profiles normalized (the paper's Figs. 3 and 4).
 
 A change to the archive writer, the merged order, the clock replay or
-the analyzer walk that moves a single byte fails here.  Re-record (only
-for an intended format change) with::
+the analyzer that moves a single byte fails here.  Re-record (only for
+an intended format change) with::
 
     PYTHONPATH=src python -m tests.test_goldens
 """
 
 import hashlib
 import json
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -34,10 +43,11 @@ from repro.measure import MODES, Measurement, trace_archive_bytes
 from repro.miniapps.lulesh import Lulesh, LuleshConfig
 from repro.miniapps.minife import MiniFE, MiniFEConfig
 from repro.miniapps.tealeaf import TeaLeaf, TeaLeafConfig
+from repro.scoring import jaccard_metric_callpath
 from repro.sim import CostModel, Engine
 
 GOLDENS = Path(__file__).with_name("goldens.json")
-SEED = 3
+SEEDS = (3, 8)
 APPS = {
     "minife": lambda: MiniFE(MiniFEConfig.tiny()),
     "lulesh": lambda: Lulesh(LuleshConfig.tiny()),
@@ -49,19 +59,33 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def fingerprints(app: str, mode: str) -> dict:
+def _doc_sha(profile) -> str:
+    return _sha(json.dumps(profile_doc(profile)).encode("utf-8"))
+
+
+@lru_cache(maxsize=None)
+def fingerprints(app: str, seed: int) -> dict:
+    """``{mode: fingerprint dict}`` for one app at one noise seed."""
     cluster = jureca_dc(1)
-    cost = CostModel(cluster, noise=NoiseModel(NoiseConfig(), seed=SEED))
-    trace = Engine(APPS[app](), cluster, cost,
-                   measurement=Measurement(mode)).run().trace
-    tt = timestamp_trace(trace, mode, counter_seed=SEED)
-    finals = [float(t[-1]) if len(t) else 0.0 for t in tt.times]
-    profile = analyze_trace(tt)
-    return {
-        "archive": _sha(trace_archive_bytes(trace)),
-        "finals": _sha(np.array(finals, dtype="<f8").tobytes()),
-        "profile": _sha(json.dumps(profile_doc(profile)).encode("utf-8")),
-    }
+    out, normalized = {}, {}
+    for mode in MODES:
+        cost = CostModel(cluster, noise=NoiseModel(NoiseConfig(), seed=seed))
+        trace = Engine(APPS[app](), cluster, cost,
+                       measurement=Measurement(mode)).run().trace
+        tt = timestamp_trace(trace, mode, counter_seed=seed)
+        finals = [float(t[-1]) if len(t) else 0.0 for t in tt.times]
+        profile = analyze_trace(tt)
+        normalized[mode] = profile.normalized()
+        out[mode] = {
+            "archive": _sha(trace_archive_bytes(trace)),
+            "finals": _sha(np.array(finals, dtype="<f8").tobytes()),
+            "profile": _doc_sha(profile),
+            "normalized": _doc_sha(normalized[mode]),
+        }
+    for mode in MODES:
+        out[mode]["jaccard_vs_tsc"] = jaccard_metric_callpath(
+            normalized[mode], normalized["tsc"]).hex()
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -72,11 +96,12 @@ def goldens():
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("app", sorted(APPS))
 def test_golden_fingerprints(goldens, app, mode):
-    assert fingerprints(app, mode) == goldens[app][mode]
+    for seed in SEEDS:
+        assert fingerprints(app, seed)[mode] == goldens[str(seed)][app][mode], seed
 
 
 if __name__ == "__main__":
-    doc = {app: {mode: fingerprints(app, mode) for mode in MODES}
-           for app in sorted(APPS)}
+    doc = {str(seed): {app: fingerprints(app, seed) for app in sorted(APPS)}
+           for seed in SEEDS}
     GOLDENS.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     print(f"wrote {GOLDENS}")

@@ -462,3 +462,24 @@ class TestEnvActivation:
         monkeypatch.setattr(S, "_ENV_CHECKED", False)
         assert obs.active() is None
         assert obs.counter("x") is obs.NULL_COUNTER
+
+
+class TestAnalysisSpans:
+    def test_six_modes_compile_one_plan(self, cluster, quiet_cost):
+        from repro.analysis import analyze_trace
+        from repro.clocks import timestamp_trace
+        from repro.measure import MODES, Measurement
+        from repro.miniapps.minife import MiniFE, MiniFEConfig
+        from repro.sim import Engine
+
+        trace = Engine(MiniFE(MiniFEConfig.tiny(nx=32, n_ranks=2)), cluster,
+                       quiet_cost, measurement=Measurement("tsc")).run().trace
+        session = obs.ObsSession()
+        with obs.scoped(session):
+            for mode in MODES:
+                analyze_trace(timestamp_trace(trace, mode))
+        names = [r.name for r in session.spans.records]
+        assert names.count("analysis.plan_compile") == 1
+        assert names.count("analysis.evaluate") == len(MODES) == 6
+        assert session.metrics.totals("analysis.") == {
+            "analysis.plan_compiles": 1.0}

@@ -10,11 +10,15 @@ invariants that every component of the pipeline relies on:
 * the analyzer's time tree exactly partitions the measured execution,
 * severities are non-negative and the Jaccard score stays in [0, 1],
 * the column-born trace's events equal, bit for bit, the ``Ev`` objects
-  the legacy drain hands the list-of-Ev measurement oracle.
+  the legacy drain hands the list-of-Ev measurement oracle,
+* the compiled wait-state analysis writes the same profile bytes, raw and
+  normalized, as the per-event walker oracle.
 
 A last property pins the NumPy merged order to the heap merge it
 replaced, kept here as the test oracle.
 """
+
+import json
 
 import numpy as np
 import pytest
@@ -22,6 +26,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.analysis import TIME_LEAVES, analyze_trace
 from repro.clocks import timestamp_trace
+from repro.cube.io import profile_doc
 from repro.machine import small_test_cluster
 from repro.machine.noise import NoiseConfig, NoiseModel
 from repro.measure import MODES, Measurement
@@ -43,7 +48,7 @@ from repro.sim import (
     Waitall,
 )
 from repro.sim.engine import EngineConfig
-from tests.oracles import EvListMeasurement, event_bits
+from tests.oracles import EvListMeasurement, event_bits, walker_analyze_trace
 
 K = KernelSpec("k", flops_per_unit=1e5, bytes_per_unit=1e4, omp_iters_per_unit=1.0,
                bb_per_unit=4.0, stmt_per_unit=12.0, instr_per_unit=30.0)
@@ -160,6 +165,16 @@ def test_column_born_trace_matches_ev_list_oracle(steps, seed, mode):
 # ---------------------------------------------------------------------------
 # the global merged order
 # ---------------------------------------------------------------------------
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(program_strategy, st.integers(min_value=0, max_value=100), st.sampled_from(MODES))
+def test_analysis_plan_matches_walker_oracle(steps, seed, mode):
+    tt = timestamp_trace(_run(steps, seed, mode).trace, mode, counter_seed=seed)
+    got, want = analyze_trace(tt), walker_analyze_trace(tt)
+    assert json.dumps(profile_doc(got)) == json.dumps(profile_doc(want))
+    assert (json.dumps(profile_doc(got.normalized()))
+            == json.dumps(profile_doc(want.normalized())))
+
 
 def heap_merged(t_by_location):
     """Test oracle: the k-way heap merge the merged order is defined by.

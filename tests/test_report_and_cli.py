@@ -104,6 +104,24 @@ class TestCli:
         assert main_score([str(profile_path), str(profile_path)]) == 0
         assert "J_(M,C) = 1.0000" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("name", ["run.npz", "run.json.gz", "run.shards"])
+    def test_analyze_keeps_its_input(self, cluster, tmp_path, capsys, name):
+        from repro.cube import read_profile
+        from repro.measure import read_trace, trace_archive_bytes, write_trace
+
+        cost = CostModel(cluster, noise=NoiseModel(ZeroNoise(), seed=1))
+        trace = Engine(_App(), cluster, cost, measurement=Measurement("tsc")).run().trace
+        want = trace_archive_bytes(trace)
+        path = tmp_path / name
+        write_trace(trace, path)
+        assert main_analyze([str(path)]) == 0
+        assert trace_archive_bytes(read_trace(path)) == want
+        assert read_profile(tmp_path / "run.profile.json.gz").mode == "tsc"
+        with pytest.raises(SystemExit):
+            main_analyze([str(path), "-o", str(path)])
+        assert trace_archive_bytes(read_trace(path)) == want
+        capsys.readouterr()
+
     def test_report_fig1(self, capsys):
         assert main_report(["fig1"]) == 0
         assert "wait_nxn" in capsys.readouterr().out

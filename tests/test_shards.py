@@ -11,7 +11,6 @@ import tracemalloc
 import pytest
 
 from repro.analysis import analyze_trace
-from repro.analysis.analyzer import analyze_stream
 from repro.clocks import timestamp_trace
 from repro.clocks.streaming import stream_clock_replay
 from repro.machine import small_test_cluster
@@ -31,6 +30,7 @@ from repro.sim.events import MPI_SEND
 from repro.verify import sanitize_raw
 from repro.verify.races import find_races
 from repro.verify.sanitizer import sanitize_stream
+from tests.oracles import analyze_stream, shard_event_lists
 
 SHARD_EVENTS = 256  # far below the fixture's ~1.7k events -> multi-shard
 
@@ -172,7 +172,7 @@ class TestStreamingConsumers:
         st = open_sharded_trace(archive)
         full = analyze_trace(timestamp_trace(trace, "tsc"))
         streamed = analyze_stream(
-            st.event_lists(),
+            shard_event_lists(st),
             mode="tsc", regions=st.regions, locations=st.locations)
         assert streamed.metrics == full.metrics
         for metric in full.metrics:
