@@ -40,22 +40,6 @@ def test_perf_engine_simulation(benchmark):
     assert n_events > 1000
 
 
-def test_perf_engine_simulation_legacy(benchmark):
-    """Per-event heapq drain, kept as the reference for the batch-drain
-    speedup (the vectorized drain is the default above)."""
-    from repro.sim.engine import EngineConfig
-
-    def run():
-        cluster = jureca_dc(1)
-        app = MiniFE(MiniFEConfig.tiny(nx=96, n_ranks=8, threads_per_rank=4, cg_iters=8))
-        cost = CostModel(cluster, noise=NoiseModel(NoiseConfig(), seed=0))
-        return Engine(app, cluster, cost, measurement=Measurement("tsc"),
-                      config=EngineConfig(vectorized=False)).run().trace.n_events
-
-    n_events = benchmark(run)
-    assert n_events > 1000
-
-
 def test_perf_lamport_replay(benchmark, trace):
     times = benchmark(lambda: timestamp_trace(trace, "ltbb"))
     assert len(times.times) == trace.n_locations

@@ -60,13 +60,12 @@ def _timed(session: "_obs.ObsSession", label: str,
     return best
 
 
-def _make_trace(quick: bool, vectorized: bool = True):
+def _make_trace(quick: bool):
     from repro.machine import jureca_dc
     from repro.machine.noise import NoiseConfig, NoiseModel
     from repro.measure import Measurement
     from repro.miniapps.minife import MiniFE, MiniFEConfig
     from repro.sim import CostModel, Engine
-    from repro.sim.engine import EngineConfig
 
     if quick:
         cfg = MiniFEConfig.tiny(nx=64, n_ranks=4, threads_per_rank=2, cg_iters=4)
@@ -77,8 +76,7 @@ def _make_trace(quick: bool, vectorized: bool = True):
 
     def build():
         return Engine(MiniFE(cfg), cluster, cost,
-                      measurement=Measurement("tsc"),
-                      config=EngineConfig(vectorized=vectorized)).run().trace
+                      measurement=Measurement("tsc")).run().trace
 
     return build
 
@@ -102,32 +100,15 @@ def run_benchmarks(quick: bool = False, workers: int = 2,
     if session is None:
         session = _obs.ObsSession()
 
-    # Vectorized and legacy builds are timed in interleaved pairs and the
-    # speedup is the ratio of the two minima: interleaving means both
-    # minima are drawn from the same wall-clock window, so a machine-state
-    # shift (frequency step, noisy neighbour) cannot land between two
-    # sequential timing blocks and fake a regression, while taking minima
-    # keeps a single spiked repetition from poisoning the ratio.
-    build_legacy = _make_trace(quick, vectorized=False)
-    engine_pairs = max(repeats, 5)
-    engine_s = legacy_engine_s = float("inf")
-    for _ in range(engine_pairs):
-        engine_s = min(engine_s, _timed(session, "engine", build, 1))
-        legacy_engine_s = min(
-            legacy_engine_s, _timed(session, "engine_legacy", build_legacy, 1)
-        )
-    speedup = legacy_engine_s / engine_s
+    engine_s = _timed(session, "engine", build, max(repeats, 5))
     trace = build()
     n_events = trace.n_events
     log(f"engine:          {engine_s * 1e3:8.2f} ms "
-        f"({n_events / engine_s:,.0f} events/s, "
-        f"{speedup:.1f}x vs legacy heapq walk)")
+        f"({n_events / engine_s:,.0f} events/s)")
 
     results: Dict[str, Dict] = {
         "engine": {
             "seconds": engine_s,
-            "legacy_seconds": legacy_engine_s,
-            "speedup": speedup,
             "events": n_events,
             "events_per_sec": n_events / engine_s,
         },
@@ -376,7 +357,6 @@ def _bench_serve(quick: bool, log, session: "_obs.ObsSession",
 
 def compare_to_baseline(
     doc: Dict, baseline: Dict, threshold: float = 2.0,
-    min_engine_speedup: float = 0.0,
 ) -> List[str]:
     """Regressions of ``doc`` vs. ``baseline`` (empty list = all clear).
 
@@ -385,12 +365,6 @@ def compare_to_baseline(
     benchmark additions without invalidating old baselines.  Comparing a
     quick run against a full baseline (or vice versa) is meaningless --
     that mismatch is reported as the single problem instead.
-
-    ``min_engine_speedup`` additionally gates the *ratio* of the legacy
-    heapq engine to the vectorized engine measured in this very run.
-    Both sides see the same machine and the same load, so the ratio is
-    stable where absolute wall times are not -- CI uses it to pin the
-    engine's batch-drain speedup.
     """
     if doc.get("quick") != baseline.get("quick"):
         return [
@@ -408,18 +382,6 @@ def compare_to_baseline(
             problems.append(
                 f"{section}.{field}: {cur * 1e3:.2f} ms vs baseline "
                 f"{base * 1e3:.2f} ms (>{threshold:g}x)"
-            )
-    if min_engine_speedup > 0.0:
-        speedup = doc.get("results", {}).get("engine", {}).get("speedup")
-        if speedup is None:
-            problems.append(
-                "engine.speedup missing from results -- cannot check "
-                f"the >= {min_engine_speedup:g}x engine gate"
-            )
-        elif speedup < min_engine_speedup:
-            problems.append(
-                f"engine.speedup: vectorized engine only {speedup:.2f}x "
-                f"over the legacy walk (gate: >= {min_engine_speedup:g}x)"
             )
     return problems
 

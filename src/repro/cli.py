@@ -458,11 +458,6 @@ def main_bench(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--threshold", type=float, default=2.0,
                         help="regression factor that fails the gate "
                              "(default: %(default)s)")
-    parser.add_argument("--min-engine-speedup", type=float, default=0.0,
-                        metavar="X",
-                        help="fail unless the vectorized engine is at least "
-                             "X times faster than the legacy walk in this "
-                             "same run (0 disables; CI uses 1.5)")
     parser.add_argument("--workers", type=int, default=2,
                         help="worker count for the campaign benchmark "
                              "(default: %(default)s)")
@@ -491,22 +486,17 @@ def main_bench(argv: Optional[List[str]] = None) -> int:
         Path(args.compare_output).write_text(md)
         print(f"comparison table written to {args.compare_output}")
 
-    if args.baseline or args.min_engine_speedup > 0.0:
-        if args.baseline:
-            baseline = load_bench(Path(args.baseline))
-            if baseline is None:
-                print(f"cannot read baseline {args.baseline!r}")
-                return 2
-        else:
-            baseline = doc  # self-comparison: only the speedup gate applies
-        problems = compare_to_baseline(
-            doc, baseline, args.threshold,
-            min_engine_speedup=args.min_engine_speedup)
+    if args.baseline:
+        baseline = load_bench(Path(args.baseline))
+        if baseline is None:
+            print(f"cannot read baseline {args.baseline!r}")
+            return 2
+        problems = compare_to_baseline(doc, baseline, args.threshold)
         if problems:
             for p in problems:
                 print(f"REGRESSION {p}")
             return 1
-        print(f"no regressions vs {args.baseline or 'self'} "
+        print(f"no regressions vs {args.baseline} "
               f"(threshold {args.threshold:g}x)")
     return 0
 

@@ -20,7 +20,6 @@ this" findings, and both are modelled here:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from repro.machine.topology import Cluster
@@ -31,7 +30,10 @@ __all__ = ["MemoryModel", "CacheModel"]
 
 @dataclass
 class MemoryModel:
-    """Effective per-actor memory bandwidth on a NUMA domain.
+    """Bandwidth-contention parameters of the kernel roofline.
+
+    The engine splits a scope's bandwidth among its effective accessors
+    with them (the formula is in :mod:`repro.sim.costmodel`).
 
     Parameters
     ----------
@@ -49,37 +51,6 @@ class MemoryModel:
     cluster: Cluster
     per_core_bw_cap: float = 22.0e9
     contention_exponent: float = 1.0
-
-    def effective_accessors(self, pinned_actors: int, desync: float, solo_duration: float) -> float:
-        """Number of actors effectively competing for the domain.
-
-        ``pinned_actors`` actors would like to stream concurrently; they
-        start with a spread of ``desync`` seconds while a solo execution of
-        the phase takes ``solo_duration`` seconds.  Full overlap (desync=0)
-        means all compete; once the spread approaches the phase duration the
-        executions serialize naturally and stop competing.
-        """
-        check_nonnegative("pinned_actors", pinned_actors)
-        if pinned_actors <= 1:
-            return max(1.0, float(pinned_actors))
-        if solo_duration <= 0.0:
-            overlap = 1.0
-        else:
-            overlap = math.exp(-max(desync, 0.0) / solo_duration)
-        return 1.0 + (pinned_actors - 1) * overlap
-
-    def bandwidth_per_actor(
-        self,
-        numa_id: int,
-        pinned_actors: int,
-        desync: float = 0.0,
-        solo_duration: float = 0.0,
-    ) -> float:
-        """Bytes/s available to one actor of ``pinned_actors`` on the domain."""
-        domain = self.cluster.numa_domain(numa_id)
-        a_eff = self.effective_accessors(pinned_actors, desync, solo_duration)
-        share = domain.mem_bandwidth / (a_eff**self.contention_exponent)
-        return min(share, self.per_core_bw_cap)
 
 
 @dataclass

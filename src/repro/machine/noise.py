@@ -106,8 +106,9 @@ class _FactorBuffer:
     bitwise in the engine equivalence tests).  Prefetching only moves
     the *raw* bit-generator position ahead; the injector-visible factor
     sequence -- the only thing consumed anywhere -- is unchanged, which
-    keeps legacy and vectorized engine runs interchangeable in any
-    order on a shared :class:`NoiseModel`.
+    keeps the engine's prebound ``pop`` draws (:mod:`repro.sim.fastpath`)
+    and per-call :meth:`CpuNoise.factor`/:meth:`MemoryNoise.factor`
+    callers interchangeable in any order on a shared :class:`NoiseModel`.
     """
 
     __slots__ = ("_rng", "_mu", "_sigma", "_vals")

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from itertools import chain
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.measure.config import validate_mode
 from repro.measure.filtering import FilterRules
@@ -28,12 +28,10 @@ class Measurement:
     objects: every location owns one buffer, a flat list holding each
     event's kind, region, timestamp, work delta, aux payload and enter
     time back to back (:data:`RECORD_WIDTH` entries in ``Ev`` argument
-    order).  The engine's emission sites extend it directly through
-    :meth:`sinks`; :meth:`record` takes an ``Ev`` where the caller has
-    one (the legacy drain, and every event while an online sanitizer
-    observes the stream).  :meth:`finish` converts the buffers into the
-    :class:`~repro.measure.columnar.TraceColumns` of a column-backed
-    :class:`RawTrace` and releases them.
+    order).  The engine's emission sites append to it through
+    :meth:`sinks`, the only way in.  :meth:`finish` converts the buffers
+    into the :class:`~repro.measure.columnar.TraceColumns` of a
+    column-backed :class:`RawTrace` and releases them.
     """
 
     def __init__(
@@ -101,17 +99,27 @@ class Measurement:
             )
         self._engine = engine
 
-    def sinks(self) -> Optional[List]:
-        """Per location, the ``extend`` method of its buffer.
+    def sinks(self) -> List[Callable[[tuple], None]]:
+        """Per location, the callable that records its events.
 
         Emission sites pass it one event's fields as a tuple, ``(etype,
         region, t, delta, aux, t_enter)``, or several events' fields back
-        to back, instead of calling :meth:`record`.  ``None`` while an
-        online sanitizer must observe every event.
+        to back.  Without an online sanitizer it is the buffer's
+        ``extend``; with one, it first shows the sanitizer every event of
+        the tuple, in order, and then appends them.
         """
-        if self._sanitizer is not None:
-            return None
-        return [buf.extend for buf in self._buffers]
+        if self._sanitizer is None:
+            return [buf.extend for buf in self._buffers]
+        observe = self._sanitizer.observe
+
+        def observed(loc: int, extend):
+            def sink(fields: tuple) -> None:
+                for j in range(0, len(fields), RECORD_WIDTH):
+                    observe(loc, Ev(*fields[j:j + RECORD_WIDTH]))
+                extend(fields)
+            return sink
+
+        return [observed(loc, buf.extend) for loc, buf in enumerate(self._buffers)]
 
     def mark(self) -> List[int]:
         """Snapshot of per-location event counts (a checkpoint mark)."""
@@ -129,13 +137,6 @@ class Measurement:
             )
         for buf, n in zip(self._buffers, mark):
             del buf[n * RECORD_WIDTH:]
-
-    def record(self, loc: int, ev: Ev) -> None:
-        """Append one event's fields to location ``loc``'s buffer."""
-        if self._sanitizer is not None:
-            self._sanitizer.observe(loc, ev)
-        self._buffers[loc].extend(
-            (ev.etype, ev.region, ev.t, ev.delta, ev.aux, ev.t_enter))
 
     def finish(self, runtime: float) -> RawTrace:
         """Build the RawTrace at the end of the run."""

@@ -8,9 +8,24 @@ Table I: counting instrumentation costs ~100 % in the latency/compute-bound
 MiniFE initialization but is completely hidden in the memory-bound CG
 solver ("overhead in the solver phase is negligible").
 
-Memory time sees bandwidth contention with a desynchronization credit
-(:class:`repro.machine.memory.MemoryModel`) and a cache-capacity bonus
-(:class:`repro.machine.memory.CacheModel`).
+Memory time is ``t_mem = bytes / bw``, where each actor's bandwidth
+``bw`` is its scope's DRAM bandwidth split among ``a_eff`` effective
+accessors (``bw = min(scope_bw / a_eff**e, per_core_cap)``), times a
+cache-capacity bonus (:class:`repro.machine.memory.CacheModel`) and a
+cross-socket penalty for teams spanning both sockets.  Own-team threads
+overlap fully; threads of other ranks on the scope count with a
+desynchronization credit:
+``a_eff = team + others * exp(-desync / t_solo) * relief``, where
+``relief`` (:attr:`ComputeContext.overlap_factor`) only applies to
+socket-scope kernels.  Additive (latency-bound) kernels take
+``t_flops + t_extra + t_mem * relief`` instead of the ``max``.  Noise
+multiplies the bandwidth (per NUMA domain) and the result (kernel
+jitter, CPU factor), then adds OS detours.
+
+The engine prices kernels through per-site caches
+(:mod:`repro.sim.fastpath`) that replay this formula bit for bit;
+``tests/oracles.kernel_time`` is its executable reference, priced call
+by call.
 
 The spin-rate constants govern what the simulated instruction counter sees
 during waiting:
@@ -30,13 +45,10 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from repro.machine.memory import CacheModel, MemoryModel
 from repro.machine.noise import NoiseModel
 from repro.machine.topology import Cluster
 from repro.sim.kernels import KernelSpec
-from repro.util.validation import check_nonnegative
 
 __all__ = ["ComputeContext", "CostModel", "OmpCostModel"]
 
@@ -73,7 +85,12 @@ class ComputeContext:
 
 
 class CostModel:
-    """Turns (kernel, units, context) into noisy virtual seconds."""
+    """The machine's physical cost parameters plus its noise model.
+
+    Holds what pricing a kernel needs (memory and cache models, the
+    cross-socket penalty, the noise model) and the spin rates at which
+    waiting inside MPI and OpenMP retires instructions.
+    """
 
     def __init__(
         self,
@@ -103,97 +120,6 @@ class CostModel:
             domains = [d for d in self.cluster.numa_domains if d.socket_id == ctx.socket_id]
             return sum(d.mem_bandwidth for d in domains)
         return self.cluster.numa_domain(ctx.numa_id).mem_bandwidth
-
-    def _effective_accessors(
-        self, ctx: ComputeContext, solo_duration: float, overlap_mult: float = 1.0
-    ) -> float:
-        """Own team overlaps fully; other ranks' threads get a desync credit.
-
-        ``overlap_mult`` carries the measurement-induced desynchronisation
-        relief; callers pass it only for kernels on *shared* (socket-scope)
-        memory paths, where the Afzal lockstep effect applies.
-        """
-        team = max(1, ctx.team_actors)
-        if ctx.other_actors <= 0:
-            return float(team)
-        if solo_duration <= 0.0:
-            overlap = 1.0
-        else:
-            overlap = math.exp(-max(ctx.desync, 0.0) / solo_duration)
-        overlap *= min(1.0, max(0.0, overlap_mult))
-        return team + ctx.other_actors * overlap
-
-    # -- kernel pricing ---------------------------------------------------
-    def kernel_time(
-        self,
-        kernel: KernelSpec,
-        units: float,
-        ctx: ComputeContext,
-        extra_flop_time: float = 0.0,
-        noisy: bool = True,
-    ) -> float:
-        """Seconds for ``units`` units of ``kernel`` under ``ctx``.
-
-        ``extra_flop_time`` is instrumentation time added to the compute
-        side of the roofline (hidden when the kernel is memory-bound).
-        """
-        check_nonnegative("units", units)
-        check_nonnegative("extra_flop_time", extra_flop_time)
-        t_flops = units * kernel.flops_per_unit / self.cluster.flops_per_core
-        nbytes = units * kernel.bytes_per_unit
-
-        if nbytes <= 0.0 or kernel.memory_scope == "none":
-            base = t_flops + extra_flop_time
-        else:
-            cache_factor = self.cache.bandwidth_factor(
-                ctx.cache_working_set, ctx.cache_extra_footprint
-            )
-            scope_bw = self._scope_bandwidth(kernel, ctx)
-            solo_bw = min(self.memory.per_core_bw_cap, scope_bw) * cache_factor
-            solo = nbytes / solo_bw if kernel.additive else max(t_flops, nbytes / solo_bw)
-            relief = ctx.overlap_factor if kernel.memory_scope == "socket" else 1.0
-            a_eff = self._effective_accessors(ctx, solo, overlap_mult=relief)
-            per_actor_bw = min(
-                scope_bw / (a_eff**self.memory.contention_exponent),
-                self.memory.per_core_bw_cap,
-            )
-            per_actor_bw *= cache_factor
-            if ctx.team_cross_socket:
-                per_actor_bw *= self.cross_socket_factor
-            if noisy and self.noise is not None:
-                per_actor_bw *= self.noise.memory.factor(ctx.numa_id)
-            t_mem = nbytes / per_actor_bw
-            if kernel.additive:
-                # Latency-bound phases on a *shared* (socket-scope) memory
-                # path benefit directly from measurement-induced
-                # desynchronisation -- less lockstep traffic on the shared
-                # cache/directory shortens the memory-stall part.  This
-                # encodes the Afzal effect the paper cites to explain its
-                # *negative* overheads (Fig. 2).  NUMA-private additive
-                # kernels (LULESH's gather/scatter loops) see no relief.
-                base = t_flops + extra_flop_time + t_mem * relief
-            else:
-                base = max(t_flops + extra_flop_time, t_mem)
-
-        if noisy and self.noise is not None:
-            if kernel.jitter > 0.0:
-                rng = self.noise.rngs.get(
-                    "kernel-jitter", rank=ctx.rank, thread=ctx.thread
-                )
-                base *= float(np.exp(rng.normal(-0.5 * kernel.jitter**2, kernel.jitter)))
-            return self.noise.compute_time(ctx.rank, ctx.thread, base)
-        return base
-
-    # -- instruction accrual ----------------------------------------------
-    def mpi_wait_instructions(self, seconds: float) -> float:
-        """Instructions retired while busy-polling inside MPI."""
-        check_nonnegative("seconds", seconds)
-        return self.mpi_spin_instr_per_sec * seconds
-
-    def omp_wait_instructions(self, seconds: float) -> float:
-        """Instructions retired while waiting at an OpenMP barrier."""
-        check_nonnegative("seconds", seconds)
-        return self.omp_spin_instr_per_sec * seconds
 
 
 @dataclass

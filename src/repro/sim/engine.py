@@ -42,6 +42,7 @@ sanitizer.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from collections import deque
 from dataclasses import dataclass, field
@@ -53,10 +54,8 @@ from repro.machine.network import CollectiveCostModel, NetworkModel
 from repro.machine.topology import Cluster
 from repro.sim import actions as A
 from repro.sim.costmodel import ComputeContext, CostModel, OmpCostModel
-from repro.sim.equeue import SoAEventQueue
 from repro.sim.fastpath import FastPath
 from repro.sim.events import (
-    BURST,
     COLL_END,
     ENTER,
     FAULT,
@@ -64,20 +63,13 @@ from repro.sim.events import (
     MPI_RECV,
     MPI_SEND,
     RESTART,
-    Ev,
     Paradigm,
     RegionRegistry,
 )
 from repro.sim.kernels import EMPTY_DELTA, KernelSpec, WorkDelta
-from repro.sim.openmp import execute_parallel_for
 from repro.sim.program import Program, ProgramContext
 
 __all__ = ["Engine", "SimResult", "EngineConfig", "SimCrashError", "RestartPlan"]
-
-#: scheduler-step outcomes (identity-compared sentinels)
-_DONE = object()  # rank generator exhausted
-_PARKED = object()  # blocked, or resumed (re-queued) during its own dispatch
-_RUNNABLE = object()  # still runnable; caller decides slice vs re-queue
 
 
 @dataclass
@@ -88,10 +80,6 @@ class EngineConfig:
     eager_copy_bandwidth: float = 8.0e9  # bytes/s memcpy into the eager buffer
     checkpoint_write_bandwidth: float = 2.0e9  # bytes/s per rank to stable storage
     omp: OmpCostModel = field(default_factory=OmpCostModel)
-    #: Use the batch/cached hot path (SoA scheduler queue, per-site cost
-    #: caches, run-slicing, direct emission).  Bit-identical to the legacy
-    #: per-event path, which remains available as the ``False`` oracle.
-    vectorized: bool = True
 
 
 class SimCrashError(RuntimeError):
@@ -346,8 +334,10 @@ class Engine:
 
         # Runtime state.
         self._ranks: Dict[int, _RankState] = {}
-        self._heap: List[Tuple[float, int, int, int]] = []  # (t, seq, rank, epoch)
-        self._seq = 0
+        #: scheduler wake-ups (t, seq, rank, epoch); seq breaks time ties
+        #: first-pushed first
+        self._heap: List[Tuple[float, int, int, int]] = []
+        self._seq = itertools.count()
         self._channels: Dict[Tuple[int, int, int], Dict[str, deque]] = {}
         #: (dst, tag) -> parked ANY_SOURCE receives, in posting order
         self._any_recvs: Dict[Tuple[int, int], deque] = {}
@@ -390,7 +380,7 @@ class Engine:
         self._c_coll = obs.counter("sim.collectives_completed")
         self._c_blocks = obs.counter("sim.rank_blocks")
         self._h_msg_bytes = obs.histogram("sim.message_bytes")
-        # actions dispatched per scheduler run-slice (SoA queue drain)
+        # actions dispatched per scheduler run-slice
         self._h_drain_batch = obs.histogram(
             "sim.drain_batch_size",
             bounds=(1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0,
@@ -409,21 +399,12 @@ class Engine:
             rank_sockets.setdefault(r, set()).add(core.socket_id)
         self._rank_spans_sockets = {r: len(s) > 1 for r, s in rank_sockets.items()}
 
-        # Vectorized hot path: SoA scheduler queue + per-site cost caches.
-        # Built last -- FastPath binds the measurement's buffers and the
-        # contention tables above.
-        if self.config.vectorized:
-            self._fast = FastPath(self)
-            self._equeue = SoAEventQueue(self.pinning.ranks)
-            # Direct emission for the whole engine (not just the fast-path
-            # dispatchers): each site extends its location's buffer with
-            # the event's fields, equivalent to measurement.record()
-            # whenever no online sanitizer needs to observe each event.
-            self._sinks = self._fast._sinks
-        else:
-            self._fast = None
-            self._equeue = None
-            self._sinks = None
+        # Emission: per location, the measurement's sink, which takes one
+        # or more events' fields (unused in reference runs).
+        self._sinks = measurement.sinks() if measurement is not None else None
+        # Per-site cost caches for compute-shaped actions.  Built last --
+        # FastPath binds the sinks and the contention tables above.
+        self._fast = FastPath(self)
 
     # ------------------------------------------------------------------
     # identifiers and emission
@@ -431,36 +412,21 @@ class Engine:
     def loc_id(self, rank: int, thread: int) -> int:
         return self._loc_base[rank] + thread
 
-    def next_omp_id(self) -> int:
-        self._next_omp += 1
-        return self._next_omp - 1
-
     def emit(self, loc: int, etype: int, region: int, t: float,
              delta: WorkDelta = EMPTY_DELTA, aux=None,
              t_enter: float = 0.0) -> None:
-        """Record an event from its :class:`Ev` fields (no-op in reference
-        runs and during ghost replay)."""
-        if not self._live:
-            return
-        self._n_events += 1
-        sinks = self._sinks
-        if sinks is not None:
-            sinks[loc]((etype, region, t, delta, aux, t_enter))
-        elif self.measurement is not None:
-            self.measurement.record(loc, Ev(etype, region, t, delta, aux, t_enter))
+        """Record an event from its :class:`Ev` fields (instrumented runs
+        only; a no-op during ghost replay)."""
+        if self._live:
+            self._n_events += 1
+            self._sinks[loc]((etype, region, t, delta, aux, t_enter))
 
     def emit_master(self, rank: _RankState, etype: int, region: int, t: float,
                     delta: WorkDelta = EMPTY_DELTA, aux=None) -> None:
-        # inlined emit() body: this is the hottest emission entry point
-        if not self._live:
-            return
-        self._n_events += 1
-        sinks = self._sinks
-        if sinks is not None:
-            sinks[self._loc_base[rank.rank]]((etype, region, t, delta, aux, 0.0))
-        elif self.measurement is not None:
-            self.measurement.record(self._loc_base[rank.rank],
-                                    Ev(etype, region, t, delta, aux))
+        """:meth:`emit` on ``rank``'s master thread."""
+        if self._live:
+            self._n_events += 1
+            self._sinks[self._loc_base[rank.rank]]((etype, region, t, delta, aux, 0.0))
 
     def count_cost(self, delta: WorkDelta) -> float:
         if self.measurement is None:
@@ -556,12 +522,7 @@ class Engine:
         # Epoch 0: a crash before the first checkpoint restarts from t=0.
         self._apply_restarts(0)
 
-        n_ranks = len(self._ranks)
-        if self._equeue is not None:
-            n_done = self._drain_vectorized()
-        else:
-            n_done = self._drain_legacy()
-        if n_done != n_ranks:
+        if self._drain() != len(self._ranks):
             raise self._deadlock_error()
 
         runtime = max(self._rank_time.values()) if self._rank_time else 0.0
@@ -573,8 +534,7 @@ class Engine:
         trace = self.measurement.finish(runtime) if self.measurement is not None else None
         obs.counter("sim.events_emitted").add(self._n_events)
         obs.counter("sim.runs").inc()
-        if self._fast is not None:
-            self._fast.flush_metrics()
+        self._fast.flush_metrics()
         return SimResult(
             runtime=runtime,
             phase_times=phases,
@@ -611,150 +571,107 @@ class Engine:
         )
         return RuntimeError(format_diagnostics(diags, header=header))
 
-    def _drain_legacy(self) -> int:
-        """Legacy oracle scheduler: heapq of (t, seq, rank, epoch) tuples."""
-        n_done = 0
-        c_steps = self._c_steps
-        c_stale = self._c_stale
-        while self._heap:
-            t, _seq, r, epoch = heapq.heappop(self._heap)
-            state = self._ranks[r]
-            if state.done or state.blocked or epoch != state.epoch:
-                c_stale.inc()
-                continue
-            c_steps.inc()
-            if self._step(state):
-                n_done += 1
-        return n_done
+    def _drain(self) -> int:
+        """Run the ranks in virtual-time order; returns how many finished.
 
-    def _drain_vectorized(self) -> int:
-        """SoA scheduler with run-slicing.
-
-        After each step, if the rank's new time is still *strictly* earlier
-        than every queued wake-up it keeps running without a queue round-
-        trip -- exactly the entry the legacy heap would pop next, because
-        a fresh push carries the largest sequence number and loses every
-        ``(t, seq)`` tie to an already-queued entry.
+        Wake-ups wait in a heap of ``(t, seq, rank, epoch)``.  A popped
+        rank runs a *slice*: it keeps stepping while its time is
+        *strictly* earlier than every queued wake-up, because the entry a
+        push would add is then exactly the one the next pop returns (a
+        fresh push carries the largest ``seq`` and loses every ``(t, seq)``
+        tie to an entry already queued).  A resume bumps the rank's epoch,
+        so an entry pushed before it is stale and skipped when popped; a
+        stale head only ends a slice early, which changes no order.
         """
-        if self._crashes:
-            # Fault injection needs the per-step crash check; take the
-            # uninlined path (its sites bypass the shared cache anyway).
-            return self._drain_vectorized_careful()
-        q = self._equeue
+        heap = self._heap
+        pop = heapq.heappop
+        push_pop = heapq.heappushpop
+        next_seq = self._seq.__next__
         ranks = self._ranks
-        pop = q.pop
-        peek = q.peek_t
-        push_pop = q.push_pop
-        dispatch = self._dispatch
+        rt = self._rank_time
+        crashes = self._crashes
         fast = self._fast
-        pfor_fn = fast.parallel_for if fast is not None else None
-        compute_fn = fast.do_compute if fast is not None else None
-        burst_fn = fast.do_burst if fast is not None else None
+        pfor_fn = fast.parallel_for
+        compute_fn = fast.do_compute
+        burst_fn = fast.do_burst
         enter_fn = self._do_enter
         leave_fn = self._do_leave
-        rt = self._rank_time
+        dispatch = self._dispatch
         _PFOR, _COMP, _BURST = A.ParallelFor, A.Compute, A.CallBurst
         _ENTER, _LEAVE = A.Enter, A.Leave
         observe_batch = self._h_drain_batch.observe
         n_done = 0
         n_steps = 0
         n_stale = 0
-        nxt = pop()
-        while nxt is not None:
-            _t, r, epoch = nxt
-            state = ranks[r]
-            if state.done or state.blocked or epoch != state.epoch:
-                n_stale += 1
-                nxt = pop()
-                continue
-            gen_send = state.gen.send
-            slice_start = n_steps
-            while True:
-                # inlined _step_core (sans crash check: none are armed)
-                n_steps += 1
-                try:
-                    action = gen_send(state.pending_result)
-                except StopIteration:
-                    state.done = True
-                    rt[r] = state.t
-                    n_done += 1
-                    nxt = pop()
+        nxt = pop(heap) if heap else None
+        try:
+            while nxt is not None:
+                r = nxt[2]
+                state = ranks[r]
+                if state.done or state.blocked or nxt[3] != state.epoch:
+                    n_stale += 1
+                    nxt = pop(heap) if heap else None
+                    continue
+                gen_send = state.gen.send
+                slice_start = n_steps
+                while True:
+                    n_steps += 1
+                    if crashes:
+                        cp = crashes.get(r)
+                        if cp is not None and (
+                            state.n_actions >= cp.at
+                            if cp.trigger == "progress"
+                            else state.t >= cp.at
+                        ):
+                            # Fail-stop: consume the crash point (it fires
+                            # once across all recovery attempts) and abort
+                            # the whole run.
+                            del crashes[r]
+                            self._c_crashes.inc()
+                            raise SimCrashError(cp, self._ckpt_count, max(rt.values()))
+                    try:
+                        action = gen_send(state.pending_result)
+                    except StopIteration:
+                        state.done = True
+                        rt[r] = state.t
+                        n_done += 1
+                        nxt = pop(heap) if heap else None
+                        break
+                    state.pending_result = None
+                    state.n_actions += 1
+                    epoch_before = state.epoch
+                    cls = type(action)
+                    if cls is _PFOR:
+                        pfor_fn(state, action)
+                    elif cls is _COMP:
+                        compute_fn(state, action)
+                    elif cls is _BURST:
+                        burst_fn(state, action)
+                    elif cls is _ENTER:
+                        enter_fn(state, action.region)
+                    elif cls is _LEAVE:
+                        leave_fn(state, action.region)
+                    else:
+                        dispatch(state, action)
+                    t = state.t
+                    if t > rt[r]:
+                        rt[r] = t
+                    if not state.blocked and not state.done and state.epoch == epoch_before:
+                        if not heap or t < heap[0][0]:
+                            continue  # still the earliest: slice on
+                        nxt = push_pop(heap, (t, next_seq(), r, state.epoch))
+                        break
+                    # parked, or resumed (re-queued) during its own dispatch
+                    nxt = pop(heap) if heap else None
                     break
-                state.pending_result = None
-                state.n_actions += 1
-                epoch_before = state.epoch
-                cls = type(action)
-                if pfor_fn is not None and cls is _PFOR:
-                    pfor_fn(state, action)
-                elif compute_fn is not None and cls is _COMP:
-                    compute_fn(state, action)
-                elif burst_fn is not None and cls is _BURST:
-                    burst_fn(state, action)
-                elif cls is _ENTER:
-                    enter_fn(state, action.region)
-                elif cls is _LEAVE:
-                    leave_fn(state, action.region)
-                else:
-                    dispatch(state, action)
-                t = state.t
-                if t > rt[r]:
-                    rt[r] = t
-                if not state.blocked and not state.done and state.epoch == epoch_before:
-                    if t < peek():
-                        continue  # still the earliest: slice on
-                    nxt = push_pop(r, t, state.epoch)
-                    break
-                nxt = pop()
-                break
-            observe_batch(n_steps - slice_start)
-        self._c_steps.inc(n_steps)
-        self._c_stale.inc(n_stale)
-        return n_done
-
-    def _drain_vectorized_careful(self) -> int:
-        """SoA drain with the full per-step path (crash points armed)."""
-        q = self._equeue
-        ranks = self._ranks
-        c_steps = self._c_steps
-        c_stale = self._c_stale
-        step = self._step_core
-        pop = q.pop
-        peek = q.peek_t
-        push = self._push
-        observe_batch = self._h_drain_batch.observe
-        n_done = 0
-        while True:
-            nxt = pop()
-            if nxt is None:
-                break
-            _t, r, epoch = nxt
-            state = ranks[r]
-            if state.done or state.blocked or epoch != state.epoch:
-                c_stale.inc()
-                continue
-            n_slice = 0
-            while True:
-                c_steps.inc()
-                n_slice += 1
-                res = step(state)
-                if res is _RUNNABLE:
-                    if state.t < peek():
-                        continue  # still the earliest: slice on
-                    push(state)
-                    break
-                if res is _DONE:
-                    n_done += 1
-                break
-            observe_batch(n_slice)
+                observe_batch(n_steps - slice_start)
+        finally:
+            self._c_steps.inc(n_steps)
+            self._c_stale.inc(n_stale)
         return n_done
 
     def _push(self, state: _RankState) -> None:
-        eq = self._equeue
-        if eq is not None:
-            eq.push(state.rank, state.t, state.epoch)
-            return
-        self._seq += 1
-        heapq.heappush(self._heap, (state.t, self._seq, state.rank, state.epoch))
+        heapq.heappush(self._heap, (state.t, next(self._seq), state.rank, state.epoch))
 
     def _resume(self, state: _RankState, t: float, result: Any = None) -> None:
         state.t = t
@@ -765,82 +682,22 @@ class Engine:
         self._rank_time[state.rank] = t
         self._push(state)
 
-    def _step(self, state: _RankState) -> bool:
-        """Advance one action; returns True when the rank finished."""
-        res = self._step_core(state)
-        if res is _DONE:
-            return True
-        if res is _RUNNABLE:
-            self._push(state)
-        return False
-
-    def _step_core(self, state: _RankState):
-        """Advance one action; returns a scheduler-outcome sentinel.
-
-        ``_RUNNABLE`` means the rank may act again and was *not* re-queued
-        (the caller decides: legacy pushes, the vectorized drain may slice).
-        ``_PARKED`` covers both blocking and a resume during the rank's own
-        dispatch (e.g. last rank into a collective) -- in the latter case
-        ``_resume`` already re-queued it under a new epoch.
-        """
-        if self._crashes:
-            cp = self._crashes.get(state.rank)
-            if cp is not None and (
-                state.n_actions >= cp.at
-                if cp.trigger == "progress"
-                else state.t >= cp.at
-            ):
-                # Fail-stop: consume the crash point (it fires once across
-                # all recovery attempts) and abort the whole run.
-                del self._crashes[state.rank]
-                self._c_crashes.inc()
-                t_crash = max(self._rank_time.values()) if self._rank_time else state.t
-                raise SimCrashError(cp, self._ckpt_count, t_crash)
-        try:
-            action = state.gen.send(state.pending_result)
-        except StopIteration:
-            state.done = True
-            self._rank_time[state.rank] = state.t
-            return _DONE
-        state.pending_result = None
-        state.n_actions += 1
-        epoch_before = state.epoch
-        self._dispatch(state, action)
-        rt = self._rank_time
-        if state.t > rt[state.rank]:
-            rt[state.rank] = state.t
-        if not state.blocked and not state.done and state.epoch == epoch_before:
-            return _RUNNABLE
-        return _PARKED
-
     # ------------------------------------------------------------------
     # action dispatch
     # ------------------------------------------------------------------
     def _dispatch(self, state: _RankState, action) -> None:
+        """Execute one action (:meth:`_drain` inlines the first five)."""
         cls = type(action)
-        fast = self._fast
-        if fast is not None:
-            # Cached-statics fast path for the three compute-shaped
-            # actions (bit-identical to the legacy branches below).
-            if cls is A.ParallelFor:
-                fast.parallel_for(state, action)
-                return
-            if cls is A.Compute:
-                fast.do_compute(state, action)
-                return
-            if cls is A.CallBurst:
-                fast.do_burst(state, action)
-                return
-        if cls is A.Compute:
-            self._do_compute(state, action)
-        elif cls is A.ParallelFor:
-            execute_parallel_for(self, state, action)
+        if cls is A.ParallelFor:
+            self._fast.parallel_for(state, action)
+        elif cls is A.Compute:
+            self._fast.do_compute(state, action)
+        elif cls is A.CallBurst:
+            self._fast.do_burst(state, action)
         elif cls is A.Enter:
             self._do_enter(state, action.region)
         elif cls is A.Leave:
             self._do_leave(state, action.region)
-        elif cls is A.CallBurst:
-            self._do_burst(state, action)
         elif cls is A.Send:
             self._do_send(state, action, blocking=True)
         elif cls is A.Recv:
@@ -866,8 +723,8 @@ class Engine:
         """Per-run cache of (is_phase, rid-or-None) for Enter/Leave.
 
         ``rid`` is ``None`` when the region is filtered or there is no
-        measurement; it is interned lazily so region-id assignment keeps
-        the legacy first-ENTER order.  The cache is per-engine (one run),
+        measurement; it is interned lazily so region ids follow the
+        first-ENTER order.  The cache is per-engine (one run),
         so rebuilding filter rules *between* runs behaves as before;
         mutating them mid-run is not supported.
         """
@@ -895,12 +752,7 @@ class Engine:
         state.pending_delta = EMPTY_DELTA
         if self._live:
             self._n_events += 1
-            sinks = self._sinks
-            if sinks is not None:
-                sinks[self._loc_base[state.rank]]((ENTER, rid, state.t, d, None, 0.0))
-            else:
-                self.measurement.record(
-                    self._loc_base[state.rank], Ev(ENTER, rid, state.t, d))
+            self._sinks[self._loc_base[state.rank]]((ENTER, rid, state.t, d, None, 0.0))
         state.t += self.ev_cost
 
     def _do_leave(self, state: _RankState, region: Optional[str]) -> None:
@@ -924,49 +776,8 @@ class Engine:
         state.pending_delta = EMPTY_DELTA
         if self._live:
             self._n_events += 1
-            sinks = self._sinks
-            if sinks is not None:
-                sinks[self._loc_base[state.rank]]((LEAVE, rid, state.t, d, None, 0.0))
-            else:
-                self.measurement.record(
-                    self._loc_base[state.rank], Ev(LEAVE, rid, state.t, d))
+            self._sinks[self._loc_base[state.rank]]((LEAVE, rid, state.t, d, None, 0.0))
         state.t += self.ev_cost
-
-    # -- computation ------------------------------------------------------
-    def _do_compute(self, state: _RankState, action: A.Compute) -> None:
-        delta = action.kernel.scaled_counts(action.units).without_omp_iters()
-        extra = self.count_cost(delta)
-        ctx = self.compute_context(state.rank, 0, action.kernel)
-        dur = self.cost.kernel_time(action.kernel, action.units, ctx, extra_flop_time=extra)
-        state.t += dur * self.compute_scale(state.rank, 0)
-        state.add_delta(delta)
-
-    def _do_burst(self, state: _RankState, action: A.CallBurst) -> None:
-        delta = action.kernel.scaled_counts(action.units).without_omp_iters()
-        extra = self.count_cost(delta)
-        ctx = self.compute_context(state.rank, 0, action.kernel)
-        dur = self.cost.kernel_time(action.kernel, action.units, ctx, extra_flop_time=extra)
-        dur *= self.compute_scale(state.rank, 0)
-        t0 = state.t
-        if self.measurement is not None and not self._filtered(action.region):
-            per_call = self.measurement.event_cost()
-            dur += 2.0 * action.calls * per_call
-            rid = self.regions.intern(action.region)
-            full = WorkDelta(
-                omp_iters=0.0,
-                bb=delta.bb,
-                stmt=delta.stmt,
-                instr=delta.instr,
-                burst_calls=action.calls,
-            ) + state.flush_delta()
-            state.t = t0 + dur
-            self.emit(self.loc_id(state.rank, 0), BURST, rid, state.t, full,
-                      t_enter=t0)
-        else:
-            # Filtered: the work still runs (and still pays counting
-            # instrumentation) but merges into the enclosing region.
-            state.t = t0 + dur
-            state.add_delta(delta)
 
     # -- MPI point-to-point ------------------------------------------------
     def _channel(self, src: int, dst: int, tag: int) -> Dict[str, deque]:
@@ -1037,12 +848,7 @@ class Engine:
             state.pending_delta = EMPTY_DELTA
             if self._live:
                 self._n_events += 1
-                sinks = self._sinks
-                if sinks is not None:
-                    sinks[self._loc_base[state.rank]]((ENTER, rid, state.t, d, None, 0.0))
-                else:
-                    self.measurement.record(
-                        self._loc_base[state.rank], Ev(ENTER, rid, state.t, d))
+                self._sinks[self._loc_base[state.rank]]((ENTER, rid, state.t, d, None, 0.0))
             state.t += self.ev_cost
         return rid
 
@@ -1051,20 +857,14 @@ class Engine:
         state.t = t_end
         if self.measurement is not None:
             if self._live:
-                # == cost.mpi_wait_instructions(max(0, dt)) + library const
+                # busy-polling MPI retires instructions while it waits
                 dt = t_end - t_begin
                 if dt < 0.0:
                     dt = 0.0
                 instr = self._mpi_spin * dt + self._mpi_lib_instr
                 self._n_events += 1
-                sinks = self._sinks
-                if sinks is not None:
-                    sinks[self._loc_base[state.rank]](
-                        (LEAVE, rid, t_end, WorkDelta(instr=instr), None, 0.0))
-                else:
-                    self.measurement.record(
-                        self._loc_base[state.rank],
-                        Ev(LEAVE, rid, t_end, WorkDelta(instr=instr)))
+                self._sinks[self._loc_base[state.rank]](
+                    (LEAVE, rid, t_end, WorkDelta(instr=instr), None, 0.0))
             state.t = t_end + self.ev_cost
         self._rank_time[state.rank] = state.t
 
@@ -1093,8 +893,8 @@ class Engine:
         site_key = (state.rank, action)
         site = self._send_cache.get(site_key)
         if site is None:
-            # (sums stay unfolded at use sites: float adds must keep the
-            # legacy association to remain bit-identical)
+            # (sums stay unfolded at use sites: re-associating the float
+            # adds would move trace bits)
             site = (
                 self.network.is_eager(nbytes),
                 self.network.transfer_time(
@@ -1451,7 +1251,6 @@ class Engine:
             for r in ranks:
                 st = states[r]
                 rid = rids[r]
-                # == cost.mpi_wait_instructions(max(0, wait)) + lib * rep
                 instr = spin * max(0.0, completion - enters[r]) + lib_instr
                 self.emit_master(st, COLL_END, rid, completion,
                                  WorkDelta(instr=instr, burst_calls=extra_bc), aux)

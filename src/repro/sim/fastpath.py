@@ -1,36 +1,39 @@
-"""Cached-statics fast path for the vectorized engine.
+"""Cached-statics fast path: the engine's compute-shaped actions.
 
-The legacy hot path re-derives, on every dispatched compute action, a
-chain of values that are constant for the lifetime of a run: the work
-delta of the kernel at a fixed unit count, the counting-instrumentation
-cost of that delta, the contention context of the executing core, and
-the long multiplication prefix of the roofline bandwidth term.  This
-module caches all of it per *site* -- a ``(rank, action)`` pair for
-serial compute and call bursts, a ``(rank, ParallelFor)`` pair for
-OpenMP constructs -- and prebinds the per-location noise generators so
-that a steady-state dispatch performs only the irreducible work: the
-noise draws, the dynamic desynchronisation term, and the event appends.
+Pricing a compute action call by call re-derives a chain of values that
+are constant for the lifetime of a run: the work delta of the kernel at
+a fixed unit count, the counting-instrumentation cost of that delta, the
+contention context of the executing core, and the long multiplication
+prefix of the roofline bandwidth term.  This module caches all of it per
+*site* -- a ``(rank, action)`` pair for serial compute and call bursts,
+a ``(rank, ParallelFor)`` pair for OpenMP constructs -- and prebinds the
+per-location noise generators so that a steady-state dispatch performs
+only the irreducible work: the noise draws, the dynamic
+desynchronisation term, and the event appends.
 
 Bit-identity contract
 ---------------------
-The fast path must produce *byte-identical* traces to the legacy path
-(``EngineConfig.vectorized = False``), which constrains every shortcut:
+The fast path must produce *byte-identical* traces to pricing each call
+from scratch -- the roofline of :mod:`repro.sim.costmodel`, whose
+executable reference is ``tests/oracles.kernel_time``, driven by the
+per-event ``tests/oracles.HeapEngine`` -- which constrains every
+shortcut:
 
 * Floating-point expressions are cached only along the exact operation
-  order of the legacy code.  A cached prefix ``p = (min(...) * cf) * xf``
+  order of the reference.  A cached prefix ``p = (min(...) * cf) * xf``
   multiplied by a per-call noise factor performs the same multiplication
-  sequence as the legacy loop, so the bits match.  Nothing is re-
+  sequence as the per-call formula, so the bits match.  Nothing is re-
   associated, and Python ``sum()``/``max()`` are never replaced by numpy
   reductions where the reduction order could differ.
-* Random draws replicate the legacy order and arithmetic exactly: the
-  memory-bandwidth factor (stream keyed by NUMA domain -- *shared*
+* Random draws replicate the reference order and arithmetic exactly:
+  the memory-bandwidth factor (stream keyed by NUMA domain -- *shared*
   across ranks, so global call order is preserved by drawing at the
   same program points), then the kernel jitter, then the CPU factor,
   then the OS detour.  ``_lognormal_factor`` consumes no draw at
   ``sigma <= 0``, and :class:`~repro.machine.noise.OsJitter` draws its
   Poisson count even when it comes up zero -- both behaviours are
   replicated, and the prebound generators are the *same* memoized
-  objects :meth:`~repro.util.rng.RngStreams.get` hands the legacy path.
+  objects :meth:`~repro.util.rng.RngStreams.get` hands every caller.
 * Fault draws (:mod:`repro.machine.faults`) are position-independent
   per-key streams, so memoizing ``compute_scale`` at site build cannot
   perturb any other draw.
@@ -38,19 +41,17 @@ The fast path must produce *byte-identical* traces to the legacy path
   computation and the same ``flush_delta()`` resets, it only skips the
   event appends -- mirroring :meth:`Engine.emit`'s ``_live`` gate.
 
-Emission builds no event objects: :meth:`FastPath.emit_fields` extends
-a location's measurement buffer (the same list ``mark``/``rewind`` operate
-on, see :meth:`~repro.measure.measurement.Measurement.sinks`) with a tuple
-of whole events' fields, one OpenMP thread's events at a time; when an
-online sanitizer is attached it falls back to per-event ``record`` so the
-sanitizer observes every event.
+Emission builds no event objects: :meth:`FastPath.emit_fields` hands a
+location's measurement sink (:meth:`~repro.measure.measurement.
+Measurement.sinks`) a tuple of whole events' fields, one OpenMP thread's
+events at a time.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import astuple
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -64,7 +65,6 @@ from repro.sim.events import (
     OBAR_ENTER,
     OBAR_LEAVE,
     TEAM_BEGIN,
-    Ev,
     Paradigm,
 )
 from repro.sim.kernels import EMPTY_DELTA, WorkDelta
@@ -163,9 +163,9 @@ def _make_team_pricer(
 ) -> Callable[[], float]:
     """Pricer for a team-parallel execution (``desync == 0`` -> fully static).
 
-    Replicates :meth:`CostModel.kernel_time` with every input except the
-    noise draws fixed, caching the multiplication prefix of the
-    per-actor bandwidth in legacy operation order.
+    Replicates the roofline of :mod:`repro.sim.costmodel` with every
+    input except the noise draws fixed, caching the multiplication prefix
+    of the per-actor bandwidth in the reference operation order.
     """
     cost = engine.cost
     t_flops = units * kernel.flops_per_unit / cost.cluster.flops_per_core
@@ -254,7 +254,7 @@ def _make_serial_pricer(
     The contention term depends on the *current* spread of rank virtual
     times (the desynchronisation credit), so unlike the team pricer only
     the prefix up to the overlap estimate is static; the desync sum, the
-    ``exp`` and the bandwidth division replicate the legacy per-call
+    ``exp`` and the bandwidth division replicate the per-call reference
     arithmetic exactly, including ``sum()``'s left-to-right order.
 
     The returned pricer takes the *current engine's* ``_rank_time``
@@ -267,7 +267,7 @@ def _make_serial_pricer(
         scope_ranks = engine._ranks_on_socket.get(core.socket_id, set())
     else:
         scope_ranks = engine._ranks_on_numa.get(core.numa_id, set())
-    # Same set object the legacy path iterates -> same deterministic order.
+    # Same set object compute_context iterates -> same deterministic order.
     others = [r for r in scope_ranks if r != rank]
     ctx = engine.compute_context(rank, 0, kernel)
 
@@ -500,12 +500,7 @@ class FastPath:
         # entry pins the action object so its id can never be recycled.
         self._serial_by_id: Dict[Tuple[int, int], Tuple[object, _SerialSite]] = {}
         self._pfor_by_id: Dict[Tuple[int, int], Tuple[object, _PforSite]] = {}
-        measurement = engine.measurement
-        # Direct emission into the measurement's per-location buffers;
-        # ``None`` -> per-event record() (no measurement, or an online
-        # sanitizer that must observe each event).
-        self._sinks: Optional[List] = (
-            measurement.sinks() if measurement is not None else None)
+        self._sinks = engine._sinks
         # Dispatch-site cache statistics: plain ints on the hot path
         # (an obs counter call per dispatch would cost more than the
         # cached lookup it measures), flushed to the obs registry once
@@ -543,15 +538,8 @@ class FastPath:
         """Record the events whose :class:`Ev` fields ``fields`` lists back
         to back, six per event (:meth:`Engine.emit` for several events at
         once; the caller checks ``_live``)."""
-        eng = self.engine
-        eng._n_events += len(fields) // 6
-        sinks = self._sinks
-        if sinks is not None:
-            sinks[loc](fields)
-        else:
-            record = eng.measurement.record
-            for j in range(0, len(fields), 6):
-                record(loc, Ev(*fields[j:j + 6]))
+        self.engine._n_events += len(fields) // 6
+        self._sinks[loc](fields)
 
     # -- serial compute / burst ----------------------------------------
     def _build_serial(self, state: "_RankState", action) -> _SerialSite:
@@ -596,8 +584,8 @@ class FastPath:
     def _bind_serial(self, st) -> _SerialSite:
         """Bind a shared serial-site state to this engine.
 
-        Interning the burst region at first dispatch replicates the
-        legacy path's interning order on every engine, so region ids
+        Interning the burst region at first dispatch keeps the
+        first-dispatch interning order on every engine, so region ids
         stay identical run by run.
         """
         eng = self.engine
@@ -694,8 +682,9 @@ class FastPath:
         site.omp_spin = eng.cost.omp_spin_instr_per_sec
         site.bar_instr_static = omp.runtime_instr_per_call * rep
         if site.omp_spin == 0.0:
-            # omp_wait_instructions(wait) == 0.0 for every wait >= 0, and
-            # x + 0.0 == x, so one delta serves every thread bit-exactly.
+            # the barrier's spin instructions, 0.0 * wait, are 0.0 for
+            # every wait >= 0, and x + 0.0 == x, so one delta serves every
+            # thread bit-exactly.
             site.bar_delta = WorkDelta(
                 omp_calls=rep, instr=site.bar_instr_static, burst_calls=extra_bc
             )
@@ -755,8 +744,9 @@ class FastPath:
         """Bind a shared pfor-site state to this engine.
 
         Region interning happens here, at the site's first dispatch on
-        *this* engine -- the same program point at which the legacy path
-        interns -- so per-run region-id assignment is unchanged.
+        *this* engine -- the program point at which a per-call execution
+        interns -- so per-run region-id assignment does not depend on
+        the cache.
         """
         site = _PforSite()
         for f, v in zip(_PFOR_STATIC_FIELDS, st.static_vals):

@@ -1,11 +1,17 @@
 """Test-only oracles.
 
+:class:`HeapEngine` is the per-event engine that
+:class:`~repro.sim.engine.Engine` must equal bit for bit: one heap pop
+per action with no run-slicing, and every compute-shaped action priced
+call by call through :func:`kernel_time`, the executable reference of
+the roofline in :mod:`repro.sim.costmodel`, instead of the engine's
+per-site caches (:mod:`repro.sim.fastpath`).
+
 :class:`EvListMeasurement` keeps the storage the measurement used before
 traces were born as columns: one list of :class:`~repro.sim.events.Ev`
-objects per location.  Every event reaches it through ``record`` (it
-offers the engine no direct sinks), so under the legacy drain it holds
-the very objects the engine built, and its finished trace is
-event-backed.  :func:`event_bits` is the field-for-field comparison key.
+objects per location.  Its sinks build an ``Ev`` from each event's
+fields, so its finished trace is event-backed.  :func:`event_bits` is
+the field-for-field comparison key.
 
 :func:`walker_analyze_trace` is the per-event wait-state walk that
 :func:`repro.analysis.analyze_trace` replaced with its compiled analysis
@@ -17,6 +23,8 @@ reference the plan must reproduce byte for byte.
 
 from __future__ import annotations
 
+import heapq
+import math
 from itertools import chain
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -29,6 +37,9 @@ from repro.cube.profile import CubeProfile
 from repro.cube.systemtree import SystemTree
 from repro.measure import Measurement, RawTrace
 from repro.measure.columnar import ColumnarConversionError, aux_values
+from repro.measure.measurement import RECORD_WIDTH
+from repro.sim import actions as A
+from repro.sim.engine import Engine, SimCrashError
 from repro.sim.events import (
     BURST,
     COLL_END,
@@ -41,21 +52,260 @@ from repro.sim.events import (
     OBAR_ENTER,
     OBAR_LEAVE,
     TEAM_BEGIN,
+    Ev,
+    Paradigm,
 )
+from repro.sim.kernels import EMPTY_DELTA, WorkDelta
+
+
+# ---------------------------------------------------------------------------
+# the per-event engine
+# ---------------------------------------------------------------------------
+
+def kernel_time(cost, kernel, units, ctx, extra_flop_time=0.0) -> float:
+    """Seconds for ``units`` units of ``kernel`` under the
+    :class:`~repro.sim.costmodel.ComputeContext` ``ctx``, priced from
+    scratch on the :class:`~repro.sim.costmodel.CostModel` ``cost``,
+    with the memory, jitter, CPU and OS noise of ``cost.noise`` if any.
+
+    ``extra_flop_time`` is instrumentation time added to the compute side
+    of the roofline (hidden when the kernel is memory-bound).
+    """
+    t_flops = units * kernel.flops_per_unit / cost.cluster.flops_per_core
+    nbytes = units * kernel.bytes_per_unit
+
+    if nbytes <= 0.0 or kernel.memory_scope == "none":
+        base = t_flops + extra_flop_time
+    else:
+        cache_factor = cost.cache.bandwidth_factor(
+            ctx.cache_working_set, ctx.cache_extra_footprint
+        )
+        scope_bw = cost._scope_bandwidth(kernel, ctx)
+        solo_bw = min(cost.memory.per_core_bw_cap, scope_bw) * cache_factor
+        solo = nbytes / solo_bw if kernel.additive else max(t_flops, nbytes / solo_bw)
+        relief = ctx.overlap_factor if kernel.memory_scope == "socket" else 1.0
+        # effective accessors: the own team overlaps fully, other ranks'
+        # threads with a desynchronisation credit
+        team = max(1, ctx.team_actors)
+        if ctx.other_actors <= 0:
+            a_eff = float(team)
+        else:
+            overlap = 1.0 if solo <= 0.0 else math.exp(-max(ctx.desync, 0.0) / solo)
+            overlap *= min(1.0, max(0.0, relief))
+            a_eff = team + ctx.other_actors * overlap
+        per_actor_bw = min(
+            scope_bw / (a_eff**cost.memory.contention_exponent),
+            cost.memory.per_core_bw_cap,
+        )
+        per_actor_bw *= cache_factor
+        if ctx.team_cross_socket:
+            per_actor_bw *= cost.cross_socket_factor
+        if cost.noise is not None:
+            per_actor_bw *= cost.noise.memory.factor(ctx.numa_id)
+        t_mem = nbytes / per_actor_bw
+        if kernel.additive:
+            base = t_flops + extra_flop_time + t_mem * relief
+        else:
+            base = max(t_flops + extra_flop_time, t_mem)
+
+    if cost.noise is not None:
+        if kernel.jitter > 0.0:
+            rng = cost.noise.rngs.get("kernel-jitter", rank=ctx.rank, thread=ctx.thread)
+            base *= float(np.exp(rng.normal(-0.5 * kernel.jitter**2, kernel.jitter)))
+        return cost.noise.compute_time(ctx.rank, ctx.thread, base)
+    return base
+
+
+class HeapEngine(Engine):
+    """:class:`~repro.sim.engine.Engine` one heap pop per action, with
+    Compute, CallBurst and ParallelFor priced call by call."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._pushes = 0
+
+    def _push(self, state) -> None:
+        self._pushes += 1
+        heapq.heappush(self._heap, (state.t, self._pushes, state.rank, state.epoch))
+
+    def _drain(self) -> int:
+        n_done = 0
+        while self._heap:
+            _t, _seq, r, epoch = heapq.heappop(self._heap)
+            state = self._ranks[r]
+            if state.done or state.blocked or epoch != state.epoch:
+                continue
+            cp = self._crashes.get(r)
+            if cp is not None and (
+                state.n_actions >= cp.at if cp.trigger == "progress" else state.t >= cp.at
+            ):
+                del self._crashes[r]
+                raise SimCrashError(cp, self._ckpt_count, max(self._rank_time.values()))
+            try:
+                action = state.gen.send(state.pending_result)
+            except StopIteration:
+                state.done = True
+                self._rank_time[r] = state.t
+                n_done += 1
+                continue
+            state.pending_result = None
+            state.n_actions += 1
+            epoch_before = state.epoch
+            self._dispatch(state, action)
+            self._rank_time[r] = max(self._rank_time[r], state.t)
+            if not state.blocked and not state.done and state.epoch == epoch_before:
+                self._push(state)
+        return n_done
+
+    def _dispatch(self, state, action) -> None:
+        cls = type(action)
+        if cls is A.Compute:
+            delta, dur = self._serial(state, action)
+            state.t += dur
+            state.add_delta(delta)
+        elif cls is A.CallBurst:
+            self._burst(state, action)
+        elif cls is A.ParallelFor:
+            self._parallel_for(state, action)
+        else:
+            super()._dispatch(state, action)
+
+    def _serial(self, state, action):
+        """Work delta and seconds of a Compute or CallBurst on the master."""
+        delta = action.kernel.scaled_counts(action.units).without_omp_iters()
+        ctx = self.compute_context(state.rank, 0, action.kernel)
+        dur = kernel_time(self.cost, action.kernel, action.units, ctx,
+                          extra_flop_time=self.count_cost(delta))
+        return delta, dur * self.compute_scale(state.rank, 0)
+
+    def _burst(self, state, action) -> None:
+        delta, dur = self._serial(state, action)
+        t0 = state.t
+        if self.measurement is not None and not self._filtered(action.region):
+            dur += 2.0 * action.calls * self.measurement.event_cost()
+            rid = self.regions.intern(action.region)
+            full = WorkDelta(omp_iters=0.0, bb=delta.bb, stmt=delta.stmt,
+                             instr=delta.instr, burst_calls=action.calls,
+                             ) + state.flush_delta()
+            state.t = t0 + dur
+            self.emit(self.loc_id(state.rank, 0), BURST, rid, state.t, full,
+                      t_enter=t0)
+        else:
+            # filtered: the work still runs (and still pays counting
+            # instrumentation) but merges into the enclosing region
+            state.t = t0 + dur
+            state.add_delta(delta)
+
+    def _parallel_for(self, rank, pf) -> None:
+        """One (possibly compressed) parallel-for: the master forks, every
+        thread runs its chunk under its own noise and contention, the team
+        meets at the implicit barrier, the master joins."""
+        omp = self.omp_cost
+        n_threads = rank.n_threads
+        omp_id = self._next_omp
+        self._next_omp += 1
+        rep = max(1.0, float(pf.represents))
+        instrumented = self.measurement is not None
+
+        if instrumented:
+            r_parallel = self.regions.intern(f"omp_parallel_{pf.region}", Paradigm.OMP)
+            r_for = self.regions.intern(f"omp_for_{pf.region}", Paradigm.OMP)
+            r_bar = self.regions.intern(f"omp_ibarrier_{pf.region}", Paradigm.OMP)
+            r_writes = tuple(
+                self.regions.intern(f"omp_shared_write_{var}", Paradigm.OMP)
+                for var in pf.shared_writes
+            )
+        else:
+            r_parallel = r_for = r_bar = -1
+            r_writes = ()
+
+        ev_cost = self.ev_cost
+        # lt_1 equivalence: each emitted event stands for `rep` recorded events
+        extra_bc = (rep - 1.0) / 2.0
+        runtime_delta = WorkDelta(
+            omp_calls=rep, instr=omp.runtime_instr_per_call * rep, burst_calls=extra_bc
+        )
+
+        if instrumented:
+            self.emit_master(rank, ENTER, r_parallel, rank.t, rank.flush_delta())
+            rank.t += ev_cost
+            self.emit_master(rank, FORK, r_parallel, rank.t, runtime_delta, omp_id)
+            rank.t += ev_cost * rep
+
+        fork_done = rank.t + omp.fork_cost(n_threads) * rep
+        units = pf.thread_units(n_threads)
+
+        starts = np.empty(n_threads)
+        finishes = np.empty(n_threads)
+        for i in range(n_threads):
+            starts[i] = fork_done + omp.stagger(i)
+            chunk_counts = pf.kernel.scaled_counts(float(units[i]))
+            count_cost = self.count_cost(chunk_counts)
+            ctx = self.compute_context(rank.rank, i, pf.kernel, team_threads=n_threads)
+            dur = kernel_time(self.cost, pf.kernel, float(units[i]), ctx,
+                              extra_flop_time=count_cost)
+            dur *= self.compute_scale(rank.rank, i)
+            # 5 events per worker (the master has no TEAM_BEGIN), plus a
+            # zero-width region pair per shared write
+            n_events = (5 if i > 0 else 4) + 2 * len(r_writes)
+            finishes[i] = starts[i] + dur + n_events * ev_cost * rep
+
+        bar_arrive = finishes
+        # instrumented team synchronisation serialises per-thread event
+        # writes, lengthening the barrier with the team size
+        bar_done = (
+            float(bar_arrive.max())
+            + (omp.barrier_cost(n_threads) + self.omp_team_sync * min(n_threads, 80)) * rep
+        )
+
+        if instrumented:
+            for i in range(n_threads):
+                loc = self.loc_id(rank.rank, i)
+                chunk_delta = pf.kernel.scaled_counts(float(units[i]))
+                if i == 0:
+                    self.emit(loc, ENTER, r_for, float(starts[i]), runtime_delta)
+                else:
+                    self.emit(loc, TEAM_BEGIN, r_parallel, float(starts[i]),
+                              WorkDelta(burst_calls=extra_bc), omp_id)
+                    self.emit(loc, ENTER, r_for, float(starts[i]), runtime_delta)
+                for r_w in r_writes:
+                    self.emit(loc, ENTER, r_w, float(starts[i]), EMPTY_DELTA)
+                for r_w in reversed(r_writes):
+                    self.emit(loc, LEAVE, r_w, float(bar_arrive[i]), EMPTY_DELTA)
+                self.emit(loc, LEAVE, r_for, float(bar_arrive[i]), chunk_delta)
+                self.emit(loc, OBAR_ENTER, r_bar, float(bar_arrive[i]),
+                          WorkDelta(burst_calls=extra_bc))
+                wait = bar_done - float(bar_arrive[i])
+                bar_delta = WorkDelta(
+                    omp_calls=rep,
+                    instr=(omp.runtime_instr_per_call * rep
+                           + self.cost.omp_spin_instr_per_sec * wait),
+                    burst_calls=extra_bc,
+                )
+                self.emit(loc, OBAR_LEAVE, r_bar, bar_done, bar_delta, (omp_id, n_threads))
+
+        join_done = bar_done + omp.join_cost(n_threads) * rep
+        if instrumented:
+            self.emit_master(rank, JOIN, r_parallel, join_done, runtime_delta, omp_id)
+            self.emit_master(rank, LEAVE, r_parallel, join_done + ev_cost, EMPTY_DELTA)
+        rank.t = join_done + 2 * ev_cost
 
 
 class EvListMeasurement(Measurement):
-    """``record``/``mark``/``rewind`` over per-location ``Ev`` lists."""
+    """Sinks/``mark``/``rewind`` over per-location ``Ev`` lists."""
 
     def begin(self, engine) -> None:
         super().begin(engine)
         self._events = [[] for _ in self._locations]
 
     def sinks(self):
-        return None
+        def sink(evs):
+            def put(fields):
+                for j in range(0, len(fields), RECORD_WIDTH):
+                    evs.append(Ev(*fields[j:j + RECORD_WIDTH]))
+            return put
 
-    def record(self, loc, ev) -> None:
-        self._events[loc].append(ev)
+        return [sink(evs) for evs in self._events]
 
     def mark(self):
         return [len(evs) for evs in self._events]

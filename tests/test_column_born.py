@@ -4,9 +4,10 @@ The measurement records events as columns and a trace builds ``Ev``
 lists only when a caller asks for ``.events``.  These tests pin that:
 
 * the events built from a column-born trace equal, field for field and
-  bit for bit, the ``Ev`` objects the legacy drain hands the list-of-Ev
-  oracle (``tests/oracles.py``), here through crash recovery's
-  mark/rewind (the hypothesis-generated programs are in
+  bit for bit, the ``Ev`` objects the per-event engine oracle hands the
+  list-of-Ev measurement oracle (both in ``tests/oracles.py``), here
+  through crash recovery's mark/rewind and the online sanitizer's sinks
+  (the hypothesis-generated programs are in
   ``tests/test_properties.py``);
 * the campaign task path, engine -> replay -> analysis, and npz/shards
   write -> read -> replay -> analysis never build an event;
@@ -33,11 +34,10 @@ from repro.measure import (
 )
 from repro.measure import columnar, shards
 from repro.miniapps import MiniFE, MiniFEConfig
-from repro.sim import CostModel, Engine, run_with_recovery
-from repro.sim.engine import EngineConfig
+from repro.sim import CostModel, Engine, recovery, run_with_recovery
 from repro.sim.events import Ev
 from repro.sim.kernels import WorkDelta
-from tests.oracles import EvListMeasurement, event_bits
+from tests.oracles import EvListMeasurement, HeapEngine, event_bits
 
 
 def _cluster():
@@ -60,28 +60,27 @@ def _trace(mode="ltbb"):
 
 class TestEvListOracle:
     @pytest.mark.parametrize("fault_seed", [2, 4, 6])
-    def test_recovered_minife_matches_oracle(self, fault_seed):
-        def recovered(measurement, vectorized):
+    def test_recovered_minife_matches_oracle(self, fault_seed, monkeypatch):
+        def recovered(measurement):
             cluster = _cluster()
             return run_with_recovery(
                 _app(), cluster, lambda: _cost(cluster),
                 FaultModel(default_fault_config(), seed=fault_seed),
-                measurement=measurement,
-                config=EngineConfig(vectorized=vectorized))
+                measurement=measurement)
 
-        born = recovered(Measurement("ltbb"), True)
-        oracle = recovered(EvListMeasurement("ltbb"), False)
+        born = recovered(Measurement("ltbb"))
+        monkeypatch.setattr(recovery, "Engine", HeapEngine)
+        oracle = recovered(EvListMeasurement("ltbb"))
         assert born.n_restarts == oracle.n_restarts > 0
         assert event_bits(born.result.trace) == event_bits(oracle.result.trace)
 
     def test_sanitized_recording_matches_oracle(self):
-        # the online sanitizer takes every event through record()
+        # the online sanitizer's sinks observe every event, then append it
         cluster = _cluster()
         born = Engine(_app(), cluster, _cost(cluster), sanitize=True,
                       measurement=Measurement("lt1")).run().trace
-        oracle = Engine(_app(), cluster, _cost(cluster),
-                        config=EngineConfig(vectorized=False),
-                        measurement=EvListMeasurement("lt1")).run().trace
+        oracle = HeapEngine(_app(), cluster, _cost(cluster),
+                            measurement=EvListMeasurement("lt1")).run().trace
         assert event_bits(born) == event_bits(oracle)
 
 

@@ -1,8 +1,9 @@
-"""Bit-identity of the vectorized engine hot path against the legacy walk.
+"""Bit-identity of the engine against the per-event oracle.
 
-The vectorized drain (:class:`repro.sim.engine.EngineConfig`
-``vectorized=True``, the default) must be indistinguishable from the
-legacy heapq walk at every observable layer: the raw event stream
+:class:`repro.sim.engine.Engine` -- one heap drain with run-slicing and
+per-site cost caches -- must be indistinguishable from
+:class:`tests.oracles.HeapEngine`, one heap pop per action with compute
+priced call by call, at every observable layer: the raw event stream
 (timestamps bit-for-bit, deltas, aux payloads), the sanitizer report,
 the logical-clock replays of all six modes, and the wait-state analysis
 profile ("score") cells.  The grid below covers the three mini-apps,
@@ -42,8 +43,9 @@ from repro.sim import (
     Wait,
     run_with_recovery,
 )
-from repro.sim.engine import EngineConfig
+from repro.sim import recovery
 from repro.verify import sanitize_raw
+from tests.oracles import HeapEngine
 
 K = KernelSpec.balanced("k", flops_per_unit=1e5, bytes_per_unit=0.0,
                         memory_scope="none")
@@ -55,12 +57,11 @@ _APPS = {
 }
 
 
-def _run(make_program, seed, vectorized, mode="tsc"):
+def _run(make_program, seed, engine, mode="tsc"):
     cluster = small_test_cluster(cores_per_numa=8, numa_per_socket=2)
     cost = CostModel(cluster, noise=NoiseModel(NoiseConfig(), seed=seed))
-    return Engine(make_program(), cluster, cost,
-                  measurement=Measurement(mode),
-                  config=EngineConfig(vectorized=vectorized)).run().trace
+    return engine(make_program(), cluster, cost,
+                  measurement=Measurement(mode)).run().trace
 
 
 def _sig(trace):
@@ -91,15 +92,15 @@ def _score_fp(trace, mode):
 
 
 def _assert_equivalent(make_program, seed, modes=MODES):
-    legacy = _run(make_program, seed, vectorized=False)
-    vector = _run(make_program, seed, vectorized=True)
-    assert _sig(legacy) == _sig(vector)
-    assert _sanitize_fp(legacy) == _sanitize_fp(vector)
+    oracle = _run(make_program, seed, HeapEngine)
+    born = _run(make_program, seed, Engine)
+    assert _sig(oracle) == _sig(born)
+    assert _sanitize_fp(oracle) == _sanitize_fp(born)
     for mode in modes:
-        fp_l = trace_fingerprint(timestamp_trace(legacy, mode))
-        fp_v = trace_fingerprint(timestamp_trace(vector, mode))
-        assert fp_l == fp_v, mode
-        assert _score_fp(legacy, mode) == _score_fp(vector, mode), mode
+        fp_o = trace_fingerprint(timestamp_trace(oracle, mode))
+        fp_b = trace_fingerprint(timestamp_trace(born, mode))
+        assert fp_o == fp_b, mode
+        assert _score_fp(oracle, mode) == _score_fp(born, mode), mode
 
 
 class TestMiniappGrid:
@@ -142,24 +143,23 @@ class TestWildcardReceive:
 
 class TestRestartRecovery:
     @pytest.mark.parametrize("fault_seed", [99, 7])
-    def test_recovered_traces_identical(self, fault_seed):
-        def recovered(vectorized):
+    def test_recovered_traces_identical(self, fault_seed, monkeypatch):
+        def recovered():
             cluster = small_test_cluster()
             faults = FaultModel(default_fault_config(), seed=fault_seed)
             cost = lambda: CostModel(cluster,
                                      noise=NoiseModel(NoiseConfig(), seed=3))
-            outcome = run_with_recovery(
+            return run_with_recovery(
                 CheckpointedRing(), cluster, cost, faults,
-                measurement=Measurement("tsc"),
-                config=EngineConfig(vectorized=vectorized))
-            return outcome
+                measurement=Measurement("tsc"))
 
-        legacy = recovered(False)
-        vector = recovered(True)
-        assert legacy.n_restarts == vector.n_restarts
-        tl, tv = legacy.result.trace, vector.result.trace
-        assert _sig(tl) == _sig(tv)
-        assert _sanitize_fp(tl) == _sanitize_fp(tv)
+        born = recovered()
+        monkeypatch.setattr(recovery, "Engine", HeapEngine)
+        oracle = recovered()
+        assert oracle.n_restarts == born.n_restarts
+        to, tb = oracle.result.trace, born.result.trace
+        assert _sig(to) == _sig(tb)
+        assert _sanitize_fp(to) == _sanitize_fp(tb)
         for mode in MODES:
-            assert (trace_fingerprint(timestamp_trace(tl, mode))
-                    == trace_fingerprint(timestamp_trace(tv, mode))), mode
+            assert (trace_fingerprint(timestamp_trace(to, mode))
+                    == trace_fingerprint(timestamp_trace(tb, mode))), mode

@@ -18,6 +18,8 @@ from repro.machine import (
     small_test_cluster,
 )
 from repro.machine.topology import build_cluster
+from repro.sim import ComputeContext, CostModel, KernelSpec
+from tests.oracles import kernel_time
 
 
 class TestTopology:
@@ -131,29 +133,42 @@ class TestNetwork:
 
 
 class TestMemoryModel:
+    """The engine's contention formula (``team + others * overlap *
+    relief`` effective accessors), priced call by call through
+    ``tests.oracles.kernel_time`` on a streaming kernel without noise."""
+
+    KERNEL = KernelSpec("stream", flops_per_unit=0.0, bytes_per_unit=1e6)
+    UNITS = 100.0
+
+    def _time(self, other_actors=0, desync=0.0):
+        ctx = ComputeContext(rank=0, thread=0, numa_id=0, socket_id=0,
+                             other_actors=other_actors, desync=desync,
+                             cache_working_set=1e12)
+        return kernel_time(CostModel(jureca_dc(1)), self.KERNEL, self.UNITS, ctx)
+
     def test_no_contention_single_actor(self):
-        mm = MemoryModel(jureca_dc(1))
-        bw1 = mm.bandwidth_per_actor(0, pinned_actors=1)
-        assert bw1 == pytest.approx(min(mm.per_core_bw_cap, 45e9))
+        cluster = jureca_dc(1)
+        mm, cm = MemoryModel(cluster), CacheModel(cluster)
+        bw = min(mm.per_core_bw_cap, cluster.numa_domain(0).mem_bandwidth)
+        solo = self.UNITS * self.KERNEL.bytes_per_unit / (bw * cm.bandwidth_factor(1e12))
+        assert self._time() == pytest.approx(solo)
+        assert self._time(desync=1.0) == self._time()
 
     def test_contention_reduces_bandwidth(self):
-        mm = MemoryModel(jureca_dc(1))
-        bw16 = mm.bandwidth_per_actor(0, pinned_actors=16)
-        bw4 = mm.bandwidth_per_actor(0, pinned_actors=4)
-        assert bw16 < bw4
+        assert self._time(other_actors=15) > self._time(other_actors=3) > self._time()
 
     def test_desync_restores_bandwidth(self):
-        mm = MemoryModel(jureca_dc(1))
-        synced = mm.bandwidth_per_actor(0, 16, desync=0.0, solo_duration=1.0)
-        spread = mm.bandwidth_per_actor(0, 16, desync=10.0, solo_duration=1.0)
-        assert spread > synced
+        synced = self._time(other_actors=15)
+        spread = self._time(other_actors=15, desync=10.0 * self._time())
+        assert spread < synced
 
     @given(st.integers(min_value=1, max_value=64), st.floats(min_value=0, max_value=100))
     @settings(max_examples=30)
     def test_effective_accessors_bounds(self, actors, desync):
-        mm = MemoryModel(jureca_dc(1))
-        a = mm.effective_accessors(actors, desync, solo_duration=1.0)
-        assert 1.0 <= a <= actors or actors == 0
+        solo = self._time()
+        contended = self._time(other_actors=actors - 1)
+        t = self._time(other_actors=actors - 1, desync=desync * solo)
+        assert solo <= t <= contended
 
 
 class TestCacheModel:

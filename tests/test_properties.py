@@ -10,7 +10,10 @@ invariants that every component of the pipeline relies on:
 * the analyzer's time tree exactly partitions the measured execution,
 * severities are non-negative and the Jaccard score stays in [0, 1],
 * the column-born trace's events equal, bit for bit, the ``Ev`` objects
-  the legacy drain hands the list-of-Ev measurement oracle,
+  the per-event engine oracle hands the list-of-Ev measurement oracle,
+* with wildcard receives, checkpoints and seeded faults added, a run
+  through crash recovery records the same events and restarts as the
+  per-event engine oracle,
 * the compiled wait-state analysis writes the same profile bytes, raw and
   normalized, as the per-event walker oracle.
 
@@ -18,6 +21,7 @@ A last property pins the NumPy merged order to the heap merge it
 replaced, kept here as the test oracle.
 """
 
+import dataclasses
 import json
 
 import numpy as np
@@ -27,14 +31,18 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.analysis import TIME_LEAVES, analyze_trace
 from repro.clocks import timestamp_trace
 from repro.cube.io import profile_doc
+from repro.experiments.faultsweep import default_fault_config
 from repro.machine import small_test_cluster
+from repro.machine.faults import FaultModel
 from repro.machine.noise import NoiseConfig, NoiseModel
 from repro.measure import MODES, Measurement
 from repro.scoring import jaccard_metric_callpath
 from repro.sim import (
+    ANY_SOURCE,
     Allreduce,
     Barrier,
     CallBurst,
+    Checkpoint,
     Compute,
     CostModel,
     Engine,
@@ -45,18 +53,27 @@ from repro.sim import (
     Leave,
     ParallelFor,
     Program,
+    Recv,
+    Send,
     Waitall,
+    recovery,
+    run_with_recovery,
 )
-from repro.sim.engine import EngineConfig
-from tests.oracles import EvListMeasurement, event_bits, walker_analyze_trace
+from tests.oracles import EvListMeasurement, HeapEngine, event_bits, walker_analyze_trace
 
 K = KernelSpec("k", flops_per_unit=1e5, bytes_per_unit=1e4, omp_iters_per_unit=1.0,
                bb_per_unit=4.0, stmt_per_unit=12.0, instr_per_unit=30.0)
 
 # One program "step" is drawn from this vocabulary; communication steps
 # are constructed to be globally matched (every rank executes them).
-step_strategy = st.sampled_from(["compute", "burst", "pfor", "ring", "allreduce", "barrier"])
+_STEPS = ["compute", "burst", "pfor", "ring", "allreduce", "barrier"]
+step_strategy = st.sampled_from(_STEPS)
 program_strategy = st.lists(step_strategy, min_size=1, max_size=8)
+# A wildcard receive's match order depends on noise, so programs with one
+# stay out of the noise-invariance properties; checkpoints give crash
+# recovery its restart points.
+fault_program_strategy = st.lists(
+    st.sampled_from(_STEPS + ["wildcard", "checkpoint"]), min_size=1, max_size=8)
 
 
 class RandomProgram(Program):
@@ -88,14 +105,26 @@ class RandomProgram(Program):
                 yield Allreduce()
             elif step == "barrier":
                 yield Barrier()
+            elif step == "wildcard":
+                if ctx.rank == 0:
+                    for _ in range(ctx.n_ranks - 1):
+                        yield Recv(source=ANY_SOURCE, tag=i)
+                else:
+                    yield Send(dest=0, tag=i, nbytes=256)
+            elif step == "checkpoint":
+                yield Checkpoint(nbytes=1e5)
             yield Leave(region)
         yield Leave("main")
 
 
-def _run(steps, seed, mode="tsc", measurement=None, config=None):
-    cluster = small_test_cluster(cores_per_numa=4, numa_per_socket=2)
+def _cluster():
+    return small_test_cluster(cores_per_numa=4, numa_per_socket=2)
+
+
+def _run(steps, seed, mode="tsc", measurement=None, engine=Engine):
+    cluster = _cluster()
     cost = CostModel(cluster, noise=NoiseModel(NoiseConfig(), seed=seed))
-    return Engine(RandomProgram(steps), cluster, cost, config=config,
+    return engine(RandomProgram(steps), cluster, cost,
                   measurement=measurement or Measurement(mode)).run()
 
 
@@ -158,8 +187,32 @@ def test_jaccard_bounds_on_real_profiles(steps):
 def test_column_born_trace_matches_ev_list_oracle(steps, seed, mode):
     born = _run(steps, seed, mode).trace
     oracle = _run(steps, seed, measurement=EvListMeasurement(mode),
-                  config=EngineConfig(vectorized=False)).trace
+                  engine=HeapEngine).trace
     assert event_bits(born) == event_bits(oracle)
+
+
+#: the fault sweep's injectors, with crash points drawn within the first
+#: 24 actions of a rank so that they land inside short generated programs
+_FAULTS = dataclasses.replace(default_fault_config(), crash_max_progress=24)
+
+
+@settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(fault_program_strategy, st.integers(min_value=0, max_value=100),
+       st.integers(min_value=0, max_value=1000), st.sampled_from(MODES))
+def test_recovered_run_matches_heap_engine_oracle(steps, seed, fault_seed, mode):
+    def recovered():
+        cluster = _cluster()
+        return run_with_recovery(
+            RandomProgram(steps), cluster,
+            lambda: CostModel(cluster, noise=NoiseModel(NoiseConfig(), seed=seed)),
+            FaultModel(_FAULTS, seed=fault_seed), measurement=Measurement(mode))
+
+    born = recovered()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(recovery, "Engine", HeapEngine)
+        oracle = recovered()
+    assert born.n_restarts == oracle.n_restarts
+    assert event_bits(born.result.trace) == event_bits(oracle.result.trace)
 
 
 # ---------------------------------------------------------------------------

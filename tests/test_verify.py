@@ -275,6 +275,33 @@ class TestOnlineSanitizer:
         trace = _run_traced(quiet_cost, mode="lt1", sanitize=True)
         assert trace.n_events > 0
 
+    def test_sanitizer_sees_every_event(self, monkeypatch):
+        # MiniFE has OpenMP constructs and call bursts, so this covers the
+        # emission sites that hand a sink several events at once
+        from types import SimpleNamespace
+
+        from repro.machine import small_test_cluster
+        from repro.machine.noise import NoiseConfig, NoiseModel
+        from repro.miniapps import MiniFE, MiniFEConfig
+        from repro.sim import CostModel
+        from tests.oracles import event_bits
+
+        cluster = small_test_cluster(cores_per_numa=8, numa_per_socket=2)
+        app = MiniFE(MiniFEConfig.tiny(nx=48, cg_iters=3))
+        seen = [[] for _ in range(app.n_ranks * app.threads_per_rank)]
+        observe = OnlineSanitizer.observe
+
+        def spy(self, loc, ev):
+            seen[loc].append(ev)
+            observe(self, loc, ev)
+
+        monkeypatch.setattr(OnlineSanitizer, "observe", spy)
+        cost = CostModel(cluster, noise=NoiseModel(NoiseConfig(), seed=3))
+        trace = Engine(app, cluster, cost, measurement=Measurement("lt1"),
+                       sanitize=True).run().trace
+        assert trace.n_events > 0
+        assert event_bits(SimpleNamespace(events=seen)) == event_bits(trace)
+
     def test_sanitize_without_measurement_rejected(self, quiet_cost):
         with pytest.raises(ValueError, match="sanitize"):
             Engine(make_fixture("clean"), quiet_cost.cluster, quiet_cost,
