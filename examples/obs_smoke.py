@@ -71,7 +71,8 @@ def main() -> int:
         for key in CHROME_REQUIRED_KEYS:
             assert key in ev, f"chrome event missing {key!r}: {ev}"
     span_names = {e["name"] for e in events if e["ph"] == "X"}
-    for expected in ("experiment", "engine.run", "replay"):
+    for expected in ("experiment", "engine.run", "engine.drain",
+                     "engine.finish", "replay"):
         assert expected in span_names, f"span {expected!r} missing"
     assert len({e["pid"] for e in events if e["ph"] == "X"}) >= 2, \
         "expected spans from more than one process (parallel campaign)"

@@ -126,7 +126,7 @@ def columnar_increments(
             if counter_noise is None:
                 raise ValueError("lthwctr increments need a CounterNoise")
             rank, thread = cols.locations[loc]
-            readings = counter_noise.perturb_many(rank, thread, lc.instr.tolist())
+            readings = counter_noise.perturb_many(rank, thread, lc.instr)
             inc = np.maximum(1.0, readings)
         else:
             raise ValueError(f"no increment model for mode {mode!r}")

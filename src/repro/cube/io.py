@@ -63,12 +63,20 @@ def profile_from_doc(doc: dict) -> CubeProfile:
     return profile
 
 
+#: gzip level of written profiles.  On the six LULESH-2 mode profiles
+#: (136-188 kB of JSON each), level 6 compresses in under a third of
+#: level 9's time for 3.4 % more bytes (docs/performance.md).  Readers
+#: do not depend on the level, so profiles written at any level load.
+_GZIP_LEVEL = 6
+
+
 def write_profile(profile: CubeProfile, path: Union[str, Path]) -> None:
     """Write ``profile`` to ``path`` (gzipped JSON)."""
     from repro.measure.io import atomic_write_bytes
 
     buf = io.BytesIO()
-    with gzip.GzipFile(fileobj=buf, mode="wb", mtime=0) as gz:
+    with gzip.GzipFile(fileobj=buf, mode="wb", mtime=0,
+                       compresslevel=_GZIP_LEVEL) as gz:
         gz.write(json.dumps(profile_doc(profile)).encode("utf-8"))
     atomic_write_bytes(path, buf.getvalue())
 

@@ -534,6 +534,10 @@ def _run_parallel(name, seed, pending, payloads, runs_dir, use_cache,
     """
     ctx = get_context("fork")
     with_obs = session is not None
+    # Longest first: the instrumented runs, then the short uninstrumented
+    # reference runs, which fill the pool's tail.  Harvesting in the same
+    # order keeps the checkpoint writes overlapping the pool.
+    pending = sorted(pending, key=lambda t: t[0] == _REF)
     attempts = {t: 1 for t in pending}
     pool = ProcessPoolExecutor(max_workers=n_workers, mp_context=ctx)
     futures: Dict[Tuple[str, int], object] = {}
@@ -655,8 +659,9 @@ def _assemble(
         session.add_manifest(result.manifest)
     if use_cache:
         cache = _cache_path(name, seed)
-        _store(result, cache)
-        shutil.rmtree(_runs_dir(name, seed), ignore_errors=True)
+        runs_dir = _runs_dir(name, seed)
+        _store(result, cache, runs_dir)
+        shutil.rmtree(runs_dir, ignore_errors=True)
         # Honor the size budget *after* publishing: the freshest entry
         # is protected, older least-recently-used ones make room.
         (store if store is not None else cache_store()).evict(
@@ -771,11 +776,15 @@ def clear_cache() -> None:
     shutil.rmtree(_CACHE_DIR, ignore_errors=True)
 
 
-def _store(result: ExperimentResult, path: Path) -> None:
+def _store(result: ExperimentResult, path: Path,
+           runs_dir: Optional[Path] = None) -> None:
     # Stage into a unique temp dir (mkdtemp) so concurrent campaigns of
     # the same experiment never scribble into each other's staging area;
     # the final rename publishes atomically, and losing a publish race
-    # just discards this copy of the identical result.
+    # just discards this copy of the identical result.  A repetition
+    # profile is serialized once: its run checkpoint in ``runs_dir``
+    # (written by this campaign, or CRC-checked on resume) is hard-linked
+    # into the entry, and only a missing checkpoint is written anew.
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = Path(tempfile.mkdtemp(dir=path.parent, prefix=path.name + ".tmp-"))
     try:
@@ -792,7 +801,14 @@ def _store(result: ExperimentResult, path: Path) -> None:
         (tmp / "summary.json").write_text(json.dumps(doc))
         for mode, profs in result.profiles.items():
             for i, prof in enumerate(profs):
-                write_profile(prof, tmp / f"profile-{mode}-{i}.json.gz")
+                dest = tmp / f"profile-{mode}-{i}.json.gz"
+                if runs_dir is not None:
+                    try:
+                        os.link(_profile_checkpoint(runs_dir, (mode, i)), dest)
+                        continue
+                    except OSError:  # no checkpoint, or no hard links here
+                        pass
+                write_profile(prof, dest)
             write_profile(result.mean_profiles[mode], tmp / f"profile-{mode}-mean.json.gz")
         shutil.rmtree(path, ignore_errors=True)
         tmp.rename(path)
@@ -854,6 +870,10 @@ def _run_tag(task: Tuple[str, int]) -> str:
     return f"{task[0]}-r{task[1]}"
 
 
+def _profile_checkpoint(runs_dir: Path, task: Tuple[str, int]) -> Path:
+    return runs_dir / f"{_run_tag(task)}-profile.json.gz"
+
+
 def _store_run(runs_dir: Path, task: Tuple[str, int], payload) -> None:
     """Checkpoint one finished run, atomically and checksummed.
 
@@ -867,8 +887,9 @@ def _store_run(runs_dir: Path, task: Tuple[str, int], payload) -> None:
     tag = _run_tag(task)
     if len(payload) == 3:
         runtime, phase_times, profile = payload
-        write_profile(profile, runs_dir / f"{tag}-profile.json.gz")
-        profile_crc = zlib.crc32((runs_dir / f"{tag}-profile.json.gz").read_bytes())
+        profile_path = _profile_checkpoint(runs_dir, task)
+        write_profile(profile, profile_path)
+        profile_crc = zlib.crc32(profile_path.read_bytes())
     else:
         runtime, phase_times = payload
         profile_crc = None
@@ -890,9 +911,8 @@ def _load_run(runs_dir: Path, task: Tuple[str, int]):
     the supervisor then recomputes the run, so corruption degrades to a
     cache miss rather than poisoning the campaign result.
     """
-    tag = _run_tag(task)
-    summary = runs_dir / f"{tag}.json"
-    profile_path = runs_dir / f"{tag}-profile.json.gz"
+    summary = runs_dir / f"{_run_tag(task)}.json"
+    profile_path = _profile_checkpoint(runs_dir, task)
     if not summary.exists():
         return None
     try:

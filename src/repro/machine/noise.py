@@ -23,11 +23,12 @@ repetition) pair fully determines every noise realization.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro import obs
-from repro.util.rng import RngStreams
+from repro.util.rng import RngStreams, first_normals, stream_seed
 from repro.util.validation import check_nonnegative
 
 __all__ = [
@@ -206,23 +207,74 @@ class MemoryNoise:
 
 
 class NetworkNoise:
-    """Multiplicative jitter on message / collective transfer times."""
+    """Multiplicative jitter on message / collective transfer times.
+
+    Key ``k``'s factors are the draws of its own stream
+    ``rngs.get("net-noise", key=k)``.  The engine's keys are
+    ``(kind, id)`` pairs counting up from 0 -- a message's match id, a
+    collective's sequence number -- and nearly every key is drawn once.
+    So first draws are derived ahead for a block of consecutive ids by
+    :func:`repro.util.rng.first_normals` (bit for bit the stream's first
+    draw, without a generator per key); blocks hold 16, 32, 64 and 128
+    ids, then 256, so a small program derives few unused keys.  A key
+    drawn again continues on its own generator, advanced past the first
+    draw.  Any other key shape goes straight to its own generator.
+    """
 
     def __init__(self, rngs: RngStreams, config: NoiseConfig):
         self._rngs = rngs
         self._sigma = config.network_sigma
-        self._gens: dict = {}
+        self._mu = -0.5 * self._sigma * self._sigma
+        self._first: dict = {}  # key -> first factor, derived, not yet drawn
+        self._blocks: set = set()  # (kind, first id) of each derived block
+        self._gens: dict = {}  # key -> its own stream, for later draws
+        self._scratch = np.random.Generator(np.random.PCG64(0))
         self._injections = obs.counter("noise.injections", kind="network")
 
     def factor(self, key) -> float:
         self._injections.inc()
-        # one level of memoization above RngStreams.get: transfer keys
-        # recur every run, and the kwargs/sort dance there is hot
+        if self._sigma <= 0.0:
+            return 1.0
+        f = self._first.pop(key, None)
+        if f is not None:
+            return f
         rng = self._gens.get(key)
         if rng is None:
-            rng = self._rngs.get("net-noise", key=key)
+            block = _id_block(key)
+            if block is not None and (key[0], block[0]) not in self._blocks:
+                self._derive(key[0], *block)
+                return self._first.pop(key)
+            rng = self._rngs.fresh("net-noise", key=key)
+            if block is not None:
+                rng.normal(self._mu, self._sigma)  # the draw its block gave
             self._gens[key] = rng
         return _lognormal_factor(rng, self._sigma)
+
+    def _derive(self, kind, start: int, stop: int) -> None:
+        self._blocks.add((kind, start))
+        keys = [(kind, i) for i in range(start, stop)]
+        base = self._rngs.seed
+        seeds = [stream_seed(base, "net-noise", ("key", k)) for k in keys]
+        normals = first_normals(seeds, self._mu, self._sigma, self._scratch)
+        self._first.update(zip(keys, np.exp(normals).tolist()))
+
+
+_BLOCK_MIN, _BLOCK_MAX = 16, 256
+_RAMP = _BLOCK_MAX - _BLOCK_MIN  # ids in the doubling blocks 16 + ... + 128
+
+
+def _id_block(key) -> Optional[Tuple[int, int]]:
+    """``[start, stop)`` of the id block holding a ``(kind, id)`` key."""
+    if type(key) is not tuple or len(key) != 2 or type(key[1]) is not int \
+            or key[1] < 0:
+        return None
+    i = key[1]
+    if i < _RAMP:
+        b = (i // _BLOCK_MIN + 1).bit_length() - 1
+        start = _BLOCK_MIN * ((1 << b) - 1)
+        return start, start + (_BLOCK_MIN << b)
+    start = i - (i - _RAMP) % _BLOCK_MAX
+    return start, start + _BLOCK_MAX
 
 
 class CounterNoise:
@@ -250,29 +302,28 @@ class CounterNoise:
         Bit-compatible with calling :meth:`perturb` once per element in
         order: the lognormal and offset draws stay *interleaved* per event
         (they share one bitstream, so batching the draws by kind would
-        change every value after the first).  The loop merely strips the
-        per-call wrapper overhead of the scalar path.
+        change every value after the first).  Only those scalar draws run
+        per event; ``np.exp``, the multiply and the add then run once over
+        the location, each element the same IEEE operation as the scalar
+        path's.
         """
-        self._injections.add(len(instructions))
+        out = np.array(instructions, dtype=np.float64)
+        n = len(out)
+        self._injections.add(n)
         rng = self._rngs.get("ctr-noise", rank=rank, thread=thread)
         sigma = self._sigma
         offset = self._offset
         mu = -0.5 * sigma * sigma
-        out = np.empty(len(instructions), dtype=np.float64)
         normal = rng.normal
         exponential = rng.exponential
         if sigma > 0.0 and offset > 0.0:
-            for k, instr in enumerate(instructions):
-                out[k] = instr * float(np.exp(normal(mu, sigma))) \
-                    + float(exponential(offset))
+            draws = np.array([(normal(mu, sigma), exponential(offset))
+                              for _ in range(n)]).reshape(n, 2)
+            out = out * np.exp(draws[:, 0]) + draws[:, 1]
         elif sigma > 0.0:
-            for k, instr in enumerate(instructions):
-                out[k] = instr * float(np.exp(normal(mu, sigma)))
+            out = out * np.exp([normal(mu, sigma) for _ in range(n)])
         elif offset > 0.0:
-            for k, instr in enumerate(instructions):
-                out[k] = instr + float(exponential(offset))
-        else:
-            out[:] = np.asarray(instructions, dtype=np.float64)
+            out = out + [exponential(offset) for _ in range(n)]
         return out
 
 

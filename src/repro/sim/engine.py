@@ -522,7 +522,9 @@ class Engine:
         # Epoch 0: a crash before the first checkpoint restarts from t=0.
         self._apply_restarts(0)
 
-        if self._drain() != len(self._ranks):
+        with obs.span("engine.drain"):
+            finished = self._drain()
+        if finished != len(self._ranks):
             raise self._deadlock_error()
 
         runtime = max(self._rank_time.values()) if self._rank_time else 0.0
@@ -531,10 +533,11 @@ class Engine:
             t_leave = self._phase_leave.get(name)
             if t_leave is not None:
                 phases[name] = t_leave - t_enter
-        trace = self.measurement.finish(runtime) if self.measurement is not None else None
-        obs.counter("sim.events_emitted").add(self._n_events)
-        obs.counter("sim.runs").inc()
-        self._fast.flush_metrics()
+        with obs.span("engine.finish"):
+            trace = self.measurement.finish(runtime) if self.measurement is not None else None
+            obs.counter("sim.events_emitted").add(self._n_events)
+            obs.counter("sim.runs").inc()
+            self._fast.flush_metrics()
         return SimResult(
             runtime=runtime,
             phase_times=phases,

@@ -17,11 +17,11 @@ spawning.  Two properties matter:
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["stream_seed", "RngStreams"]
+__all__ = ["stream_seed", "first_normals", "RngStreams"]
 
 
 def stream_seed(base_seed: int, *key) -> int:
@@ -37,6 +37,84 @@ def stream_seed(base_seed: int, *key) -> int:
         h.update(b"\x1f")
         h.update(repr(part).encode())
     return int.from_bytes(h.digest()[:8], "little")
+
+
+# numpy.random.SeedSequence's hash constants (bit_generator.pyx) and the
+# 128-bit LCG multiplier PCG64 steps with (pcg64.h).  A SeedSequence hash
+# advances its multiplier once per word whatever the data, so the values
+# it takes are precomputed: 17 over the 16 hashes that mix the 4-word
+# pool, 9 over the 8 words that expand it.
+_M32 = 0xFFFFFFFF
+_M128 = (1 << 128) - 1
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+
+
+def _multipliers(init: int, mult: int, n: int) -> Tuple[np.uint32, ...]:
+    out = [init]
+    for _ in range(n):
+        out.append((out[-1] * mult) & _M32)
+    return tuple(np.uint32(x) for x in out)
+
+
+_MIX_MULTS = _multipliers(0x43B0D7E5, 0x931E8875, 16)
+_GEN_MULTS = _multipliers(0x8B51F9DD, 0x58F38DED, 8)
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_SHIFT = np.uint32(16)
+
+
+def first_normals(seeds: Sequence[int], loc: float, scale: float,
+                  scratch: np.random.Generator) -> List[float]:
+    """``[np.random.default_rng(s).normal(loc, scale) for s in seeds]``, bit
+    for bit, without building one generator per seed.
+
+    ``default_rng(s)`` seeds ``PCG64`` through ``SeedSequence(s)``: the
+    64-bit seed enters as one or two uint32 words (the same pool either
+    way, since a missing second word hashes as 0), is mixed into a 4-word
+    pool and expanded to 4 uint64 words -- the LCG's initial state and
+    increment.  This runs those hashes for the whole batch at once in
+    uint32 arithmetic, then sets ``scratch`` (a ``Generator`` over a
+    ``PCG64``, overwritten on every call) to each seed's state and takes
+    its first normal.
+    """
+    if type(scratch.bit_generator) is not np.random.PCG64:
+        raise TypeError("first_normals needs a Generator over PCG64")
+    s = np.asarray(seeds, dtype=np.uint64)
+    words = ((s & np.uint64(_M32)).astype(np.uint32),
+             (s >> np.uint64(32)).astype(np.uint32),
+             np.zeros(len(s), np.uint32), np.zeros(len(s), np.uint32))
+    mix_mults = iter(zip(_MIX_MULTS, _MIX_MULTS[1:]))
+
+    def hashmix(v):
+        xor, mult = next(mix_mults)
+        v = (v ^ xor) * mult
+        return v ^ (v >> _SHIFT)
+
+    pool = [hashmix(w) for w in words]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                r = _MIX_L * pool[dst] - _MIX_R * hashmix(pool[src])
+                pool[dst] = r ^ (r >> _SHIFT)
+    out = []
+    for k, (xor, mult) in enumerate(zip(_GEN_MULTS, _GEN_MULTS[1:])):
+        v = (pool[k % 4] ^ xor) * mult
+        out.append((v ^ (v >> _SHIFT)).astype(np.uint64))
+    state_hi, state_lo, inc_hi, inc_lo = (
+        (out[2 * k] | (out[2 * k + 1] << np.uint64(32))).tolist()
+        for k in range(4))
+
+    bitgen = scratch.bit_generator
+    normal = scratch.normal
+    doc = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0}
+    draws = []
+    for a, b, c, d in zip(state_hi, state_lo, inc_hi, inc_lo):
+        # pcg_setseq_128_srandom_r: two LCG steps from state 0
+        inc = ((((c << 64) | d) << 1) | 1) & _M128
+        doc["state"] = {"state": ((inc + ((a << 64) | b)) * _PCG_MULT + inc) & _M128,
+                        "inc": inc}
+        bitgen.state = doc
+        draws.append(normal(loc, scale))
+    return draws
 
 
 class RngStreams:

@@ -13,6 +13,11 @@ objects per location.  Its sinks build an ``Ev`` from each event's
 fields, so its finished trace is event-backed.  :func:`event_bits` is
 the field-for-field comparison key.
 
+:class:`PerKeyNetworkNoise` is the network noise with one generator per
+key, which :class:`~repro.machine.noise.NetworkNoise` replaced with
+first draws derived in blocks; its factors are the reference those must
+equal bit for bit.
+
 :func:`walker_analyze_trace` is the per-event wait-state walk that
 :func:`repro.analysis.analyze_trace` replaced with its compiled analysis
 plan; :func:`analyze_stream` runs it over flat per-event lists in merged
@@ -35,6 +40,7 @@ from repro.analysis.patterns import barrier_split, late_receiver_wait, late_send
 from repro.clocks.base import TimestampedTrace
 from repro.cube.profile import CubeProfile
 from repro.cube.systemtree import SystemTree
+from repro.machine.noise import _lognormal_factor
 from repro.measure import Measurement, RawTrace
 from repro.measure.columnar import ColumnarConversionError, aux_values
 from repro.measure.measurement import RECORD_WIDTH
@@ -318,6 +324,28 @@ class EvListMeasurement(Measurement):
         self._finished = True
         return RawTrace(self.mode, self._engine.regions, self._locations,
                         self._events, runtime, self._engine.pinning)
+
+
+# ---------------------------------------------------------------------------
+# the per-key network noise
+# ---------------------------------------------------------------------------
+
+class PerKeyNetworkNoise:
+    """Network noise drawn key by key: ``key``'s n-th factor is the n-th
+    mean-1 lognormal draw of its own stream ``rngs.get("net-noise",
+    key=key)``, built on the key's first request."""
+
+    def __init__(self, rngs, config):
+        self._rngs = rngs
+        self._sigma = config.network_sigma
+        self._gens: dict = {}
+
+    def factor(self, key) -> float:
+        rng = self._gens.get(key)
+        if rng is None:
+            rng = self._rngs.get("net-noise", key=key)
+            self._gens[key] = rng
+        return _lognormal_factor(rng, self._sigma)
 
 
 def _bits(x):

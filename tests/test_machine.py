@@ -234,3 +234,18 @@ class TestNoise:
         nm = NoiseModel(NoiseConfig(), seed=1)
         with pytest.raises(ValueError):
             nm.os.detour_time(0, 0, -1.0)
+
+    @pytest.mark.parametrize("config", [
+        NoiseConfig(),
+        NoiseConfig(counter_offset_instructions=0.0),
+        NoiseConfig(counter_sigma=0.0),
+        ZeroNoise(),
+    ], ids=["lognormal+offset", "lognormal", "offset", "none"])
+    def test_perturb_many_equals_per_event_perturb(self, config):
+        counts = [0.0, 1.0, 3.0e9, 12345.678] + \
+            (np.random.default_rng(2).random(500) * 1e6).tolist()
+        many = NoiseModel(config, seed=4).counter.perturb_many(1, 2, np.array(counts))
+        one = NoiseModel(config, seed=4).counter
+        each = np.array([one.perturb(1, 2, c) for c in counts])
+        assert many.view(np.uint64).tolist() == each.view(np.uint64).tolist()
+        assert len(NoiseModel(config, seed=4).counter.perturb_many(0, 0, [])) == 0

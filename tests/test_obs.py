@@ -483,3 +483,26 @@ class TestAnalysisSpans:
         assert names.count("analysis.evaluate") == len(MODES) == 6
         assert session.metrics.totals("analysis.") == {
             "analysis.plan_compiles": 1.0}
+
+
+class TestEngineSpans:
+    def test_drain_and_finish_nest_in_run(self, cluster, quiet_cost):
+        from repro.measure import Measurement
+        from repro.miniapps.minife import MiniFE, MiniFEConfig
+        from repro.sim import Engine
+
+        session = obs.ObsSession()
+        with obs.scoped(session):
+            for measurement in (Measurement("ltbb"), None):
+                Engine(MiniFE(MiniFEConfig.tiny(nx=32, n_ranks=2)), cluster,
+                       quiet_cost, measurement=measurement).run()
+        records = session.spans.records
+        runs = [i for i, r in enumerate(records) if r.name == "engine.run"]
+        assert [records[i].args["mode"] for i in runs] == ["ltbb", "ref"]
+        for i in runs:
+            children = [r for r in records if r.parent == i]
+            assert [r.name for r in children] == ["engine.drain", "engine.finish"]
+            run = records[i]
+            for child in children:
+                assert run.t0 <= child.t0 <= child.t1 <= run.t1
+            assert children[0].t1 <= children[1].t0

@@ -6,7 +6,9 @@ reassembles results in canonical order -- and that per-run checkpoints
 let an interrupted campaign resume without recomputation.
 """
 
+import gzip
 import json
+import shutil
 
 import pytest
 
@@ -154,3 +156,102 @@ class TestStoreCollisionSafety:
         assert not cache.exists()
         leftovers = [p for p in cache.parent.iterdir() if ".tmp-" in p.name]
         assert leftovers == []
+
+
+def _count_write_profile(monkeypatch):
+    """Record the destination of every ``write_profile`` the workflow makes."""
+    dests = []
+    real = W.write_profile
+
+    def spy(profile, path):
+        dests.append(path)
+        real(profile, path)
+
+    monkeypatch.setattr(W, "write_profile", spy)
+    return dests
+
+
+def _n_profiles(result):
+    return sum(len(p) for p in result.profiles.values())
+
+
+def _entry_values(result):
+    """Every number of a result, floats exact.  Not its bytes: a mean of
+    profiles read back from checkpoints interns its call paths in another
+    order than a mean of the in-memory profiles."""
+    return (result.ref_runtimes, result.ref_phases, result.runtimes,
+            result.phases, _profile_cells(result),
+            {m: p.as_mapping(per_location=True)
+             for m, p in result.mean_profiles.items()})
+
+
+class TestWriteOnce:
+    def test_published_profiles_are_the_checkpoints(self, tiny_experiment,
+                                                     monkeypatch):
+        checkpoints = {}
+        real_store_run = W._store_run
+
+        def store_run(runs_dir, task, payload):
+            real_store_run(runs_dir, task, payload)
+            if task[0] != "ref":
+                checkpoints[task] = \
+                    W._profile_checkpoint(runs_dir, task).read_bytes()
+
+        monkeypatch.setattr(W, "_store_run", store_run)
+        dests = _count_write_profile(monkeypatch)
+        result = run_experiment(tiny_experiment, seed=0, use_cache=True,
+                                workers=2)
+        cache = W._cache_path(tiny_experiment, 0)
+        assert len(checkpoints) == _n_profiles(result)
+        for (mode, i), data in checkpoints.items():
+            assert (cache / f"profile-{mode}-{i}.json.gz").read_bytes() == data
+        # one write per repetition profile (its checkpoint) + one per mean
+        assert len(dests) == _n_profiles(result) + len(MODES)
+
+    def test_resumed_entry_loads_equal(self, tiny_experiment, monkeypatch):
+        run_experiment(tiny_experiment, seed=0, use_cache=True)
+        cache = W._cache_path(tiny_experiment, 0)
+        uninterrupted = _entry_values(W._load(cache, tiny_experiment, 0))
+        shutil.rmtree(cache)
+
+        # every run checkpointed by an interrupted campaign of an earlier
+        # build, which wrote its profiles at gzip level 9
+        import repro.cube.io as cube_io
+
+        spec = C.EXPERIMENTS[tiny_experiment]
+        runs_dir = W._runs_dir(tiny_experiment, 0)
+        with monkeypatch.context() as m:
+            m.setattr(cube_io, "_GZIP_LEVEL", 9)
+            for task in [("ref", r) for r in range(spec.reps_ref)] + \
+                    [(mode, r) for mode in MODES for r in range(W._reps_for(mode, spec))]:
+                W._store_run(runs_dir, task,
+                             W._run_task(tiny_experiment, task[0], 0, task[1]))
+
+        resumed = run_experiment(tiny_experiment, seed=0, use_cache=True)
+        assert _entry_values(W._load(cache, tiny_experiment, 0)) == uninterrupted
+        assert _entry_values(resumed) == uninterrupted
+
+    @pytest.mark.parametrize("runs_dir", [None, "empty"])
+    def test_store_without_checkpoints_writes(self, tiny_experiment,
+                                              monkeypatch, tmp_path, runs_dir):
+        result = run_experiment(tiny_experiment, seed=0, use_cache=False)
+        cache = W._cache_path(tiny_experiment, 0)
+        dests = _count_write_profile(monkeypatch)
+        W._store(result, cache, None if runs_dir is None else tmp_path / runs_dir)
+        assert len(dests) == _n_profiles(result) + len(MODES)
+        assert W.serialize_result(W._load(cache, tiny_experiment, 0)) == \
+            W.serialize_result(result)
+
+    def test_level9_profile_reads_back(self, tiny_experiment, tmp_path):
+        from repro.cube import read_profile, write_profile
+        from repro.cube.io import profile_doc
+
+        profile = W._run_task(tiny_experiment, "ltbb", 0, 0)[2]
+        doc = json.dumps(profile_doc(profile)).encode("utf-8")
+        old = tmp_path / "old.json.gz"
+        old.write_bytes(gzip.compress(doc, compresslevel=9, mtime=0))
+        new = tmp_path / "new.json.gz"
+        write_profile(profile, new)
+        assert old.read_bytes() != new.read_bytes()
+        for path in (old, new):
+            assert json.dumps(profile_doc(read_profile(path))).encode("utf-8") == doc
