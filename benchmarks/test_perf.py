@@ -45,12 +45,6 @@ def test_perf_lamport_replay(benchmark, trace):
     assert len(times.times) == trace.n_locations
 
 
-def test_perf_lamport_replay_legacy(benchmark, trace):
-    """Per-event walk, kept as the reference point for the columnar speedup."""
-    times = benchmark(lambda: timestamp_trace(trace, "ltbb", impl="legacy"))
-    assert len(times.times) == trace.n_locations
-
-
 def test_perf_hwctr_replay(benchmark, trace):
     times = benchmark(lambda: timestamp_trace(trace, "lthwctr", counter_seed=1))
     assert len(times.times) == trace.n_locations

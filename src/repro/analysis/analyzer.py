@@ -60,7 +60,6 @@ from repro.analysis.patterns import (
 from repro.clocks.base import TimestampedTrace
 from repro.cube.profile import CubeProfile
 from repro.cube.systemtree import SystemTree
-from repro.measure.columnar import ColumnarConversionError
 from repro.sim.events import (
     BURST,
     COLL_END,
@@ -111,9 +110,6 @@ _I_SKIP = 5  # idle worker: its time is the master's idle_threads x W
 _CLASS_OF_KIND = np.array([_I_COMP, _I_P2P, _I_COLL, _I_OMP, _I_COMP, _I_NONE],
                           dtype=np.int8)
 
-#: the synchronisation kinds the analysis pairs or groups
-_SYNC_KINDS = (MPI_SEND, MPI_RECV, COLL_END, FORK, TEAM_BEGIN, OBAR_LEAVE)
-
 #: stream entries the delay-cost loop converts to Python objects at a time
 _CHUNK = 16384
 
@@ -158,26 +154,17 @@ def analyze_trace(tt: TimestampedTrace) -> CubeProfile:
     """Analyze ``tt`` and return the profile (severities in clock units).
 
     The first analysis of a trace compiles its :class:`AnalysisPlan`;
-    later ones, in any mode, reuse it.  A trace whose payloads the
-    columnar form rejects is compiled from its events on every call.
+    later ones, in any mode, reuse it.
     """
     trace = tt.trace
-    try:
-        cols = trace.columns()
-    except ColumnarConversionError:
-        cols = None
-        counts = [len(evs) for evs in trace.events]
-    else:
-        counts = [len(lc) for lc in cols.locs]
+    cols = trace.columns()
+    counts = [len(lc) for lc in cols.locs]
     if [len(t) for t in tt.times] != counts:
         raise ValueError("timestamp arrays do not match the trace's events")
-    plan = None if cols is None else cols._analysis_plan
+    plan = cols._analysis_plan
     if plan is None:
         with obs.span("analysis.plan_compile", events=sum(counts)):
-            if cols is None:
-                plan = _compile_events(trace)
-            else:
-                plan = cols._analysis_plan = _compile_columns(cols)
+            plan = cols._analysis_plan = _compile_columns(cols)
         obs.counter("analysis.plan_compiles").inc()
     pinning = trace.pinning
     system = SystemTree(
@@ -202,35 +189,6 @@ def _compile_columns(cols) -> AnalysisPlan:
                     [len(lc) for lc in cols.locs], perm, loc,
                     (s_loc, s_idx, s_et, s_a, s_b),
                     cols.locations, cols.regions)
-
-
-def _compile_events(trace) -> AnalysisPlan:
-    """The plan of an event-backed trace whose payloads the columnar form
-    rejects: the same arrays, gathered from the ``Ev`` attributes, with
-    the synchronisation payloads interned to integers."""
-    counts = [len(evs) for evs in trace.events]
-    flat = list(chain.from_iterable(trace.events))
-    etype = np.fromiter((ev.etype for ev in flat), dtype=np.int64, count=len(flat))
-    region = np.fromiter((ev.region for ev in flat), dtype=np.int64, count=len(flat))
-    perm, loc = trace.merged_order()
-    pos = np.flatnonzero(np.isin(etype[perm], _SYNC_KINDS))
-    fs = perm[pos]
-    s_loc = loc[pos]
-    bounds = np.cumsum([0] + counts)
-    ids: Dict[object, int] = {}
-    s_a, s_b = [], []
-    for f, et in zip(fs.tolist(), etype[fs].tolist()):
-        aux = flat[f].aux
-        if et == MPI_SEND or et == COLL_END or et == OBAR_LEAVE:
-            key, second = aux
-        else:
-            key, second = aux, None
-        s_a.append(ids.setdefault(key, len(ids)))
-        s_b.append(second)
-    sync = (s_loc.tolist(), (fs - bounds[s_loc]).tolist(),
-            etype[fs].tolist(), s_a, s_b)
-    return _compile(etype, region, counts, perm, loc, sync,
-                    trace.locations, trace.regions)
 
 
 def _compile(etype, region, counts, perm, loc, sync, locations,

@@ -1,18 +1,16 @@
 """Performance benchmark harness behind the ``repro-bench`` CLI.
 
 Times the toolchain's hot paths -- the discrete-event engine, the clock
-replay (per-event vs. columnar), the wait-state analyzer, and a miniature
-measurement campaign (serial vs. parallel workers) -- and writes the
-numbers to ``BENCH_repro.json``.  A committed baseline
+replay, the wait-state analyzer, and a miniature measurement campaign
+(serial vs. parallel workers) -- and writes the numbers to
+``BENCH_repro.json`` (a generated file, not tracked).  A committed baseline
 (``benchmarks/BENCH_baseline.json``) plus ``--baseline`` turns the run
 into a smoke gate: any timed section slower than ``--threshold`` times
 its baseline value fails the run (CI uses 2x).
 
 The numbers are wall-clock best-of-``repeats`` measurements of single-
 process work, so they are machine-dependent but robust against transient
-load; the *speedup* figures (columnar vs. legacy replay) are
-machine-independent enough to track the paper-repro's own performance
-claims.
+load.
 """
 
 from __future__ import annotations
@@ -115,24 +113,16 @@ def run_benchmarks(quick: bool = False, workers: int = 2,
     }
 
     for mode, kwargs in (("ltbb", {}), ("lthwctr", {"counter_seed": 1})):
-        legacy_s = _timed(
-            session, f"replay_{mode}_legacy",
-            lambda: timestamp_trace(trace, mode, impl="legacy", **kwargs),
-            repeats,
-        )
         columnar_s = _timed(
             session, f"replay_{mode}_columnar",
             lambda: timestamp_trace(trace, mode, **kwargs), repeats,
         )
         results[f"replay_{mode}"] = {
-            "legacy_seconds": legacy_s,
             "columnar_seconds": columnar_s,
-            "speedup": legacy_s / columnar_s,
             "events_per_sec": n_events / columnar_s,
         }
         log(f"replay {mode:8s}{columnar_s * 1e3:8.2f} ms "
-            f"({n_events / columnar_s:,.0f} events/s, "
-            f"{legacy_s / columnar_s:.1f}x vs per-event walk)")
+            f"({n_events / columnar_s:,.0f} events/s)")
 
     # The first analysis of a trace compiles its plan, later ones (the
     # gated number) evaluate it -- as the replay rows reuse their plan.
@@ -170,7 +160,8 @@ def _bench_shards(trace, log, session: "_obs.ObsSession",
 
     Writes the bench trace as a sharded archive (shards far smaller than
     the trace so the walk really crosses shard boundaries), then times a
-    full streamed ``merged()`` walk and a streaming ``lt1`` clock replay.
+    full streamed ``merged()`` walk and an ``lt1`` clock replay of the
+    archive (read whole).
     """
     import shutil
     import tempfile

@@ -1,25 +1,24 @@
 """Happened-before DAG with per-edge cost attribution and blame analysis.
 
-:func:`build_dag` streams any trace-like object's ``merged()`` iterator
-(a :class:`~repro.measure.trace.RawTrace` or an out-of-core
-:class:`~repro.measure.shards.ShardedTrace`) through the exact clock
-state machine of :func:`repro.clocks.streaming.stream_clock_replay` and
-materializes **only the synchronisation events** as DAG nodes -- sends,
-receives, collective/barrier/restart completions, forks and team begins,
-typically a third of a trace.  Everything between two synchronisation
-events on a location collapses into the *program edge* connecting them,
-whose cost is the clock advance over the stretch, broken down by the
-call path in which the work happened.  Memory is therefore bounded by
-the synchronisation structure (plus one resident shard when streaming),
-not by the event count.
+:func:`build_dag` materializes **only the synchronisation events** as
+DAG nodes -- sends, receives, collective/barrier/restart completions,
+forks and team begins, typically a third of a trace.  They are exactly
+the records of the trace's compiled replay plan
+(:mod:`repro.clocks.columnar`): node ``s`` is plan record ``s``, and a
+receive's or team begin's remote predecessor is its record's source
+slot.  Everything between two synchronisation events on a location
+collapses into the *program edge* connecting them, whose cost is the
+clock advance over the stretch, broken down by the call path in which
+the work happened.  Memory is therefore bounded by the synchronisation
+structure plus the trace's columns, not by ``Ev`` objects.
 
 Per-edge costs follow the active clock mode: physical seconds under
-``tsc``, logical units under the ``lt*`` modes (the per-location clock
-values are bit-identical to :func:`repro.clocks.timestamp_trace`, locked
-by the tests).  Under the Lamport semantics a node's clock value *is*
-its longest-path distance from the source, so critical-path extraction
-is a backward walk along whichever predecessor determined each clock
-value -- no second fixpoint pass.
+``tsc``, logical units under the ``lt*`` modes, where every clock value
+comes from one execution of the replay plan and is bit-identical to
+:func:`repro.clocks.timestamp_trace`.  Under the Lamport semantics a
+node's clock value *is* its longest-path distance from the source, so
+critical-path extraction is a backward walk along whichever predecessor
+determined each clock value -- no second fixpoint pass.
 
 Wait-state **root-cause attribution** (the blame profile): every wait
 interval -- a late-sender max-exchange jump at a receive, the group-max
@@ -40,24 +39,23 @@ import hashlib
 import struct
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
+from repro import obs
 from repro.analysis.patterns import late_sender_wait, nxn_waits
+from repro.clocks.columnar import (
+    OP_FINAL,
+    OP_MAXSRC,
+    mode_increments,
+    replay_columnar,
+    replay_plan,
+    trace_columns,
+)
 from repro.cube.profile import CubeProfile
 from repro.cube.systemtree import SystemTree
-from repro.machine.noise import CounterNoise, NoiseConfig
-from repro.measure.config import LTHWCTR, TSC, validate_mode
-from repro.sim.events import (
-    BURST,
-    COLL_END,
-    ENTER,
-    FORK,
-    LEAVE,
-    MPI_RECV,
-    MPI_SEND,
-    OBAR_LEAVE,
-    RESTART,
-    TEAM_BEGIN,
-)
-from repro.util.rng import RngStreams
+from repro.machine.noise import NoiseConfig
+from repro.measure.config import TSC, validate_mode
+from repro.sim.events import BURST, ENTER, LEAVE, MPI_RECV
 
 __all__ = [
     "BLAME_COMPUTE",
@@ -210,205 +208,175 @@ def build_dag(
 ) -> CausalDag:
     """Construct the happened-before DAG of ``trace_like`` under ``mode``.
 
-    ``trace_like`` is anything exposing ``mode``, ``regions``,
-    ``locations``, ``n_locations`` and ``merged()`` -- a ``RawTrace`` or
-    a ``ShardedTrace`` (streamed shard-at-a-time).  The clock rules
-    mirror :func:`repro.clocks.streaming.stream_clock_replay` exactly,
-    so per-location final clocks are bit-identical to the full replay.
+    ``trace_like`` is a ``RawTrace`` or a ``ShardedTrace`` (read whole);
+    the counter arguments are those of :func:`repro.clocks.timestamp_trace`.
+    Node ``s`` is record ``s`` of the trace's compiled replay plan (one
+    per synchronisation event, in merged order), followed by one terminal
+    node per location.  Under a logical mode every clock value comes from
+    one execution of the plan; under ``tsc`` the plan gives only the
+    structure and the clocks are the physical timestamps.
     """
     mode = validate_mode(mode or trace_like.mode)
-    n = trace_like.n_locations
-    regions = trace_like.regions
-    dag = CausalDag(mode, list(regions.names), list(trace_like.locations))
+    cols = trace_columns(trace_like)
+    records, _tails = replay_plan(cols)
+    with obs.span("causal.dag", mode=mode,
+                  nodes=len(records) + cols.n_locations):
+        dag = _plan_dag(cols, records, mode, counter_seed,
+                        counter_noise_config)
+    obs.counter("clocks.replays", mode=mode).inc()
+    return dag
+
+
+def _plan_dag(cols, records, mode, counter_seed, counter_noise_config):
+    """The DAG of ``cols`` from its replay plan ``records``."""
+    n = cols.n_locations
+    regions = cols.regions
+    dag = CausalDag(mode, list(regions.names), list(cols.locations))
     is_tsc = mode == TSC
+    s_loc, s_idx, s_et, _a, _b, _pos = cols.sync_order()
+    n_sync = len(records)
+    idx = np.asarray(s_idx, dtype=np.int64)
+    flat = cols.offsets()[np.asarray(s_loc, dtype=np.int64)] + idx
+    t_all = cols.column("t")
+    t_sync = t_all[flat].tolist()
+    if is_tsc:
+        # the walk's step is the physical advance since the previous event
+        steps = [np.diff(lc.t, prepend=0.0) for lc in cols.locs]
+        final = [float(lc.t[-1]) if len(lc) else 0.0 for lc in cols.locs]
+        pre = t_sync
+        # physical time of the event in front of each record's event
+        before = np.where(idx > 0, t_all[np.maximum(flat - 1, 0)], 0.0).tolist()
+    else:
+        steps = mode_increments(cols, mode, counter_seed, counter_noise_config)
+        rep = replay_columnar(cols, steps)
+        final, pre = rep.final, rep.pre
 
-    if mode == LTHWCTR:
-        from repro.clocks.hwcounter import HwCounterIncrement
-
-        cfg = (counter_noise_config if counter_noise_config is not None
-               else NoiseConfig())
-        model = HwCounterIncrement(
-            trace_like, CounterNoise(RngStreams(counter_seed), cfg))
-        inc_of = [model.for_location(loc) for loc in range(n)]
-    elif not is_tsc:
-        from repro.clocks.increments import make_increment
-
-        inc_of = [make_increment(mode)] * n
-
-    clock = [0.0] * n
-    ev_idx = [0] * n
+    clock = list(pre)
+    work = [0.0] * n_sync
+    wait = [0.0] * n_sync
+    pred_prog = [-1] * n_sync
+    pred_remote = [-1] * n_sync
+    remote_critical = [False] * n_sync
     last_node = [-1] * n
-    last_node_clock = [0.0] * n
-    stacks: List[List[str]] = [[] for _ in range(n)]
-    cp_index: Dict[Tuple[str, ...], int] = {}
-    seg_acc: List[Dict[int, float]] = [{} for _ in range(n)]
+    last_clock = [0.0] * n
+    for s, (loc, _i, _a, op, arg) in enumerate(records):
+        c = pre[s]
+        work[s] = c - last_clock[loc]
+        prog = pred_prog[s] = last_node[loc]
+        last_node[loc] = s
+        last_clock[loc] = c
+        if op == OP_MAXSRC:  # a receive or a team begin
+            src = pred_remote[s] = arg[0]
+            sc = pre[src]
+            team = s_et[s] != MPI_RECV
+            if is_tsc:
+                w = 0.0 if team else late_sender_wait(sc, before[s], c)
+                rc = (prog < 0 or sc > before[s]) if team else w > 0.0
+            else:
+                p1 = sc + 1.0
+                w = p1 - c if p1 > c else 0.0
+                rc = p1 > c or (team and prog < 0)
+                if p1 > c:
+                    clock[s] = last_clock[loc] = p1
+            wait[s] = w
+            remote_critical[s] = rc
+        elif op == OP_FINAL:
+            slots = arg[1]
+            if is_tsc:
+                enters = [before[k] for k in slots]
+                waits = nxn_waits(enters, c)
+                win = max(range(len(slots)), key=enters.__getitem__)
+            else:
+                m = max(pre[k] for k in slots)
+                waits = [m - pre[k] for k in slots]
+                win = next(j for j, k in enumerate(slots) if pre[k] == m)
+            win_nid = slots[win]
+            for j, k in enumerate(slots):
+                wait[k] = waits[j]
+                if j != win and waits[j] > 0.0:
+                    pred_remote[k] = win_nid
+                    remote_critical[k] = True
+                if not is_tsc:
+                    clock[k] = last_clock[s_loc[k]] = m
 
-    def intern(path: Tuple[str, ...]) -> int:
-        cid = cp_index.get(path)
+    cpid, seg = _segments(dag, cols, steps, s_loc, s_idx, n_sync)
+    dag.loc = list(s_loc) + list(range(n))
+    dag.idx = list(s_idx) + [len(lc) for lc in cols.locs]
+    dag.etype = list(s_et) + [TERMINAL] * n
+    dag.region = cols.column("region")[flat].tolist() + [-1] * n
+    dag.t = t_sync + [0.0] * n
+    dag.clock = clock + final
+    dag.work = work + [f - c for f, c in zip(final, last_clock)]
+    dag.wait = wait + [0.0] * n
+    dag.pred_prog = pred_prog + last_node
+    dag.pred_remote = pred_remote + [-1] * n
+    dag.remote_critical = remote_critical + [False] * n
+    dag.cpid = cpid
+    dag.seg = seg
+    dag.final = list(final)
+    dag.n_events = cols.n_events
+    return dag
+
+
+def _segments(dag, cols, steps, s_loc, s_idx, n_sync):
+    """Call path and per-call-path work of every node's program edge.
+
+    One pass per location over its kind and region columns: a stack of
+    call-path ids, the ``BURST`` child path, and the steps accumulated
+    per call path (first-touch order) since the location's previous node.
+    An event's step belongs to the call path active *before* it (a
+    ``BURST``'s to the burst's own child path).  Interns ``dag.callpaths``
+    location by location; returns ``(cpid, seg)`` over all nodes,
+    terminals last.
+    """
+    n = cols.n_locations
+    names = cols.regions.names
+    paths = dag.callpaths
+    paths.append(())
+    child: Dict[Tuple[int, str], int] = {}
+
+    def child_of(parent: int, name: str) -> int:
+        cid = child.get((parent, name))
         if cid is None:
-            cid = cp_index[path] = len(dag.callpaths)
-            dag.callpaths.append(path)
+            cid = child[(parent, name)] = len(paths)
+            paths.append(paths[parent] + (name,))
         return cid
 
-    root = intern(())
-    cur_cpid = [root] * n
-
-    def new_node(loc: int, i: int, et: int, rid: int, t: float,
-                 c: float, wait: float, pred_remote: int,
-                 remote_critical: bool) -> int:
-        nid = dag.n_nodes
-        dag.loc.append(loc)
-        dag.idx.append(i)
-        dag.etype.append(et)
-        dag.region.append(rid)
-        dag.t.append(t)
-        dag.clock.append(c)
-        dag.work.append(c - last_node_clock[loc])
-        dag.wait.append(wait)
-        dag.pred_prog.append(last_node[loc])
-        dag.pred_remote.append(pred_remote)
-        dag.remote_critical.append(remote_critical)
-        dag.cpid.append(cur_cpid[loc])
-        acc = seg_acc[loc]
-        dag.seg.append(list(acc.items()))
-        acc.clear()
-        last_node[loc] = nid
-        last_node_clock[loc] = c
-        return nid
-
-    # match id -> (send node, send clock); omp id -> (fork node, fork clock)
-    send_info: Dict[int, Tuple[int, float]] = {}
-    fork_info: Dict[int, Tuple[int, float]] = {}
-    # (etype, group id) -> list of (loc, provisional clock, node, enter clock)
-    groups: Dict[Tuple[int, int], List[Tuple[int, float, int, float]]] = {}
-
-    for loc, ev in trace_like.merged():
-        i = ev_idx[loc]
-        ev_idx[loc] = i + 1
-        prev = clock[loc]
-        if is_tsc:
-            c = ev.t
-            step = c - prev
-        else:
-            step = inc_of[loc](ev)
-            c = prev + step
-        et = ev.etype
-
-        # attribute the step to the call path active *before* the event
-        # (a BURST's work belongs to the burst's own child call path)
-        if et == BURST:
-            cp = intern(dag.callpaths[cur_cpid[loc]]
-                        + (regions.name(ev.region),))
-        else:
-            cp = cur_cpid[loc]
-        acc = seg_acc[loc]
-        acc[cp] = acc.get(cp, 0.0) + step
-
-        if et == ENTER:
-            stk = stacks[loc]
-            stk.append(regions.name(ev.region))
-            cur_cpid[loc] = intern(tuple(stk))
-            clock[loc] = c
-            continue
-        if et == LEAVE:
-            stk = stacks[loc]
-            if stk:
-                stk.pop()
-            cur_cpid[loc] = intern(tuple(stk))
-            clock[loc] = c
-            continue
-
-        if et == MPI_SEND:
-            clock[loc] = c
-            nid = new_node(loc, i, et, ev.region, ev.t, c, 0.0, -1, False)
-            send_info[ev.aux[0]] = (nid, c)
-        elif et == MPI_RECV:
-            try:
-                snid, sclk = send_info.pop(ev.aux)
-            except KeyError:
-                raise AssertionError(
-                    f"receive of message {ev.aux} before/without its send -- "
-                    "merged order is not topological"
-                ) from None
-            if is_tsc:
-                new = c
-                wait = late_sender_wait(sclk, prev, c)
-                rc = wait > 0.0
-            else:
-                p1 = sclk + 1.0
-                rc = p1 > c
-                wait = p1 - c if rc else 0.0
-                new = p1 if rc else c
-            clock[loc] = new
-            nid = new_node(loc, i, et, ev.region, ev.t, c, wait, snid, rc)
-            if rc:
-                dag.clock[nid] = new
-                last_node_clock[loc] = new
-        elif et == COLL_END or et == OBAR_LEAVE or et == RESTART:
-            gid, size = ev.aux
-            clock[loc] = c
-            nid = new_node(loc, i, et, ev.region, ev.t, c, 0.0, -1, False)
-            key = (et, gid)
-            members = groups.setdefault(key, [])
-            members.append((loc, c, nid, prev))
-            if len(members) == size:
-                if is_tsc:
-                    completion = ev.t
-                    waits = nxn_waits([en for (_l, _c, _n, en) in members],
-                                      completion)
-                    win = max(range(len(members)),
-                              key=lambda k: members[k][3])
-                else:
-                    m = max(cm for (_l, cm, _n, _e) in members)
-                    waits = [m - cm for (_l, cm, _n, _e) in members]
-                    win = next(k for k, mem in enumerate(members)
-                               if mem[1] == m)
-                win_nid = members[win][2]
-                for k, (l2, _c2, nid2, _en) in enumerate(members):
-                    dag.wait[nid2] = waits[k]
-                    if k != win and waits[k] > 0.0:
-                        dag.pred_remote[nid2] = win_nid
-                        dag.remote_critical[nid2] = True
-                    if not is_tsc:
-                        clock[l2] = m
-                        dag.clock[nid2] = m
-                        last_node_clock[l2] = m
-                del groups[key]
-        elif et == FORK:
-            clock[loc] = c
-            nid = new_node(loc, i, et, ev.region, ev.t, c, 0.0, -1, False)
-            fork_info[ev.aux] = (nid, c)
-        elif et == TEAM_BEGIN:
-            fnid, fclk = fork_info[ev.aux]
-            if is_tsc:
-                new = c
-                rc = last_node[loc] < 0 or fclk > prev
-                wait = 0.0
-            else:
-                p1 = fclk + 1.0
-                rc = p1 > c or last_node[loc] < 0
-                wait = p1 - c if p1 > c else 0.0
-                new = p1 if p1 > c else c
-            clock[loc] = new
-            nid = new_node(loc, i, et, ev.region, ev.t, c, wait, fnid, rc)
-            if new != c:
-                dag.clock[nid] = new
-                last_node_clock[loc] = new
-        else:
-            clock[loc] = c
-
-    if groups:
-        raise AssertionError(
-            f"{len(groups)} incomplete synchronisation groups at end of "
-            f"trace (first keys: {list(groups)[:3]})"
-        )
-
-    for loc in range(n):
-        new_node(loc, ev_idx[loc], TERMINAL, -1, 0.0, clock[loc],
-                 0.0, -1, False)
-    dag.final = list(clock)
-    dag.n_events = sum(ev_idx)
-    return dag
+    nodes_of: List[List[int]] = [[] for _ in range(n)]
+    for s in range(n_sync):
+        nodes_of[s_loc[s]].append(s)
+    cpid = [0] * (n_sync + n)
+    seg: List[list] = [None] * (n_sync + n)
+    for loc, lc in enumerate(cols.locs):
+        kinds = lc.etype.tolist()
+        rids = lc.region.tolist()
+        nodes = nodes_of[loc] + [n_sync + loc]
+        at = [s_idx[s] for s in nodes[:-1]] + [-1]
+        k = 0
+        nxt = at[0]
+        stack = [0]
+        cur = 0
+        acc: Dict[int, float] = {}
+        for i, (et, step) in enumerate(zip(kinds, steps[loc].tolist())):
+            cp = child_of(cur, names[rids[i]]) if et == BURST else cur
+            acc[cp] = acc.get(cp, 0.0) + step
+            if et == ENTER:
+                cur = child_of(cur, names[rids[i]])
+                stack.append(cur)
+            elif et == LEAVE:
+                if len(stack) > 1:
+                    stack.pop()
+                cur = stack[-1]
+            elif i == nxt:
+                s = nodes[k]
+                cpid[s] = cur
+                seg[s] = list(acc.items())
+                acc.clear()
+                k += 1
+                nxt = at[k]
+        cpid[n_sync + loc] = cur
+        seg[n_sync + loc] = list(acc.items())
+    return cpid, seg
 
 
 def blame_profile(dag: CausalDag, pinning=None) -> CubeProfile:
@@ -433,12 +401,13 @@ def blame_profile(dag: CausalDag, pinning=None) -> CubeProfile:
     system = SystemTree(dag.locations, nodes_of_ranks)
     prof = CubeProfile(system, BLAME_LEAVES, mode=dag.mode,
                        meta={"kind": "causal_blame"})
-    for nid in range(dag.n_nodes):
-        w = dag.wait[nid]
-        if w <= 0.0:
-            continue
-        prof.add(CAUSAL_WAIT, dag.callpath(nid), dag.loc[nid], w)
-        _distribute_blame(dag, nid, w, prof)
+    with obs.span("causal.blame", mode=dag.mode, nodes=dag.n_nodes):
+        for nid in range(dag.n_nodes):
+            w = dag.wait[nid]
+            if w <= 0.0:
+                continue
+            prof.add(CAUSAL_WAIT, dag.callpath(nid), dag.loc[nid], w)
+            _distribute_blame(dag, nid, w, prof)
     return prof
 
 

@@ -16,10 +16,11 @@ predictor (see ``docs/causal.md`` for the validity conditions).
 Validation (:func:`validate_whatif`) is deliberately expensive and
 independent: it re-runs the **full engine simulation** from scratch
 (deterministic programs regenerate the trace), applies the same edits
-through a *scalar per-event* walk that mirrors
-:func:`repro.clocks.streaming.stream_clock_replay`, and demands the
-final clock of every location match the vectorized prediction **bit for
-bit**.  Scaling factors that are powers of two keep even the float
+through a *scalar per-event* Lamport walk of its own -- the one clock
+walk in ``src/`` besides the replay plan, kept on purpose so the check
+does not compare the plan with itself -- and demands the final clock of
+every location match the vectorized prediction **bit for bit**.
+Scaling factors that are powers of two keep even the float
 multiplications exact, so ``factor=2.0``/``0.5``/``0.0`` edits carry the
 bit-identity guarantee end to end.
 
@@ -36,7 +37,11 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.clocks.columnar import columnar_increments, lamport_assign_columnar
+from repro.clocks.columnar import (
+    columnar_increments,
+    lamport_assign_columnar,
+    trace_columns,
+)
 from repro.measure.config import (
     LT1,
     LTBB,
@@ -176,14 +181,6 @@ class WhatIfValidation:
         return {"ok": self.ok, "max_abs_diff": self.max_abs_diff}
 
 
-def _trace_columns(trace_like):
-    """Columnar view of a RawTrace or ShardedTrace."""
-    columns = getattr(trace_like, "columns", None)
-    if columns is not None:
-        return columns()
-    return trace_like.to_raw().columns()
-
-
 # ---------------------------------------------------------------------------
 # edit application: per-event scale factors
 # ---------------------------------------------------------------------------
@@ -283,7 +280,7 @@ def run_whatif(
             f"{REPLAYABLE_MODES}, not {mode!r}"
         )
     edits = tuple(edits)
-    cols = _trace_columns(trace_like)
+    cols = trace_columns(trace_like)
     base_inc = columnar_increments(cols, mode, x_bb=x_bb, y_stmt=y_stmt)
     base_times = lamport_assign_columnar(cols, base_inc)
     scales = _event_scales(cols, edits)
@@ -338,9 +335,10 @@ def _edited_stream_finals(
 ) -> List[float]:
     """Per-event edited clock replay (the independent oracle path).
 
-    Mirrors :func:`repro.clocks.streaming.stream_clock_replay`'s state
-    machine over ``trace.merged()`` with per-event scale factors tracked
-    through a live region stack -- no columnar arrays, no replay plan.
+    Algorithm 1 event by event over ``trace.merged()`` -- send/receive
+    max-exchange, group maximum on completion, fork/team-begin adoption --
+    with per-event scale factors tracked through a live region stack: no
+    columnar arrays, no replay plan.
     """
     region_edits, rank_factors = _region_edit_plan(edits, trace.regions)
     n = trace.n_locations

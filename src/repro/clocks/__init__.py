@@ -4,6 +4,8 @@
 :class:`~repro.measure.trace.RawTrace` into per-location timestamp arrays
 under the chosen measurement mode -- physical time for ``tsc``, Lamport
 logical time with the paper's increment models for the ``lt*`` modes.
+All logical results come from one replay, the compiled plan of
+:mod:`repro.clocks.columnar`.
 
 Logical timestamps depend only on the event DAG (per-location order plus
 message/collective/fork/barrier edges) and the deterministic work counts,
@@ -17,36 +19,14 @@ from repro.clocks.columnar import (
     lamport_assign_columnar,
     timestamp_columns,
 )
-from repro.clocks.lamport import LamportClock
-from repro.clocks.increments import (
-    increment_lt1,
-    increment_ltloop,
-    increment_ltbb,
-    increment_ltstmt,
-    make_increment,
-)
-from repro.clocks.hwcounter import HwCounterIncrement
-from repro.clocks.physical import physical_times
-from repro.clocks.vector import VectorClock
-from repro.clocks.lazy import LazyLamportClock
 from repro.clocks.sync import SyncMechanism, overhead_for_mechanism
 
 __all__ = [
     "TimestampedTrace",
     "timestamp_trace",
-    "LamportClock",
     "columnar_increments",
     "lamport_assign_columnar",
     "timestamp_columns",
-    "increment_lt1",
-    "increment_ltloop",
-    "increment_ltbb",
-    "increment_ltstmt",
-    "make_increment",
-    "HwCounterIncrement",
-    "physical_times",
-    "VectorClock",
-    "LazyLamportClock",
     "SyncMechanism",
     "overhead_for_mechanism",
 ]

@@ -8,10 +8,10 @@ from typing import List, Optional
 import numpy as np
 
 from repro import obs
-from repro.machine.noise import CounterNoise, NoiseConfig
-from repro.measure.config import LTHWCTR, TSC, validate_mode
+from repro.clocks.columnar import timestamp_columns
+from repro.machine.noise import NoiseConfig
+from repro.measure.config import validate_mode
 from repro.measure.trace import RawTrace
-from repro.util.rng import RngStreams
 
 __all__ = ["TimestampedTrace", "timestamp_trace"]
 
@@ -31,12 +31,6 @@ class TimestampedTrace:
     times: List[np.ndarray]
     mode: str
 
-    def total_span(self) -> float:
-        """max timestamp - min timestamp over all locations."""
-        hi = max((float(t[-1]) for t in self.times if len(t)), default=0.0)
-        lo = min((float(t[0]) for t in self.times if len(t)), default=0.0)
-        return hi - lo
-
     def validate_monotone(self) -> None:
         for loc, arr in enumerate(self.times):
             if len(arr) > 1 and np.any(np.diff(arr) < 0):
@@ -51,7 +45,6 @@ def timestamp_trace(
     mode: Optional[str] = None,
     counter_seed: int = 0,
     counter_noise_config: Optional[NoiseConfig] = None,
-    impl: Optional[str] = None,
 ) -> TimestampedTrace:
     """Assign timestamps to ``trace`` under ``mode``.
 
@@ -61,48 +54,15 @@ def timestamp_trace(
     repetition seed to reproduce the paper's five-repetition studies;
     a ``ZeroNoise`` config makes the counter exact).
 
-    ``impl`` selects the replay engine: ``"columnar"`` (the vectorized
-    segment replay over the trace's structure-of-arrays view, see
-    :mod:`repro.clocks.columnar`) or ``"legacy"`` (the per-event walk).
-    Both produce bit-identical timestamps; the default (``None``) uses the
-    columnar engine and falls back to the per-event walk for traces whose
-    payloads cannot be converted to columns.
+    Runs the compiled replay plan over the trace's columns (see
+    :mod:`repro.clocks.columnar`); a trace whose payloads do not follow
+    the engine's conventions raises
+    :class:`~repro.measure.columnar.ColumnarConversionError`.
     """
-    from repro.clocks.hwcounter import HwCounterIncrement
-    from repro.clocks.increments import make_increment
-    from repro.clocks.lamport import LamportClock
-    from repro.clocks.physical import physical_times
-    from repro.measure.columnar import ColumnarConversionError
-
     mode = validate_mode(mode or trace.mode)
-    if impl not in (None, "columnar", "legacy"):
-        raise ValueError(f"unknown replay impl {impl!r}; expected columnar/legacy")
-    if impl != "legacy":
-        try:
-            cols = trace.columns()
-        except ColumnarConversionError:
-            if impl == "columnar":
-                raise
-        else:
-            from repro.clocks.columnar import timestamp_columns
-
-            with obs.span("replay", mode=mode, impl="columnar"):
-                times = timestamp_columns(
-                    cols, mode,
-                    counter_seed=counter_seed,
-                    counter_noise_config=counter_noise_config,
-                )
-            obs.counter("clocks.replays", mode=mode, impl="columnar").inc()
-            return TimestampedTrace(trace, times, mode)
-    with obs.span("replay", mode=mode, impl="legacy"):
-        if mode == TSC:
-            times = physical_times(trace)
-        elif mode == LTHWCTR:
-            cfg = (counter_noise_config if counter_noise_config is not None
-                   else NoiseConfig())
-            noise = CounterNoise(RngStreams(counter_seed), cfg)
-            times = LamportClock(HwCounterIncrement(trace, noise)).assign(trace)
-        else:
-            times = LamportClock(make_increment(mode)).assign(trace)
-    obs.counter("clocks.replays", mode=mode, impl="legacy").inc()
+    cols = trace.columns()
+    with obs.span("replay", mode=mode):
+        times = timestamp_columns(cols, mode, counter_seed=counter_seed,
+                                  counter_noise_config=counter_noise_config)
+    obs.counter("clocks.replays", mode=mode).inc()
     return TimestampedTrace(trace, times, mode)

@@ -1,9 +1,11 @@
-"""Vectorized clock replay over columnar (structure-of-arrays) traces.
+"""The Lamport replay (Algorithm 1) over columnar traces.
 
-The per-event replay in :mod:`repro.clocks.lamport` walks every event of
-the merged trace through Python, paying for an increment callable and
-a NumPy scalar write per event.  This module exploits the structure of
-the Lamport replay instead:
+This is the one replay behind every logical-clock result: timestamps
+(:func:`repro.clocks.timestamp_trace`), final clocks
+(:func:`repro.clocks.streaming.stream_clock_replay`), the causal DAG's
+node clocks (:func:`repro.causal.build_dag`) and what-if predictions
+(:func:`repro.causal.run_whatif`).  It exploits the structure of the
+replay:
 
 * Between synchronisation events a location's clock is a plain running
   sum of its work increments, so the increments are computed **in bulk**
@@ -15,23 +17,24 @@ the Lamport replay instead:
   are walked in merged order, performing the ``max``-exchanges of
   Algorithm 1.
 
-The result is **bit-identical** to :class:`~repro.clocks.lamport.
-LamportClock` for every mode: ``itertools.accumulate`` performs exactly
-the sequential left-to-right float additions the legacy loop performs,
-the synchronisation events are visited in the trace's merged order
+The result is **bit-identical** to the per-event walk
+(``tests/oracles.LamportClock``) for every mode: ``itertools.accumulate``
+performs exactly the sequential left-to-right float additions of that
+loop, the synchronisation events are visited in the trace's merged order
 (:meth:`TraceColumns.sync_order` filters the same
 :func:`~repro.measure.trace.merged_order` that ``RawTrace.merged``
 walks), and the group-completion counter overwrite is replayed at the
-exact merged position at which the legacy loop performs it (including
-the corner case of a member recording further events between its own
+exact merged position at which the walk performs it (including the
+corner case of a member recording further events between its own
 completion record and the group's last arrival).
-``tests/test_columnar.py`` locks this equivalence for all six modes.
+``tests/test_columnar.py`` and ``tests/test_properties.py`` lock this
+equivalence for all six modes.
 """
 
 from __future__ import annotations
 
 from itertools import accumulate
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 import numpy as np
 
@@ -59,7 +62,9 @@ from repro.sim.events import (
 )
 from repro.util.rng import RngStreams
 
-__all__ = ["columnar_increments", "lamport_assign_columnar", "timestamp_columns"]
+__all__ = ["PlanReplay", "columnar_increments", "lamport_assign_columnar",
+           "mode_increments", "replay_columnar", "timestamp_columns",
+           "trace_columns"]
 
 #: gap length above which segment fills switch from the plain Python
 #: accumulate loop to ``itertools.accumulate`` (both perform the same
@@ -78,11 +83,19 @@ def columnar_increments(
 ) -> List[np.ndarray]:
     """Per-location clock-increment arrays for a logical mode.
 
-    Vectorizes the effort models of :mod:`repro.clocks.increments`; the
-    arithmetic mirrors the scalar definitions operation for operation so
-    every element is bit-identical to the per-event callable.  ``lthwctr``
-    draws its noise through :meth:`CounterNoise.perturb_many`, which keeps
-    the scalar path's per-event draw interleaving.
+    The effort models of the paper's Sec. II-A, one NumPy expression per
+    location: ``lt1`` counts one unit per recorded event, ``ltloop`` adds
+    the OpenMP loop iterations, ``ltbb`` the executed basic blocks plus
+    ``x_bb`` per OpenMP runtime call, ``ltstmt`` the executed statements
+    plus ``y_stmt`` per call.  A ``BURST`` record stands for ``2 *
+    burst_calls`` recorded enter/leave events, so its "+1" scales
+    accordingly.  ``lthwctr`` reads the simulated
+    PERF_COUNT_HW_INSTRUCTIONS delta (kernel instructions, including
+    those retired busy-polling inside MPI) through
+    :meth:`CounterNoise.perturb_many`, which keeps the per-event draw
+    interleaving of the location's noise stream, and clamps it to at
+    least 1 so a location's clock still advances.  Every element equals
+    the per-event callables of ``tests/oracles.py`` bit for bit.
 
     ``scales`` (per-location per-event factors, what-if replay --
     :mod:`repro.causal.whatif`) multiplies every *work-delta field*
@@ -135,9 +148,9 @@ def columnar_increments(
 
 
 #: replay-plan opcodes
-_OP_RECORD = 0  # publish the clock (sends, forks, waiting group members)
-_OP_MAXSRC = 1  # max-exchange with an earlier record (receives, team begins)
-_OP_FINAL = 2  # last group member: apply the group max to all members
+OP_RECORD = 0  # publish the clock (sends, forks, waiting group members)
+OP_MAXSRC = 1  # max-exchange with an earlier record (receives, team begins)
+OP_FINAL = 2  # last group member: apply the group max to all members
 
 
 def _build_replay_plan(cols: TraceColumns):
@@ -151,15 +164,17 @@ def _build_replay_plan(cols: TraceColumns):
     walk once therefore moves all dict/group/searchsorted bookkeeping out
     of the per-mode replay, which then just dispatches over plan records.
 
-    Returns ``(records, tails)``: ``records[s] = (loc, i, a, op, arg)``
-    meaning "fill events ``a..i`` of ``loc``, then apply ``op``"; ``arg``
-    is the record's value slot (:data:`_OP_RECORD`), the source slot
-    (:data:`_OP_MAXSRC`), or ``(slot, member_slots, overwrites)`` for
-    :data:`_OP_FINAL` with overwrite entries ``(l2, i2, a2, b2)`` (set
-    event ``i2`` to the group max after filling ``a2..b2-1``).  ``tails``
-    is the per-location index of the last planned event.  Raises exactly
-    the errors the per-event replay raises for malformed traces (receive
-    before send, team begin without fork, incomplete groups).
+    Returns ``(records, tails)``: one record per synchronisation event,
+    in merged order, ``records[s] = (loc, i, a, op, arg)`` meaning "fill
+    events ``a..i`` of ``loc``, then apply ``op``"; ``arg`` is the
+    record's value slot ``s`` (:data:`OP_RECORD`), ``(source slot, s)``
+    (:data:`OP_MAXSRC`), or ``(s, member_slots, overwrites)`` for
+    :data:`OP_FINAL`, the member slots in arrival order, with overwrite
+    entries ``(l2, i2, a2, b2)`` (set event ``i2`` to the group max after
+    filling ``a2..b2-1``).  ``tails`` is the per-location index of the
+    last planned event.  Raises exactly the errors the per-event walk
+    raises for malformed traces (receive before send, team begin without
+    fork, incomplete groups).
     """
     perm, _loc = cols.merged_order()
     rank = np.empty_like(perm)
@@ -188,7 +203,7 @@ def _build_replay_plan(cols: TraceColumns):
                 grp = groups[key] = []
             grp.append((loc, i, s))
             if len(grp) < s_b[s]:
-                records.append((loc, i, a, _OP_RECORD, s))
+                records.append((loc, i, a, OP_RECORD, s))
                 continue
             pos = s_pos[s]
             overwrites = []
@@ -207,16 +222,16 @@ def _build_replay_plan(cols: TraceColumns):
                     last[l2] = p2 - 1
                 overwrites.append((l2, i2, nxt, p2))
             slots = tuple(slot for (_l, _i, slot) in grp)
-            records.append((loc, i, a, _OP_FINAL, (s, slots, overwrites)))
+            records.append((loc, i, a, OP_FINAL, (s, slots, overwrites)))
             del groups[key]
         elif et == TEAM_BEGIN:
-            records.append((loc, i, a, _OP_MAXSRC, fork_pos[aux]))
+            records.append((loc, i, a, OP_MAXSRC, (fork_pos[aux], s)))
         elif et == FORK:
             fork_pos[aux] = s
-            records.append((loc, i, a, _OP_RECORD, s))
+            records.append((loc, i, a, OP_RECORD, s))
         elif et == MPI_SEND:
             send_pos[aux] = s
-            records.append((loc, i, a, _OP_RECORD, s))
+            records.append((loc, i, a, OP_RECORD, s))
         else:  # MPI_RECV
             try:
                 src = send_pos.pop(aux)
@@ -225,7 +240,7 @@ def _build_replay_plan(cols: TraceColumns):
                     f"receive of message {aux} before/without its send -- "
                     "merged order is not topological"
                 ) from None
-            records.append((loc, i, a, _OP_MAXSRC, src))
+            records.append((loc, i, a, OP_MAXSRC, (src, s)))
 
     if groups:
         raise AssertionError(
@@ -235,8 +250,9 @@ def _build_replay_plan(cols: TraceColumns):
     return records, last
 
 
-def _replay_plan(cols: TraceColumns):
-    """The trace's compiled replay plan (built once, shared by all modes)."""
+def replay_plan(cols: TraceColumns):
+    """The trace's compiled replay plan (built once, shared by all modes
+    and by the causal DAG, which takes its nodes from the records)."""
     plan = cols._replay_plan
     if plan is None:
         with obs.span("replay.plan_compile", events=cols.n_events):
@@ -245,31 +261,51 @@ def _replay_plan(cols: TraceColumns):
     return plan
 
 
+class PlanReplay(NamedTuple):
+    """One execution of a trace's replay plan."""
+
+    #: per-location timestamp arrays
+    times: List[np.ndarray]
+    #: per plan record, the clock just before its operation ran (after
+    #: the event's own increment, before any max-exchange)
+    pre: List[float]
+    #: per location, the clock after its last event -- the group maximum
+    #: where a group completes after the member's last event, so not
+    #: always the last timestamp
+    final: List[float]
+
+
+def replay_columnar(cols: TraceColumns,
+                    increments: List[np.ndarray]) -> PlanReplay:
+    """Algorithm 1 over ``cols`` with per-event ``increments``.
+
+    Executes the trace's compiled replay plan (:func:`_build_replay_plan`):
+    per record, a sequential fill of the work stretch in front of the
+    synchronisation event followed by one of three opcodes.  This loop is
+    the replay's only per-event Python cost.
+    """
+    records, tails = replay_plan(cols)
+    with obs.span("replay.fill", events=cols.n_events):
+        out, repaired, pre, final = _execute_plan(cols, records, tails,
+                                                  increments)
+    obs.counter("clocks.violations_repaired").add(repaired)
+    return PlanReplay(out, pre, final)
+
+
 def lamport_assign_columnar(
     cols: TraceColumns, increments: List[np.ndarray]
 ) -> List[np.ndarray]:
-    """Logical timestamps per location (Algorithm 1, segment-vectorized).
-
-    Equivalent to ``LamportClock(inc).assign(trace)`` with per-event
-    increments matching ``increments``; see the module docstring for the
-    equivalence argument.  Executes the trace's compiled replay plan
-    (:func:`_build_replay_plan`): per record, a sequential fill of the
-    work stretch in front of the synchronisation event followed by one of
-    three opcodes.  This loop is the replay's only per-event Python cost.
-    """
-    records, tails = _replay_plan(cols)
-    with obs.span("replay.fill", events=cols.n_events):
-        out, repaired = _execute_plan(cols, records, tails, increments)
-    obs.counter("clocks.violations_repaired").add(repaired)
-    return out
+    """Logical timestamps per location (:func:`replay_columnar`'s times)."""
+    return replay_columnar(cols, increments).times
 
 
 def _execute_plan(cols, records, tails, increments):
-    """The fill walk proper; returns (timestamps, repaired-receive count)."""
+    """The fill walk proper; returns (timestamps, repaired-receive count,
+    per-record clocks before their operation, final clocks)."""
     inc_lists = [arr.tolist() for arr in increments]
     times: List[list] = [[0.0] * len(l) for l in inc_lists]
     clock = [0.0] * cols.n_locations
-    val = [0.0] * len(records)  # published clock value per plan record
+    val = [0.0] * len(records)  # clock before the operation, per record
     val_get = val.__getitem__
     repaired = 0  # receives whose clock a max-exchange pushed forward
 
@@ -292,17 +328,19 @@ def _execute_plan(cols, records, tails, increments):
                 tl[j] = c
         # g < 0: a group overwrite already timestamped this stretch
 
-        if op == _OP_RECORD:
+        if op == OP_RECORD:
             clock[loc] = c
             val[arg] = c
-        elif op == _OP_MAXSRC:
-            p1 = val[arg] + 1.0
+        elif op == OP_MAXSRC:
+            src, slot = arg
+            val[slot] = c
+            p1 = val[src] + 1.0
             if p1 > c:
                 repaired += 1
                 c = p1
                 times[loc][i] = c
             clock[loc] = c
-        else:  # _OP_FINAL
+        else:  # OP_FINAL
             slot, slots, overwrites = arg
             val[slot] = c
             m = max(map(val_get, slots))
@@ -322,18 +360,46 @@ def _execute_plan(cols, records, tails, increments):
         tl = times[loc]
         lo = tails[loc] + 1
         if lo < len(tl):
-            tl[lo:] = list(accumulate(inc_lists[loc][lo:],
-                                      initial=clock[loc]))[1:]
+            seg = list(accumulate(inc_lists[loc][lo:], initial=clock[loc]))
+            tl[lo:] = seg[1:]
+            clock[loc] = seg[-1]
         out.append(np.asarray(tl, dtype=np.float64))
-    return out, repaired
+    return out, repaired, val, clock
 
 
 def _legacy_group_keys(groups) -> list:
-    """Format leftover group keys the way the per-event replay does."""
+    """Format leftover group keys the way the per-event walk did."""
     return [
         ("c" if et == COLL_END else "b" if et == OBAR_LEAVE else "r", gid)
         for (et, gid) in list(groups)[:3]
     ]
+
+
+def trace_columns(trace_like) -> TraceColumns:
+    """The columns of a ``RawTrace``, or of a ``ShardedTrace`` read whole
+    (see DESIGN.md on why replays do not stream shards)."""
+    columns = getattr(trace_like, "columns", None)
+    if columns is not None:
+        return columns()
+    return trace_like.to_raw().columns()
+
+
+def mode_increments(
+    cols: TraceColumns,
+    mode: str,
+    counter_seed: int = 0,
+    counter_noise_config: Optional[NoiseConfig] = None,
+) -> List[np.ndarray]:
+    """:func:`columnar_increments` of a logical mode; for ``lthwctr`` with
+    the instruction-counter noise of repetition ``counter_seed`` (the
+    config defaults to :class:`NoiseConfig`; ``ZeroNoise`` makes the
+    counter exact)."""
+    noise = None
+    if mode == LTHWCTR:
+        cfg = counter_noise_config if counter_noise_config is not None \
+            else NoiseConfig()
+        noise = CounterNoise(RngStreams(counter_seed), cfg)
+    return columnar_increments(cols, mode, noise)
 
 
 def timestamp_columns(
@@ -345,8 +411,5 @@ def timestamp_columns(
     """Mode-dispatched timestamp assignment over a columnar trace."""
     if mode == TSC:
         return [lc.t.copy() for lc in cols.locs]
-    noise = None
-    if mode == LTHWCTR:
-        cfg = counter_noise_config if counter_noise_config is not None else NoiseConfig()
-        noise = CounterNoise(RngStreams(counter_seed), cfg)
-    return lamport_assign_columnar(cols, columnar_increments(cols, mode, noise))
+    return lamport_assign_columnar(
+        cols, mode_increments(cols, mode, counter_seed, counter_noise_config))

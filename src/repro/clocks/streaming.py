@@ -1,47 +1,37 @@
-"""Bounded-memory clock replay over streamed (sharded) traces.
+"""Final clocks of a replay, for raw and sharded traces alike.
 
-:func:`stream_clock_replay` runs the Lamport replay of
-:mod:`repro.clocks.lamport` over any trace-like object's ``merged()``
-iterator -- including :class:`~repro.measure.shards.ShardedTrace`, which
-keeps at most one shard resident -- but keeps only O(locations +
-in-flight groups) state instead of materialising per-event timestamp
-arrays.  The result is a :class:`ClockReplaySummary`: the final clock
-value per location, the global maximum (the mode's makespan measure),
-and per-location event counts.
+:func:`stream_clock_replay` returns a :class:`ClockReplaySummary` -- the
+final clock value per location, the global maximum (the mode's makespan
+measure) and per-location event counts -- instead of per-event
+timestamp arrays.  It runs the trace's compiled replay plan
+(:func:`repro.clocks.columnar.replay_columnar`), so its finals are the
+plan's final clocks: bit-identical to the per-event walk's last counters
+(``tests/oracles.LamportClock``), which equal the last timestamps except
+where a group completes after a member's last event.  ``tsc`` passes the
+physical timestamps through.
 
-All six modes are supported: ``tsc`` passes the physical timestamps
-through (final clock = last event time per location), the static logical
-modes use :func:`repro.clocks.increments.make_increment`, and
-``lthwctr`` uses :class:`repro.clocks.hwcounter.HwCounterIncrement`
-(which needs only the location table, so it streams).  Final values are
-bit-identical to the full :func:`repro.clocks.base.timestamp_trace`
-replay; the suite checks this per mode.
+A :class:`~repro.measure.shards.ShardedTrace` is read whole
+(``to_raw()``) first: every ``.shards`` archive was written from a trace
+that fit in memory, and DESIGN.md records why the replay no longer walks
+shards one at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
 
-from repro.machine.noise import CounterNoise, NoiseConfig
-from repro.measure.config import LTHWCTR, TSC, validate_mode
-from repro.sim.events import (
-    COLL_END,
-    FORK,
-    MPI_RECV,
-    MPI_SEND,
-    OBAR_LEAVE,
-    RESTART,
-    TEAM_BEGIN,
-)
-from repro.util.rng import RngStreams
+from repro import obs
+from repro.clocks.columnar import mode_increments, replay_columnar, trace_columns
+from repro.machine.noise import NoiseConfig
+from repro.measure.config import TSC, validate_mode
 
 __all__ = ["ClockReplaySummary", "stream_clock_replay"]
 
 
 @dataclass
 class ClockReplaySummary:
-    """Bounded-size result of a streaming clock replay."""
+    """Bounded-size result of a clock replay."""
 
     mode: str
     final: List[float]  # last clock value per location
@@ -59,86 +49,19 @@ def stream_clock_replay(
     counter_seed: int = 0,
     counter_noise_config: Optional[NoiseConfig] = None,
 ) -> ClockReplaySummary:
-    """Replay ``trace_like`` under ``mode`` without storing timestamps.
+    """Final clocks of ``trace_like`` under ``mode``.
 
-    ``trace_like`` is anything exposing ``mode``, ``locations``,
-    ``n_locations`` and ``merged()`` -- a
-    :class:`~repro.measure.trace.RawTrace` or a
-    :class:`~repro.measure.shards.ShardedTrace`.  The replay logic
-    mirrors :class:`~repro.clocks.lamport.LamportClock.assign` exactly
-    (same merge rules, same increment callables) so the final per-location
-    clocks are bit-identical to ``timestamp_trace(...)``'s last entries.
+    ``trace_like`` is a :class:`~repro.measure.trace.RawTrace` or a
+    :class:`~repro.measure.shards.ShardedTrace`; the counter arguments
+    are those of :func:`repro.clocks.timestamp_trace`.
     """
     mode = validate_mode(mode or trace_like.mode)
-    n = trace_like.n_locations
-    counter = [0.0] * n
-    idx = [0] * n
-
+    cols = trace_columns(trace_like)
     if mode == TSC:
-        for loc, ev in trace_like.merged():
-            idx[loc] += 1
-            counter[loc] = ev.t
-        return ClockReplaySummary(mode, counter, idx,
-                                  max(counter, default=0.0))
-
-    if mode == LTHWCTR:
-        from repro.clocks.hwcounter import HwCounterIncrement
-
-        cfg = (counter_noise_config if counter_noise_config is not None
-               else NoiseConfig())
-        model = HwCounterIncrement(trace_like,
-                                   CounterNoise(RngStreams(counter_seed), cfg))
-        inc = [model.for_location(loc) for loc in range(n)]
+        final = [float(lc.t[-1]) if len(lc) else 0.0 for lc in cols.locs]
     else:
-        from repro.clocks.increments import make_increment
-
-        inc = [make_increment(mode)] * n
-
-    send_clock: Dict[int, float] = {}
-    fork_clock: Dict[int, float] = {}
-    # (kind, id) -> list of (loc, provisional clock)
-    groups: Dict[Tuple[str, int], List[Tuple[int, float]]] = {}
-
-    for loc, ev in trace_like.merged():
-        idx[loc] += 1
-        c = counter[loc] + inc[loc](ev)
-        et = ev.etype
-
-        if et == MPI_SEND:
-            counter[loc] = c
-            send_clock[ev.aux[0]] = c
-        elif et == MPI_RECV:
-            try:
-                partner = send_clock.pop(ev.aux)
-            except KeyError:
-                raise AssertionError(
-                    f"receive of message {ev.aux} before/without its send -- "
-                    "merged order is not topological"
-                ) from None
-            counter[loc] = max(c, partner + 1.0)
-        elif et == COLL_END or et == OBAR_LEAVE or et == RESTART:
-            gid, size = ev.aux
-            key = ("c" if et == COLL_END else "b" if et == OBAR_LEAVE else "r",
-                   gid)
-            members = groups.setdefault(key, [])
-            members.append((loc, c))
-            counter[loc] = c  # provisional until the group completes
-            if len(members) == size:
-                m = max(pre for (_l, pre) in members)
-                for (l2, _pre) in members:
-                    counter[l2] = m
-                del groups[key]
-        elif et == FORK:
-            counter[loc] = c
-            fork_clock[ev.aux] = c
-        elif et == TEAM_BEGIN:
-            counter[loc] = max(c, fork_clock[ev.aux] + 1.0)
-        else:
-            counter[loc] = c
-
-    if groups:
-        raise AssertionError(
-            f"{len(groups)} incomplete synchronisation groups at end of "
-            f"trace (first keys: {list(groups)[:3]})"
-        )
-    return ClockReplaySummary(mode, counter, idx, max(counter, default=0.0))
+        final = replay_columnar(cols, mode_increments(
+            cols, mode, counter_seed, counter_noise_config)).final
+    obs.counter("clocks.replays", mode=mode).inc()
+    return ClockReplaySummary(mode, final, [len(lc) for lc in cols.locs],
+                              max(final, default=0.0))

@@ -18,9 +18,8 @@ from typing import Dict, Tuple
 
 from repro.analysis import analyze_trace
 from repro.analysis.metrics import OMP_LEAVES
-from repro.clocks.base import TimestampedTrace
-from repro.clocks.increments import make_increment
-from repro.clocks.lamport import LamportClock
+from repro.clocks.base import TimestampedTrace, timestamp_trace
+from repro.clocks.columnar import columnar_increments, lamport_assign_columnar
 from repro.experiments.configs import make_app, make_cluster
 from repro.machine.noise import NoiseConfig, NoiseModel
 from repro.measure import Measurement
@@ -61,16 +60,16 @@ def fit_omp_effort_constants(
                      measurement=Measurement(mode)).run()
         traces[mode] = res.trace
 
-    from repro.clocks import physical_times
-
-    target = _omp_fraction(TimestampedTrace(traces[TSC], physical_times(traces[TSC]), TSC))
+    target = _omp_fraction(timestamp_trace(traces[TSC], TSC))
 
     def fit(mode: str, start: float) -> Tuple[float, float]:
         value = start
         frac = 0.0
+        cols = traces[mode].columns()
         for _ in range(iterations):
-            inc = make_increment(mode, x_bb=value, y_stmt=value)
-            tt = TimestampedTrace(traces[mode], LamportClock(inc).assign(traces[mode]), mode)
+            inc = columnar_increments(cols, mode, x_bb=value, y_stmt=value)
+            tt = TimestampedTrace(traces[mode],
+                                  lamport_assign_columnar(cols, inc), mode)
             frac = _omp_fraction(tt)
             if frac <= 0.0:
                 value *= 4.0

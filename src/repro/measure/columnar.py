@@ -35,8 +35,10 @@ RESTART        restart id n_ranks
 Conversion (:meth:`TraceColumns.from_fields`, shared by the measurement
 and :meth:`TraceColumns.from_raw`) is strict: traces whose ``aux``
 payloads do not follow the engine's conventions (possible for hand-built
-test traces) raise :class:`ColumnarConversionError`, and callers fall
-back to the per-event representation.
+test traces) raise :class:`ColumnarConversionError`.  Every replay and
+analysis runs on columns, so such a trace has no timestamps; the archive
+writers refuse it and the JSON-lines reader rejects records that break
+the table (:data:`AUX_ARITY`).
 
 The way back to events is one bulk builder, :func:`events_from_columns`,
 shared by :meth:`TraceColumns.event_lists` (what
@@ -75,7 +77,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.machine.topology import Pinning
     from repro.measure.trace import RawTrace
 
-__all__ = ["COLUMN_FIELDS", "ColumnarConversionError", "DeltaTable",
+__all__ = ["AUX_ARITY", "COLUMN_FIELDS", "ColumnarConversionError", "DeltaTable",
            "LocationColumns", "TraceColumns", "aux_values",
            "events_from_columns", "location_counts", "split_columns"]
 
@@ -85,6 +87,10 @@ SYNC_KINDS = (MPI_SEND, MPI_RECV, COLL_END, FORK, TEAM_BEGIN, OBAR_LEAVE, RESTAR
 
 _PAIR_AUX = (MPI_SEND, COLL_END, OBAR_LEAVE, RESTART)
 _SCALAR_AUX = (MPI_RECV, FORK, JOIN, TEAM_BEGIN, FAULT)
+
+#: the kind table as payload arity: 2 for an int pair, 1 for one int;
+#: kinds not listed carry no payload
+AUX_ARITY = {**dict.fromkeys(_PAIR_AUX, 2), **dict.fromkeys(_SCALAR_AUX, 1)}
 
 _DELTA_FIELDS = ("omp_iters", "bb", "stmt", "instr", "burst_calls", "omp_calls")
 _delta_values = attrgetter(*_DELTA_FIELDS)

@@ -11,7 +11,9 @@ Three formats, dispatched on the file suffix:
   record, with one cached text per work delta); the reader decodes
   bounded chunks of lines with one ``json.loads`` each, and line by line
   where a chunk fails its checks, so a malformed record is reported at
-  its exact line.
+  its exact line.  A record's ``aux`` payload must fit its kind (the
+  table in :mod:`repro.measure.columnar`): the replays and the analysis
+  run on columns, which hold nothing else.
 * ``*.npz`` -- ``repro-trace-npz-1``, the columnar dump: the
   structure-of-arrays columns of :class:`~repro.measure.columnar.
   TraceColumns` concatenated over locations plus an offsets array,
@@ -21,7 +23,7 @@ Three formats, dispatched on the file suffix:
 * ``*.shards`` -- ``repro-shards-1``, the out-of-core sharded archive
   (a directory): events in global merged order split into fixed-size
   memory-mappable shards plus a JSON manifest.  Streaming consumers
-  (:class:`~repro.measure.shards.ShardedTrace`) analyze it while holding
+  (:class:`~repro.measure.shards.ShardedTrace`) walk it while holding
   at most one shard in memory; see :mod:`repro.measure.shards`.
 
 All three round-trip exactly (float timestamps bit-preserved) and are
@@ -54,6 +56,7 @@ import numpy as np
 
 from repro import obs
 from repro.measure.columnar import (
+    AUX_ARITY,
     COLUMN_FIELDS,
     DeltaTable,
     TraceColumns,
@@ -229,8 +232,12 @@ def write_trace(trace: RawTrace, path: Union[str, Path],
                 manifest: Optional[dict] = None) -> None:
     """Write ``trace`` to ``path``.
 
-    ``*.npz`` paths get the columnar bulk format, everything else the
-    gzipped JSON-lines format (see the module docstring).  ``manifest``
+    ``*.npz`` paths get the columnar bulk format, ``*.shards`` the sharded
+    one, everything else the gzipped JSON-lines format (see the module
+    docstring).  Every format raises
+    :class:`~repro.measure.columnar.ColumnarConversionError` for a trace
+    whose payloads do not follow the engine's conventions, so no writer
+    produces an archive its reader rejects.  ``manifest``
     (a :func:`repro.obs.build_manifest` document) is embedded in the
     archive header as run provenance; :func:`read_manifest` retrieves it
     without parsing the event body.
@@ -259,6 +266,7 @@ def trace_archive_bytes(trace: RawTrace,
     archive (deterministic: the gzip mtime is pinned), for callers that
     store traces content-addressed -- the serving layer's ingest endpoint.
     """
+    trace.columns()  # the payload check (ColumnarConversionError)
     buf = io.BytesIO()
     with gzip.GzipFile(fileobj=buf, mode="wb", mtime=0) as gz:
         # one write per line: the text layer's flush points decide the
@@ -465,8 +473,8 @@ _SCALARS = {int, float, bool, type(None)}
 def _bulk_fields(recs: list, n_lines: int, n_loc: int) -> Optional[tuple]:
     """The seven field columns of a decoded chunk, or ``None`` unless it
     qualifies for the bulk path: one 7-field record per line, locations
-    in range, scalar fields, deltas as dicts of float fields, aux
-    payloads as ints or flat int lists."""
+    in range, scalar fields, deltas as dicts of float fields, and aux
+    payloads that fit their kinds (one int, a pair of ints, or null)."""
     if len(recs) != n_lines or set(map(type, recs)) != {list} \
             or set(map(len, recs)) != {7}:
         return None
@@ -482,10 +490,34 @@ def _bulk_fields(recs: list, n_lines: int, n_loc: int) -> Optional[tuple]:
             <= {float}):
         return None
     lists = [a for a in auxs if type(a) is list]
-    if not (set(map(type, auxs)) <= {int, list, type(None)}
-            and set(map(type, chain.from_iterable(lists))) <= {int}):
+    if not (set(map(type, chain.from_iterable(lists))) <= {int}
+            and set(map(len, lists)) <= {2}):
+        return None
+    # the payload arity of every record equals its kind's (other payload
+    # types map to None and never match)
+    if list(map(_AUX_ARITY_OF.get, map(type, auxs))) \
+            != list(map(AUX_ARITY.get, ets, repeat(0))):
         return None
     return fields
+
+
+#: payload arity by ``aux`` type on the bulk path (lists are int pairs
+#: by the time it is read)
+_AUX_ARITY_OF = {type(None): 0, int: 1, list: 2}
+
+
+def _check_payload(etype, aux) -> None:
+    """``ValueError`` unless ``aux`` fits ``etype`` in the kind table."""
+    arity = AUX_ARITY.get(etype, 0)
+    if arity == 0:
+        ok = aux is None
+    elif arity == 1:
+        ok = type(aux) is int
+    else:
+        ok = (type(aux) is list and len(aux) == 2
+              and type(aux[0]) is int and type(aux[1]) is int)
+    if not ok:
+        raise ValueError(f"payload {aux!r} does not fit event kind {etype!r}")
 
 
 def _load_lines(path: Path, lines: List[str], first_lineno: int,
@@ -497,6 +529,7 @@ def _load_lines(path: Path, lines: List[str], first_lineno: int,
             if type(loc) is not int or not 0 <= loc < len(events):
                 raise ValueError(f"location {loc!r} outside the "
                                  f"{len(events)} locations")
+            _check_payload(etype, aux)
             if isinstance(aux, list):
                 aux = tuple(aux)
             events[loc].append(Ev(etype, region, t, _delta_from_obj(delta),

@@ -17,15 +17,16 @@ event kind, region id, timestamps, aux payload, work-delta components)
 stored in **global merged order** -- exactly the order
 :meth:`repro.measure.trace.RawTrace.merged` visits the trace (see
 :func:`repro.measure.trace.merged_order`).  Storing the merge order makes
-every streaming consumer (sanitize, race replay, clock replay) a single
+every streaming consumer (sanitize, race replay, Chrome export) a single
 forward scan: :class:`ShardedTrace` memory-maps one shard at a time
 (``numpy.load(..., mmap_mode="r")``), materializes at most that shard's
 rows as Python objects, and drops them before opening the next shard.  Peak memory is bounded by the shard size
 regardless of trace length, which is what lets campaign-scale traces be
-checked and replayed out of core.  Wait-state analysis reads the archive
-whole (:meth:`ShardedTrace.to_raw`, what
-:func:`repro.measure.io.read_trace` returns): its compiled plan needs the
-column-backed trace.
+checked out of core.  Wait-state analysis, the clock replays, the causal
+DAG and what-if read the archive whole (:meth:`ShardedTrace.to_raw`,
+what :func:`repro.measure.io.read_trace` returns): their compiled plans
+need the column-backed trace, and every archive was written from a
+trace that fit in memory.
 
 :func:`read_shard_manifest` reads *only* ``manifest.json`` -- provenance
 and shape queries never touch the event body.
@@ -230,10 +231,12 @@ class ShardedTrace:
 
     Exposes the metadata surface of :class:`~repro.measure.trace.RawTrace`
     (``mode``, ``regions``, ``locations``, ``n_events``, ...) plus a
-    streaming :meth:`merged` iterator, so merged-order consumers -- the
-    logical clock replays, :func:`repro.verify.races.find_races`, the
-    streaming sanitizer and analyzer -- accept it unchanged.  Only
-    :meth:`to_raw` materializes the whole trace.
+    streaming :meth:`merged` iterator, so merged-order consumers --
+    :func:`repro.verify.races.find_races`, the streaming sanitizer and
+    the Chrome export -- accept it unchanged.  :meth:`to_raw`
+    materializes the whole trace; the clock replays, the causal DAG,
+    what-if and the analysis read an archive that way (DESIGN.md says
+    why).
     """
 
     def __init__(self, path: Path, header: dict):

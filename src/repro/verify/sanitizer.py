@@ -32,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from repro import obs
 from repro.measure.config import LOGICAL_MODES, MODES
 from repro.measure.trace import RawTrace
 from repro.sim.events import (
@@ -370,13 +371,14 @@ def sanitize_raw(
     ``suppressed``, when given, accumulates per-rule counts of findings
     dropped beyond the per-rule cap.
     """
-    p = StructuralPass(trace.regions, trace.n_locations)
-    for loc, evs in enumerate(trace.events):
-        feed = p.feed
-        for ev in evs:
-            feed(loc, ev)
-        p.end_location(loc)
-    return p.finish(suppressed)
+    with obs.span("verify.sanitize", n_events=trace.n_events):
+        p = StructuralPass(trace.regions, trace.n_locations)
+        for loc, evs in enumerate(trace.events):
+            feed = p.feed
+            for ev in evs:
+                feed(loc, ev)
+            p.end_location(loc)
+        return p.finish(suppressed)
 
 
 def sanitize_stream(
@@ -394,11 +396,12 @@ def sanitize_stream(
     bite -- the cap keeps the *first* findings seen, and merged order
     interleaves locations).
     """
-    p = StructuralPass(trace_like.regions, trace_like.n_locations)
-    feed = p.feed
-    for loc, ev in trace_like.merged():
-        feed(loc, ev)
-    return p.finish(suppressed)
+    with obs.span("verify.sanitize", n_events=trace_like.n_events):
+        p = StructuralPass(trace_like.regions, trace_like.n_locations)
+        feed = p.feed
+        for loc, ev in trace_like.merged():
+            feed(loc, ev)
+        return p.finish(suppressed)
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,19 @@ plan; :func:`analyze_stream` runs it over flat per-event lists in merged
 order, from a trace (:func:`_merged_chunks`) or from the shards of an
 out-of-core archive (:func:`shard_event_lists`).  Its profiles are the
 reference the plan must reproduce byte for byte.
+
+:class:`LamportClock` is Algorithm 1 walked event by event over
+``trace.merged()`` with the per-event increment callables
+(:func:`make_increment`, :class:`HwCounterIncrement`); it also records
+each location's final counter.  :func:`lamport_replay` runs it for any
+mode.  Its times and finals are the reference the compiled replay plan
+(:mod:`repro.clocks.columnar`) -- and with it ``timestamp_trace``,
+``stream_clock_replay`` and the DAG's clocks -- must equal bit for bit.
+:func:`walker_build_dag` is the DAG built by that walk, the reference of
+:func:`repro.causal.build_dag` node for node (:func:`dag_nodes`).
+:class:`VectorClock` and :class:`LazyLamportClock` are the paper's
+extension clocks (exact causality, deferred merging), kept as study
+references.
 """
 
 from __future__ import annotations
@@ -37,12 +50,24 @@ import numpy as np
 
 from repro.analysis import metrics as M
 from repro.analysis.patterns import barrier_split, late_receiver_wait, late_sender_wait, nxn_waits
+from repro.causal.dag import TERMINAL, CausalDag
 from repro.clocks.base import TimestampedTrace
 from repro.cube.profile import CubeProfile
 from repro.cube.systemtree import SystemTree
-from repro.machine.noise import _lognormal_factor
+from repro.machine.noise import CounterNoise, NoiseConfig, _lognormal_factor
 from repro.measure import Measurement, RawTrace
 from repro.measure.columnar import ColumnarConversionError, aux_values
+from repro.measure.config import (
+    LT1,
+    LTBB,
+    LTHWCTR,
+    LTLOOP,
+    LTSTMT,
+    TSC,
+    X_BB_PER_OMP_CALL,
+    Y_STMT_PER_OMP_CALL,
+    validate_mode,
+)
 from repro.measure.measurement import RECORD_WIDTH
 from repro.sim import actions as A
 from repro.sim.engine import Engine, SimCrashError
@@ -57,11 +82,13 @@ from repro.sim.events import (
     MPI_SEND,
     OBAR_ENTER,
     OBAR_LEAVE,
+    RESTART,
     TEAM_BEGIN,
     Ev,
     Paradigm,
 )
 from repro.sim.kernels import EMPTY_DELTA, WorkDelta
+from repro.util.rng import RngStreams
 
 
 # ---------------------------------------------------------------------------
@@ -773,3 +800,521 @@ def _split_collectives(
         w = min(waits.get(key, 0.0), total)
         cpid, loc = key
         profile.add_id(M.MPI_COLL_REST, cpid, loc, total - w)
+
+
+# ---------------------------------------------------------------------------
+# the per-event clocks
+# ---------------------------------------------------------------------------
+
+def _base_events(ev: Ev) -> float:
+    """Recorded events this trace record stands for (>= 1)."""
+    bc = ev.delta.burst_calls
+    return 1.0 + 2.0 * bc if bc else 1.0
+
+
+def increment_lt1(ev: Ev) -> float:
+    """lt_1: one unit per recorded event."""
+    return _base_events(ev)
+
+
+def increment_ltloop(ev: Ev) -> float:
+    """lt_loop: lt_1 plus one unit per OpenMP loop iteration."""
+    return _base_events(ev) + ev.delta.omp_iters
+
+
+def increment_ltbb(ev: Ev, x_bb: float = X_BB_PER_OMP_CALL) -> float:
+    """lt_bb: lt_1 plus executed basic blocks, X per OpenMP runtime call."""
+    d = ev.delta
+    return _base_events(ev) + d.bb + x_bb * d.omp_calls
+
+
+def increment_ltstmt(ev: Ev, y_stmt: float = Y_STMT_PER_OMP_CALL) -> float:
+    """lt_stmt: lt_1 plus executed statements, Y per OpenMP runtime call."""
+    d = ev.delta
+    return _base_events(ev) + d.stmt + y_stmt * d.omp_calls
+
+
+def make_increment(mode: str, x_bb: float = X_BB_PER_OMP_CALL,
+                   y_stmt: float = Y_STMT_PER_OMP_CALL):
+    """The per-event increment callable of a static logical mode."""
+    if mode == LT1:
+        return increment_lt1
+    if mode == LTLOOP:
+        return increment_ltloop
+    if mode == LTBB:
+        return lambda ev: increment_ltbb(ev, x_bb)
+    if mode == LTSTMT:
+        return lambda ev: increment_ltstmt(ev, y_stmt)
+    raise ValueError(f"no static increment model for mode {mode!r}")
+
+
+class HwCounterIncrement:
+    """lt_hwctr per event: the noisy instruction-counter delta, at least 1.
+
+    ``for_location(loc)`` returns the location's callable; its draws come
+    from the location's own counter-noise stream, in event order.
+    """
+
+    def __init__(self, trace, noise: CounterNoise):
+        self._noise = noise
+        self._rank_thread = trace.locations
+
+    def for_location(self, loc: int):
+        rank, thread = self._rank_thread[loc]
+        noise = self._noise
+
+        def increment(ev: Ev) -> float:
+            return max(1.0, noise.perturb(rank, thread, ev.delta.instr))
+
+        return increment
+
+
+class LamportClock:
+    """Algorithm 1, one event at a time over ``trace.merged()``.
+
+    ``increment`` is a callable ``(ev) -> float`` or an object with
+    ``for_location(loc)`` (:class:`HwCounterIncrement`).  After
+    :meth:`assign`, ``final`` holds every location's last counter value:
+    the group maximum where a group completes after the member's last
+    event, so not always the last timestamp.
+    """
+
+    def __init__(self, increment):
+        self._increment = increment
+        self.final: List[float] = []
+
+    def _per_location(self, n: int):
+        if hasattr(self._increment, "for_location"):
+            return [self._increment.for_location(loc) for loc in range(n)]
+        return [self._increment] * n
+
+    def assign(self, trace) -> List[np.ndarray]:
+        """Logical timestamps per location, parallel to ``trace.events``."""
+        n = trace.n_locations
+        times = [np.zeros(len(evs), dtype=float) for evs in trace.events]
+        idx = [0] * n
+        counter = [0.0] * n
+        inc = self._per_location(n)
+        send_clock: Dict[int, float] = {}
+        fork_clock: Dict[int, float] = {}
+        # (kind, id) -> list of (loc, event index, provisional clock)
+        groups: Dict[Tuple[str, int], List[Tuple[int, int, float]]] = {}
+
+        for loc, ev in trace.merged():
+            i = idx[loc]
+            idx[loc] = i + 1
+            c = counter[loc] + inc[loc](ev)
+            et = ev.etype
+
+            if et == MPI_SEND:
+                counter[loc] = c
+                times[loc][i] = c
+                send_clock[ev.aux[0]] = c
+            elif et == MPI_RECV:
+                try:
+                    partner = send_clock.pop(ev.aux)
+                except KeyError:
+                    raise AssertionError(
+                        f"receive of message {ev.aux} before/without its send -- "
+                        "merged order is not topological"
+                    ) from None
+                c = max(c, partner + 1.0)
+                counter[loc] = c
+                times[loc][i] = c
+            elif et == COLL_END or et == OBAR_LEAVE or et == RESTART:
+                gid, size = ev.aux
+                key = ("c" if et == COLL_END else "b" if et == OBAR_LEAVE else "r", gid)
+                members = groups.setdefault(key, [])
+                members.append((loc, i, c))
+                counter[loc] = c  # provisional until the group completes
+                if len(members) == size:
+                    m = max(pre for (_l, _i, pre) in members)
+                    for (l2, i2, _pre) in members:
+                        times[l2][i2] = m
+                        counter[l2] = m
+                    del groups[key]
+            elif et == FORK:
+                counter[loc] = c
+                times[loc][i] = c
+                fork_clock[ev.aux] = c
+            elif et == TEAM_BEGIN:
+                c = max(c, fork_clock[ev.aux] + 1.0)
+                counter[loc] = c
+                times[loc][i] = c
+            else:
+                counter[loc] = c
+                times[loc][i] = c
+
+        if groups:
+            raise AssertionError(
+                f"{len(groups)} incomplete synchronisation groups at end of "
+                f"trace (first keys: {list(groups)[:3]})"
+            )
+        self.final = counter
+        return times
+
+
+def lamport_replay(trace, mode: str, counter_seed: int = 0,
+                   counter_noise_config=None):
+    """``(times, final)`` of the per-event replay of ``trace`` under
+    ``mode``; ``tsc`` passes the physical timestamps through."""
+    if mode == TSC:
+        times = [np.array([ev.t for ev in evs], dtype=float)
+                 for evs in trace.events]
+        return times, [float(t[-1]) if len(t) else 0.0 for t in times]
+    if mode == LTHWCTR:
+        cfg = counter_noise_config if counter_noise_config is not None \
+            else NoiseConfig()
+        clock = LamportClock(HwCounterIncrement(
+            trace, CounterNoise(RngStreams(counter_seed), cfg)))
+    else:
+        clock = LamportClock(make_increment(mode))
+    times = clock.assign(trace)
+    return times, clock.final
+
+
+class VectorClock:
+    """Full vector-clock replay of a raw trace (O(events x locations)).
+
+    ``happens_before`` answers exact causality queries that a scalar
+    Lamport timestamp can only approximate in one direction -- the remedy
+    the paper (Sec. II) cites for nondeterministic message matching.
+    """
+
+    def __init__(self, trace):
+        self.trace = trace
+        n = trace.n_locations
+        self.vectors: List[List[np.ndarray]] = [[] for _ in range(n)]
+        self._replay()
+
+    def _replay(self) -> None:
+        trace = self.trace
+        n = trace.n_locations
+        current = [np.zeros(n, dtype=np.int64) for _ in range(n)]
+        send_vec: Dict[int, np.ndarray] = {}
+        fork_vec: Dict[int, np.ndarray] = {}
+        # group key -> list of (loc, appended-event index)
+        groups: Dict[Tuple[str, int], List[Tuple[int, int]]] = {}
+
+        for loc, ev in trace.merged():
+            v = current[loc]
+            v[loc] += 1
+            et = ev.etype
+            if et == MPI_SEND:
+                send_vec[ev.aux[0]] = v.copy()
+            elif et == MPI_RECV:
+                np.maximum(v, send_vec.pop(ev.aux), out=v)
+            elif et == FORK:
+                fork_vec[ev.aux] = v.copy()
+            elif et == TEAM_BEGIN:
+                np.maximum(v, fork_vec[ev.aux], out=v)
+            self.vectors[loc].append(v.copy())
+
+            if et in (COLL_END, OBAR_LEAVE):
+                gid, size = ev.aux
+                key = ("c" if et == COLL_END else "b", gid)
+                members = groups.setdefault(key, [])
+                members.append((loc, len(self.vectors[loc]) - 1))
+                if len(members) == size:
+                    merged = np.zeros(n, dtype=np.int64)
+                    for (l2, ei) in members:
+                        np.maximum(merged, self.vectors[l2][ei], out=merged)
+                    for (l2, ei) in members:
+                        self.vectors[l2][ei][:] = merged
+                        current[l2][:] = merged
+                    del groups[key]
+
+    def vector_at(self, loc: int, event_index: int) -> np.ndarray:
+        return self.vectors[loc][event_index]
+
+    def happens_before(self, a: Tuple[int, int], b: Tuple[int, int]) -> bool:
+        """True iff event ``a`` (loc, index) causally precedes ``b``."""
+        va = self.vector_at(*a)
+        vb = self.vector_at(*b)
+        return bool(np.all(va <= vb) and np.any(va < vb))
+
+    def concurrent(self, a: Tuple[int, int], b: Tuple[int, int]) -> bool:
+        return not self.happens_before(a, b) and not self.happens_before(b, a)
+
+
+class LazyLamportClock:
+    """Deferred-merge Lamport clock (after Vo et al., cited in the paper).
+
+    A receive remembers the sender's clock instead of merging it; the
+    receiver reconciles at its next collective or OpenMP barrier.  At and
+    after every such strong sync its timestamps equal the eager clock's,
+    and between them they may be smaller.
+    """
+
+    def __init__(self, increment):
+        self._increment = increment
+
+    def assign(self, trace) -> List[np.ndarray]:
+        n = trace.n_locations
+        times = [np.zeros(len(evs), dtype=float) for evs in trace.events]
+        idx = [0] * n
+        counter = [0.0] * n
+        deferred = [0.0] * n  # largest unmerged incoming clock per location
+        send_clock: Dict[int, float] = {}
+        fork_clock: Dict[int, float] = {}
+        groups: Dict[Tuple[str, int], List[Tuple[int, int, float]]] = {}
+        inc = self._increment
+
+        for loc, ev in trace.merged():
+            i = idx[loc]
+            idx[loc] = i + 1
+            c = counter[loc] + inc(ev)
+            et = ev.etype
+            if et == MPI_SEND:
+                counter[loc] = c
+                times[loc][i] = c
+                send_clock[ev.aux[0]] = c
+            elif et == MPI_RECV:
+                deferred[loc] = max(deferred[loc], send_clock.pop(ev.aux) + 1.0)
+                counter[loc] = c
+                times[loc][i] = c
+            elif et in (COLL_END, OBAR_LEAVE):
+                gid, size = ev.aux
+                key = ("c" if et == COLL_END else "b", gid)
+                pre = max(c, deferred[loc])
+                deferred[loc] = 0.0
+                members = groups.setdefault(key, [])
+                members.append((loc, i, pre))
+                counter[loc] = pre
+                if len(members) == size:
+                    m = max(p for (_l, _i, p) in members)
+                    for (l2, i2, _p) in members:
+                        times[l2][i2] = m
+                        counter[l2] = m
+                    del groups[key]
+            elif et == FORK:
+                counter[loc] = c
+                times[loc][i] = c
+                fork_clock[ev.aux] = c
+            elif et == TEAM_BEGIN:
+                c = max(c, fork_clock[ev.aux] + 1.0)
+                counter[loc] = c
+                times[loc][i] = c
+            else:
+                counter[loc] = c
+                times[loc][i] = c
+
+        if groups:
+            raise AssertionError("incomplete synchronisation groups in lazy replay")
+        return times
+
+
+# ---------------------------------------------------------------------------
+# the per-event DAG walker
+# ---------------------------------------------------------------------------
+
+def walker_build_dag(trace_like, mode: Optional[str] = None,
+                     counter_seed: int = 0,
+                     counter_noise_config=None) -> CausalDag:
+    """The happened-before DAG built by walking ``trace_like.merged()``
+    through the clock state machine event by event (what
+    :func:`repro.causal.build_dag` computed before it ran the replay
+    plan)."""
+    mode = validate_mode(mode or trace_like.mode)
+    n = trace_like.n_locations
+    regions = trace_like.regions
+    dag = CausalDag(mode, list(regions.names), list(trace_like.locations))
+    is_tsc = mode == TSC
+
+    if mode == LTHWCTR:
+        cfg = (counter_noise_config if counter_noise_config is not None
+               else NoiseConfig())
+        model = HwCounterIncrement(
+            trace_like, CounterNoise(RngStreams(counter_seed), cfg))
+        inc_of = [model.for_location(loc) for loc in range(n)]
+    elif not is_tsc:
+        inc_of = [make_increment(mode)] * n
+
+    clock = [0.0] * n
+    ev_idx = [0] * n
+    last_node = [-1] * n
+    last_node_clock = [0.0] * n
+    stacks: List[List[str]] = [[] for _ in range(n)]
+    cp_index: Dict[Tuple[str, ...], int] = {}
+    seg_acc: List[Dict[int, float]] = [{} for _ in range(n)]
+
+    def intern(path: Tuple[str, ...]) -> int:
+        cid = cp_index.get(path)
+        if cid is None:
+            cid = cp_index[path] = len(dag.callpaths)
+            dag.callpaths.append(path)
+        return cid
+
+    root = intern(())
+    cur_cpid = [root] * n
+
+    def new_node(loc: int, i: int, et: int, rid: int, t: float,
+                 c: float, wait: float, pred_remote: int,
+                 remote_critical: bool) -> int:
+        nid = dag.n_nodes
+        dag.loc.append(loc)
+        dag.idx.append(i)
+        dag.etype.append(et)
+        dag.region.append(rid)
+        dag.t.append(t)
+        dag.clock.append(c)
+        dag.work.append(c - last_node_clock[loc])
+        dag.wait.append(wait)
+        dag.pred_prog.append(last_node[loc])
+        dag.pred_remote.append(pred_remote)
+        dag.remote_critical.append(remote_critical)
+        dag.cpid.append(cur_cpid[loc])
+        acc = seg_acc[loc]
+        dag.seg.append(list(acc.items()))
+        acc.clear()
+        last_node[loc] = nid
+        last_node_clock[loc] = c
+        return nid
+
+    # match id -> (send node, send clock); omp id -> (fork node, fork clock)
+    send_info: Dict[int, Tuple[int, float]] = {}
+    fork_info: Dict[int, Tuple[int, float]] = {}
+    # (etype, group id) -> list of (loc, provisional clock, node, enter clock)
+    groups: Dict[Tuple[int, int], List[Tuple[int, float, int, float]]] = {}
+
+    for loc, ev in trace_like.merged():
+        i = ev_idx[loc]
+        ev_idx[loc] = i + 1
+        prev = clock[loc]
+        if is_tsc:
+            c = ev.t
+            step = c - prev
+        else:
+            step = inc_of[loc](ev)
+            c = prev + step
+        et = ev.etype
+
+        # attribute the step to the call path active *before* the event
+        # (a BURST's work belongs to the burst's own child call path)
+        if et == BURST:
+            cp = intern(dag.callpaths[cur_cpid[loc]]
+                        + (regions.name(ev.region),))
+        else:
+            cp = cur_cpid[loc]
+        acc = seg_acc[loc]
+        acc[cp] = acc.get(cp, 0.0) + step
+
+        if et == ENTER:
+            stk = stacks[loc]
+            stk.append(regions.name(ev.region))
+            cur_cpid[loc] = intern(tuple(stk))
+            clock[loc] = c
+            continue
+        if et == LEAVE:
+            stk = stacks[loc]
+            if stk:
+                stk.pop()
+            cur_cpid[loc] = intern(tuple(stk))
+            clock[loc] = c
+            continue
+
+        if et == MPI_SEND:
+            clock[loc] = c
+            nid = new_node(loc, i, et, ev.region, ev.t, c, 0.0, -1, False)
+            send_info[ev.aux[0]] = (nid, c)
+        elif et == MPI_RECV:
+            try:
+                snid, sclk = send_info.pop(ev.aux)
+            except KeyError:
+                raise AssertionError(
+                    f"receive of message {ev.aux} before/without its send -- "
+                    "merged order is not topological"
+                ) from None
+            if is_tsc:
+                new = c
+                wait = late_sender_wait(sclk, prev, c)
+                rc = wait > 0.0
+            else:
+                p1 = sclk + 1.0
+                rc = p1 > c
+                wait = p1 - c if rc else 0.0
+                new = p1 if rc else c
+            clock[loc] = new
+            nid = new_node(loc, i, et, ev.region, ev.t, c, wait, snid, rc)
+            if rc:
+                dag.clock[nid] = new
+                last_node_clock[loc] = new
+        elif et == COLL_END or et == OBAR_LEAVE or et == RESTART:
+            gid, size = ev.aux
+            clock[loc] = c
+            nid = new_node(loc, i, et, ev.region, ev.t, c, 0.0, -1, False)
+            key = (et, gid)
+            members = groups.setdefault(key, [])
+            members.append((loc, c, nid, prev))
+            if len(members) == size:
+                if is_tsc:
+                    completion = ev.t
+                    waits = nxn_waits([en for (_l, _c, _n, en) in members],
+                                      completion)
+                    win = max(range(len(members)),
+                              key=lambda k: members[k][3])
+                else:
+                    m = max(cm for (_l, cm, _n, _e) in members)
+                    waits = [m - cm for (_l, cm, _n, _e) in members]
+                    win = next(k for k, mem in enumerate(members)
+                               if mem[1] == m)
+                win_nid = members[win][2]
+                for k, (l2, _c2, nid2, _en) in enumerate(members):
+                    dag.wait[nid2] = waits[k]
+                    if k != win and waits[k] > 0.0:
+                        dag.pred_remote[nid2] = win_nid
+                        dag.remote_critical[nid2] = True
+                    if not is_tsc:
+                        clock[l2] = m
+                        dag.clock[nid2] = m
+                        last_node_clock[l2] = m
+                del groups[key]
+        elif et == FORK:
+            clock[loc] = c
+            nid = new_node(loc, i, et, ev.region, ev.t, c, 0.0, -1, False)
+            fork_info[ev.aux] = (nid, c)
+        elif et == TEAM_BEGIN:
+            fnid, fclk = fork_info[ev.aux]
+            if is_tsc:
+                new = c
+                rc = last_node[loc] < 0 or fclk > prev
+                wait = 0.0
+            else:
+                p1 = fclk + 1.0
+                rc = p1 > c or last_node[loc] < 0
+                wait = p1 - c if p1 > c else 0.0
+                new = p1 if p1 > c else c
+            clock[loc] = new
+            nid = new_node(loc, i, et, ev.region, ev.t, c, wait, fnid, rc)
+            if new != c:
+                dag.clock[nid] = new
+                last_node_clock[loc] = new
+        else:
+            clock[loc] = c
+
+    if groups:
+        raise AssertionError(
+            f"{len(groups)} incomplete synchronisation groups at end of "
+            f"trace (first keys: {list(groups)[:3]})"
+        )
+
+    for loc in range(n):
+        new_node(loc, ev_idx[loc], TERMINAL, -1, 0.0, clock[loc],
+                 0.0, -1, False)
+    dag.final = list(clock)
+    dag.n_events = sum(ev_idx)
+    return dag
+
+
+def dag_nodes(dag: CausalDag) -> list:
+    """Every node of ``dag`` with call paths as tuples and floats as bits
+    (call-path ids depend on the interning order, the paths do not)."""
+    paths = dag.callpaths
+    return [
+        (dag.loc[k], dag.idx[k], dag.etype[k], dag.region[k],
+         _bits(dag.t[k]), _bits(dag.clock[k]), _bits(dag.work[k]),
+         _bits(dag.wait[k]), dag.pred_prog[k], dag.pred_remote[k],
+         dag.remote_critical[k], paths[dag.cpid[k]],
+         [(paths[cp], _bits(w)) for cp, w in dag.seg[k]])
+        for k in range(dag.n_nodes)
+    ] + [[_bits(x) for x in dag.final], dag.n_events]

@@ -2,9 +2,11 @@
 
 The contracts under test (docs/causal.md):
 
-* :func:`repro.causal.build_dag` replays the exact clock state machine of
-  :func:`repro.clocks.streaming.stream_clock_replay` -- final clocks are
-  bit-identical under every mode, for raw and sharded traces alike.
+* :func:`repro.causal.build_dag` builds its nodes from the replay plan's
+  records and takes every clock from one run of the plan; it equals the
+  per-event DAG walker (``tests/oracles.walker_build_dag``) node for node,
+  and its final clocks equal the per-event Lamport walk's final counters,
+  under every mode, for raw and sharded traces alike.
 * Critical path and blame profile are **bit-identical across noise
   seeds** under the deterministic logical modes, on all three miniapps --
   the paper's resilience claim extended to causal structure.
@@ -51,6 +53,7 @@ from repro.miniapps import (
 )
 from repro.obs import CHROME_REQUIRED_KEYS, ObsSession
 from repro.sim import CostModel, Engine
+from tests.oracles import dag_nodes, lamport_replay, walker_build_dag
 
 LOGICAL_MODES = REPLAYABLE_MODES  # lt1, ltloop, ltbb, ltstmt
 
@@ -98,6 +101,16 @@ class TestDagClocks:
         dag = build_dag(minife_trace, mode, counter_seed=3)
         assert dag.final == ref.final
         assert dag.n_events == sum(ref.n_events)
+        _times, final = lamport_replay(minife_trace, mode, counter_seed=3)
+        assert dag.final == final
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("app", ["minife", "lulesh", "tealeaf"])
+    def test_nodes_match_walker(self, seed_traces, app, mode):
+        trace = seed_traces[app][1]
+        dag = build_dag(trace, mode, counter_seed=5)
+        assert dag_nodes(dag) == dag_nodes(
+            walker_build_dag(trace, mode, counter_seed=5))
 
     def test_critical_path_ends_at_sink(self, minife_trace):
         dag = build_dag(minife_trace, "ltbb")
@@ -122,6 +135,9 @@ class TestDagClocks:
         d_raw = build_dag(minife_trace, "ltbb")
         d_shards = build_dag(open_sharded_trace(archive), "ltbb")
         assert d_raw.final == d_shards.final
+        # the walker streams the archive shard by shard
+        assert dag_nodes(d_shards) == dag_nodes(
+            walker_build_dag(open_sharded_trace(archive), "ltbb"))
         assert (d_raw.critical_path_fingerprint()
                 == d_shards.critical_path_fingerprint())
         assert _blame_cells(blame_profile(d_raw)) == _blame_cells(

@@ -1,23 +1,22 @@
-"""Tests for the clocks: Lamport algorithm, increment models, extensions."""
+"""Tests for the clocks: Lamport algorithm, increment models, extensions.
+
+The increment models are checked through
+:func:`repro.clocks.columnar_increments` on one-event traces, against
+the paper's formulas and the per-event callables of ``tests/oracles.py``;
+the vector and lazy clocks are study references that live there too.
+"""
 
 import numpy as np
 import pytest
 
 from repro.clocks import (
-    LamportClock,
-    LazyLamportClock,
     SyncMechanism,
-    VectorClock,
-    increment_lt1,
-    increment_ltbb,
-    increment_ltloop,
-    increment_ltstmt,
-    make_increment,
+    columnar_increments,
     overhead_for_mechanism,
     timestamp_trace,
 )
 from repro.machine.noise import NoiseConfig, NoiseModel, ZeroNoise
-from repro.measure import Measurement
+from repro.measure import Measurement, RawTrace
 from repro.sim import (
     Allreduce,
     Compute,
@@ -31,8 +30,18 @@ from repro.sim import (
     Recv,
     Send,
 )
-from repro.sim.events import Ev, ENTER
+from repro.sim.events import ENTER, Ev, RegionRegistry
 from repro.sim.kernels import WorkDelta
+from tests.oracles import (
+    LamportClock,
+    LazyLamportClock,
+    VectorClock,
+    increment_lt1,
+    increment_ltbb,
+    increment_ltloop,
+    increment_ltstmt,
+    make_increment,
+)
 
 K = KernelSpec("k", flops_per_unit=1e5, omp_iters_per_unit=1.0, bb_per_unit=5,
                stmt_per_unit=15, instr_per_unit=40, memory_scope="none")
@@ -66,31 +75,49 @@ class TestIncrementModels:
     def _ev(self, **delta):
         return Ev(ENTER, 0, 0.0, WorkDelta(**delta))
 
+    def _inc(self, mode, ev, **constants):
+        """``columnar_increments`` of a one-location trace holding ``ev``,
+        checked against the oracle's per-event callable."""
+        regions = RegionRegistry()
+        regions.intern("main", "user")
+        trace = RawTrace(mode="tsc", regions=regions, locations=[(0, 0)],
+                         events=[[ev]])
+        (inc,) = columnar_increments(trace.columns(), mode, **constants)
+        assert inc.tolist() == [make_increment(mode, **constants)(ev)]
+        return inc[0]
+
     def test_lt1_is_one_per_event(self):
+        assert self._inc("lt1", self._ev()) == 1.0
+        assert self._inc("lt1", self._ev(omp_iters=100, bb=50)) == 1.0
         assert increment_lt1(self._ev()) == 1.0
-        assert increment_lt1(self._ev(omp_iters=100, bb=50)) == 1.0
 
     def test_lt1_counts_burst_calls(self):
-        assert increment_lt1(self._ev(burst_calls=10)) == 21.0
+        assert self._inc("lt1", self._ev(burst_calls=10)) == 21.0
 
     def test_ltloop_counts_iterations(self):
+        assert self._inc("ltloop", self._ev(omp_iters=7)) == 8.0
         assert increment_ltloop(self._ev(omp_iters=7)) == 8.0
 
     def test_ltbb_counts_blocks_and_omp_calls(self):
         # X = 100 basic blocks per OpenMP runtime call (paper Sec. II-A)
-        assert increment_ltbb(self._ev(bb=50, omp_calls=2)) == 1.0 + 50 + 200
+        ev = self._ev(bb=50, omp_calls=2)
+        assert self._inc("ltbb", ev) == increment_ltbb(ev) == 1.0 + 50 + 200
 
     def test_ltstmt_counts_statements(self):
         # Y = 4300 statements per OpenMP runtime call
-        assert increment_ltstmt(self._ev(stmt=10, omp_calls=1)) == 1.0 + 10 + 4300
+        ev = self._ev(stmt=10, omp_calls=1)
+        assert self._inc("ltstmt", ev) == increment_ltstmt(ev) == 1.0 + 10 + 4300
 
     def test_make_increment_with_custom_constants(self):
-        inc = make_increment("ltbb", x_bb=7.0)
-        assert inc(self._ev(omp_calls=1)) == 8.0
+        assert self._inc("ltbb", self._ev(omp_calls=1), x_bb=7.0) == 8.0
+        assert self._inc("ltstmt", self._ev(omp_calls=2), y_stmt=3.0) == 7.0
 
     def test_make_increment_rejects_hwctr(self):
+        # lthwctr has no static model: it needs the counter noise
         with pytest.raises(ValueError):
             make_increment("lthwctr")
+        with pytest.raises(ValueError, match="CounterNoise"):
+            self._inc("lthwctr", self._ev(instr=5.0))
 
 
 class TestClockCondition:

@@ -1,10 +1,11 @@
 """Columnar traces and the vectorized clock replay.
 
-Locks the PR's central equivalence claims: the structure-of-arrays view
+Locks the central equivalence claims: the structure-of-arrays view
 round-trips exactly, the segment-vectorized Lamport replay is
-bit-identical to the per-event walk for all six modes on real MPI+OpenMP
-traces, the npz archive format round-trips, and the vectorized pattern
-formulas match their scalar definitions element for element.
+bit-identical to the per-event walk (``tests/oracles.LamportClock``) for
+all six modes on real MPI+OpenMP traces, the npz archive format
+round-trips, and the vectorized pattern formulas match their scalar
+definitions element for element.
 """
 
 import numpy as np
@@ -37,6 +38,7 @@ from repro.miniapps.tealeaf import TeaLeaf, TeaLeafConfig
 from repro.sim import CostModel, Engine
 from repro.sim.events import ENTER, LEAVE, MPI_RECV, MPI_SEND, Ev, RegionRegistry
 from repro.sim.kernels import EMPTY_DELTA, WorkDelta
+from tests.oracles import lamport_replay
 
 
 def _run(app, seed=1):
@@ -91,47 +93,45 @@ class TestTraceColumns:
 class TestReplayEquivalence:
     @pytest.mark.parametrize("mode", MODES)
     def test_minife_bit_identical(self, minife_trace, mode):
-        legacy = timestamp_trace(minife_trace, mode, counter_seed=7,
-                                 impl="legacy")
-        columnar = timestamp_trace(minife_trace, mode, counter_seed=7,
-                                   impl="columnar")
-        for a, b in zip(legacy.times, columnar.times):
+        columnar = timestamp_trace(minife_trace, mode, counter_seed=7)
+        oracle, _final = lamport_replay(minife_trace, mode, counter_seed=7)
+        for a, b in zip(oracle, columnar.times):
             np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("mode", MODES)
     def test_tealeaf_bit_identical(self, tealeaf_trace, mode):
-        legacy = timestamp_trace(tealeaf_trace, mode, counter_seed=3,
-                                 impl="legacy")
-        columnar = timestamp_trace(tealeaf_trace, mode, counter_seed=3,
-                                   impl="columnar")
-        for a, b in zip(legacy.times, columnar.times):
+        columnar = timestamp_trace(tealeaf_trace, mode, counter_seed=3)
+        oracle, _final = lamport_replay(tealeaf_trace, mode, counter_seed=3)
+        for a, b in zip(oracle, columnar.times):
             np.testing.assert_array_equal(a, b)
 
     def test_default_uses_columnar_and_falls_back(self):
-        # A trace the converter rejects (string aux) must still timestamp
-        # via the per-event walk under the default impl...
+        # A trace the converter rejects (string aux) has no replay, no
+        # analysis and no DAG: each raises the conversion error, since
+        # every one of them runs on the trace's columns.
+        from repro.analysis import analyze_trace
+        from repro.causal import build_dag
+        from repro.clocks import TimestampedTrace
+
         regions = RegionRegistry()
         rid = regions.intern("main", "user")
         evs = [Ev(ENTER, rid, 0.5, WorkDelta(bb=2.0), aux=None),
                Ev(LEAVE, rid, 1.0, EMPTY_DELTA, aux="odd")]
         trace = RawTrace(mode="tsc", regions=regions, locations=[(0, 0)],
                          events=[evs])
-        tt = timestamp_trace(trace, "ltbb")
-        assert [list(t) for t in tt.times] == [[3.0, 4.0]]
-        # ...and analyze like its convertible twin (the analysis plan
-        # gathers its arrays from the Ev attributes instead of the columns)...
-        from repro.analysis import analyze_trace
-
+        with pytest.raises(ColumnarConversionError):
+            timestamp_trace(trace, "ltbb")
+        with pytest.raises(ColumnarConversionError):
+            analyze_trace(TimestampedTrace(trace, [np.array([0.5, 1.0])],
+                                           "tsc"))
+        with pytest.raises(ColumnarConversionError):
+            build_dag(trace, "ltbb")
+        # its convertible twin replays like the per-event walk
         twin = RawTrace(mode="tsc", regions=regions, locations=[(0, 0)],
                         events=[[evs[0], Ev(LEAVE, rid, 1.0, EMPTY_DELTA)]])
-        got = analyze_trace(tt)
-        want = analyze_trace(timestamp_trace(twin, "ltbb"))
-        assert got.metrics == want.metrics
-        assert all(got.cells(m) == want.cells(m) for m in want.metrics)
-        assert got.total_time() > 0.0
-        # ...while an explicit columnar request surfaces the conversion error.
-        with pytest.raises(ColumnarConversionError):
-            timestamp_trace(trace, "ltbb", impl="columnar")
+        tt = timestamp_trace(twin, "ltbb")
+        assert [list(t) for t in tt.times] == [[3.0, 4.0]]
+        assert analyze_trace(tt).total_time() > 0.0
 
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("moved_to", ["past-receive", "before-receive"])
@@ -162,25 +162,25 @@ class TestReplayEquivalence:
 
         def outcome(replay):
             try:
-                return [float(x) for x in replay()]
+                return replay()
             except AssertionError as exc:
                 return str(exc)
 
         archive = tmp_path / "moved.shards"
         write_sharded_trace(trace, archive, shard_events=512)
-        outcomes = [
-            outcome(lambda: [t[-1] for t in timestamp_trace(
-                trace, mode, counter_seed=4, impl=impl).times])
-            for impl in ("legacy", "columnar")
-        ] + [outcome(lambda: stream_clock_replay(
-            open_sharded_trace(archive), mode, counter_seed=4).final)]
-        assert outcomes[0] == outcomes[1] == outcomes[2]
+        oracle = outcome(lambda: lamport_replay(trace, mode, counter_seed=4))
+        plan = outcome(lambda: timestamp_trace(
+            trace, mode, counter_seed=4).times)
+        stream = outcome(lambda: stream_clock_replay(
+            open_sharded_trace(archive), mode, counter_seed=4).final)
+        if isinstance(oracle, str):
+            assert oracle == plan == stream
+        else:
+            times, final = oracle
+            assert [t.tolist() for t in times] == [t.tolist() for t in plan]
+            assert final == stream
         if moved_to == "past-receive" and mode != "tsc":
-            assert "before/without its send" in outcomes[0]
-
-    def test_unknown_impl_rejected(self, minife_trace):
-        with pytest.raises(ValueError, match="replay impl"):
-            timestamp_trace(minife_trace, "lt1", impl="simd")
+            assert "before/without its send" in oracle
 
 
 class TestNpzArchive:

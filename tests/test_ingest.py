@@ -427,6 +427,49 @@ class TestTraceFormatError:
         with pytest.raises(TraceFormatError):
             read_trace(path)
 
+    @pytest.mark.parametrize("kind, payload", [
+        ("LEAVE", '"odd"'), ("LEAVE", "7"), ("MPI_RECV", "[1, 2]"),
+        ("MPI_SEND", "3"), ("COLL_END", "[1, 2, 3]"), ("FORK", "null"),
+    ])
+    def test_payload_breaking_the_kind_table(self, tmp_path, minife_trace,
+                                             kind, payload):
+        # A record whose aux payload does not fit its kind (two ints for
+        # pairs, one int for scalars, null otherwise) cannot be stored as
+        # columns, so nothing could replay it: the reader rejects it at
+        # its line, on the bulk path and the line-by-line path alike.
+        from repro.sim import events as E
+
+        path = tmp_path / "t.trace.json.gz"
+        write_trace(minife_trace, path)
+        lines = gzip.decompress(path.read_bytes()).decode().splitlines(True)
+        k = next(k for k in range(1, len(lines))
+                 if json.loads(lines[k])[1] == getattr(E, kind))
+        rec = json.loads(lines[k])
+        fields = [json.dumps(x) for x in rec]
+        fields[5] = payload
+        lines[k] = "[" + ", ".join(fields) + "]\n"
+        path.write_bytes(gzip.compress("".join(lines).encode()))
+        with pytest.raises(TraceFormatError) as err:
+            read_trace(path)
+        assert err.value.offset == f"line {k + 1}"
+        assert "does not fit event kind" in err.value.reason
+
+    @pytest.mark.parametrize("suffix", [".trace.json.gz", ".npz", ".shards"])
+    def test_writers_refuse_payloads_breaking_the_kind_table(self, tmp_path,
+                                                              suffix):
+        from repro.measure import ColumnarConversionError, RawTrace
+        from repro.sim.events import ENTER, LEAVE, Ev, RegionRegistry
+        from repro.sim.kernels import EMPTY_DELTA
+
+        regions = RegionRegistry()
+        rid = regions.intern("main", "user")
+        trace = RawTrace(mode="tsc", regions=regions, locations=[(0, 0)],
+                         events=[[Ev(ENTER, rid, 0.5, EMPTY_DELTA),
+                                  Ev(LEAVE, rid, 1.0, EMPTY_DELTA,
+                                     aux="odd")]])
+        with pytest.raises(ColumnarConversionError):
+            write_trace(trace, tmp_path / f"t{suffix}")
+
     def test_not_an_archive(self, tmp_path):
         path = tmp_path / "t.trace.json.gz"
         path.write_bytes(gzip.compress(b'{"format": "something-else"}'))

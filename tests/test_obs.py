@@ -485,6 +485,41 @@ class TestAnalysisSpans:
             "analysis.plan_compiles": 1.0}
 
 
+class TestReplaySpans:
+    def test_six_modes_and_a_dag_share_one_plan(self, cluster, quiet_cost):
+        from repro.analysis import analyze_trace
+        from repro.causal import blame_profile, build_dag
+        from repro.clocks import timestamp_trace
+        from repro.measure import MODES, Measurement
+        from repro.miniapps.minife import MiniFE, MiniFEConfig
+        from repro.sim import Engine
+        from repro.verify import sanitize_raw
+
+        trace = Engine(MiniFE(MiniFEConfig.tiny(nx=32, n_ranks=2)), cluster,
+                       quiet_cost, measurement=Measurement("tsc")).run().trace
+        session = obs.ObsSession()
+        with obs.scoped(session):
+            for mode in MODES:
+                analyze_trace(timestamp_trace(trace, mode))
+            dag = build_dag(trace, "ltbb")
+            blame_profile(dag)
+            sanitize_raw(trace)
+        names = [r.name for r in session.spans.records]
+        assert names.count("replay.plan_compile") == 1
+        assert names.count("replay") == 6
+        for name in ("causal.dag", "causal.blame", "verify.sanitize"):
+            assert names.count(name) == 1, name
+        (dag_span,) = [r for r in session.spans.records
+                       if r.name == "causal.dag"]
+        assert dag_span.args == {"mode": "ltbb", "nodes": dag.n_nodes}
+        metrics = session.metrics
+        assert metrics.totals("clocks.plan_compiles") == {
+            "clocks.plan_compiles": 1.0}
+        assert metrics.totals("clocks.replays") == {"clocks.replays": 7.0}
+        assert metrics.value("clocks.replays", mode="ltbb") == 2.0
+        assert metrics.value("clocks.replays", mode="tsc") == 1.0
+
+
 class TestEngineSpans:
     def test_drain_and_finish_nest_in_run(self, cluster, quiet_cost):
         from repro.measure import Measurement

@@ -15,7 +15,12 @@ invariants that every component of the pipeline relies on:
   through crash recovery records the same events and restarts as the
   per-event engine oracle,
 * the compiled wait-state analysis writes the same profile bytes, raw and
-  normalized, as the per-event walker oracle.
+  normalized, as the per-event walker oracle,
+* the Lamport replay plan gives the per-event walk's timestamps and final
+  counters through ``timestamp_trace``, ``stream_clock_replay`` (on the
+  trace and on a multi-shard archive) and ``build_dag``, whose DAG equals
+  the per-event DAG walker's node for node -- on plain programs and on
+  recovered fault runs with restart groups, wildcards and checkpoints.
 
 A last property pins the NumPy merged order to the heap merge it
 replaced, kept here as the test oracle.
@@ -23,19 +28,24 @@ replaced, kept here as the test oracle.
 
 import dataclasses
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.analysis import TIME_LEAVES, analyze_trace
+from repro.causal import build_dag
 from repro.clocks import timestamp_trace
+from repro.clocks.streaming import stream_clock_replay
 from repro.cube.io import profile_doc
 from repro.experiments.faultsweep import default_fault_config
 from repro.machine import small_test_cluster
 from repro.machine.faults import FaultModel
 from repro.machine.noise import NoiseConfig, NoiseModel
 from repro.measure import MODES, Measurement
+from repro.measure.shards import open_sharded_trace, write_sharded_trace
 from repro.scoring import jaccard_metric_callpath
 from repro.sim import (
     ANY_SOURCE,
@@ -59,7 +69,15 @@ from repro.sim import (
     recovery,
     run_with_recovery,
 )
-from tests.oracles import EvListMeasurement, HeapEngine, event_bits, walker_analyze_trace
+from tests.oracles import (
+    EvListMeasurement,
+    HeapEngine,
+    dag_nodes,
+    event_bits,
+    lamport_replay,
+    walker_analyze_trace,
+    walker_build_dag,
+)
 
 K = KernelSpec("k", flops_per_unit=1e5, bytes_per_unit=1e4, omp_iters_per_unit=1.0,
                bb_per_unit=4.0, stmt_per_unit=12.0, instr_per_unit=30.0)
@@ -215,10 +233,6 @@ def test_recovered_run_matches_heap_engine_oracle(steps, seed, fault_seed, mode)
     assert event_bits(born.result.trace) == event_bits(oracle.result.trace)
 
 
-# ---------------------------------------------------------------------------
-# the global merged order
-# ---------------------------------------------------------------------------
-
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(program_strategy, st.integers(min_value=0, max_value=100), st.sampled_from(MODES))
 def test_analysis_plan_matches_walker_oracle(steps, seed, mode):
@@ -227,6 +241,59 @@ def test_analysis_plan_matches_walker_oracle(steps, seed, mode):
     assert json.dumps(profile_doc(got)) == json.dumps(profile_doc(want))
     assert (json.dumps(profile_doc(got.normalized()))
             == json.dumps(profile_doc(want.normalized())))
+
+
+# ---------------------------------------------------------------------------
+# the Lamport replay plan
+# ---------------------------------------------------------------------------
+
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
+def _assert_plan_matches_per_event_walk(trace, mode, counter_seed):
+    """Every consumer of the replay plan against the per-event walk."""
+    kw = {"counter_seed": counter_seed}
+    dag = build_dag(trace, mode, **kw)
+    times = timestamp_trace(trace, mode, **kw).times
+    finals = [stream_clock_replay(trace, mode, **kw).final]
+    with tempfile.TemporaryDirectory() as tmp:
+        archive = Path(tmp) / "t.shards"
+        write_sharded_trace(trace, archive, shard_events=64)
+        sharded = open_sharded_trace(archive)
+        assert sharded.n_shards == max(1, -(-trace.n_events // 64))
+        finals.append(stream_clock_replay(sharded, mode, **kw).final)
+    # the oracles walk the trace's events, so they run last
+    want_times, want_final = lamport_replay(trace, mode, **kw)
+    assert [t.tobytes() for t in times] == [t.tobytes() for t in want_times]
+    for final in finals + [dag.final]:
+        assert _bits(final) == _bits(want_final)
+    assert dag_nodes(dag) == dag_nodes(walker_build_dag(trace, mode, **kw))
+
+
+@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(program_strategy, st.integers(min_value=0, max_value=100), st.sampled_from(MODES))
+def test_replay_plan_matches_per_event_walk(steps, seed, mode):
+    _assert_plan_matches_per_event_walk(_run(steps, seed).trace, mode, seed)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(fault_program_strategy, st.integers(min_value=0, max_value=100),
+       st.integers(min_value=0, max_value=1000), st.sampled_from(MODES))
+def test_replay_plan_matches_per_event_walk_after_recovery(steps, seed,
+                                                           fault_seed, mode):
+    cluster = _cluster()
+    trace = run_with_recovery(
+        RandomProgram(steps), cluster,
+        lambda: CostModel(cluster, noise=NoiseModel(NoiseConfig(), seed=seed)),
+        FaultModel(_FAULTS, seed=fault_seed),
+        measurement=Measurement("tsc")).result.trace
+    _assert_plan_matches_per_event_walk(trace, mode, seed)
+
+
+# ---------------------------------------------------------------------------
+# the global merged order
+# ---------------------------------------------------------------------------
 
 
 def heap_merged(t_by_location):

@@ -615,11 +615,13 @@ class TestIngestHardening:
 
     def test_malformed_archive_upload_400_and_quarantined(
             self, tmp_path, session):
+        import gzip
         import io
 
         import numpy as np
 
         from repro.measure import write_trace
+        from repro.sim.events import LEAVE
 
         f1 = tmp_path / "a.trace.json.gz"
         write_trace(_make_trace("ltbb", seed=1), f1)
@@ -633,8 +635,20 @@ class TestIngestHardening:
         arrays["offsets"][-1] -= 5
         buf = io.BytesIO()
         np.savez_compressed(buf, **arrays)
+        # a well-formed JSON-lines archive whose LEAVE record carries a
+        # payload its kind has none of: no analysis could replay it
+        f3 = tmp_path / "c.trace.json.gz"
+        write_trace(_make_trace("ltbb", seed=3), f3)
+        lines = gzip.decompress(f3.read_bytes()).decode().splitlines(True)
+        k = next(k for k in range(1, len(lines))
+                 if json.loads(lines[k])[1] == LEAVE)
+        rec = json.loads(lines[k])
+        rec[5] = "odd"
+        lines[k] = json.dumps(rec) + "\n"
         uploads = [(bytes(data), "bad.trace.json.gz"),
-                   (buf.getvalue(), "bad.npz")]
+                   (buf.getvalue(), "bad.npz"),
+                   (gzip.compress("".join(lines).encode()),
+                    "odd.trace.json.gz")]
 
         async def main():
             svc = _service(tmp_path)
@@ -656,8 +670,8 @@ class TestIngestHardening:
             assert resp.status == 400
             assert "malformed trace archive" in resp.json()["error"]
             assert resp.headers.get("x-repro-quarantine")
-        assert len(list(root.glob("*.corrupt-*"))) == 2
-        assert _total(session, "serve.upload_rejects") == 2.0
+        assert len(list(root.glob("*.corrupt-*"))) == 3
+        assert _total(session, "serve.upload_rejects") == 3.0
 
     def test_analyze_on_archive_corrupted_in_store_answers_400(
             self, tmp_path, session):

@@ -2,8 +2,9 @@
 
 The contract under test (docs/performance.md): a trace larger than the
 shard size round-trips through ``write -> stream -> sanitize -> race
-replay -> clock replay -> analyze`` while never holding more than one
-shard's rows in memory, and manifest reads never touch the event body.
+replay`` while never holding more than one shard's rows in memory, the
+clock replay and the analysis of the archive (read whole) match the full
+trace's, and manifest reads never touch the event body.
 """
 
 import tracemalloc
@@ -30,7 +31,7 @@ from repro.sim.events import MPI_SEND
 from repro.verify import sanitize_raw
 from repro.verify.races import find_races
 from repro.verify.sanitizer import sanitize_stream
-from tests.oracles import analyze_stream, shard_event_lists
+from tests.oracles import analyze_stream, lamport_replay, shard_event_lists
 
 SHARD_EVENTS = 256  # far below the fixture's ~1.7k events -> multi-shard
 
@@ -167,6 +168,8 @@ class TestStreamingConsumers:
         finals = [float(t[-1]) if len(t) else 0.0 for t in tt.times]
         assert summary.final == finals  # bit-identical, no tolerance
         assert summary.max_clock == max(finals)
+        _times, counters = lamport_replay(trace, mode, counter_seed=2)
+        assert summary.final == counters  # the per-event walk's finals
 
     def test_analyze_stream_matches_analyze_trace(self, trace, archive):
         st = open_sharded_trace(archive)
