@@ -22,8 +22,10 @@ In the active clock's units, the analysis computes
 Everything the analysis decides except the timestamp arithmetic is fixed
 by the trace: the call-path stack at every event, the class of the
 interval ending at it, which send each receive pairs with, and which
-arrivals form each collective and barrier.  :func:`analyze_trace` compiles
-these once per trace into an :class:`AnalysisPlan` (memoized on the
+arrivals form each collective and barrier (the last two read from the
+trace's :class:`~repro.measure.columnar.SyncPlan`, which the clock replay
+shares).  :func:`analyze_trace` compiles these once per trace into an
+:class:`AnalysisPlan` (memoized on the
 trace's :class:`~repro.measure.columnar.TraceColumns`, beside the clock
 replay's plan) and evaluates each mode's timestamps against it in bulk:
 interval metrics are ``np.bincount`` sums over the events whose interval
@@ -64,10 +66,8 @@ from repro.sim.events import (
     BURST,
     COLL_END,
     ENTER,
-    FORK,
     LEAVE,
     MPI_RECV,
-    MPI_SEND,
     OBAR_ENTER,
     OBAR_LEAVE,
     TEAM_BEGIN,
@@ -181,14 +181,12 @@ def analyze_trace(tt: TimestampedTrace) -> CubeProfile:
 
 def _compile_columns(cols) -> AnalysisPlan:
     """The plan of a columnar trace, from its kind and region columns and
-    its memoized synchronisation order."""
+    its synchronisation plan."""
     perm, loc = cols.merged_order()
-    s_loc, s_idx, s_et, s_a, s_b, _pos = cols.sync_order()
     return _compile(cols.column("etype").astype(np.int8),
                     cols.column("region").astype(np.int32),
                     [len(lc) for lc in cols.locs], perm, loc,
-                    (s_loc, s_idx, s_et, s_a, s_b),
-                    cols.locations, cols.regions)
+                    cols.sync_plan(), cols.locations, cols.regions)
 
 
 def _compile(etype, region, counts, perm, loc, sync, locations,
@@ -197,10 +195,10 @@ def _compile(etype, region, counts, perm, loc, sync, locations,
 
     ``etype`` and ``region`` list every event location-major, ``counts``
     per location; ``perm``/``loc`` are the merged order and ``sync`` the
-    ``(loc, index, kind, aux_a, aux_b)`` lists of the synchronisation
-    events in merged order.  Raises the walk's errors for malformed
-    traces: ``KeyError`` for a receive without its send or a team without
-    its fork, ``AssertionError`` for incomplete groups or unmatched sends.
+    trace's :class:`~repro.measure.columnar.SyncPlan`.  Raises the walk's
+    errors for malformed traces: ``KeyError`` for a receive without its
+    send or a team without its fork, ``AssertionError`` for incomplete
+    groups or unmatched sends.
     """
     n = len(etype)
     n_loc = len(locations)
@@ -208,16 +206,9 @@ def _compile(etype, region, counts, perm, loc, sync, locations,
     loc_f = np.repeat(np.arange(n_loc, dtype=np.int32), counts)
     mpos = np.empty(n, dtype=np.int32)  # merged position of every event
     mpos[perm] = np.arange(n, dtype=np.int32)
-
-    s_loc, s_idx, s_kind, s_a, s_b = sync
-    s_kind = np.asarray(s_kind, dtype=np.int64)
-    s_f = bounds[np.asarray(s_loc, dtype=np.int64)] + np.asarray(s_idx, dtype=np.int64)
-    s_bar = np.zeros(len(s_f), dtype=bool)
-    c = s_kind == COLL_END
-    s_bar[c] = np.array([nm == "MPI_Barrier" for nm in regions.names],
-                        dtype=bool)[region[s_f[c]]]
-    sy = _match_sync(s_f.tolist(), s_kind.tolist(), s_a, s_b, s_bar.tolist())
-    del s_kind, s_f, s_bar, c
+    barrier = np.array([nm == "MPI_Barrier" for nm in regions.names],
+                       dtype=bool)
+    sy = _sync_edges(sync, barrier[region[sync.flat]])
 
     # -- the region stack: depth, frame and call path of every event ----
     push = (etype == ENTER) | (etype == OBAR_ENTER)
@@ -429,61 +420,48 @@ def _compile(etype, region, counts, perm, loc, sync, locations,
     return plan
 
 
-def _match_sync(fs: list, kinds: list, aux_a: list, aux_b: list,
-                barrier: list) -> Dict[str, np.ndarray]:
-    """Pair sends with receives, group collective and barrier arrivals,
-    and map every team begin to its fork, walking the synchronisation
-    events (location-major indices ``fs``) in merged order with the
-    walk's dict semantics and errors.  ``barrier`` flags the COLL_ENDs of
-    ``MPI_Barrier``.
-
-    Returns the pairs in receive order (``recv``, ``send``, ``rndv``),
-    the members of the collective and barrier groups flat in completion
-    and arrival order with the group sizes, and the team begins with
+def _sync_edges(sync, barrier: np.ndarray) -> Dict[str, np.ndarray]:
+    """The analysis' view of the trace's synchronisation plan ``sync``, as
+    location-major event indices: the pairs in receive order (``recv``,
+    ``send``, ``rndv``), the members of the complete collective and
+    barrier groups flat in completion and arrival order with the group
+    sizes (``barrier`` flags the slots in ``MPI_Barrier``; a collective
+    group is one when its first arrival is), and the team begins with
     their forks (``team``, ``fork``).
+
+    Raises the walk's errors: ``KeyError`` at the first receive or team
+    begin, in merged order, that nothing gives a clock, then
+    ``AssertionError`` for open groups and unreceived sends.
     """
-    sends: Dict[int, tuple] = {}
-    forks: Dict[int, int] = {}
-    groups: Dict[tuple, tuple] = {}  # (kind, group id) -> (size, barrier, members)
-    out = {k: [] for k in ("recv", "send", "rndv", "coll", "coll_sizes",
-                           "coll_barrier", "bar", "bar_sizes", "team", "fork")}
-    for f, et, a, b, is_bar in zip(fs, kinds, aux_a, aux_b, barrier):
-        if et == MPI_SEND:
-            sends[a] = (f, b)
-        elif et == MPI_RECV:
-            send, rndv = sends.pop(a)
-            out["recv"].append(f)
-            out["send"].append(send)
-            out["rndv"].append(bool(rndv))
-        elif et == COLL_END or et == OBAR_LEAVE:
-            key = (et, a)
-            grp = groups.get(key)
-            if grp is None:
-                grp = groups[key] = (b, is_bar, [])
-            grp[2].append(f)
-            if len(grp[2]) == grp[0]:
-                del groups[key]
-                kind = "coll" if et == COLL_END else "bar"
-                out[kind].extend(grp[2])
-                out[kind + "_sizes"].append(len(grp[2]))
-                if et == COLL_END:
-                    out["coll_barrier"].append(grp[1])
-        elif et == FORK:
-            forks[a] = f
-        elif et == TEAM_BEGIN:
-            out["team"].append(f)
-            out["fork"].append(forks[a])
-    if groups:
-        n_coll = sum(1 for et, _a in groups if et == COLL_END)
+    kind, src, flat = sync.kind, sync.src, sync.flat
+    if len(sync.unsourced):
+        raise KeyError(int(sync.a[sync.unsourced[0]]))
+    n_c = sync.n_complete
+    sizes = np.diff(sync.starts)
+    g_kind = kind[sync.members[sync.starts[:-1]]]
+    n_open = [int(np.count_nonzero(g_kind[n_c:] == k))
+              for k in (COLL_END, OBAR_LEAVE)]
+    if any(n_open):
         raise AssertionError(
             f"incomplete synchronisation groups after replay: "
-            f"{n_coll} collective, {len(groups) - n_coll} barrier"
+            f"{n_open[0]} collective, {n_open[1]} barrier"
         )
-    if sends:
-        raise AssertionError(f"{len(sends)} sends without matching receives")
-    return {k: np.array(v, dtype=bool if k in ("rndv", "coll_barrier")
-                        else np.int64)
-            for k, v in out.items()}
+    if len(sync.unreceived):
+        raise AssertionError(
+            f"{len(sync.unreceived)} sends without matching receives")
+    recv = np.flatnonzero(kind == MPI_RECV)
+    team = np.flatnonzero(kind == TEAM_BEGIN)
+    out = {"recv": flat[recv], "send": flat[src[recv]],
+           "rndv": sync.b[src[recv]] != 0,
+           "team": flat[team], "fork": flat[src[team]]}
+    member_kind = np.repeat(g_kind, sizes)
+    closed = np.arange(len(sync.members)) < sync.starts[n_c]
+    for key, k in (("coll", COLL_END), ("bar", OBAR_LEAVE)):
+        out[key] = flat[sync.members[closed & (member_kind == k)]]
+        out[key + "_sizes"] = sizes[:n_c][g_kind[:n_c] == k]
+    firsts = sync.members[sync.starts[:n_c]]
+    out["coll_barrier"] = barrier[firsts[g_kind[:n_c] == COLL_END]]
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -233,10 +233,11 @@ def _plan_dag(cols, records, mode, counter_seed, counter_noise_config):
     regions = cols.regions
     dag = CausalDag(mode, list(regions.names), list(cols.locations))
     is_tsc = mode == TSC
-    s_loc, s_idx, s_et, _a, _b, _pos = cols.sync_order()
+    sync = cols.sync_plan()
+    s_loc, s_idx, s_et = sync.loc.tolist(), sync.idx.tolist(), sync.kind.tolist()
     n_sync = len(records)
-    idx = np.asarray(s_idx, dtype=np.int64)
-    flat = cols.offsets()[np.asarray(s_loc, dtype=np.int64)] + idx
+    idx = sync.idx
+    flat = sync.flat
     t_all = cols.column("t")
     t_sync = t_all[flat].tolist()
     if is_tsc:

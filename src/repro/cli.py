@@ -101,7 +101,7 @@ def main_analyze(argv: Optional[List[str]] = None) -> int:
     from repro.analysis.metrics import group_totals
     from repro.clocks import timestamp_trace
     from repro.cube import write_profile
-    from repro.measure import read_trace
+    from repro.measure import TraceFormatError, read_trace
 
     parser = argparse.ArgumentParser(prog="repro-analyze", description=main_analyze.__doc__)
     parser.add_argument("trace", help="trace archive written by repro-run")
@@ -116,7 +116,10 @@ def main_analyze(argv: Optional[List[str]] = None) -> int:
     if Path(out).resolve() == Path(args.trace).resolve():
         parser.error(f"output {out} would overwrite the input trace")
 
-    trace = read_trace(args.trace)
+    try:
+        trace = read_trace(args.trace)
+    except TraceFormatError as exc:
+        parser.error(str(exc))
     tt = timestamp_trace(trace, args.mode, counter_seed=args.counter_seed)
     profile = analyze_trace(tt)
     print(f"analyzed {trace.n_events} events [{tt.mode}]")
@@ -365,9 +368,10 @@ def main_lint(argv: Optional[List[str]] = None) -> int:
             }
 
         if args.races:
-            # The engine refuses programs the linter already rejects
-            # (deadlocks hang, leaked requests trip the online checks),
-            # so only simulate lint-clean programs.
+            # Programs the linter rejects may not run to completion
+            # (deadlocks hang) or record traces that break the
+            # invariants the detector relies on, so only simulate
+            # lint-clean programs.
             if any(d.severity == "error" for d in lint.diagnostics):
                 text.append(f"{label}: race check skipped "
                             "(lint errors prevent simulation)")
@@ -392,10 +396,12 @@ def main_lint(argv: Optional[List[str]] = None) -> int:
         results.append((entry, "\n".join(text)))
 
     for path in args.trace:
-        from repro.measure import read_trace
+        from repro.measure import TraceFormatError, read_trace
 
         try:
             trace = read_trace(path)
+        except TraceFormatError as exc:
+            parser.error(str(exc))
         except OSError as exc:
             parser.error(f"cannot read trace archive {path!r}: {exc}")
         diagnostics = []

@@ -21,7 +21,7 @@ The result is **bit-identical** to the per-event walk
 (``tests/oracles.LamportClock``) for every mode: ``itertools.accumulate``
 performs exactly the sequential left-to-right float additions of that
 loop, the synchronisation events are visited in the trace's merged order
-(:meth:`TraceColumns.sync_order` filters the same
+(:meth:`TraceColumns.sync_plan` filters the same
 :func:`~repro.measure.trace.merged_order` that ``RawTrace.merged``
 walks), and the group-completion counter overwrite is replayed at the
 exact merged position at which the walk performs it (including the
@@ -51,15 +51,7 @@ from repro.measure.config import (
     X_BB_PER_OMP_CALL,
     Y_STMT_PER_OMP_CALL,
 )
-from repro.sim.events import (
-    COLL_END,
-    FORK,
-    MPI_RECV,
-    MPI_SEND,
-    OBAR_LEAVE,
-    RESTART,
-    TEAM_BEGIN,
-)
+from repro.sim.events import COLL_END, OBAR_LEAVE, TEAM_BEGIN
 from repro.util.rng import RngStreams
 
 __all__ = ["PlanReplay", "columnar_increments", "lamport_assign_columnar",
@@ -157,11 +149,12 @@ def _build_replay_plan(cols: TraceColumns):
     """Compile the synchronisation walk into a flat, mode-independent plan.
 
     Everything about the replay's control flow is static per trace: which
-    send each receive pairs with, which arrival completes each group, the
-    fill range in front of every synchronisation event, and the merged
-    position at which each member's counter is overwritten by the group
-    maximum.  Only the *float values* depend on the mode.  Compiling the
-    walk once therefore moves all dict/group/searchsorted bookkeeping out
+    send each receive pairs with and which arrival completes each group
+    (both decided by the trace's :class:`~repro.measure.columnar.SyncPlan`),
+    the fill range in front of every synchronisation event, and the
+    merged position at which each member's counter is overwritten by the
+    group maximum.  Only the *float values* depend on the mode.  Compiling
+    the walk once therefore moves all group/searchsorted bookkeeping out
     of the per-mode replay, which then just dispatches over plan records.
 
     Returns ``(records, tails)``: one record per synchronisation event,
@@ -176,38 +169,44 @@ def _build_replay_plan(cols: TraceColumns):
     raises for malformed traces (receive before send, team begin without
     fork, incomplete groups).
     """
+    sync = cols.sync_plan()
+    if len(sync.unsourced):
+        s = int(sync.unsourced[0])
+        if sync.kind[s] == TEAM_BEGIN:
+            raise KeyError(int(sync.a[s]))
+        raise AssertionError(
+            f"receive of message {int(sync.a[s])} before/without its send -- "
+            "merged order is not topological"
+        )
     perm, _loc = cols.merged_order()
     rank = np.empty_like(perm)
     rank[perm] = np.arange(len(perm))  # merged position of every event
     bounds = cols.offsets().tolist()
     last = [-1] * cols.n_locations  # highest event index already planned
-    send_pos = {}
-    fork_pos = {}
-    # (etype, group id) -> list of (loc, event index, value slot)
-    groups = {}
+    starts = sync.starts.tolist()
+    members = sync.members.tolist()
+    # the arrival that closes each complete group -> that group
+    closing = {members[starts[g + 1] - 1]: g for g in range(sync.n_complete)}
+    ops = np.where(sync.src >= 0, OP_MAXSRC, OP_RECORD)
+    ops[list(closing)] = OP_FINAL
+    s_loc, s_idx, s_pos, s_src = (
+        x.tolist() for x in (sync.loc, sync.idx, sync.pos, sync.src))
     records = []
 
-    s_loc, s_idx, s_et, s_a, s_b, s_pos = cols.sync_order()
-    for s in range(len(s_loc)):
-        loc = s_loc[s]
-        i = s_idx[s]
-        et = s_et[s]
-        aux = s_a[s]
+    for s, (loc, i, op) in enumerate(zip(s_loc, s_idx, ops.tolist())):
         a = last[loc] + 1
         last[loc] = i
-
-        if et == COLL_END or et == OBAR_LEAVE or et == RESTART:
-            key = (et, aux)
-            grp = groups.get(key)
-            if grp is None:
-                grp = groups[key] = []
-            grp.append((loc, i, s))
-            if len(grp) < s_b[s]:
-                records.append((loc, i, a, OP_RECORD, s))
-                continue
+        if op == OP_RECORD:  # sends, forks, arrivals of an open group
+            records.append((loc, i, a, OP_RECORD, s))
+        elif op == OP_MAXSRC:  # receives, team begins
+            records.append((loc, i, a, OP_MAXSRC, (s_src[s], s)))
+        else:
+            g = closing[s]
             pos = s_pos[s]
+            slots = tuple(members[starts[g]:starts[g + 1]])
             overwrites = []
-            for l2, i2, _slot in grp:
+            for slot in slots:
+                l2 = s_loc[slot]
                 # The group max lands on member l2 at the exact merged
                 # position of this (last) arrival: events l2 recorded
                 # after its own completion but before this point keep
@@ -220,32 +219,18 @@ def _build_replay_plan(cols: TraceColumns):
                     p2 = int(np.searchsorted(rank[lo:hi], pos))
                 if p2 > nxt:
                     last[l2] = p2 - 1
-                overwrites.append((l2, i2, nxt, p2))
-            slots = tuple(slot for (_l, _i, slot) in grp)
+                overwrites.append((l2, s_idx[slot], nxt, p2))
             records.append((loc, i, a, OP_FINAL, (s, slots, overwrites)))
-            del groups[key]
-        elif et == TEAM_BEGIN:
-            records.append((loc, i, a, OP_MAXSRC, (fork_pos[aux], s)))
-        elif et == FORK:
-            fork_pos[aux] = s
-            records.append((loc, i, a, OP_RECORD, s))
-        elif et == MPI_SEND:
-            send_pos[aux] = s
-            records.append((loc, i, a, OP_RECORD, s))
-        else:  # MPI_RECV
-            try:
-                src = send_pos.pop(aux)
-            except KeyError:
-                raise AssertionError(
-                    f"receive of message {aux} before/without its send -- "
-                    "merged order is not topological"
-                ) from None
-            records.append((loc, i, a, OP_MAXSRC, (src, s)))
 
-    if groups:
+    opened = sync.members[sync.starts[sync.n_complete:-1]]
+    if len(opened):
+        # the leftover group keys as the per-event walk formatted them
+        keys = [("c" if et == COLL_END else "b" if et == OBAR_LEAVE else "r",
+                 gid) for et, gid in zip(sync.kind[opened[:3]].tolist(),
+                                         sync.a[opened[:3]].tolist())]
         raise AssertionError(
-            f"{len(groups)} incomplete synchronisation groups at end of "
-            f"trace (first keys: {_legacy_group_keys(groups)})"
+            f"{len(opened)} incomplete synchronisation groups at end of "
+            f"trace (first keys: {keys})"
         )
     return records, last
 
@@ -365,14 +350,6 @@ def _execute_plan(cols, records, tails, increments):
             clock[loc] = seg[-1]
         out.append(np.asarray(tl, dtype=np.float64))
     return out, repaired, val, clock
-
-
-def _legacy_group_keys(groups) -> list:
-    """Format leftover group keys the way the per-event walk did."""
-    return [
-        ("c" if et == COLL_END else "b" if et == OBAR_LEAVE else "r", gid)
-        for (et, gid) in list(groups)[:3]
-    ]
 
 
 def trace_columns(trace_like) -> TraceColumns:

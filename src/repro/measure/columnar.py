@@ -52,6 +52,7 @@ so events may share them, as the engine's own events already do.
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import chain
 from operator import attrgetter
 from typing import TYPE_CHECKING, List, Mapping, Optional, Tuple
@@ -78,7 +79,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.measure.trace import RawTrace
 
 __all__ = ["AUX_ARITY", "COLUMN_FIELDS", "ColumnarConversionError", "DeltaTable",
-           "LocationColumns", "TraceColumns", "aux_values",
+           "LocationColumns", "SyncPlan", "TraceColumns", "aux_values",
            "events_from_columns", "location_counts", "split_columns"]
 
 #: event kinds that participate in clock synchronisation (send/fork are
@@ -288,9 +289,9 @@ class TraceColumns:
 
     Attributes mirror :class:`~repro.measure.trace.RawTrace`; ``locs[l]``
     is the :class:`LocationColumns` of location ``l``.  Treated as
-    immutable: it memoizes the merged order, the synchronisation order,
-    the compiled replay plan and the compiled analysis plan, each shared
-    by all clock modes.  A column-backed ``RawTrace`` owns one and drops
+    immutable: it memoizes the merged order, the synchronisation plan
+    (:meth:`sync_plan`), the compiled replay plan and the compiled
+    analysis plan, each shared by all clock modes.  A column-backed ``RawTrace`` owns one and drops
     it -- plans included -- when a caller first takes its event lists (see
     :attr:`RawTrace.events <repro.measure.trace.RawTrace.events>`), so
     edits to those lists reach the next conversion.  A trace built from
@@ -318,7 +319,7 @@ class TraceColumns:
         self.runtime = runtime
         self.pinning = pinning
         self._order = None
-        self._sync_order = None
+        self._sync_plan = None
         self._replay_plan = None  # compiled by repro.clocks.columnar
         self._analysis_plan = None  # compiled by repro.analysis.analyzer
 
@@ -335,8 +336,8 @@ class TraceColumns:
         of them on location ``l``, in :class:`~repro.sim.events.Ev`
         argument order: kind, region, timestamp, ``WorkDelta``, ``aux``
         payload and enter time.  Falsy delta fields are stored as 0.0;
-        payloads that do not follow the engine's conventions raise
-        :class:`ColumnarConversionError`.
+        payloads that do not follow the engine's conventions, and integers
+        outside int64, raise :class:`ColumnarConversionError`.
         """
         try:
             etype = np.array(etype, dtype=np.int64)
@@ -350,7 +351,7 @@ class TraceColumns:
             flat.update(zip(_DELTA_FIELDS, _delta_columns(delta)))
         except ColumnarConversionError:
             raise
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ColumnarConversionError(
                 f"event payload not columnar-convertible: {exc}"
             ) from exc
@@ -411,33 +412,173 @@ class TraceColumns:
             self._order = merged_order([lc.t for lc in self.locs])
         return self._order
 
-    def sync_order(self):
-        """Synchronisation events in global merged order (memoized).
+    def sync_plan(self) -> "SyncPlan":
+        """The trace's :class:`SyncPlan` (built once, mode-independent;
+        dropped with these columns like the replay and analysis plans)."""
+        if self._sync_plan is None:
+            from repro import obs
 
-        Returns six parallel lists ``(loc, idx, etype, aux_a, aux_b, pos)``
-        of all :data:`SYNC_KINDS` events: :meth:`merged_order` filtered to
-        those kinds, ``pos`` being each event's position in the full
-        merged order.  Mode-independent, so one filter serves all clock
-        replays.
-        """
-        if self._sync_order is None:
-            perm, loc = self.merged_order()
-            etype = self.column("etype")[perm]
-            pos = np.flatnonzero(np.isin(etype, SYNC_KINDS))
-            flat = perm[pos]
-            loc = loc[pos]
-            self._sync_order = (
-                loc.tolist(),
-                (flat - self.offsets()[loc]).tolist(),
-                etype[pos].tolist(),
-                self.column("aux_a")[flat].tolist(),
-                self.column("aux_b")[flat].tolist(),
-                pos.tolist(),
-            )
-        return self._sync_order
+            with obs.span("sync.plan_compile", events=self.n_events):
+                self._sync_plan = SyncPlan(self)
+            obs.counter("sync.plan_compiles").inc()
+        return self._sync_plan
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"TraceColumns(mode={self.mode!r}, locations={self.n_locations}, "
             f"events={self.n_events}, runtime={self.runtime:.4g}s)"
         )
+
+
+#: synchronisation kinds whose arrivals form groups, keyed by kind and id
+GROUP_KINDS = (COLL_END, OBAR_LEAVE, RESTART)
+
+
+def _run_starts(*keys: np.ndarray) -> np.ndarray:
+    """Where a new run of equal ``keys`` tuples begins (keys sorted)."""
+    new = np.zeros(len(keys[0]), dtype=bool)
+    new[:1] = True
+    for k in keys:
+        new[1:] |= k[1:] != k[:-1]
+    return new
+
+
+class SyncPlan:
+    """The happened-before skeleton of a trace: who syncs with whom.
+
+    Decided once per trace (:meth:`TraceColumns.sync_plan`) and read by
+    every consumer -- the clock replay plan, the wait-state analysis, the
+    causal DAG, the sanitizer and the race detector -- so the trace's
+    matching lives here only.  Its *slots* are the synchronisation events
+    (:data:`SYNC_KINDS`) in global merged order; per slot ``s`` the
+    integer arrays ``loc``, ``idx`` (index on the location), ``flat``
+    (row of the location-major :meth:`TraceColumns.column` layout, so
+    sorting by ``flat`` is *location order*), ``kind``, ``a``/``b`` (the
+    payload columns) and ``pos`` (position in the merged order) describe
+    the event.
+
+    ``src[s]`` is the slot that gives ``s`` its clock, or -1 when no such
+    slot comes earlier in merged order: for a receive, the latest earlier
+    send of its match id that no receive has taken yet; for a team begin,
+    the latest earlier fork of its construct.
+
+    Groups are ``COLL_END``, ``OBAR_LEAVE`` and ``RESTART`` arrivals keyed
+    by kind and id; a group closes at the arrival that brings its member
+    count up to that arrival's size claim.  ``members[starts[g]:starts[g +
+    1]]`` are group ``g``'s slots in arrival order; the first
+    ``n_complete`` groups closed, in completion order, the rest were still
+    open at the end of the trace, in order of their first arrival.
+
+    Defects are data, not exceptions.  Besides the open groups:
+
+    * ``unsourced`` -- receives and team begins with ``src == -1``, in
+      merged order;
+    * ``late[s]`` -- for an unsourced receive, the unreceived send of its
+      match id that comes later in merged order, else -1: the edge a
+      trace whose physical clocks contradict its messages still claims;
+    * ``unreceived`` -- sends still unpaired at the end of the trace (a
+      send whose match id a later send reuses before a receive takes it
+      is a duplicate instead);
+    * ``received`` -- the sorted match ids that receives carry;
+
+    and, in location order (computed on first use, for the sanitizer),
+    :attr:`dup`, :attr:`first` and :attr:`unforked`.
+    """
+
+    def __init__(self, cols: TraceColumns):
+        perm, mloc = cols.merged_order()
+        etype = cols.column("etype")[perm]
+        self.pos = pos = np.flatnonzero(np.isin(etype, SYNC_KINDS))
+        self.flat = flat = perm[pos]
+        self.loc = loc = mloc[pos]
+        self.idx = flat - cols.offsets()[loc]
+        self.kind = kind = etype[pos]
+        self.a = a = cols.column("aux_a")[flat]
+        self.b = cols.column("aux_b")[flat]
+
+        # the one merged-order walk: pair, fork and group
+        src = [-1] * len(pos)
+        ids = a.tolist()
+        sends, forks, open_groups, done = {}, {}, {}, []
+        for s, (et, x, size) in enumerate(zip(kind.tolist(), ids,
+                                              self.b.tolist())):
+            if et == MPI_SEND:
+                sends[x] = s
+            elif et == MPI_RECV:
+                src[s] = sends.pop(x, -1)
+            elif et == FORK:
+                forks[x] = s
+            elif et == TEAM_BEGIN:
+                src[s] = forks.get(x, -1)
+            else:  # a group arrival
+                key = (et, x)
+                grp = open_groups.get(key)
+                if grp is None:
+                    grp = open_groups[key] = []
+                grp.append(s)
+                if len(grp) >= size:
+                    done.append(grp)
+                    del open_groups[key]
+        self.src = np.array(src, dtype=np.int64)
+        groups = done + list(open_groups.values())
+        self.n_complete = len(done)
+        self.starts = np.cumsum([0] + [len(g) for g in groups], dtype=np.int64)
+        self.members = np.fromiter(chain.from_iterable(groups), dtype=np.int64,
+                                   count=int(self.starts[-1]))
+        self.unsourced = np.flatnonzero(
+            ((kind == MPI_RECV) | (kind == TEAM_BEGIN)) & (self.src < 0))
+        self.late = np.full(len(pos), -1, dtype=np.int64)
+        for s in self.unsourced.tolist():
+            if kind[s] == MPI_RECV:
+                self.late[s] = sends.get(ids[s], -1)
+        self.unreceived = np.array(sorted(sends.values()), dtype=np.int64)
+        self.received = np.unique(a[kind == MPI_RECV])
+
+    def __len__(self) -> int:
+        return len(self.pos)
+
+    def group_slots(self, g: int) -> np.ndarray:
+        """The member slots of group ``g``, in arrival order."""
+        return self.members[self.starts[g]:self.starts[g + 1]]
+
+    @cached_property
+    def dup(self) -> np.ndarray:
+        """Per slot: for a send or receive, the previous one of its kind
+        with its match id in location order, else -1."""
+        dup = np.full(len(self), -1, dtype=np.int64)
+        for k in (MPI_SEND, MPI_RECV):
+            sel = np.flatnonzero(self.kind == k)
+            o = sel[np.lexsort((self.flat[sel], self.a[sel]))]
+            same = ~_run_starts(self.a[o])[1:]
+            dup[o[1:][same]] = o[:-1][same]
+        return dup
+
+    @cached_property
+    def first(self) -> np.ndarray:
+        """Per slot: for a group member, the member of its kind and id
+        that comes first in location order -- its size claim is the
+        group's, and a member claiming another size is a conflict --
+        else -1."""
+        kind, a = self.kind, self.a
+        sel = np.flatnonzero(np.isin(kind, GROUP_KINDS))
+        o = sel[np.lexsort((self.flat[sel], a[sel], kind[sel]))]
+        new = _run_starts(kind[o], a[o])
+        first = np.full(len(self), -1, dtype=np.int64)
+        first[o] = o[new][np.cumsum(new) - 1]
+        return first
+
+    @cached_property
+    def unforked(self) -> np.ndarray:
+        """Team begins with no fork of their construct earlier in
+        location order."""
+        kind, a, flat = self.kind, self.a, self.flat
+        sel = np.flatnonzero(kind == FORK)
+        o = sel[np.lexsort((flat[sel], a[sel]))]
+        o = o[_run_starts(a[o])]  # each construct's first fork
+        teams = np.flatnonzero(kind == TEAM_BEGIN)
+        j = np.searchsorted(a[o], a[teams])
+        forked = j < len(o)
+        j = j[forked]
+        forked[forked] = (a[o][j] == a[teams][forked]) \
+            & (flat[o][j] < flat[teams][forked])
+        return teams[~forked]

@@ -48,7 +48,8 @@ import os
 import tempfile
 import zipfile
 import zlib
-from itertools import chain, repeat
+from array import array
+from itertools import chain, compress, repeat
 from pathlib import Path
 from typing import Iterator, List, Optional, Tuple, Union
 
@@ -473,8 +474,9 @@ _SCALARS = {int, float, bool, type(None)}
 def _bulk_fields(recs: list, n_lines: int, n_loc: int) -> Optional[tuple]:
     """The seven field columns of a decoded chunk, or ``None`` unless it
     qualifies for the bulk path: one 7-field record per line, locations
-    in range, scalar fields, deltas as dicts of float fields, and aux
-    payloads that fit their kinds (one int, a pair of ints, or null)."""
+    in range, scalar fields, deltas as dicts of float fields, aux
+    payloads that fit their kinds (one int, a pair of ints, or null), and
+    integer region ids and payloads inside int64."""
     if len(recs) != n_lines or set(map(type, recs)) != {list} \
             or set(map(len, recs)) != {7}:
         return None
@@ -495,8 +497,15 @@ def _bulk_fields(recs: list, n_lines: int, n_loc: int) -> Optional[tuple]:
         return None
     # the payload arity of every record equals its kind's (other payload
     # types map to None and never match)
-    if list(map(_AUX_ARITY_OF.get, map(type, auxs))) \
-            != list(map(AUX_ARITY.get, ets, repeat(0))):
+    arity = list(map(_AUX_ARITY_OF.get, map(type, auxs)))
+    if arity != list(map(AUX_ARITY.get, ets, repeat(0))):
+        return None
+    # region ids and payload ints fit the int64 columns
+    try:
+        array("q", rgs)
+        array("q", chain(compress(auxs, map((1).__eq__, arity)),
+                         chain.from_iterable(lists)))
+    except (TypeError, OverflowError):
         return None
     return fields
 
@@ -506,8 +515,9 @@ def _bulk_fields(recs: list, n_lines: int, n_loc: int) -> Optional[tuple]:
 _AUX_ARITY_OF = {type(None): 0, int: 1, list: 2}
 
 
-def _check_payload(etype, aux) -> None:
-    """``ValueError`` unless ``aux`` fits ``etype`` in the kind table."""
+def _check_record(etype, region, aux) -> None:
+    """``ValueError`` unless ``aux`` fits ``etype`` in the kind table and
+    the record's integers fit the int64 columns."""
     arity = AUX_ARITY.get(etype, 0)
     if arity == 0:
         ok = aux is None
@@ -518,6 +528,14 @@ def _check_payload(etype, aux) -> None:
               and type(aux[0]) is int and type(aux[1]) is int)
     if not ok:
         raise ValueError(f"payload {aux!r} does not fit event kind {etype!r}")
+    ints = (aux,) if arity == 1 else aux if arity == 2 else ()
+    if type(region) is int:
+        ints = (region, *ints)
+    try:
+        array("q", ints)
+    except OverflowError:
+        raise ValueError(f"region {region!r} or payload {aux!r} holds an "
+                         "integer outside int64") from None
 
 
 def _load_lines(path: Path, lines: List[str], first_lineno: int,
@@ -529,7 +547,7 @@ def _load_lines(path: Path, lines: List[str], first_lineno: int,
             if type(loc) is not int or not 0 <= loc < len(events):
                 raise ValueError(f"location {loc!r} outside the "
                                  f"{len(events)} locations")
-            _check_payload(etype, aux)
+            _check_record(etype, region, aux)
             if isinstance(aux, list):
                 aux = tuple(aux)
             events[loc].append(Ev(etype, region, t, _delta_from_obj(delta),

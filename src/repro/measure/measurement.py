@@ -9,7 +9,6 @@ from repro.measure.config import validate_mode
 from repro.measure.filtering import FilterRules
 from repro.measure.overhead import OverheadModel
 from repro.measure.trace import RawTrace
-from repro.sim.events import Ev
 from repro.sim.kernels import WorkDelta
 
 __all__ = ["Measurement"]
@@ -51,10 +50,9 @@ class Measurement:
         self._footprint = 0.0
         self._finished = False
         self._sanitize = sanitize
-        self._sanitizer = None
 
     def enable_sanitize(self) -> None:
-        """Opt in to online invariant checking (before the engine run)."""
+        """Opt in to checking the finished trace (before the engine run)."""
         if self._engine is not None:
             raise RuntimeError("enable_sanitize() must precede begin()")
         self._sanitize = True
@@ -75,10 +73,6 @@ class Measurement:
             sockets[sid] = sockets.get(sid, 0) + 1
         per_socket = (len(locs) / len(sockets)) if sockets else 0.0
         self._footprint = self.overhead.footprint(self.mode, per_socket)
-        if self._sanitize:
-            from repro.verify.online import OnlineSanitizer
-
-            self._sanitizer = OnlineSanitizer(region_names=engine.regions.name)
 
     def rebind(self, engine) -> None:
         """Attach a restart-attempt engine, keeping recorded events.
@@ -86,40 +80,22 @@ class Measurement:
         Used by :mod:`repro.sim.recovery`: after a simulated crash the
         next attempt runs on a *fresh* engine (clean scheduler state) but
         must append to the trace prefix this measurement already holds.
-        The online sanitizer is per-run state and cannot span attempts.
         """
         if self._engine is None:
             raise RuntimeError("rebind() before begin()")
         if self._finished:
             raise RuntimeError("rebind() after finish()")
-        if self._sanitize:
-            raise RuntimeError(
-                "online sanitize cannot span restart attempts; "
-                "run the offline sanitizer on the finished trace instead"
-            )
         self._engine = engine
 
     def sinks(self) -> List[Callable[[tuple], None]]:
-        """Per location, the callable that records its events.
+        """Per location, the callable that records its events: the
+        buffer's ``extend``.
 
         Emission sites pass it one event's fields as a tuple, ``(etype,
         region, t, delta, aux, t_enter)``, or several events' fields back
-        to back.  Without an online sanitizer it is the buffer's
-        ``extend``; with one, it first shows the sanitizer every event of
-        the tuple, in order, and then appends them.
+        to back.
         """
-        if self._sanitizer is None:
-            return [buf.extend for buf in self._buffers]
-        observe = self._sanitizer.observe
-
-        def observed(loc: int, extend):
-            def sink(fields: tuple) -> None:
-                for j in range(0, len(fields), RECORD_WIDTH):
-                    observe(loc, Ev(*fields[j:j + RECORD_WIDTH]))
-                extend(fields)
-            return sink
-
-        return [observed(loc, buf.extend) for loc, buf in enumerate(self._buffers)]
+        return [buf.extend for buf in self._buffers]
 
     def mark(self) -> List[int]:
         """Snapshot of per-location event counts (a checkpoint mark)."""
@@ -145,21 +121,24 @@ class Measurement:
         if self._finished:
             raise RuntimeError("finish() called twice")
         self._finished = True
-        if self._sanitizer is not None:
-            self._sanitizer.final_check()
         trace = RawTrace.from_columns(self._drain_columns(runtime))
         if self._sanitize:
-            # Sanitized runs also get the happened-before race check:
-            # wildcard message races and OpenMP shared-write races void
-            # the bit-identity the sanitizer exists to protect.
-            from repro.verify.online import TraceInvariantError
+            # The structural pass covers every event of every restart
+            # attempt; the race check adds wildcard message races and
+            # OpenMP shared-write races, which void the bit-identity the
+            # sanitizer exists to protect.
+            from repro.verify.diagnostics import TraceInvariantError
             from repro.verify.races import find_races
+            from repro.verify.rules import Severity
+            from repro.verify.sanitizer import sanitize_raw
 
-            report = find_races(trace)
-            if report.has_races:
-                raise TraceInvariantError([
-                    d for d in report.diagnostics if d.severity == "error"
-                ])
+            errors = [d for d in sanitize_raw(trace)
+                      if d.severity == Severity.ERROR]
+            if not errors:
+                errors = [d for d in find_races(trace).diagnostics
+                          if d.severity == Severity.ERROR]
+            if errors:
+                raise TraceInvariantError(errors)
         return trace
 
     def _drain_columns(self, runtime: float):

@@ -237,9 +237,12 @@ class Engine:
         A measurement object from :mod:`repro.measure`, or ``None`` for an
         uninstrumented reference run.
     sanitize:
-        When true, the measurement checks trace invariants online as
-        events are emitted (see :mod:`repro.verify.online`); requires a
-        measurement object.
+        When true, the measurement checks the finished trace at the end
+        of the run -- the sanitizer's structural pass, then the race
+        detector -- and raises
+        :class:`~repro.verify.diagnostics.TraceInvariantError` on an
+        error finding, so no trace is returned; requires a measurement
+        object.
     faults:
         Optional :class:`~repro.machine.faults.FaultModel`; drawn rank
         crashes raise :class:`SimCrashError` out of :meth:`run`.

@@ -32,8 +32,9 @@ objects carrying a rule id from :mod:`repro.verify.rules`, the rank or
 location, the call path and a fix hint.  The ``repro-lint`` CLI and the
 pre-flight check in :mod:`repro.experiments.workflow` wire the passes
 into the measurement pipeline; ``Measurement(..., sanitize=True)`` (or
-``Engine(..., sanitize=True)``) checks trace invariants online while
-events are emitted.  See ``docs/verify.md`` for the rule catalogue.
+``Engine(..., sanitize=True)``) runs the sanitizer's structural pass and
+the race detector on the finished trace.  See ``docs/verify.md`` for the
+rule catalogue.
 """
 
 from repro.verify.determinism import (
@@ -45,6 +46,7 @@ from repro.verify.determinism import (
 )
 from repro.verify.diagnostics import (
     Diagnostic,
+    TraceInvariantError,
     VerificationError,
     format_diagnostics,
     has_errors,
@@ -58,7 +60,6 @@ from repro.verify.dryrun import (
 )
 from repro.verify.fixtures import FIXTURES, fixture_names, make_fixture
 from repro.verify.linter import LintReport, lint_program
-from repro.verify.online import OnlineSanitizer, TraceInvariantError
 from repro.verify.races import RaceReport, find_races
 from repro.verify.rules import RULES, Rule, Severity, get_rule, rule
 from repro.verify.sanitizer import (
@@ -77,7 +78,6 @@ __all__ = [
     "FIXTURES",
     "LintReport",
     "NOISE_SENSITIVE",
-    "OnlineSanitizer",
     "RaceReport",
     "RankDryRun",
     "Rule",

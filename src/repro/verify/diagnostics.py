@@ -9,6 +9,7 @@ from repro.verify.rules import RULES, Severity
 
 __all__ = [
     "Diagnostic",
+    "TraceInvariantError",
     "VerificationError",
     "format_diagnostics",
     "has_errors",
@@ -120,3 +121,18 @@ class VerificationError(RuntimeError):
         if not self.diagnostics:
             return self.message
         return self.message + "\n" + format_diagnostics(self.diagnostics)
+
+
+class TraceInvariantError(RuntimeError):
+    """A sanitized run recorded a trace that breaks a trace invariant.
+
+    Raised by ``Measurement(..., sanitize=True)`` at ``finish()`` with the
+    error diagnostics of :func:`~repro.verify.sanitize_raw` (or of
+    :func:`~repro.verify.find_races`) over the finished trace.
+    """
+
+    def __init__(self, diagnostics: List[Diagnostic]):
+        self.diagnostics = diagnostics
+        super().__init__(format_diagnostics(
+            diagnostics, header="recorded trace violates trace invariants:"
+        ))

@@ -21,6 +21,13 @@ paper's analysis relies on:
   members of a synchronisation group must carry the group timestamp
   (TRC004).
 
+Both passes read the trace's columns: the per-location checks scan the
+time, kind and region columns, and everything about matching -- pairs,
+groups, forks and their defects -- comes from the trace's
+:class:`~repro.measure.columnar.SyncPlan`, the one the clock replay uses.
+Findings come in the order of a location-by-location walk of the trace
+(the per-rule cap keeps the first ones of that order).
+
 ``sanitize_trace`` bundles both passes over any subset of the paper's
 six clock modes; ``check_timestamps`` takes an existing
 :class:`~repro.clocks.base.TimestampedTrace` so externally supplied (or
@@ -30,32 +37,39 @@ forged) timestamp arrays can be audited too.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 from repro import obs
+from repro.clocks.columnar import trace_columns
 from repro.measure.config import LOGICAL_MODES, MODES
 from repro.measure.trace import RawTrace
 from repro.sim.events import (
     COLL_END,
     ENTER,
     FAULT,
-    FORK,
     LEAVE,
     MPI_RECV,
     MPI_SEND,
     OBAR_LEAVE,
     RESTART,
-    TEAM_BEGIN,
 )
 from repro.verify.diagnostics import Diagnostic, format_diagnostics, has_errors
 
-__all__ = ["SanitizeReport", "StructuralPass", "sanitize_raw",
-           "sanitize_stream", "check_timestamps", "sanitize_trace"]
+__all__ = ["SanitizeReport", "sanitize_raw", "check_timestamps",
+           "sanitize_trace"]
 
 #: tolerance for "equal" physical timestamps within a group
 _REL_TOL = 1e-9
 #: cap duplicate findings of one rule per pass (keeps reports readable)
 _MAX_PER_RULE = 8
+
+#: report name and sort rank of each group kind
+_GROUP_NAME = {COLL_END: "coll", OBAR_LEAVE: "obar", RESTART: "restart"}
+_GROUP_RANK = np.zeros(max(_GROUP_NAME) + 1, dtype=np.int64)
+_GROUP_RANK[[COLL_END, OBAR_LEAVE, RESTART]] = (0, 1, 2)
 
 
 @dataclass
@@ -104,34 +118,60 @@ class SanitizeReport:
         return out
 
 
-class _Capped:
-    """Collects diagnostics, truncating repeats of the same rule.
+def _capped(diagnostics: List[Diagnostic],
+            suppressed: Optional[Dict[str, int]]) -> List[Diagnostic]:
+    """The first :data:`_MAX_PER_RULE` findings of each rule, in order.
 
-    Truncation is never silent: :attr:`suppressed` counts the findings
-    dropped beyond the cap, per rule, for the report to surface.
+    Truncation is never silent: the count dropped beyond the cap is
+    added, per rule, to ``suppressed`` when given, for the report to
+    surface.
     """
+    seen: Dict[str, int] = {}
+    out = []
+    for d in diagnostics:
+        n = seen[d.rule_id] = seen.get(d.rule_id, 0) + 1
+        if n <= _MAX_PER_RULE:
+            out.append(d)
+    if suppressed is not None:
+        for rule_id, n in sorted(seen.items()):
+            if n > _MAX_PER_RULE:
+                suppressed[rule_id] = (suppressed.get(rule_id, 0) + n
+                                       - _MAX_PER_RULE)
+    return out
 
-    def __init__(self, limit: int = _MAX_PER_RULE):
-        self.out: List[Diagnostic] = []
-        self._limit = limit
-        self._counts: Dict[str, int] = {}
 
-    def add(self, diag: Diagnostic) -> None:
-        n = self._counts.get(diag.rule_id, 0) + 1
-        self._counts[diag.rule_id] = n
-        if n <= self._limit:
-            self.out.append(diag)
+def _namer(regions):
+    """Region id -> name, tolerating ids the registry does not hold."""
+    def name(rid: int) -> str:
+        try:
+            return regions.name(rid)
+        except IndexError:
+            return f"<region {rid}>"
+    return name
 
-    @property
-    def suppressed(self) -> Dict[str, int]:
-        return {
-            rule_id: n - self._limit
-            for rule_id, n in sorted(self._counts.items())
-            if n > self._limit
-        }
 
-    def finish(self) -> List[Diagnostic]:
-        return self.out
+def _running_max(x: np.ndarray) -> np.ndarray:
+    """Per element, the largest earlier value (-inf first; NaN ignored)."""
+    return np.fmax.accumulate(np.concatenate(([-np.inf], x[:-1])))
+
+
+def _group_spans(sync, values: np.ndarray):
+    """Per group key (slot of its first member in location order): the
+    member count and the lowest and highest of ``values`` (per slot)."""
+    m = np.flatnonzero(sync.first >= 0)
+    key = sync.first[m]
+    n = len(sync)
+    lo = np.full(n, np.inf)
+    hi = np.full(n, -np.inf)
+    np.minimum.at(lo, key, values[m])
+    np.maximum.at(hi, key, values[m])
+    keys = np.unique(key)
+    keys = keys[np.lexsort((sync.a[keys], _GROUP_RANK[sync.kind[keys]]))]
+    return keys, np.bincount(key, minlength=n), lo, hi
+
+
+def _spread(lo: float, hi: float) -> bool:
+    return hi - lo > _REL_TOL * max(1.0, abs(hi))
 
 
 # ---------------------------------------------------------------------------
@@ -139,269 +179,143 @@ class _Capped:
 # ---------------------------------------------------------------------------
 
 
-class StructuralPass:
-    """Incremental form of the mode-independent structural checks.
-
-    Feed events one at a time in any order that preserves per-location
-    order (per-location walks and global merged order both qualify);
-    :meth:`finish` closes every location and runs the cross-location
-    checks.  :func:`sanitize_raw` drives it per location over an
-    in-memory trace; :func:`sanitize_stream` drives it in merged order
-    over a sharded archive, so state stays bounded by open regions and
-    in-flight synchronisation groups rather than trace length.
-    """
-
-    def __init__(self, regions, n_locations: int):
-        self._regions = regions
-        self._cap = _Capped()
-        self._sends: Dict[int, int] = {}  # match id -> send location
-        self._recvs: Dict[int, int] = {}
-        self._groups: Dict[Tuple[str, int], List[Tuple[int, float]]] = {}
-        self._group_size: Dict[Tuple[str, int], int] = {}
-        self._forks: Set[int] = set()
-        self._restart_groups: Dict[int, List[Tuple[int, float]]] = {}
-        self._restart_size: Dict[int, int] = {}
-        self._fault_refs: List[Tuple[int, int]] = []  # (loc, match id)
-        self._prev_t = [-float("inf")] * n_locations
-        self._stack: List[List[int]] = [[] for _ in range(n_locations)]
-        self._idx = [0] * n_locations
-        self._closed = [False] * n_locations
-        self._finished = False
-
-    def _region(self, rid: int) -> str:
-        try:
-            return self._regions.name(rid)
-        except IndexError:
-            return f"<region {rid}>"
-
-    def feed(self, loc: int, ev) -> None:
-        """Check one event of location ``loc`` (events per location in order)."""
-        cap = self._cap
-        region = self._region
-        i = self._idx[loc]
-        self._idx[loc] = i + 1
-        prev_t = self._prev_t[loc]
-        if ev.t < prev_t - 1e-15:
-            cap.add(Diagnostic(
-                "TRC001",
-                f"event #{i} ({region(ev.region)}) at t={ev.t:.9g} "
-                f"after t={prev_t:.9g}",
-                location=loc,
-            ))
-        self._prev_t[loc] = max(prev_t, ev.t)
-        et = ev.etype
-        stack = self._stack[loc]
-        if et == ENTER:
-            stack.append(ev.region)
-        elif et == LEAVE:
-            if not stack:
-                cap.add(Diagnostic(
-                    "TRC006",
-                    f"LEAVE {region(ev.region)} (event #{i}) with no "
-                    "open ENTER",
-                    location=loc,
-                ))
-            elif stack[-1] != ev.region:
-                cap.add(Diagnostic(
-                    "TRC006",
-                    f"LEAVE {region(ev.region)} (event #{i}) closes "
-                    f"ENTER {region(stack[-1])}",
-                    location=loc,
-                ))
-                stack.pop()
-            else:
-                stack.pop()
-        elif et == MPI_SEND:
-            mid = ev.aux[0]
-            if mid in self._sends:
-                cap.add(Diagnostic(
-                    "TRC002",
-                    f"duplicate MPI_SEND for match id {mid} (also on "
-                    f"location {self._sends[mid]})",
-                    location=loc,
-                ))
-            self._sends[mid] = loc
-        elif et == MPI_RECV:
-            mid = ev.aux
-            if mid in self._recvs:
-                cap.add(Diagnostic(
-                    "TRC002",
-                    f"duplicate MPI_RECV for match id {mid} (also on "
-                    f"location {self._recvs[mid]})",
-                    location=loc,
-                ))
-            self._recvs[mid] = loc
-        elif et == COLL_END or et == OBAR_LEAVE:
-            gid, size = ev.aux
-            key = ("coll" if et == COLL_END else "obar", gid)
-            self._groups.setdefault(key, []).append((loc, ev.t))
-            if self._group_size.setdefault(key, size) != size:
-                cap.add(Diagnostic(
-                    "TRC007",
-                    f"{key[0]} instance {gid}: conflicting group sizes "
-                    f"{self._group_size[key]} and {size}",
-                    location=loc,
-                ))
-        elif et == RESTART:
-            gid, size = ev.aux
-            self._restart_groups.setdefault(gid, []).append((loc, ev.t))
-            if self._restart_size.setdefault(gid, size) != size:
-                cap.add(Diagnostic(
-                    "TRC008",
-                    f"restart {gid}: conflicting group sizes "
-                    f"{self._restart_size[gid]} and {size}",
-                    location=loc,
-                ))
-        elif et == FAULT:
-            self._fault_refs.append((loc, ev.aux))
-        elif et == FORK:
-            self._forks.add(ev.aux)
-        elif et == TEAM_BEGIN:
-            if ev.aux not in self._forks:
-                cap.add(Diagnostic(
-                    "TRC007",
-                    f"TEAM_BEGIN for OpenMP construct {ev.aux} without "
-                    "a FORK on the master",
-                    location=loc,
-                ))
-
-    def end_location(self, loc: int) -> None:
-        """Close location ``loc``: report ENTERs never left (idempotent)."""
-        if self._closed[loc]:
-            return
-        self._closed[loc] = True
-        if self._stack[loc]:
-            self._cap.add(Diagnostic(
-                "TRC006",
-                "ENTER(s) never left: "
-                + " > ".join(self._region(r) for r in self._stack[loc]),
-                location=loc,
-            ))
-
-    def finish(self, suppressed: Optional[Dict[str, int]] = None) -> List[Diagnostic]:
-        """Close all locations, run cross-location checks, return findings."""
-        if self._finished:
-            raise RuntimeError("StructuralPass.finish() called twice")
-        self._finished = True
-        for loc in range(len(self._closed)):
-            self.end_location(loc)
-        cap = self._cap
-        sends, recvs = self._sends, self._recvs
-        groups, group_size = self._groups, self._group_size
-        restart_groups, restart_size = self._restart_groups, self._restart_size
-        fault_refs = self._fault_refs
-        for mid in sorted(set(sends) - set(recvs)):
-            cap.add(Diagnostic(
-                "TRC002",
-                f"MPI_SEND with match id {mid} has no MPI_RECV (dropped "
-                "receive record?)",
-                location=sends[mid],
-            ))
-        for mid in sorted(set(recvs) - set(sends)):
-            cap.add(Diagnostic(
-                "TRC002",
-                f"MPI_RECV with match id {mid} has no MPI_SEND (dropped send "
-                "record?)",
-                location=recvs[mid],
-            ))
-
-        for key in sorted(groups):
-            kind, gid = key
-            members = groups[key]
-            size = group_size[key]
-            if len(members) != size:
-                cap.add(Diagnostic(
-                    "TRC007",
-                    f"{kind} instance {gid} has {len(members)} member event(s) "
-                    f"but group size {size}",
-                    location=members[0][0],
-                ))
-                continue
-            ts = [t for (_loc, t) in members]
-            lo, hi = min(ts), max(ts)
-            if hi - lo > _REL_TOL * max(1.0, abs(hi)):
-                cap.add(Diagnostic(
-                    "TRC004",
-                    f"{kind} instance {gid}: physical completion times spread "
-                    f"over [{lo:.9g}, {hi:.9g}]",
-                    location=members[0][0],
-                ))
-
-        for gid in sorted(restart_groups):
-            members = restart_groups[gid]
-            size = restart_size[gid]
-            if len(members) != size:
-                cap.add(Diagnostic(
-                    "TRC008",
-                    f"restart {gid} has {len(members)} record(s) but "
-                    f"{size} rank(s)",
-                    location=members[0][0],
-                ))
-                continue
-            ts = [t for (_loc, t) in members]
-            lo, hi = min(ts), max(ts)
-            if hi - lo > _REL_TOL * max(1.0, abs(hi)):
-                cap.add(Diagnostic(
-                    "TRC008",
-                    f"restart {gid}: resume times spread over "
-                    f"[{lo:.9g}, {hi:.9g}] instead of one common time",
-                    location=members[0][0],
-                ))
-
-        for loc, mid in fault_refs:
-            if mid not in recvs:
-                cap.add(Diagnostic(
-                    "TRC009",
-                    f"FAULT marker references message {mid} which has no "
-                    "receive record",
-                    location=loc,
-                ))
-        if suppressed is not None:
-            for rule_id, n in cap.suppressed.items():
-                suppressed[rule_id] = suppressed.get(rule_id, 0) + n
-        return cap.finish()
-
-
 def sanitize_raw(
-    trace: RawTrace,
+    trace,
     suppressed: Optional[Dict[str, int]] = None,
 ) -> List[Diagnostic]:
     """Mode-independent structural checks on a raw trace.
 
+    ``trace`` is a ``RawTrace`` or a ``ShardedTrace`` (read whole).
     ``suppressed``, when given, accumulates per-rule counts of findings
     dropped beyond the per-rule cap.
     """
     with obs.span("verify.sanitize", n_events=trace.n_events):
-        p = StructuralPass(trace.regions, trace.n_locations)
-        for loc, evs in enumerate(trace.events):
-            feed = p.feed
-            for ev in evs:
-                feed(loc, ev)
-            p.end_location(loc)
-        return p.finish(suppressed)
+        cols = trace_columns(trace)
+        return _capped(_structure(cols, cols.sync_plan()), suppressed)
 
 
-def sanitize_stream(
-    trace_like,
-    suppressed: Optional[Dict[str, int]] = None,
-) -> List[Diagnostic]:
-    """Structural checks over any trace-like object via its ``merged()``
-    iterator -- the bounded-memory entry point for sharded archives.
+def _structure(cols, sync) -> List[Diagnostic]:
+    """Every structural finding, in location-by-location walk order: per
+    location its events' findings and then its unclosed regions, then
+    the cross-location ones."""
+    name = _namer(cols.regions)
+    found = []  # ((loc, index, 0 before 1), finding) of per-event findings
+    for loc, lc in enumerate(cols.locs):
+        t = lc.t
+        seen = _running_max(t)
+        for i in np.flatnonzero(t < seen - 1e-15).tolist():
+            found.append(((loc, i, 0), Diagnostic(
+                "TRC001",
+                f"event #{i} ({name(int(lc.region[i]))}) at "
+                f"t={float(t[i]):.9g} after t={float(seen[i]):.9g}",
+                location=loc,
+            )))
+        found.extend(_region_stack(loc, lc, name))
 
-    Accepts anything exposing ``regions``, ``n_locations`` and
-    ``merged()`` (:class:`~repro.measure.trace.RawTrace`,
-    :class:`~repro.measure.shards.ShardedTrace`).  Findings are identical
-    to :func:`sanitize_raw` up to diagnostic order (compare sorted, or
-    via :class:`SanitizeReport` fingerprints, when the per-rule cap may
-    bite -- the cap keeps the *first* findings seen, and merged order
-    interleaves locations).
-    """
-    with obs.span("verify.sanitize", n_events=trace_like.n_events):
-        p = StructuralPass(trace_like.regions, trace_like.n_locations)
-        feed = p.feed
-        for loc, ev in trace_like.merged():
-            feed(loc, ev)
-        return p.finish(suppressed)
+    n = len(sync)
+    s_loc, a, b = sync.loc.tolist(), sync.a.tolist(), sync.b.tolist()
+    kind = sync.kind.tolist()
+
+    def at(s: int, rule_id: str, message: str) -> None:
+        found.append(((s_loc[s], int(sync.idx[s]), 1),
+                      Diagnostic(rule_id, message, location=s_loc[s])))
+
+    dup = sync.dup
+    for s in np.flatnonzero(dup >= 0).tolist():
+        what = "MPI_SEND" if kind[s] == MPI_SEND else "MPI_RECV"
+        at(s, "TRC002", f"duplicate {what} for match id {a[s]} (also on "
+           f"location {s_loc[dup[s]]})")
+    first = sync.first
+    for s in np.flatnonzero((first >= 0)
+                            & (sync.b != sync.b[first])).tolist():
+        f = first[s]
+        if kind[s] == RESTART:
+            at(s, "TRC008", f"restart {a[s]}: conflicting group sizes "
+               f"{b[f]} and {b[s]}")
+        else:
+            at(s, "TRC007", f"{_GROUP_NAME[kind[s]]} instance {a[s]}: "
+               f"conflicting group sizes {b[f]} and {b[s]}")
+    for s in sync.unforked.tolist():
+        at(s, "TRC007", f"TEAM_BEGIN for OpenMP construct {a[s]} without "
+           "a FORK on the master")
+    found.sort(key=itemgetter(0))
+    out = [d for _key, d in found]
+
+    # match ids carried on one side only, at the side's last location
+    last = np.ones(n, dtype=bool)
+    last[dup[dup >= 0]] = False
+    for k, other, message in (
+            (MPI_SEND, MPI_RECV, "MPI_SEND with match id {} has no MPI_RECV "
+             "(dropped receive record?)"),
+            (MPI_RECV, MPI_SEND, "MPI_RECV with match id {} has no MPI_SEND "
+             "(dropped send record?)")):
+        sel = np.flatnonzero(last & (sync.kind == k))
+        sel = sel[~np.isin(sync.a[sel], sync.a[sync.kind == other])]
+        for s in sel[np.argsort(sync.a[sel], kind="stable")].tolist():
+            out.append(Diagnostic("TRC002", message.format(a[s]),
+                                  location=s_loc[s]))
+
+    keys, count, lo, hi = _group_spans(sync, cols.column("t")[sync.flat])
+    for f in keys.tolist():
+        gid, size, members = a[f], b[f], int(count[f])
+        g_lo, g_hi = float(lo[f]), float(hi[f])
+        if kind[f] == RESTART:
+            if members != size:
+                out.append(Diagnostic(
+                    "TRC008", f"restart {gid} has {members} record(s) but "
+                    f"{size} rank(s)", location=s_loc[f]))
+            elif _spread(g_lo, g_hi):
+                out.append(Diagnostic(
+                    "TRC008", f"restart {gid}: resume times spread over "
+                    f"[{g_lo:.9g}, {g_hi:.9g}] instead of one common time",
+                    location=s_loc[f]))
+        elif members != size:
+            out.append(Diagnostic(
+                "TRC007", f"{_GROUP_NAME[kind[f]]} instance {gid} has "
+                f"{members} member event(s) but group size {size}",
+                location=s_loc[f]))
+        elif _spread(g_lo, g_hi):
+            out.append(Diagnostic(
+                "TRC004", f"{_GROUP_NAME[kind[f]]} instance {gid}: physical "
+                f"completion times spread over [{g_lo:.9g}, {g_hi:.9g}]",
+                location=s_loc[f]))
+
+    faults = np.flatnonzero(cols.column("etype") == FAULT)
+    mids = cols.column("aux_a")[faults]
+    bad = ~np.isin(mids, sync.received)
+    locs = np.searchsorted(cols.offsets(), faults[bad], side="right") - 1
+    for loc, mid in zip(locs.tolist(), mids[bad].tolist()):
+        out.append(Diagnostic(
+            "TRC009", f"FAULT marker references message {mid} which has no "
+            "receive record", location=loc))
+    return out
+
+
+def _region_stack(loc: int, lc, name) -> list:
+    """TRC006 findings of one location's ENTER/LEAVE nesting, keyed like
+    :func:`_structure`'s per-event findings."""
+    et = lc.etype
+    sel = np.flatnonzero((et == ENTER) | (et == LEAVE))
+    stack: List[int] = []
+    found = []
+    for i, e, r in zip(sel.tolist(), et[sel].tolist(), lc.region[sel].tolist()):
+        if e == ENTER:
+            stack.append(r)
+        elif not stack:
+            found.append(((loc, i, 1), Diagnostic(
+                "TRC006", f"LEAVE {name(r)} (event #{i}) with no open ENTER",
+                location=loc)))
+        else:
+            top = stack.pop()
+            if top != r:
+                found.append(((loc, i, 1), Diagnostic(
+                    "TRC006", f"LEAVE {name(r)} (event #{i}) closes "
+                    f"ENTER {name(top)}", location=loc)))
+    if stack:
+        found.append(((loc, len(lc), 0), Diagnostic(
+            "TRC006", "ENTER(s) never left: "
+            + " > ".join(name(r) for r in stack), location=loc)))
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -417,76 +331,62 @@ def check_timestamps(
 
     Works for physical (``tsc``) and all logical modes; forged or
     corrupted timestamp arrays are reported against the event structure
-    of the underlying raw trace.  ``suppressed`` accumulates per-rule
-    counts of findings beyond the per-rule cap.
+    of the underlying raw trace: its synchronisation plan's message
+    pairs and late edges (TRC003) and groups (TRC004).  ``suppressed`` accumulates
+    per-rule counts of findings beyond the per-rule cap.
     """
-    trace: RawTrace = tt.trace
+    cols = tt.trace.columns()
     mode: str = tt.mode
-    logical = mode in LOGICAL_MODES
-    cap = _Capped()
+    times = [np.asarray(ts, dtype=np.float64) for ts in tt.times]
+    if [len(ts) for ts in times] != [len(lc) for lc in cols.locs]:
+        raise ValueError("timestamp arrays do not match the trace's events")
+    out: List[Diagnostic] = []
 
     # per-location monotonicity of the derived timestamps
-    for loc, ts in enumerate(tt.times):
-        prev = -float("inf")
-        for i in range(len(ts)):
-            if ts[i] < prev - 1e-12:
-                cap.add(Diagnostic(
-                    "TRC005",
-                    f"timestamp of event #{i} ({ts[i]:.9g}) below its "
-                    f"predecessor ({prev:.9g})",
-                    location=loc, mode=mode,
-                ))
-            prev = max(prev, float(ts[i]))
-
-    # send->recv Lamport condition; sends collected first because the
-    # per-location walk does not follow the global causal order
-    send_ts: Dict[int, Tuple[int, float]] = {}
-    for loc, evs in enumerate(trace.events):
-        for i, ev in enumerate(evs):
-            if ev.etype == MPI_SEND:
-                send_ts[ev.aux[0]] = (loc, float(tt.times[loc][i]))
-
-    groups: Dict[Tuple[str, int], List[Tuple[int, float]]] = {}
-    for loc, evs in enumerate(trace.events):
-        for i, ev in enumerate(evs):
-            et = ev.etype
-            if et == MPI_RECV:
-                hit = send_ts.get(ev.aux)
-                if hit is None:
-                    continue  # structural pass reports the missing send
-                _sloc, c_send = hit
-                c_recv = float(tt.times[loc][i])
-                # Lamport: C(recv) >= C(send) + 1 for logical clocks;
-                # physical time needs strict order only
-                bound = c_send + 1.0 - 1e-9 if logical else c_send
-                if c_recv < bound:
-                    cap.add(Diagnostic(
-                        "TRC003",
-                        f"message {ev.aux}: recv timestamp {c_recv:.9g} "
-                        f"does not follow send timestamp {c_send:.9g}",
-                        location=loc, mode=mode,
-                    ))
-            elif et == COLL_END or et == OBAR_LEAVE or et == RESTART:
-                kind = ("coll" if et == COLL_END
-                        else "obar" if et == OBAR_LEAVE else "restart")
-                key = (kind, ev.aux[0])
-                groups.setdefault(key, []).append((loc, float(tt.times[loc][i])))
-
-    for key in sorted(groups):
-        kind, gid = key
-        ts = [t for (_loc, t) in groups[key]]
-        lo, hi = min(ts), max(ts)
-        if hi - lo > _REL_TOL * max(1.0, abs(hi)):
-            cap.add(Diagnostic(
-                "TRC004",
-                f"{kind} instance {gid}: group timestamps spread over "
-                f"[{lo:.9g}, {hi:.9g}] instead of one group value",
-                location=groups[key][0][0], mode=mode,
+    for loc, ts in enumerate(times):
+        seen = _running_max(ts)
+        for i in np.flatnonzero(ts < seen - 1e-12).tolist():
+            out.append(Diagnostic(
+                "TRC005",
+                f"timestamp of event #{i} ({float(ts[i]):.9g}) below its "
+                f"predecessor ({float(seen[i]):.9g})",
+                location=loc, mode=mode,
             ))
-    if suppressed is not None:
-        for rule_id, n in cap.suppressed.items():
-            suppressed[rule_id] = suppressed.get(rule_id, 0) + n
-    return cap.finish()
+
+    # send->recv Lamport condition over the plan's pairs (and the edges
+    # of receives that precede their send), receives in location order:
+    # C(recv) >= C(send) + 1 for logical clocks, strict order only for
+    # physical time
+    sync = cols.sync_plan()
+    flat_t = np.concatenate(times) if times else np.empty(0)
+    src = np.where(sync.src >= 0, sync.src, sync.late)
+    recv = np.flatnonzero((sync.kind == MPI_RECV) & (src >= 0))
+    recv = recv[np.argsort(sync.flat[recv], kind="stable")]
+    c_recv = flat_t[sync.flat[recv]]
+    c_send = flat_t[sync.flat[src[recv]]]
+    bound = c_send + 1.0 - 1e-9 if mode in LOGICAL_MODES else c_send
+    bad = c_recv < bound
+    for r, c_r, c_s in zip(recv[bad].tolist(), c_recv[bad].tolist(),
+                           c_send[bad].tolist()):
+        out.append(Diagnostic(
+            "TRC003",
+            f"message {int(sync.a[r])}: recv timestamp {c_r:.9g} "
+            f"does not follow send timestamp {c_s:.9g}",
+            location=int(sync.loc[r]), mode=mode,
+        ))
+
+    keys, _count, lo, hi = _group_spans(sync, flat_t[sync.flat])
+    for f in keys.tolist():
+        g_lo, g_hi = float(lo[f]), float(hi[f])
+        if _spread(g_lo, g_hi):
+            out.append(Diagnostic(
+                "TRC004",
+                f"{_GROUP_NAME[int(sync.kind[f])]} instance {int(sync.a[f])}: "
+                f"group timestamps spread over [{g_lo:.9g}, {g_hi:.9g}] "
+                "instead of one group value",
+                location=int(sync.loc[f]), mode=mode,
+            ))
+    return _capped(out, suppressed)
 
 
 # ---------------------------------------------------------------------------

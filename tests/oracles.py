@@ -37,6 +37,15 @@ mode.  Its times and finals are the reference the compiled replay plan
 :class:`VectorClock` and :class:`LazyLamportClock` are the paper's
 extension clocks (exact causality, deferred merging), kept as study
 references.
+
+:func:`walker_sanitize_raw` (the incremental :class:`StructuralPass` fed
+one location at a time), :func:`walker_check_timestamps` and
+:func:`walker_find_races` (one vector-clock step per event of
+``trace.merged()``) are the per-event sanitizer and race detector that
+:func:`repro.verify.sanitize_raw`, :func:`repro.verify.check_timestamps`
+and :func:`repro.verify.find_races` replaced with columnar passes over the
+trace's synchronisation plan; their findings are the reference those
+must equal list for list, witnesses included.
 """
 
 from __future__ import annotations
@@ -44,7 +53,7 @@ from __future__ import annotations
 import heapq
 import math
 from itertools import chain
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -58,6 +67,7 @@ from repro.machine.noise import CounterNoise, NoiseConfig, _lognormal_factor
 from repro.measure import Measurement, RawTrace
 from repro.measure.columnar import ColumnarConversionError, aux_values
 from repro.measure.config import (
+    LOGICAL_MODES,
     LT1,
     LTBB,
     LTHWCTR,
@@ -75,6 +85,7 @@ from repro.sim.events import (
     BURST,
     COLL_END,
     ENTER,
+    FAULT,
     FORK,
     JOIN,
     LEAVE,
@@ -89,6 +100,15 @@ from repro.sim.events import (
 )
 from repro.sim.kernels import EMPTY_DELTA, WorkDelta
 from repro.util.rng import RngStreams
+from repro.verify.diagnostics import Diagnostic
+from repro.verify.races import (
+    _ANY_REGIONS,
+    _SHARED_WRITE_PREFIX,
+    RaceReport,
+    _EvRef,
+    _report,
+)
+from repro.verify.sanitizer import _MAX_PER_RULE
 
 
 # ---------------------------------------------------------------------------
@@ -1318,3 +1338,435 @@ def dag_nodes(dag: CausalDag) -> list:
          [(paths[cp], _bits(w)) for cp, w in dag.seg[k]])
         for k in range(dag.n_nodes)
     ] + [[_bits(x) for x in dag.final], dag.n_events]
+
+
+# ---------------------------------------------------------------------------
+# the per-event sanitizer and race detector
+# ---------------------------------------------------------------------------
+
+#: tolerance for "equal" timestamps within a group (as the sanitizer's)
+_REL_TOL = 1e-9
+
+
+class _Capped:
+    """Collects diagnostics, truncating repeats of the same rule.
+
+    Truncation is never silent: :attr:`suppressed` counts the findings
+    dropped beyond the cap, per rule, for the report to surface.
+    """
+
+    def __init__(self, limit: int = _MAX_PER_RULE):
+        self.out: List[Diagnostic] = []
+        self._limit = limit
+        self._counts: Dict[str, int] = {}
+
+    def add(self, diag: Diagnostic) -> None:
+        n = self._counts.get(diag.rule_id, 0) + 1
+        self._counts[diag.rule_id] = n
+        if n <= self._limit:
+            self.out.append(diag)
+
+    @property
+    def suppressed(self) -> Dict[str, int]:
+        return {
+            rule_id: n - self._limit
+            for rule_id, n in sorted(self._counts.items())
+            if n > self._limit
+        }
+
+    def finish(self) -> List[Diagnostic]:
+        return self.out
+
+
+class StructuralPass:
+    """Incremental form of the mode-independent structural checks.
+
+    Feed events one at a time in any order that preserves per-location
+    order; :meth:`finish` closes every location and runs the
+    cross-location checks.  :func:`walker_sanitize_raw` drives it one
+    location at a time.
+    """
+
+    def __init__(self, regions, n_locations: int):
+        self._regions = regions
+        self._cap = _Capped()
+        self._sends: Dict[int, int] = {}  # match id -> send location
+        self._recvs: Dict[int, int] = {}
+        self._groups: Dict[Tuple[str, int], List[Tuple[int, float]]] = {}
+        self._group_size: Dict[Tuple[str, int], int] = {}
+        self._forks: Set[int] = set()
+        self._restart_groups: Dict[int, List[Tuple[int, float]]] = {}
+        self._restart_size: Dict[int, int] = {}
+        self._fault_refs: List[Tuple[int, int]] = []  # (loc, match id)
+        self._prev_t = [-float("inf")] * n_locations
+        self._stack: List[List[int]] = [[] for _ in range(n_locations)]
+        self._idx = [0] * n_locations
+        self._closed = [False] * n_locations
+        self._finished = False
+
+    def _region(self, rid: int) -> str:
+        try:
+            return self._regions.name(rid)
+        except IndexError:
+            return f"<region {rid}>"
+
+    def feed(self, loc: int, ev) -> None:
+        """Check one event of location ``loc`` (events per location in order)."""
+        cap = self._cap
+        region = self._region
+        i = self._idx[loc]
+        self._idx[loc] = i + 1
+        prev_t = self._prev_t[loc]
+        if ev.t < prev_t - 1e-15:
+            cap.add(Diagnostic(
+                "TRC001",
+                f"event #{i} ({region(ev.region)}) at t={ev.t:.9g} "
+                f"after t={prev_t:.9g}",
+                location=loc,
+            ))
+        self._prev_t[loc] = max(prev_t, ev.t)
+        et = ev.etype
+        stack = self._stack[loc]
+        if et == ENTER:
+            stack.append(ev.region)
+        elif et == LEAVE:
+            if not stack:
+                cap.add(Diagnostic(
+                    "TRC006",
+                    f"LEAVE {region(ev.region)} (event #{i}) with no "
+                    "open ENTER",
+                    location=loc,
+                ))
+            elif stack[-1] != ev.region:
+                cap.add(Diagnostic(
+                    "TRC006",
+                    f"LEAVE {region(ev.region)} (event #{i}) closes "
+                    f"ENTER {region(stack[-1])}",
+                    location=loc,
+                ))
+                stack.pop()
+            else:
+                stack.pop()
+        elif et == MPI_SEND:
+            mid = ev.aux[0]
+            if mid in self._sends:
+                cap.add(Diagnostic(
+                    "TRC002",
+                    f"duplicate MPI_SEND for match id {mid} (also on "
+                    f"location {self._sends[mid]})",
+                    location=loc,
+                ))
+            self._sends[mid] = loc
+        elif et == MPI_RECV:
+            mid = ev.aux
+            if mid in self._recvs:
+                cap.add(Diagnostic(
+                    "TRC002",
+                    f"duplicate MPI_RECV for match id {mid} (also on "
+                    f"location {self._recvs[mid]})",
+                    location=loc,
+                ))
+            self._recvs[mid] = loc
+        elif et == COLL_END or et == OBAR_LEAVE:
+            gid, size = ev.aux
+            key = ("coll" if et == COLL_END else "obar", gid)
+            self._groups.setdefault(key, []).append((loc, ev.t))
+            if self._group_size.setdefault(key, size) != size:
+                cap.add(Diagnostic(
+                    "TRC007",
+                    f"{key[0]} instance {gid}: conflicting group sizes "
+                    f"{self._group_size[key]} and {size}",
+                    location=loc,
+                ))
+        elif et == RESTART:
+            gid, size = ev.aux
+            self._restart_groups.setdefault(gid, []).append((loc, ev.t))
+            if self._restart_size.setdefault(gid, size) != size:
+                cap.add(Diagnostic(
+                    "TRC008",
+                    f"restart {gid}: conflicting group sizes "
+                    f"{self._restart_size[gid]} and {size}",
+                    location=loc,
+                ))
+        elif et == FAULT:
+            self._fault_refs.append((loc, ev.aux))
+        elif et == FORK:
+            self._forks.add(ev.aux)
+        elif et == TEAM_BEGIN:
+            if ev.aux not in self._forks:
+                cap.add(Diagnostic(
+                    "TRC007",
+                    f"TEAM_BEGIN for OpenMP construct {ev.aux} without "
+                    "a FORK on the master",
+                    location=loc,
+                ))
+
+    def end_location(self, loc: int) -> None:
+        """Close location ``loc``: report ENTERs never left (idempotent)."""
+        if self._closed[loc]:
+            return
+        self._closed[loc] = True
+        if self._stack[loc]:
+            self._cap.add(Diagnostic(
+                "TRC006",
+                "ENTER(s) never left: "
+                + " > ".join(self._region(r) for r in self._stack[loc]),
+                location=loc,
+            ))
+
+    def finish(self, suppressed: Optional[Dict[str, int]] = None) -> List[Diagnostic]:
+        """Close all locations, run cross-location checks, return findings."""
+        if self._finished:
+            raise RuntimeError("StructuralPass.finish() called twice")
+        self._finished = True
+        for loc in range(len(self._closed)):
+            self.end_location(loc)
+        cap = self._cap
+        sends, recvs = self._sends, self._recvs
+        groups, group_size = self._groups, self._group_size
+        restart_groups, restart_size = self._restart_groups, self._restart_size
+        fault_refs = self._fault_refs
+        for mid in sorted(set(sends) - set(recvs)):
+            cap.add(Diagnostic(
+                "TRC002",
+                f"MPI_SEND with match id {mid} has no MPI_RECV (dropped "
+                "receive record?)",
+                location=sends[mid],
+            ))
+        for mid in sorted(set(recvs) - set(sends)):
+            cap.add(Diagnostic(
+                "TRC002",
+                f"MPI_RECV with match id {mid} has no MPI_SEND (dropped send "
+                "record?)",
+                location=recvs[mid],
+            ))
+
+        for key in sorted(groups):
+            kind, gid = key
+            members = groups[key]
+            size = group_size[key]
+            if len(members) != size:
+                cap.add(Diagnostic(
+                    "TRC007",
+                    f"{kind} instance {gid} has {len(members)} member event(s) "
+                    f"but group size {size}",
+                    location=members[0][0],
+                ))
+                continue
+            ts = [t for (_loc, t) in members]
+            lo, hi = min(ts), max(ts)
+            if hi - lo > _REL_TOL * max(1.0, abs(hi)):
+                cap.add(Diagnostic(
+                    "TRC004",
+                    f"{kind} instance {gid}: physical completion times spread "
+                    f"over [{lo:.9g}, {hi:.9g}]",
+                    location=members[0][0],
+                ))
+
+        for gid in sorted(restart_groups):
+            members = restart_groups[gid]
+            size = restart_size[gid]
+            if len(members) != size:
+                cap.add(Diagnostic(
+                    "TRC008",
+                    f"restart {gid} has {len(members)} record(s) but "
+                    f"{size} rank(s)",
+                    location=members[0][0],
+                ))
+                continue
+            ts = [t for (_loc, t) in members]
+            lo, hi = min(ts), max(ts)
+            if hi - lo > _REL_TOL * max(1.0, abs(hi)):
+                cap.add(Diagnostic(
+                    "TRC008",
+                    f"restart {gid}: resume times spread over "
+                    f"[{lo:.9g}, {hi:.9g}] instead of one common time",
+                    location=members[0][0],
+                ))
+
+        for loc, mid in fault_refs:
+            if mid not in recvs:
+                cap.add(Diagnostic(
+                    "TRC009",
+                    f"FAULT marker references message {mid} which has no "
+                    "receive record",
+                    location=loc,
+                ))
+        if suppressed is not None:
+            for rule_id, n in cap.suppressed.items():
+                suppressed[rule_id] = suppressed.get(rule_id, 0) + n
+        return cap.finish()
+
+
+def walker_sanitize_raw(trace, suppressed: Optional[Dict[str, int]] = None
+                        ) -> List[Diagnostic]:
+    """The structural checks walked event by event, one location at a
+    time (the reference of :func:`repro.verify.sanitize_raw`)."""
+    p = StructuralPass(trace.regions, trace.n_locations)
+    for loc, evs in enumerate(trace.events):
+        feed = p.feed
+        for ev in evs:
+            feed(loc, ev)
+        p.end_location(loc)
+    return p.finish(suppressed)
+
+
+def walker_check_timestamps(
+    tt,
+    suppressed: Optional[Dict[str, int]] = None,
+) -> List[Diagnostic]:
+    """Clock-condition checks on a :class:`TimestampedTrace`, walking the
+    trace's events (the reference of
+    :func:`repro.verify.check_timestamps`)."""
+    trace = tt.trace
+    mode: str = tt.mode
+    logical = mode in LOGICAL_MODES
+    cap = _Capped()
+
+    # per-location monotonicity of the derived timestamps
+    for loc, ts in enumerate(tt.times):
+        prev = -float("inf")
+        for i in range(len(ts)):
+            if ts[i] < prev - 1e-12:
+                cap.add(Diagnostic(
+                    "TRC005",
+                    f"timestamp of event #{i} ({ts[i]:.9g}) below its "
+                    f"predecessor ({prev:.9g})",
+                    location=loc, mode=mode,
+                ))
+            prev = max(prev, float(ts[i]))
+
+    # send->recv Lamport condition; sends collected first because the
+    # per-location walk does not follow the global causal order
+    send_ts: Dict[int, Tuple[int, float]] = {}
+    for loc, evs in enumerate(trace.events):
+        for i, ev in enumerate(evs):
+            if ev.etype == MPI_SEND:
+                send_ts[ev.aux[0]] = (loc, float(tt.times[loc][i]))
+
+    groups: Dict[Tuple[str, int], List[Tuple[int, float]]] = {}
+    for loc, evs in enumerate(trace.events):
+        for i, ev in enumerate(evs):
+            et = ev.etype
+            if et == MPI_RECV:
+                hit = send_ts.get(ev.aux)
+                if hit is None:
+                    continue  # structural pass reports the missing send
+                _sloc, c_send = hit
+                c_recv = float(tt.times[loc][i])
+                # Lamport: C(recv) >= C(send) + 1 for logical clocks;
+                # physical time needs strict order only
+                bound = c_send + 1.0 - 1e-9 if logical else c_send
+                if c_recv < bound:
+                    cap.add(Diagnostic(
+                        "TRC003",
+                        f"message {ev.aux}: recv timestamp {c_recv:.9g} "
+                        f"does not follow send timestamp {c_send:.9g}",
+                        location=loc, mode=mode,
+                    ))
+            elif et == COLL_END or et == OBAR_LEAVE or et == RESTART:
+                kind = ("coll" if et == COLL_END
+                        else "obar" if et == OBAR_LEAVE else "restart")
+                key = (kind, ev.aux[0])
+                groups.setdefault(key, []).append((loc, float(tt.times[loc][i])))
+
+    for key in sorted(groups):
+        kind, gid = key
+        ts = [t for (_loc, t) in groups[key]]
+        lo, hi = min(ts), max(ts)
+        if hi - lo > _REL_TOL * max(1.0, abs(hi)):
+            cap.add(Diagnostic(
+                "TRC004",
+                f"{kind} instance {gid}: group timestamps spread over "
+                f"[{lo:.9g}, {hi:.9g}] instead of one group value",
+                location=groups[key][0][0], mode=mode,
+            ))
+    if suppressed is not None:
+        for rule_id, n in cap.suppressed.items():
+            suppressed[rule_id] = suppressed.get(rule_id, 0) + n
+    return cap.finish()
+
+
+def walker_find_races(trace) -> RaceReport:
+    """Vector-clock race detection walking every event of
+    ``trace.merged()`` (the reference of :func:`repro.verify.find_races`,
+    which reports through the same :func:`repro.verify.races._report`).
+    """
+    report = RaceReport(
+        n_locations=trace.n_locations, n_events=trace.n_events
+    )
+    n = trace.n_locations
+    current = [np.zeros(n, dtype=np.int64) for _ in range(n)]
+    ev_index = [0] * n
+
+    #: match id -> (vector at send, _EvRef of the send)
+    send_info: Dict[int, Tuple[np.ndarray, _EvRef]] = {}
+    fork_vec: Dict[int, np.ndarray] = {}
+    #: group key -> [(loc, vector ref)], joined when complete
+    groups: Dict[Tuple[str, int], List[int]] = {}
+    group_max: Dict[Tuple[str, int], np.ndarray] = {}
+
+    #: wildcard receive site (loc, region) -> consumed matches
+    any_matches: Dict[Tuple[int, str], List[Tuple[_EvRef, _EvRef]]] = {}
+    #: shared variable -> [(write _EvRef)]
+    shared_writes: Dict[str, List[_EvRef]] = {}
+
+    def _join_group(key: Tuple[str, int], size: int, loc: int) -> None:
+        members = groups.setdefault(key, [])
+        members.append(loc)
+        gm = group_max.get(key)
+        if gm is None:
+            group_max[key] = current[loc].copy()
+        else:
+            np.maximum(gm, current[loc], out=gm)
+        if len(members) == size:
+            merged = group_max.pop(key)
+            for l2 in groups.pop(key):
+                np.maximum(current[l2], merged, out=current[l2])
+
+    for loc, ev in trace.merged():
+        v = current[loc]
+        v[loc] += 1
+        idx = ev_index[loc]
+        ev_index[loc] += 1
+        et = ev.etype
+        region = trace.regions.name(ev.region)
+
+        if et == MPI_SEND:
+            ref = _EvRef(loc, idx, region, tuple(int(x) for x in v))
+            send_info[ev.aux[0]] = (v.copy(), ref)
+        elif et == MPI_RECV:
+            info = send_info.pop(ev.aux, None)
+            if info is not None:
+                send_v, send_ref = info
+                np.maximum(v, send_v, out=v)
+                if region in _ANY_REGIONS:
+                    recv_ref = _EvRef(
+                        loc, idx, region, tuple(int(x) for x in v)
+                    )
+                    any_matches.setdefault((loc, region), []).append(
+                        (send_ref, recv_ref)
+                    )
+        elif et == FORK:
+            fork_vec[ev.aux] = v.copy()
+        elif et == TEAM_BEGIN:
+            fv = fork_vec.get(ev.aux)
+            if fv is not None:
+                np.maximum(v, fv, out=v)
+        elif et == COLL_END:
+            gid, size = ev.aux
+            _join_group(("c", gid), size, loc)
+        elif et == OBAR_LEAVE:
+            gid, size = ev.aux
+            _join_group(("b", gid), size, loc)
+        elif et == RESTART:
+            gid, size = ev.aux
+            _join_group(("r", gid), size, loc)
+        elif et == ENTER and region.startswith(_SHARED_WRITE_PREFIX):
+            var = region[len(_SHARED_WRITE_PREFIX):]
+            shared_writes.setdefault(var, []).append(
+                _EvRef(loc, idx, region, tuple(int(x) for x in v))
+            )
+
+    _report(report, trace.locations, any_matches, shared_writes)
+    return report

@@ -6,11 +6,11 @@ lists only when a caller asks for ``.events``.  These tests pin that:
 * the events built from a column-born trace equal, field for field and
   bit for bit, the ``Ev`` objects the per-event engine oracle hands the
   list-of-Ev measurement oracle (both in ``tests/oracles.py``), here
-  through crash recovery's mark/rewind and the online sanitizer's sinks
-  (the hypothesis-generated programs are in
-  ``tests/test_properties.py``);
-* the campaign task path, engine -> replay -> analysis, and npz/shards
-  write -> read -> replay -> analysis never build an event;
+  through crash recovery's mark/rewind and a sanitized run (the
+  hypothesis-generated programs are in ``tests/test_properties.py``);
+* the campaign task path, engine -> replay -> analysis, npz/shards
+  write -> read -> replay -> analysis, engine -> sanitizer -> race
+  detector and a sanitized run never build an event;
 * taking ``.events`` hands ownership to the lists: an edit reaches the
   next replay and archive write.
 """
@@ -37,6 +37,7 @@ from repro.miniapps import MiniFE, MiniFEConfig
 from repro.sim import CostModel, Engine, recovery, run_with_recovery
 from repro.sim.events import Ev
 from repro.sim.kernels import WorkDelta
+from repro.verify import find_races, sanitize_trace
 from tests.oracles import EvListMeasurement, HeapEngine, event_bits
 
 
@@ -75,7 +76,7 @@ class TestEvListOracle:
         assert event_bits(born.result.trace) == event_bits(oracle.result.trace)
 
     def test_sanitized_recording_matches_oracle(self):
-        # the online sanitizer's sinks observe every event, then append it
+        # the finish-time check leaves the recorded trace as it is
         cluster = _cluster()
         born = Engine(_app(), cluster, _cost(cluster), sanitize=True,
                       measurement=Measurement("lt1")).run().trace
@@ -124,6 +125,26 @@ class TestNoEventsOnColumnarPaths:
             got, ref = analyze_trace(tt), analyze_trace(want[mode])
             assert got.metrics == ref.metrics
             assert all(got.cells(m) == ref.cells(m) for m in ref.metrics)
+
+
+    def test_sanitizer_and_race_detector(self, no_events, monkeypatch):
+        compiled = []
+        plan = columnar.SyncPlan
+        monkeypatch.setattr(columnar, "SyncPlan",
+                            lambda cols: compiled.append(cols) or plan(cols))
+        trace = _trace("ltbb")
+        report = sanitize_trace(trace)
+        assert report.ok and report.modes == MODES
+        races = find_races(trace)
+        assert races.n_events == trace.n_events and not races.has_races
+        assert trace.column_backed
+        assert compiled == [trace.columns()]
+
+    def test_sanitized_run(self, no_events):
+        cluster = _cluster()
+        trace = Engine(_app(), cluster, _cost(cluster), sanitize=True,
+                       measurement=Measurement("lt1")).run().trace
+        assert trace.n_events > 0 and trace.column_backed
 
 
 class TestEventsTakeOwnership:

@@ -3,7 +3,8 @@
 Locks the central equivalence claims: the structure-of-arrays view
 round-trips exactly, the segment-vectorized Lamport replay is
 bit-identical to the per-event walk (``tests/oracles.LamportClock``) for
-all six modes on real MPI+OpenMP traces, the npz archive format
+all six modes on real MPI+OpenMP traces, the sync plan pairs, groups and
+flags defects by the walks' rules on hand-built traces, the npz archive format
 round-trips, and the vectorized pattern formulas match their scalar
 definitions element for element.
 """
@@ -36,9 +37,20 @@ from repro.measure.columnar import TraceColumns
 from repro.miniapps.minife import MiniFE, MiniFEConfig
 from repro.miniapps.tealeaf import TeaLeaf, TeaLeafConfig
 from repro.sim import CostModel, Engine
-from repro.sim.events import ENTER, LEAVE, MPI_RECV, MPI_SEND, Ev, RegionRegistry
+from repro.sim.events import (
+    COLL_END,
+    ENTER,
+    FORK,
+    LEAVE,
+    MPI_RECV,
+    MPI_SEND,
+    TEAM_BEGIN,
+    Ev,
+    RegionRegistry,
+)
 from repro.sim.kernels import EMPTY_DELTA, WorkDelta
-from tests.oracles import lamport_replay
+from repro.verify import sanitize_raw
+from tests.oracles import lamport_replay, walker_sanitize_raw
 
 
 def _run(app, seed=1):
@@ -181,6 +193,101 @@ class TestReplayEquivalence:
             assert final == stream
         if moved_to == "past-receive" and mode != "tsc":
             assert "before/without its send" in oracle
+
+
+def _hand_trace(events_by_loc):
+    """A trace of ``(kind, t, aux)`` events per location (region main)."""
+    regions = RegionRegistry()
+    rid = regions.intern("main", "user")
+    return RawTrace("tsc", regions, [(r, 0) for r in range(len(events_by_loc))],
+                    [[Ev(et, rid, t, EMPTY_DELTA, aux) for et, t, aux in evs]
+                     for evs in events_by_loc])
+
+
+class TestSyncPlan:
+    def test_receive_takes_the_latest_untaken_send(self):
+        # two sends of match id 5 before its receive: the receive pairs
+        # with the later one, the earlier one is a duplicate
+        trace = _hand_trace([[(MPI_SEND, 1.0, (5, 0)), (MPI_SEND, 2.0, (5, 0))],
+                             [(MPI_RECV, 3.0, 5)]])
+        sync = trace.columns().sync_plan()
+        assert sync.src.tolist() == [-1, -1, 1]
+        assert sync.dup.tolist() == [-1, 0, -1]
+        assert sync.unreceived.tolist() == [] and sync.received.tolist() == [5]
+        got = timestamp_trace(trace, "lt1").times
+        want, _final = lamport_replay(trace, "lt1")
+        assert [t.tolist() for t in got] == [t.tolist() for t in want] \
+            == [[1.0, 2.0], [3.0]]
+
+    def test_a_taken_send_is_gone(self):
+        trace = _hand_trace([[(MPI_SEND, 1.0, (5, 0))],
+                             [(MPI_RECV, 2.0, 5), (MPI_RECV, 3.0, 5)]])
+        sync = trace.columns().sync_plan()
+        assert sync.src.tolist() == [-1, 0, -1]
+        with pytest.raises(AssertionError, match="message 5 before/without"):
+            timestamp_trace(trace, "lt1")
+        with pytest.raises(AssertionError, match="message 5 before/without"):
+            lamport_replay(trace, "lt1")
+
+    def test_receive_before_its_send_keeps_its_edge(self):
+        # physical clocks that contradict the message: the replay refuses
+        # the trace, the tsc check still reports the edge
+        from repro.verify import check_timestamps
+        from tests.oracles import walker_check_timestamps
+
+        trace = _hand_trace([[(MPI_SEND, 2.0, (5, 0))], [(MPI_RECV, 1.0, 5)]])
+        sync = trace.columns().sync_plan()
+        assert sync.kind.tolist() == [MPI_RECV, MPI_SEND]
+        assert sync.src.tolist() == [-1, -1] and sync.late.tolist() == [1, -1]
+        assert sync.unreceived.tolist() == [1]
+        tt = timestamp_trace(trace, "tsc")
+        got = [(d.rule_id, d.message) for d in check_timestamps(tt)]
+        assert got == [(d.rule_id, d.message)
+                       for d in walker_check_timestamps(tt)]
+        assert [rule for rule, _m in got] == ["TRC003"]
+
+    def test_groups_close_at_the_arrivals_size_claim(self):
+        # three arrivals of one collective id claiming size 2: the second
+        # closes the group, the third opens one that stays open; the
+        # sanitizer sees one key with three members
+        trace = _hand_trace([[(COLL_END, 1.0, (7, 2))], [(COLL_END, 1.0, (7, 2))],
+                             [(COLL_END, 1.0, (7, 2))]])
+        sync = trace.columns().sync_plan()
+        assert sync.n_complete == 1
+        assert sync.group_slots(0).tolist() == [0, 1]
+        assert sync.group_slots(1).tolist() == [2]
+        assert sync.first.tolist() == [0, 0, 0]
+        with pytest.raises(AssertionError, match=r"1 incomplete .*\('c', 7\)"):
+            timestamp_trace(trace, "lt1")
+        assert [d.message for d in sanitize_raw(trace)] == [
+            "coll instance 7 has 3 member event(s) but group size 2"]
+
+    def test_group_max_lands_at_the_last_arrival(self):
+        # location 0 records two events after its completion record and
+        # before the group's last arrival: they keep their provisional
+        # clocks, and the group maximum overwrites its counter only at
+        # the last arrival's merged position
+        trace = _hand_trace([[(COLL_END, 1.0, (1, 2)), (ENTER, 2.0, None),
+                              (LEAVE, 3.0, None), (ENTER, 5.0, None)],
+                             [(ENTER, 0.5, None), (ENTER, 0.6, None),
+                              (ENTER, 0.7, None), (COLL_END, 4.0, (1, 2))]])
+        got = timestamp_trace(trace, "lt1").times
+        want, final = lamport_replay(trace, "lt1")
+        assert [t.tolist() for t in got] == [t.tolist() for t in want] \
+            == [[4.0, 2.0, 3.0, 5.0], [1.0, 2.0, 3.0, 4.0]]
+        assert final == [5.0, 4.0]
+
+    def test_team_begin_fork_in_merged_and_in_location_order(self):
+        # the fork comes first in time (merged order) but on a later
+        # location: the replay pairs them, the sanitizer's walk does not
+        trace = _hand_trace([[(TEAM_BEGIN, 2.0, 3)], [(FORK, 1.0, 3)]])
+        sync = trace.columns().sync_plan()
+        assert sync.loc.tolist() == [1, 0] and sync.src.tolist() == [-1, 0]
+        assert sync.unforked.tolist() == [1]
+        got = [(d.rule_id, d.message) for d in sanitize_raw(trace)]
+        assert got == [(d.rule_id, d.message) for d in walker_sanitize_raw(trace)]
+        assert got == [("TRC007", "TEAM_BEGIN for OpenMP construct 3 without "
+                                  "a FORK on the master")]
 
 
 class TestNpzArchive:

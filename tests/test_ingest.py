@@ -454,6 +454,49 @@ class TestTraceFormatError:
         assert err.value.offset == f"line {k + 1}"
         assert "does not fit event kind" in err.value.reason
 
+    @pytest.mark.parametrize("field, value", [("region", -2**70),
+                                              ("payload", 2**70)])
+    @pytest.mark.parametrize("line_path", [False, True])
+    def test_int_outside_int64(self, tmp_path, minife_trace, field, value,
+                               line_path):
+        # Region ids and payloads live in int64 columns, so a record
+        # carrying a larger int is refused at its line: a bulk chunk
+        # leaves it to the line-by-line decode, which names it (a
+        # trailing blank sends the chunk there directly).
+        from repro.sim.events import MPI_RECV
+
+        path = tmp_path / "t.trace.json.gz"
+        write_trace(minife_trace, path)
+        lines = gzip.decompress(path.read_bytes()).decode().splitlines(True)
+        k = next(k for k in range(1, len(lines))
+                 if json.loads(lines[k])[1] == MPI_RECV)
+        rec = json.loads(lines[k])
+        rec[2 if field == "region" else 5] = value
+        lines[k] = json.dumps(rec) + (" \n" if line_path else "\n")
+        path.write_bytes(gzip.compress("".join(lines).encode()))
+        with pytest.raises(TraceFormatError) as err:
+            read_trace(path)
+        assert err.value.offset == f"line {k + 1}"
+        assert "outside int64" in err.value.reason
+
+    def test_columns_refuse_ints_outside_int64(self, minife_trace):
+        from repro.clocks import timestamp_trace as stamp
+        from repro.measure import ColumnarConversionError, RawTrace
+        from repro.sim.events import MPI_RECV
+
+        events = [list(evs) for evs in minife_trace.events]
+        loc, i = next((loc, i) for loc, evs in enumerate(events)
+                      for i, ev in enumerate(evs) if ev.etype == MPI_RECV)
+        ev = events[loc][i]
+        events[loc][i] = type(ev)(ev.etype, ev.region, ev.t, ev.delta,
+                                  2**70, ev.t_enter)
+        trace = RawTrace(minife_trace.mode, minife_trace.regions,
+                         minife_trace.locations, events)
+        with pytest.raises(ColumnarConversionError):
+            sanitize_raw(trace)
+        with pytest.raises(ColumnarConversionError):
+            stamp(trace, "lt1")
+
     @pytest.mark.parametrize("suffix", [".trace.json.gz", ".npz", ".shards"])
     def test_writers_refuse_payloads_breaking_the_kind_table(self, tmp_path,
                                                               suffix):

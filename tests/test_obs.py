@@ -541,3 +541,36 @@ class TestEngineSpans:
             for child in children:
                 assert run.t0 <= child.t0 <= child.t1 <= run.t1
             assert children[0].t1 <= children[1].t0
+
+
+class TestSyncPlanSpans:
+    def test_verify_replay_analysis_and_dag_compile_once(self, cluster,
+                                                         quiet_cost):
+        # every consumer reads the one sync plan, and none takes the
+        # events, so no plan is compiled twice
+        from repro.analysis import analyze_trace
+        from repro.causal import build_dag
+        from repro.clocks import timestamp_trace
+        from repro.measure import MODES, Measurement
+        from repro.miniapps.minife import MiniFE, MiniFEConfig
+        from repro.sim import Engine
+        from repro.verify import find_races, sanitize_raw
+
+        trace = Engine(MiniFE(MiniFEConfig.tiny(nx=32, n_ranks=2)), cluster,
+                       quiet_cost, measurement=Measurement("tsc")).run().trace
+        session = obs.ObsSession()
+        with obs.scoped(session):
+            timestamp_trace(trace, "ltbb")
+            sanitize_raw(trace)
+            find_races(trace)
+            for mode in MODES:
+                analyze_trace(timestamp_trace(trace, mode))
+            build_dag(trace, "ltbb")
+        assert trace.column_backed
+        (span,) = [r for r in session.spans.records
+                   if r.name == "sync.plan_compile"]
+        assert span.args == {"events": trace.n_events}
+        totals = session.metrics.totals
+        assert totals("sync.") == {"sync.plan_compiles": 1.0}
+        assert totals("clocks.plan_compiles") == {"clocks.plan_compiles": 1.0}
+        assert totals("analysis.") == {"analysis.plan_compiles": 1.0}

@@ -20,7 +20,13 @@ invariants that every component of the pipeline relies on:
   counters through ``timestamp_trace``, ``stream_clock_replay`` (on the
   trace and on a multi-shard archive) and ``build_dag``, whose DAG equals
   the per-event DAG walker's node for node -- on plain programs and on
-  recovered fault runs with restart groups, wildcards and checkpoints.
+  recovered fault runs with restart groups, wildcards and checkpoints,
+* the sanitizer and the race detector report what their per-event
+  walkers report, list for list and witnesses included, on generated
+  and recovered runs with OpenMP shared writes; the sanitizer also on
+  traces with one event dropped, duplicated, swapped, moved back in time
+  or re-labelled (and there, where size claims agree, the replay and the
+  race detector too), and ``check_timestamps`` on one forged timestamp.
 
 A last property pins the NumPy merged order to the heap merge it
 replaced, kept here as the test oracle.
@@ -47,6 +53,15 @@ from repro.machine.noise import NoiseConfig, NoiseModel
 from repro.measure import MODES, Measurement
 from repro.measure.shards import open_sharded_trace, write_sharded_trace
 from repro.scoring import jaccard_metric_callpath
+from repro.sim.events import (
+    COLL_END,
+    FAULT,
+    MPI_RECV,
+    MPI_SEND,
+    OBAR_LEAVE,
+    RESTART,
+)
+from repro.verify import check_timestamps, find_races, sanitize_raw
 from repro.sim import (
     ANY_SOURCE,
     Allreduce,
@@ -77,6 +92,9 @@ from tests.oracles import (
     lamport_replay,
     walker_analyze_trace,
     walker_build_dag,
+    walker_check_timestamps,
+    walker_find_races,
+    walker_sanitize_raw,
 )
 
 K = KernelSpec("k", flops_per_unit=1e5, bytes_per_unit=1e4, omp_iters_per_unit=1.0,
@@ -92,6 +110,13 @@ program_strategy = st.lists(step_strategy, min_size=1, max_size=8)
 # recovery its restart points.
 fault_program_strategy = st.lists(
     st.sampled_from(_STEPS + ["wildcard", "checkpoint"]), min_size=1, max_size=8)
+# Shared writes let the race detector find RACE002; the verify
+# properties draw them on top of both vocabularies.
+race_program_strategy = st.lists(
+    st.sampled_from(_STEPS + ["shared_write"]), min_size=1, max_size=8)
+race_fault_program_strategy = st.lists(
+    st.sampled_from(_STEPS + ["wildcard", "checkpoint", "shared_write"]),
+    min_size=1, max_size=8)
 
 
 class RandomProgram(Program):
@@ -131,6 +156,9 @@ class RandomProgram(Program):
                     yield Send(dest=0, tag=i, nbytes=256)
             elif step == "checkpoint":
                 yield Checkpoint(nbytes=1e5)
+            elif step == "shared_write":
+                yield ParallelFor("shared", K, total_units=20 + 10 * ctx.rank,
+                                  shared_writes=("x",))
             yield Leave(region)
         yield Leave("main")
 
@@ -289,6 +317,163 @@ def test_replay_plan_matches_per_event_walk_after_recovery(steps, seed,
         FaultModel(_FAULTS, seed=fault_seed),
         measurement=Measurement("tsc")).result.trace
     _assert_plan_matches_per_event_walk(trace, mode, seed)
+
+
+# ---------------------------------------------------------------------------
+# the sanitizer and the race detector
+# ---------------------------------------------------------------------------
+
+def _findings(diagnostics):
+    return [(d.rule_id, d.severity, d.message, d.location, d.mode)
+            for d in diagnostics]
+
+
+def _races(report):
+    return ([(d.rule_id, d.message, d.rank, d.location, d.witness)
+             for d in report.diagnostics],
+            report.wildcard_sites, report.suppressed,
+            report.n_events, report.n_locations)
+
+
+def _assert_verify_matches_walkers(trace):
+    """sanitize_raw and find_races against their per-event walkers."""
+    got_cut, want_cut = {}, {}
+    got = sanitize_raw(trace, got_cut)
+    races = find_races(trace)
+    assert trace.column_backed
+    # the walkers take the trace's events, so they run last
+    assert _findings(got) == _findings(walker_sanitize_raw(trace, want_cut))
+    assert got_cut == want_cut
+    assert _races(races) == _races(walker_find_races(trace))
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(race_program_strategy, st.integers(min_value=0, max_value=100),
+       st.sampled_from(MODES))
+def test_sanitizer_and_races_match_walkers(steps, seed, mode):
+    _assert_verify_matches_walkers(_run(steps, seed, mode).trace)
+
+
+@settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(race_fault_program_strategy, st.integers(min_value=0, max_value=100),
+       st.integers(min_value=0, max_value=1000), st.sampled_from(MODES))
+def test_sanitizer_and_races_match_walkers_after_recovery(steps, seed,
+                                                          fault_seed, mode):
+    cluster = _cluster()
+    trace = run_with_recovery(
+        RandomProgram(steps), cluster,
+        lambda: CostModel(cluster, noise=NoiseModel(NoiseConfig(), seed=seed)),
+        FaultModel(_FAULTS, seed=fault_seed),
+        measurement=Measurement(mode)).result.trace
+    _assert_verify_matches_walkers(trace)
+
+
+#: one structural mutation per example
+_MUTATIONS = ("drop", "duplicate", "swap", "backwards", "match_id",
+              "group_id", "size")
+_MATCHED = (MPI_SEND, MPI_RECV, FAULT)
+_GROUPED = (COLL_END, OBAR_LEAVE, RESTART)
+
+
+def _mutate(trace, mutation, data) -> None:
+    """Apply one ``mutation`` to the events of ``trace`` (drawn from
+    ``data``); a no-op when the trace has nothing it applies to."""
+    events = trace.events
+    at = [(loc, i) for loc, evs in enumerate(events) for i in range(len(evs))]
+    if mutation in ("match_id", "group_id", "size"):
+        kinds = _MATCHED if mutation == "match_id" else _GROUPED
+    else:  # any event, or half the time a synchronisation event
+        kinds = _MATCHED + _GROUPED if data.draw(st.booleans()) else None
+    if kinds is not None:
+        at = [(loc, i) for loc, i in at if events[loc][i].etype in kinds]
+    if not at:
+        return
+    loc, i = data.draw(st.sampled_from(at))
+    evs = events[loc]
+    ev = evs[i]
+    if mutation == "drop":
+        del evs[i]
+    elif mutation == "duplicate":
+        evs.insert(i, ev)
+    elif mutation == "swap":
+        j = data.draw(st.integers(min_value=0, max_value=len(evs) - 1))
+        evs[i], evs[j] = evs[j], evs[i]
+    elif mutation == "backwards":
+        ev.t = data.draw(st.sampled_from(
+            [0.0, ev.t / 2, ev.t - 1e-9, evs[max(i - 1, 0)].t - 1e-12]))
+    elif mutation == "match_id":
+        ids = sorted({e.aux[0] if e.etype == MPI_SEND else e.aux
+                      for evs2 in events for e in evs2
+                      if e.etype in _MATCHED})
+        new = data.draw(st.sampled_from(ids + [max(ids) + 1]))
+        ev.aux = (new, ev.aux[1]) if ev.etype == MPI_SEND else new
+    else:
+        gid, size = ev.aux
+        if mutation == "group_id":
+            ids = sorted({e.aux[0] for evs2 in events for e in evs2
+                          if e.etype == ev.etype})
+            gid = data.draw(st.sampled_from(ids + [max(ids) + 1]))
+        else:
+            size = data.draw(st.sampled_from([0, size - 1, size + 1]))
+        ev.aux = (gid, size)
+
+
+@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(fault_program_strategy, st.integers(min_value=0, max_value=100),
+       st.integers(min_value=0, max_value=1000),
+       st.sampled_from(_MUTATIONS), st.data())
+def test_sanitizer_matches_walker_on_mutated_traces(steps, seed, fault_seed,
+                                                    mutation, data):
+    cluster = _cluster()
+    trace = run_with_recovery(
+        RandomProgram(steps), cluster,
+        lambda: CostModel(cluster, noise=NoiseModel(NoiseConfig(), seed=seed)),
+        FaultModel(_FAULTS, seed=fault_seed),
+        measurement=Measurement("tsc")).result.trace
+    _mutate(trace, mutation, data)
+    got_cut, want_cut = {}, {}
+    got = sanitize_raw(trace, got_cut)  # converts the edited events
+    assert _findings(got) == _findings(walker_sanitize_raw(trace, want_cut))
+    assert got_cut == want_cut
+    if mutation != "size":
+        # the replay and the race detector follow their walkers wherever
+        # the size claims agree (on a conflicting claim the walkers close
+        # a group at exactly the claim, the plan at reaching it)
+        assert _replayed(lambda: timestamp_trace(trace, "lt1").times) \
+            == _replayed(lambda: lamport_replay(trace, "lt1")[0])
+        assert _races(find_races(trace)) == _races(walker_find_races(trace))
+
+
+def _replayed(replay):
+    """Timestamps as bytes, or the error a replay raised."""
+    try:
+        return [t.tobytes() for t in replay()]
+    except (AssertionError, KeyError) as exc:
+        return repr(exc)
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(program_strategy, st.integers(min_value=0, max_value=100),
+       st.sampled_from(MODES), st.booleans(), st.data())
+def test_check_timestamps_matches_walker_on_a_forged_timestamp(
+        steps, seed, mode, sync_only, data):
+    trace = _run(steps, seed).trace
+    tt = timestamp_trace(trace, mode, counter_seed=seed)
+    sync = trace.columns().sync_plan()
+    at = (list(zip(sync.loc.tolist(), sync.idx.tolist()))
+          if sync_only and len(sync)
+          else [(loc, i) for loc, t in enumerate(tt.times)
+                for i in range(len(t))])
+    loc, i = data.draw(st.sampled_from(at))
+    forged = tt.times[loc].astype(float)
+    t = forged[i]
+    forged[i] = data.draw(st.sampled_from([0.0, t - 1.0, t + 1.0, t / 2,
+                                           t + 1e6]))
+    tt.times[loc] = forged
+    got_cut, want_cut = {}, {}
+    got = check_timestamps(tt, got_cut)
+    assert _findings(got) == _findings(walker_check_timestamps(tt, want_cut))
+    assert got_cut == want_cut
 
 
 # ---------------------------------------------------------------------------

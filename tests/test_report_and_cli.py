@@ -133,3 +133,16 @@ class TestCli:
     def test_run_rejects_unknown_mode(self):
         with pytest.raises(SystemExit):
             main_run(["MiniFE-1", "--mode", "sundial"])
+
+    def test_analyze_corrupt_archive_is_usage_error(self, tmp_path, capsys):
+        import gzip
+
+        bad = tmp_path / "bad.trace.json.gz"
+        bad.write_bytes(gzip.compress(b"garbage"))
+        with pytest.raises(SystemExit) as exc:
+            main_analyze([str(bad)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err[-1].startswith("repro-analyze: error: ")
+        assert str(bad) in err[-1]
+        assert not (tmp_path / "bad.profile.json.gz").exists()

@@ -621,7 +621,7 @@ class TestIngestHardening:
         import numpy as np
 
         from repro.measure import write_trace
-        from repro.sim.events import LEAVE
+        from repro.sim.events import LEAVE, MPI_RECV
 
         f1 = tmp_path / "a.trace.json.gz"
         write_trace(_make_trace("ltbb", seed=1), f1)
@@ -645,10 +645,21 @@ class TestIngestHardening:
         rec = json.loads(lines[k])
         rec[5] = "odd"
         lines[k] = json.dumps(rec) + "\n"
+        # and one whose receive payload does not fit the int64 columns
+        f4 = tmp_path / "d.trace.json.gz"
+        write_trace(_make_trace("ltbb", seed=4), f4)
+        big = gzip.decompress(f4.read_bytes()).decode().splitlines(True)
+        j = next(j for j in range(1, len(big))
+                 if json.loads(big[j])[1] == MPI_RECV)
+        rec = json.loads(big[j])
+        rec[5] = 2**70
+        big[j] = json.dumps(rec) + "\n"
         uploads = [(bytes(data), "bad.trace.json.gz"),
                    (buf.getvalue(), "bad.npz"),
                    (gzip.compress("".join(lines).encode()),
-                    "odd.trace.json.gz")]
+                    "odd.trace.json.gz"),
+                   (gzip.compress("".join(big).encode()),
+                    "big.trace.json.gz")]
 
         async def main():
             svc = _service(tmp_path)
@@ -670,8 +681,8 @@ class TestIngestHardening:
             assert resp.status == 400
             assert "malformed trace archive" in resp.json()["error"]
             assert resp.headers.get("x-repro-quarantine")
-        assert len(list(root.glob("*.corrupt-*"))) == 3
-        assert _total(session, "serve.upload_rejects") == 3.0
+        assert len(list(root.glob("*.corrupt-*"))) == 4
+        assert _total(session, "serve.upload_rejects") == 4.0
 
     def test_analyze_on_archive_corrupted_in_store_answers_400(
             self, tmp_path, session):
@@ -726,6 +737,42 @@ class TestIngestHardening:
         assert doc["report"]["accepted"]
         assert replay.status == 200
         assert replay.json()["makespan"] > 0
+
+    def test_ingest_reject_int64_overflow_400_with_report(self, tmp_path,
+                                                          session):
+        # a lossless export whose collective id no int64 column holds
+        from repro.obs.export import trace_chrome_events
+        from repro.serve.client import http_request
+        from repro.sim.events import COLL_END
+
+        events = list(trace_chrome_events(_make_trace("lt1", seed=1),
+                                          embed_raw=True))
+        raw = [e["args"] for e in events if e.get("cat") == "repro.raw"
+               and e["args"]["etype"] == COLL_END]
+        gid = raw[0]["aux"][0]
+        members = [a for a in raw if a["aux"][0] == gid]
+        assert len(members) == raw[0]["aux"][1] > 1
+        for a in members:
+            a["aux"][0] = 2**70
+        payload = json.dumps({"traceEvents": events}).encode()
+
+        async def main():
+            svc = _service(tmp_path)
+            await svc.start()
+            try:
+                return await http_request(
+                    "127.0.0.1", svc.port, "POST", "/v1/ingest",
+                    body=payload, headers={"X-Archive-Name": "big.json"})
+            finally:
+                await svc.stop()
+
+        resp = asyncio.run(main())
+        assert resp.status == 400
+        doc = resp.json()
+        assert doc["error"] == "ingest rejected"
+        assert not doc["report"]["accepted"]
+        assert any(d["rule"].startswith("ING")
+                   for d in doc["report"]["rejections"])
 
     def test_ingest_reject_garbage_400_with_report(self, tmp_path, session):
         from repro.serve.client import http_request

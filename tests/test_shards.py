@@ -1,10 +1,10 @@
 """Out-of-core sharded trace archives: round-trip, streaming, bounded memory.
 
 The contract under test (docs/performance.md): a trace larger than the
-shard size round-trips through ``write -> stream -> sanitize -> race
-replay`` while never holding more than one shard's rows in memory, the
-clock replay and the analysis of the archive (read whole) match the full
-trace's, and manifest reads never touch the event body.
+shard size round-trips through ``write -> stream`` while never holding
+more than one shard's rows in memory; the sanitizer, the race detector,
+the clock replay and the analysis of the archive (read whole) match the
+full trace's, and manifest reads never touch the event body.
 """
 
 import tracemalloc
@@ -30,7 +30,6 @@ from repro.sim import CostModel, Engine
 from repro.sim.events import MPI_SEND
 from repro.verify import sanitize_raw
 from repro.verify.races import find_races
-from repro.verify.sanitizer import sanitize_stream
 from tests.oracles import analyze_stream, lamport_replay, shard_event_lists
 
 SHARD_EVENTS = 256  # far below the fixture's ~1.7k events -> multi-shard
@@ -127,15 +126,15 @@ class TestBoundedMemory:
 
 
 class TestStreamingConsumers:
-    def test_sanitize_stream_clean_trace(self, trace, archive):
+    def test_sanitize_raw_reads_shards_clean(self, trace, archive):
         st = open_sharded_trace(archive)
-        assert sanitize_stream(st) == sanitize_raw(trace) == []
+        assert sanitize_raw(st) == sanitize_raw(trace) == []
 
-    def test_sanitize_stream_finds_corruption(self, tmp_path):
+    def test_sanitize_raw_reads_shards_corrupt(self, tmp_path):
         # Forge a duplicate MPI_SEND match id on a fresh trace (the
         # columnar snapshot is memoized, so corrupt before first write);
-        # both entry points must report the same findings (streaming may
-        # order them differently).
+        # the archive, read whole, must give the trace's findings in the
+        # same order.
         corrupt = _make_trace()
         sends = [ev for evs in corrupt.events for ev in evs
                  if ev.etype == MPI_SEND]
@@ -143,11 +142,11 @@ class TestStreamingConsumers:
         sends[1].aux = (sends[0].aux[0],) + tuple(sends[1].aux[1:])
         path = tmp_path / "corrupt.shards"
         write_sharded_trace(corrupt, path, shard_events=SHARD_EVENTS)
-        raw_fp = sorted((d.rule_id, d.message, d.location)
-                        for d in sanitize_raw(corrupt))
-        stream_fp = sorted((d.rule_id, d.message, d.location)
-                           for d in sanitize_stream(open_sharded_trace(path)))
-        assert raw_fp == stream_fp
+        raw_fp = [(d.rule_id, d.message, d.location)
+                  for d in sanitize_raw(corrupt)]
+        shard_fp = [(d.rule_id, d.message, d.location)
+                    for d in sanitize_raw(open_sharded_trace(path))]
+        assert raw_fp == shard_fp
         assert any(rule == "TRC002" for (rule, _m, _l) in raw_fp)
 
     def test_race_replay_accepts_sharded_trace(self, trace, archive):

@@ -3,8 +3,8 @@
 Covers the static program linter (fixture programs with seeded bugs must
 trigger exactly their expected rule ids), the happened-before trace
 sanitizer (golden clean traces for every clock mode; corrupted traces
-must trigger the right TRC rules), the online sanitizer hook, the
-pre-flight lint in the experiment workflow, the improved engine deadlock
+must trigger the right TRC rules), the ``sanitize=True`` hook that checks
+the finished trace of a run, the pre-flight lint in the experiment workflow, the improved engine deadlock
 error and the ``repro-lint`` CLI.
 """
 
@@ -18,7 +18,6 @@ from repro.sim.events import COLL_END, MPI_RECV, MPI_SEND
 from repro.verify import (
     FIXTURES,
     Diagnostic,
-    OnlineSanitizer,
     RULES,
     Severity,
     TraceInvariantError,
@@ -266,72 +265,101 @@ class TestSanitizerCorruption:
 
 
 # ---------------------------------------------------------------------------
-# online sanitizer + engine hook
+# sanitized runs: the engine hook checks the finished trace
 # ---------------------------------------------------------------------------
 
 
+def _corrupted_run(quiet_cost, edit):
+    """A sanitized run of the clean fixture whose sinks pass each event's
+    fields through ``edit(loc, index, fields)``, which returns the fields
+    to record or ``None`` to drop the event."""
+    from repro.measure.measurement import RECORD_WIDTH
+
+    class Corrupting(Measurement):
+        def sinks(self):
+            def sink_of(loc, extend):
+                seen = [0]
+
+                def sink(fields):
+                    out = []
+                    for j in range(0, len(fields), RECORD_WIDTH):
+                        ev = edit(loc, seen[0], fields[j:j + RECORD_WIDTH])
+                        seen[0] += 1
+                        out.extend(ev or ())
+                    extend(out)
+                return sink
+            return [sink_of(loc, s) for loc, s in enumerate(super().sinks())]
+
+    return Engine(make_fixture("clean"), quiet_cost.cluster, quiet_cost,
+                  measurement=Corrupting("lt1"), sanitize=True).run()
+
+
+def _first_of(etype):
+    """An ``edit`` for :func:`_corrupted_run` that hands the first event of
+    kind ``etype`` to ``change`` (fields -> fields or ``None``)."""
+    def edit_with(change):
+        done = []
+
+        def edit(loc, i, fields):
+            if fields[0] == etype and not done:
+                done.append(i)
+                return change(fields)
+            return fields
+        return edit
+    return edit_with
+
+
 class TestOnlineSanitizer:
+    """``sanitize=True``: ``finish()`` runs the structural pass over the
+    finished trace and raises on error findings."""
+
     def test_engine_runs_clean_with_sanitize(self, quiet_cost):
         trace = _run_traced(quiet_cost, mode="lt1", sanitize=True)
         assert trace.n_events > 0
-
-    def test_sanitizer_sees_every_event(self, monkeypatch):
-        # MiniFE has OpenMP constructs and call bursts, so this covers the
-        # emission sites that hand a sink several events at once
-        from types import SimpleNamespace
-
-        from repro.machine import small_test_cluster
-        from repro.machine.noise import NoiseConfig, NoiseModel
-        from repro.miniapps import MiniFE, MiniFEConfig
-        from repro.sim import CostModel
-        from tests.oracles import event_bits
-
-        cluster = small_test_cluster(cores_per_numa=8, numa_per_socket=2)
-        app = MiniFE(MiniFEConfig.tiny(nx=48, cg_iters=3))
-        seen = [[] for _ in range(app.n_ranks * app.threads_per_rank)]
-        observe = OnlineSanitizer.observe
-
-        def spy(self, loc, ev):
-            seen[loc].append(ev)
-            observe(self, loc, ev)
-
-        monkeypatch.setattr(OnlineSanitizer, "observe", spy)
-        cost = CostModel(cluster, noise=NoiseModel(NoiseConfig(), seed=3))
-        trace = Engine(app, cluster, cost, measurement=Measurement("lt1"),
-                       sanitize=True).run().trace
-        assert trace.n_events > 0
-        assert event_bits(SimpleNamespace(events=seen)) == event_bits(trace)
 
     def test_sanitize_without_measurement_rejected(self, quiet_cost):
         with pytest.raises(ValueError, match="sanitize"):
             Engine(make_fixture("clean"), quiet_cost.cluster, quiet_cost,
                    sanitize=True)
 
-    def test_observe_rejects_time_reversal(self):
-        from repro.sim.events import ENTER, Ev
-        from repro.sim.kernels import EMPTY_DELTA
+    def test_finish_rejects_time_reversal(self, quiet_cost):
+        def edit(loc, i, fields):
+            if loc == 0 and i == 2:
+                return fields[:2] + (-1.0,) + fields[3:]
+            return fields
 
-        s = OnlineSanitizer()
-        s.observe(0, Ev(ENTER, 0, 1.0, EMPTY_DELTA))
         with pytest.raises(TraceInvariantError, match="TRC001"):
-            s.observe(0, Ev(ENTER, 1, 0.5, EMPTY_DELTA))
+            _corrupted_run(quiet_cost, edit)
 
-    def test_observe_rejects_recv_before_send(self):
-        from repro.sim.events import Ev
-        from repro.sim.kernels import EMPTY_DELTA
+    def test_finish_rejects_recv_without_send(self, quiet_cost):
+        with pytest.raises(TraceInvariantError, match="TRC002") as exc:
+            _corrupted_run(quiet_cost, _first_of(MPI_SEND)(lambda f: None))
+        assert "has no MPI_SEND" in str(exc.value)
 
-        s = OnlineSanitizer()
-        with pytest.raises(TraceInvariantError, match="TRC002"):
-            s.observe(0, Ev(MPI_RECV, 0, 1.0, EMPTY_DELTA, aux=7))
+    def test_final_check_rejects_unclosed_region(self, quiet_cost):
+        from repro.sim.events import LEAVE
 
-    def test_final_check_rejects_unclosed_region(self):
-        from repro.sim.events import ENTER, Ev
-        from repro.sim.kernels import EMPTY_DELTA
+        with pytest.raises(TraceInvariantError, match="TRC006") as exc:
+            _corrupted_run(quiet_cost, _first_of(LEAVE)(lambda f: None))
+        assert "never left" in str(exc.value)
 
-        s = OnlineSanitizer()
-        s.observe(0, Ev(ENTER, 0, 1.0, EMPTY_DELTA))
-        with pytest.raises(TraceInvariantError, match="TRC006"):
-            s.final_check()
+    def test_recovered_run_sanitizes_at_finish(self):
+        # one check of the finished trace covers every restart attempt
+        from repro.experiments.faultsweep import default_fault_config
+        from repro.machine import small_test_cluster
+        from repro.machine.faults import FaultModel
+        from repro.machine.noise import NoiseConfig, NoiseModel
+        from repro.miniapps import MiniFE, MiniFEConfig
+        from repro.sim import CostModel, run_with_recovery
+
+        cluster = small_test_cluster(cores_per_numa=8, numa_per_socket=2)
+        out = run_with_recovery(
+            MiniFE(MiniFEConfig.tiny(nx=48, cg_iters=3)), cluster,
+            lambda: CostModel(cluster, noise=NoiseModel(NoiseConfig(), seed=3)),
+            FaultModel(default_fault_config(), seed=2),
+            measurement=Measurement("ltbb", sanitize=True))
+        assert out.n_restarts > 0
+        assert sanitize_raw(out.result.trace) == []
 
 
 # ---------------------------------------------------------------------------
@@ -441,3 +469,17 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             main_lint([])
         assert exc.value.code == 2
+
+    def test_corrupt_trace_archive_is_usage_error(self, tmp_path, capsys):
+        import gzip
+
+        from repro.cli import main_lint
+
+        bad = tmp_path / "bad.trace.json.gz"
+        bad.write_bytes(gzip.compress(b"garbage"))
+        with pytest.raises(SystemExit) as exc:
+            main_lint(["--trace", str(bad)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err[-1].startswith("repro-lint: error: ")
+        assert str(bad) in err[-1]
