@@ -510,27 +510,28 @@ def main_bench(argv: Optional[List[str]] = None) -> int:
 def _load_cli_manifest(path: str, parser: argparse.ArgumentParser) -> dict:
     """Provenance manifest of any supported artifact, for ``repro-obs diff``.
 
-    Dispatches on the artifact: ``.npz``/gzipped trace archives carry the
-    manifest in their header, observability archives carry the manifests
-    they collected (the first is compared), and plain JSON files are
-    treated as raw manifest documents.
+    Dispatches on the artifact: ``.npz``/gzipped/``.shards`` trace
+    archives carry the manifest in their header, observability archives
+    carry the manifests they collected (the first is compared), and plain
+    JSON files are treated as raw manifest documents.  Anything else is
+    a usage error (exit 2).
     """
     import json as _json
 
     from repro import obs
 
     try:
-        if path.endswith(".npz") or path.endswith(".gz"):
+        if Path(path).suffix in (".npz", ".gz", ".shards"):
             from repro.measure import read_manifest
 
             manifest = read_manifest(path)
-            if manifest is None:
+            if not isinstance(manifest, dict):
                 parser.error(f"{path}: trace archive has no embedded manifest")
             return manifest
         doc = _json.loads(Path(path).read_text())
     except (OSError, ValueError) as exc:
         parser.error(f"cannot read {path!r}: {exc}")
-    fmt = doc.get("format")
+    fmt = doc.get("format") if isinstance(doc, dict) else None
     if fmt == obs.MANIFEST_FORMAT:
         return doc
     if fmt == obs.ARCHIVE_FORMAT:

@@ -72,7 +72,7 @@ from repro.experiments.configs import EXPERIMENTS, make_app, make_cluster
 from repro.machine.noise import NoiseConfig, NoiseModel
 from repro.measure import MODES, Measurement
 from repro.measure.config import NOISY_MODES
-from repro.measure.io import atomic_write_text
+from repro.measure.io import atomic_write_text, quarantine
 from repro.obs.provenance import canonical_json
 from repro.serve.store import ResultStore
 from repro.sim import CostModel, Engine
@@ -435,7 +435,7 @@ def _load_cached(
         result = _load(cache, name, seed)
     except Exception:
         _obs.counter("workflow.cache_corrupt").inc()
-        _quarantine(cache)
+        quarantine(cache)
         return None
     _obs.counter("workflow.cache_hits").inc()
     store.touch(cache.name)
@@ -839,33 +839,6 @@ def _load(path: Path, name: str, seed: int) -> ExperimentResult:
     )
 
 
-def _quarantine(path: Path) -> Optional[Path]:
-    """Move a corrupt cache/checkpoint file (or directory) aside.
-
-    Renamed to ``<name>.corrupt-N`` next to the original so the bad bytes
-    stay inspectable while the supervisor recomputes; returns the new
-    path (``None`` when ``path`` vanished or the rename failed, in which
-    case it is deleted as a last resort so the corruption cannot be
-    re-read).
-    """
-    for n in range(1000):
-        dest = path.with_name(f"{path.name}.corrupt-{n}")
-        if dest.exists():
-            continue
-        try:
-            path.rename(dest)
-        except FileNotFoundError:
-            return None
-        except OSError:
-            break
-        return dest
-    if path.is_dir():
-        shutil.rmtree(path, ignore_errors=True)
-    else:
-        path.unlink(missing_ok=True)
-    return None
-
-
 def _run_tag(task: Tuple[str, int]) -> str:
     return f"{task[0]}-r{task[1]}"
 
@@ -907,9 +880,10 @@ def _load_run(runs_dir: Path, task: Tuple[str, int]):
     """Load one checkpointed run, or ``None`` if absent or corrupt.
 
     Any unreadable or checksum-failing file is quarantined (see
-    :func:`_quarantine`) and counted on ``workflow.checkpoint_corrupt``;
-    the supervisor then recomputes the run, so corruption degrades to a
-    cache miss rather than poisoning the campaign result.
+    :func:`~repro.measure.io.quarantine`) and counted on
+    ``workflow.checkpoint_corrupt``; the supervisor then recomputes the
+    run, so corruption degrades to a cache miss rather than poisoning the
+    campaign result.
     """
     summary = runs_dir / f"{_run_tag(task)}.json"
     profile_path = _profile_checkpoint(runs_dir, task)
@@ -929,7 +903,7 @@ def _load_run(runs_dir: Path, task: Tuple[str, int]):
         return doc["runtime"], doc["phases"], profile
     except Exception:
         _obs.counter("workflow.checkpoint_corrupt").inc()
-        _quarantine(summary)
+        quarantine(summary)
         if task[0] != _REF and profile_path.exists():
-            _quarantine(profile_path)
+            quarantine(profile_path)
         return None

@@ -205,9 +205,9 @@ def ingest_file(
 
 
 def _quarantine_path(path: Path) -> Optional[str]:
-    from repro.experiments.workflow import _quarantine
+    from repro.measure.io import quarantine
 
-    moved = _quarantine(path)
+    moved = quarantine(path)
     return str(moved) if moved is not None else None
 
 

@@ -5,10 +5,11 @@ A :class:`TraceColumns` holds the same information as the event lists of a
 one array per field (event kind, region, timestamp, work-delta components,
 auxiliary payload) instead of one Python object per event.  It is the
 form a trace is born in -- :class:`~repro.measure.measurement.Measurement`
-records columns, and the npz and shards readers return them -- and the
-layout the vectorized clock replay (:mod:`repro.clocks.columnar`), the
-wait-state analysis plan (:mod:`repro.analysis.analyzer`) and the bulk
-archive I/O (:mod:`repro.measure.io`) operate on.
+records columns, and every archive reader returns them -- and the layout
+the vectorized clock replay (:mod:`repro.clocks.columnar`), the
+wait-state analysis plan (:mod:`repro.analysis.analyzer`) and the
+archive codecs (:mod:`repro.measure.io`, which also builds and checks
+every archive header) operate on.
 
 The ``aux`` payload of :class:`~repro.sim.events.Ev` is kind-specific --
 a ``(match_id, rendezvous)`` pair for sends, a match id for receives, a
@@ -38,12 +39,13 @@ payloads do not follow the engine's conventions (possible for hand-built
 test traces) raise :class:`ColumnarConversionError`.  Every replay and
 analysis runs on columns, so such a trace has no timestamps; the archive
 writers refuse it and the JSON-lines reader rejects records that break
-the table (:data:`AUX_ARITY`).
+the table (:data:`AUX_ARITY`) at their line.
 
 The way back to events is one bulk builder, :func:`events_from_columns`,
 shared by :meth:`TraceColumns.event_lists` (what
 :attr:`RawTrace.events <repro.measure.trace.RawTrace.events>` builds on
-demand) and the sharded archive's streaming reader.  It
+demand) and the sharded archive's streaming reader (for the Chrome
+export and ``ClockAligner``).  It
 interns :class:`~repro.sim.kernels.WorkDelta` instances by value
 (:class:`DeltaTable`): a trace holds few distinct deltas -- LULESH-2 has
 835 distinct values across 113,589 events -- and ``WorkDelta`` is frozen,

@@ -3,32 +3,37 @@
 Three formats, dispatched on the file suffix:
 
 * ``*.json.gz`` (and any path not matched below) -- ``repro-trace-1``, a
-  gzipped JSON-lines stream: line 1 is the header (mode, runtime,
-  locations, region table), each following line one event ``[loc, etype,
-  region, t, delta?, aux?, t_enter?]`` with the delta as a sparse dict.
-  Line-oriented so huge traces stream; human-greppable.  The writer
-  spells each line itself (byte-identical to ``json.dumps`` of the
-  record, with one cached text per work delta); the reader decodes
-  bounded chunks of lines with one ``json.loads`` each, and line by line
-  where a chunk fails its checks, so a malformed record is reported at
-  its exact line.  A record's ``aux`` payload must fit its kind (the
-  table in :mod:`repro.measure.columnar`): the replays and the analysis
-  run on columns, which hold nothing else.
+  gzipped JSON-lines stream: line 1 is the header, each following line
+  one event ``[loc, etype, region, t, delta?, aux?, t_enter?]`` with the
+  delta as a sparse dict.  Line-oriented so huge traces stream;
+  human-greppable.  The codec runs over
+  :class:`~repro.measure.columnar.TraceColumns`: the writer spells each
+  location's rows from its columns (byte-identical to ``json.dumps`` of
+  the record, with one cached text per distinct work delta); the reader
+  decodes bounded chunks of lines with one ``json.loads`` each, and line
+  by line where a chunk fails its checks, so a malformed record is
+  reported at its exact line, and builds the columns once at the end.  A
+  record's ``aux`` payload must fit its kind (the table in
+  :mod:`repro.measure.columnar`): the columns hold nothing else.
 * ``*.npz`` -- ``repro-trace-npz-1``, the columnar dump: the
-  structure-of-arrays columns of :class:`~repro.measure.columnar.
-  TraceColumns` concatenated over locations plus an offsets array,
-  written with :func:`numpy.savez_compressed`.  One bulk array write and
-  read per field instead of one JSON record per event, which makes
-  campaign-scale archives an order of magnitude faster to load.
+  structure-of-arrays columns concatenated over locations plus an
+  offsets array, written with :func:`numpy.savez_compressed`.  One bulk
+  array write and read per field instead of one JSON record per event,
+  which makes campaign-scale archives an order of magnitude faster to
+  load.
 * ``*.shards`` -- ``repro-shards-1``, the out-of-core sharded archive
   (a directory): events in global merged order split into fixed-size
   memory-mappable shards plus a JSON manifest.  Streaming consumers
   (:class:`~repro.measure.shards.ShardedTrace`) walk it while holding
   at most one shard in memory; see :mod:`repro.measure.shards`.
 
-All three round-trip exactly (float timestamps bit-preserved) and are
-covered by the suite.  Used by the CLI tools (``repro-run`` writes,
-``repro-analyze`` reads).
+The three headers share one codec: :func:`build_header` makes every
+header and :func:`parse_header` checks and parses it for every reader,
+:func:`read_manifest` included.
+
+All three round-trip exactly (float timestamps bit-preserved), read back
+column-backed traces, and leave the trace they write as it was.  Used by
+the CLI tools (``repro-run`` writes, ``repro-analyze`` reads).
 
 All archive writes are *atomic*: the bytes go to a temporary file in the
 destination directory, are fsynced, and are moved into place with
@@ -36,7 +41,8 @@ destination directory, are fsynced, and are moved into place with
 observes a truncated archive -- either the old file, the new file, or no
 file.  The helpers :func:`atomic_write_bytes` / :func:`atomic_write_text`
 expose the same discipline for other writers (the campaign runner's
-checkpoint and cache files use them).
+checkpoint and cache files use them), and :func:`quarantine` moves a
+corrupt file aside for every reader that finds one.
 """
 
 from __future__ import annotations
@@ -45,13 +51,14 @@ import gzip
 import io
 import json
 import os
+import shutil
 import tempfile
 import zipfile
 import zlib
 from array import array
 from itertools import chain, compress, repeat
 from pathlib import Path
-from typing import Iterator, List, Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -60,11 +67,13 @@ from repro.measure.columnar import (
     AUX_ARITY,
     COLUMN_FIELDS,
     DeltaTable,
+    LocationColumns,
     TraceColumns,
+    aux_values,
     split_columns,
 )
 from repro.measure.trace import RawTrace
-from repro.sim.events import Ev, RegionRegistry
+from repro.sim.events import RegionRegistry
 from repro.sim.kernels import EMPTY_DELTA, WorkDelta
 
 __all__ = [
@@ -73,8 +82,11 @@ __all__ = [
     "read_trace",
     "read_manifest",
     "trace_archive_bytes",
+    "build_header",
+    "parse_header",
     "atomic_write_bytes",
     "atomic_write_text",
+    "quarantine",
     "archive_hash",
     "archive_suffix",
     "store_archive_bytes",
@@ -206,27 +218,96 @@ def atomic_write_text(path: Union[str, Path], text: str,
     :func:`atomic_write_bytes`)."""
     atomic_write_bytes(path, text.encode(encoding))
 
-_DELTA_FIELDS = ("omp_iters", "bb", "stmt", "instr", "burst_calls", "omp_calls")
 
-#: lines decoded per ``json.loads`` call by the JSON-lines reader; small
-#: enough that a chunk's decoded records die young in the cyclic garbage
-#: collector instead of reaching (and triggering) its full collections,
-#: and that one call holds the interpreter lock for well under a
-#: millisecond (the service validates uploads on a thread beside its
-#: event loop)
-_CHUNK_LINES = 128
+def quarantine(path: Union[str, Path]) -> Optional[Path]:
+    """Move a corrupt file (or directory) aside as ``<name>.corrupt-N``,
+    where its bytes stay inspectable; returns the new path, or ``None``
+    when ``path`` vanished or could not be renamed (then it is deleted,
+    so the corruption cannot be read again)."""
+    path = Path(path)
+    for n in range(1000):
+        dest = path.with_name(f"{path.name}.corrupt-{n}")
+        if dest.exists():
+            continue
+        try:
+            path.rename(dest)
+        except FileNotFoundError:
+            return None
+        except OSError:
+            break
+        return dest
+    if path.is_dir():
+        shutil.rmtree(path, ignore_errors=True)
+    else:
+        path.unlink(missing_ok=True)
+    return None
 
 
-def _delta_to_obj(d: WorkDelta):
-    if d.is_empty:
-        return None
-    return {f: getattr(d, f) for f in _DELTA_FIELDS if getattr(d, f) != 0.0}
+# ---------------------------------------------------------------------------
+# the header codec (all three formats)
+# ---------------------------------------------------------------------------
+
+#: per format: the header's tag, where its readers find the header (the
+#: offset of a header error), and what a header without the tag is not
+_FORMATS = {
+    "jsonl": ("repro-trace-1", "line 1", "not a repro trace archive"),
+    "npz": ("repro-trace-npz-1", "header",
+            "not a columnar repro trace archive"),
+    "shards": ("repro-shards-1", "manifest.json",
+               "not a sharded repro trace archive"),
+}
+
+#: header fields every format carries
+_HEADER_FIELDS = ("mode", "runtime", "locations", "regions", "paradigms")
 
 
-def _delta_from_obj(obj) -> WorkDelta:
-    if not obj:
-        return EMPTY_DELTA
-    return WorkDelta(**obj)
+def build_header(fmt: str, trace, manifest: Optional[dict] = None,
+                 **fields) -> dict:
+    """The header of a ``fmt`` archive of ``trace`` (a ``RawTrace`` or
+    ``TraceColumns``): the format tag, the trace's mode, runtime,
+    locations and region table, the format's own ``fields``, then
+    ``manifest`` as provenance.  The JSON-lines bytes pin this key
+    order."""
+    header = {
+        "format": _FORMATS[fmt][0],
+        "mode": trace.mode,
+        "runtime": trace.runtime,
+        "locations": [list(lt) for lt in trace.locations],
+        "regions": list(trace.regions.names),
+        "paradigms": list(trace.regions.paradigms),
+        **fields,
+    }
+    if manifest is not None:
+        header["provenance"] = manifest
+    return header
+
+
+def parse_header(path, header, fmt: str, required: Tuple[str, ...] = ()
+                 ) -> Tuple[RegionRegistry, List[Tuple[int, int]]]:
+    """Check a decoded ``fmt`` header; return its region registry and
+    location tuples.
+
+    Raises :class:`TraceFormatError` when ``header`` is not a JSON object
+    carrying the format's tag, or lacks a field every format has or one
+    of ``required``.  Fields of the wrong type raise the bare error the
+    rebuild hits, for the reader to wrap with its own position.
+    """
+    tag, offset, what = _FORMATS[fmt]
+    if not isinstance(header, dict) or header.get("format") != tag:
+        raise TraceFormatError(path, what, offset=offset)
+    missing = [k for k in _HEADER_FIELDS + required if k not in header]
+    if missing:
+        raise TraceFormatError(
+            path, f"archive header lacks required field(s) {missing}",
+            offset=offset)
+    regions = RegionRegistry()
+    for name, paradigm in zip(header["regions"], header["paradigms"]):
+        regions.intern(name, paradigm)
+    return regions, [tuple(lt) for lt in header["locations"]]
+
+
+def _format_of(path: Path) -> str:
+    return {".shards": "shards", ".npz": "npz"}.get(path.suffix, "jsonl")
 
 
 def write_trace(trace: RawTrace, path: Union[str, Path],
@@ -235,119 +316,45 @@ def write_trace(trace: RawTrace, path: Union[str, Path],
 
     ``*.npz`` paths get the columnar bulk format, ``*.shards`` the sharded
     one, everything else the gzipped JSON-lines format (see the module
-    docstring).  Every format raises
-    :class:`~repro.measure.columnar.ColumnarConversionError` for a trace
-    whose payloads do not follow the engine's conventions, so no writer
-    produces an archive its reader rejects.  ``manifest``
-    (a :func:`repro.obs.build_manifest` document) is embedded in the
+    docstring).  Every format writes from :meth:`RawTrace.columns`, so it
+    raises :class:`~repro.measure.columnar.ColumnarConversionError` for a
+    trace whose payloads do not follow the engine's conventions (no
+    writer produces an archive its reader rejects) and leaves a
+    column-backed trace column-backed.  ``manifest`` (a
+    :func:`repro.obs.build_manifest` document) is embedded in the
     archive header as run provenance; :func:`read_manifest` retrieves it
     without parsing the event body.
     """
     path = Path(path)
-    if path.suffix == ".shards":
+    fmt = _format_of(path)
+    if fmt == "shards":
         from repro.measure.shards import write_sharded_trace
 
         write_sharded_trace(trace, path, manifest=manifest)
         return
-    fmt = "npz" if path.suffix == ".npz" else "jsonl"
     with obs.span("io.write_trace", format=fmt):
         if fmt == "npz":
             _write_trace_npz(trace, path, manifest)
         else:
-            _write_trace_jsonl(trace, path, manifest)
+            atomic_write_bytes(path, trace_archive_bytes(trace, manifest))
     obs.counter("io.traces_written", format=fmt).inc()
     obs.counter("io.bytes_written", format=fmt).add(path.stat().st_size)
 
 
-def trace_archive_bytes(trace: RawTrace,
-                        manifest: Optional[dict] = None) -> bytes:
-    """Canonical JSON-lines archive bytes of ``trace`` (no file involved).
-
-    The exact bytes :func:`write_trace` would put in a ``*.trace.json.gz``
-    archive (deterministic: the gzip mtime is pinned), for callers that
-    store traces content-addressed -- the serving layer's ingest endpoint.
-    """
-    trace.columns()  # the payload check (ColumnarConversionError)
-    buf = io.BytesIO()
-    with gzip.GzipFile(fileobj=buf, mode="wb", mtime=0) as gz:
-        # one write per line: the text layer's flush points decide the
-        # deflate input chunks, and with them the compressed bytes
-        with io.TextIOWrapper(gz, encoding="utf-8") as fh:
-            fh.writelines(_jsonl_lines(trace, manifest))
-    return buf.getvalue()
-
-
-def _write_trace_jsonl(trace: RawTrace, path: Path,
-                       manifest: Optional[dict]) -> None:
-    atomic_write_bytes(path, trace_archive_bytes(trace, manifest))
-
-
-def _jsonl_lines(trace: RawTrace, manifest: Optional[dict]) -> Iterator[str]:
-    """The archive's lines: the header, then one record per event."""
-    header = {
-        "format": "repro-trace-1",
-        "mode": trace.mode,
-        "runtime": trace.runtime,
-        "locations": [list(lt) for lt in trace.locations],
-        "regions": list(trace.regions.names),
-        "paradigms": list(trace.regions.paradigms),
-    }
-    if manifest is not None:
-        header["provenance"] = manifest
-    yield json.dumps(header) + "\n"
-    delta_text: dict = {}  # id(delta) -> JSON text; the trace keeps them alive
-    for loc, evs in enumerate(trace.events):
-        yield from _jsonl_records(loc, evs, delta_text)
-
-
-def _jsonl_records(loc: int, evs, delta_text: dict) -> Iterator[str]:
-    """One line per event, equal to ``json.dumps([loc, etype, region, t,
-    delta, aux, t_enter or None]) + "\\n"``.  Plain ints and finite floats
-    are spelled as ``json`` spells them (``repr``); records holding
-    anything else go through ``json.dumps`` whole."""
-    dumps = json.dumps
-    for ev in evs:
-        et, rg, t, te, aux, d = ev.etype, ev.region, ev.t, ev.t_enter, ev.aux, ev.delta
-        dt = delta_text.get(id(d))
-        if dt is None:
-            dt = delta_text[id(d)] = dumps(_delta_to_obj(d))
-        if aux is None:
-            at = "null"
-        elif type(aux) is int:
-            at = f"{aux}"
-        elif type(aux) is tuple and len(aux) == 2 \
-                and type(aux[0]) is int and type(aux[1]) is int:
-            at = f"[{aux[0]}, {aux[1]}]"
-        else:
-            at = None
-        if not te:
-            te_text = "null"
-        elif type(te) is float and te - te == 0.0:
-            te_text = f"{te!r}"
-        else:
-            te_text = None
-        if (at is not None and te_text is not None and type(et) is int
-                and type(rg) is int and type(t) is float and t - t == 0.0):
-            yield f"[{loc}, {et}, {rg}, {t!r}, {dt}, {at}, {te_text}]\n"
-        else:
-            yield dumps([loc, et, rg, t, _delta_to_obj(d),
-                         list(aux) if isinstance(aux, tuple) else aux,
-                         te or None]) + "\n"
-
-
 def read_trace(path: Union[str, Path]) -> RawTrace:
-    """Read a trace written by :func:`write_trace` (either format).
+    """Read a trace written by :func:`write_trace` (any format) as a
+    column-backed :class:`RawTrace`.
 
     An embedded provenance manifest is attached to the returned trace as
     its ``provenance`` attribute (``None`` when the archive has none).
     """
     path = Path(path)
-    if path.suffix == ".shards":
+    fmt = _format_of(path)
+    if fmt == "shards":
         from repro.measure.shards import open_sharded_trace
 
         with obs.span("io.read_trace", format="shards"):
             return open_sharded_trace(path).to_raw()
-    fmt = "npz" if path.suffix == ".npz" else "jsonl"
     with obs.span("io.read_trace", format=fmt):
         trace = (_read_trace_npz(path) if fmt == "npz"
                  else _read_trace_jsonl(path))
@@ -360,20 +367,24 @@ def read_manifest(path: Union[str, Path]) -> Optional[dict]:
     """Provenance manifest embedded in a trace archive, or ``None``.
 
     Header-only for every format: sharded archives read ``manifest.json``
-    alone, the other formats decode just the header record.
+    alone, the other formats decode just the header record.  Raises
+    :class:`TraceFormatError` for a header :func:`read_trace` would
+    refuse.
     """
     path = Path(path)
-    if path.suffix == ".shards":
+    fmt = _format_of(path)
+    if fmt == "shards":
         from repro.measure.shards import read_shard_manifest
 
         return read_shard_manifest(path).get("provenance")
     try:
-        if path.suffix == ".npz":
+        if fmt == "npz":
             with np.load(path) as data:
                 header = json.loads(bytes(data["header"]).decode("utf-8"))
         else:
             with gzip.open(path, "rt", encoding="utf-8") as fh:
                 header = json.loads(fh.readline())
+        parse_header(path, header, fmt)
         return header.get("provenance")
     except TraceFormatError:
         raise
@@ -383,51 +394,128 @@ def read_manifest(path: Union[str, Path]) -> Optional[dict]:
             offset="header") from exc
 
 
+# ---------------------------------------------------------------------------
+# JSON-lines format
+# ---------------------------------------------------------------------------
+
+_DELTA_FIELDS = ("omp_iters", "bb", "stmt", "instr", "burst_calls", "omp_calls")
+
+#: lines decoded per ``json.loads`` call by the JSON-lines reader; small
+#: enough that a chunk's decoded records die young in the cyclic garbage
+#: collector instead of reaching (and triggering) its full collections,
+#: and that one call holds the interpreter lock for well under a
+#: millisecond (the service validates uploads on a thread beside its
+#: event loop)
+_CHUNK_LINES = 128
+
+
+def trace_archive_bytes(trace: RawTrace,
+                        manifest: Optional[dict] = None) -> bytes:
+    """Canonical JSON-lines archive bytes of ``trace`` (no file involved).
+
+    The exact bytes :func:`write_trace` would put in a ``*.trace.json.gz``
+    archive (deterministic: the gzip mtime is pinned), for callers that
+    store traces content-addressed -- the serving layer's ingest endpoint.
+    """
+    cols = trace.columns()  # the payload check (ColumnarConversionError)
+    buf = io.BytesIO()
+    with gzip.GzipFile(fileobj=buf, mode="wb", mtime=0) as gz:
+        # one write per line: the text layer's flush points decide the
+        # deflate input chunks, and with them the compressed bytes
+        with io.TextIOWrapper(gz, encoding="utf-8") as fh:
+            fh.write(json.dumps(build_header("jsonl", trace, manifest)) + "\n")
+            delta_text = _DeltaText()
+            for loc, lc in enumerate(cols.locs):
+                fh.writelines(_jsonl_records(loc, lc, delta_text))
+    return buf.getvalue()
+
+
+def _delta_obj(key: tuple) -> Optional[dict]:
+    """A work delta as its record spells it: the nonzero fields of the
+    six, or ``None`` when all are zero."""
+    return {f: v for f, v in zip(_DELTA_FIELDS, key) if v != 0.0} or None
+
+
+class _DeltaText(dict):
+    """JSON text of a work delta, one per distinct six-field tuple."""
+
+    __slots__ = ()
+
+    def __missing__(self, key: tuple) -> str:
+        text = self[key] = json.dumps(_delta_obj(key))
+        return text
+
+
+def _jsonl_records(loc: int, lc: LocationColumns,
+                   delta_text: _DeltaText) -> List[str]:
+    """One line per row of ``lc``, equal to ``json.dumps([loc, etype,
+    region, t, delta, aux, t_enter or None]) + "\\n"``: ints and finite
+    floats are spelled as ``json`` spells them (``repr``), and rows with
+    a non-finite time go through ``json.dumps`` whole."""
+    et, rg, t, te = (lc.etype.tolist(), lc.region.tolist(), lc.t.tolist(),
+                     lc.t_enter.tolist())
+    keys = list(zip(*(getattr(lc, f).tolist() for f in _DELTA_FIELDS)))
+    aux = aux_values(lc.etype, lc.aux_a, lc.aux_b)
+    aux_text = ["null" if a is None else f"{a}" if type(a) is int
+                else f"[{a[0]}, {a[1]}]" for a in aux]
+    te_text = [f"{x!r}" if x else "null" for x in te]
+    lines = [f"[{loc}, {e}, {r}, {x!r}, {d}, {a}, {y}]\n"
+             for e, r, x, d, a, y in zip(et, rg, t,
+                                         map(delta_text.__getitem__, keys),
+                                         aux_text, te_text)]
+    for i in np.flatnonzero(~(np.isfinite(lc.t) & np.isfinite(lc.t_enter))
+                            ).tolist():
+        lines[i] = json.dumps([loc, et[i], rg[i], t[i], _delta_obj(keys[i]),
+                               aux[i], te[i] or None]) + "\n"
+    return lines
+
+
 def _read_trace_jsonl(path: Path) -> RawTrace:
     lineno = 0
     try:
         with gzip.open(path, "rt", encoding="utf-8") as fh:
             lineno = 1
             header = json.loads(fh.readline())
-            if not isinstance(header, dict) \
-                    or header.get("format") != "repro-trace-1":
-                raise TraceFormatError(path, "not a repro trace archive",
-                                       offset="line 1")
-            regions = RegionRegistry()
-            for name, paradigm in zip(header["regions"], header["paradigms"]):
-                regions.intern(name, paradigm)
-            locations: List[Tuple[int, int]] = [tuple(lt) for lt in header["locations"]]
-            events: List[List[Ev]] = [[] for _ in locations]
+            regions, locations = parse_header(path, header, "jsonl")
+            # per record, in file order: the location and the six
+            # sequences TraceColumns.from_fields takes
+            fields: List[list] = [[] for _ in range(7)]
             deltas = DeltaTable()
             lines: List[str] = []
             for line in fh:
                 lineno += 1
                 lines.append(line)
                 if len(lines) == _CHUNK_LINES:
-                    _load_records(path, lines, lineno, events, deltas)
+                    _load_records(path, lines, lineno, fields, deltas,
+                                  len(locations))
                     lines = []
-            _load_records(path, lines, lineno, events, deltas)
-        trace = RawTrace(
-            mode=header["mode"],
-            regions=regions,
-            locations=locations,
-            events=events,
-            runtime=header["runtime"],
-            pinning=None,
-        )
+            _load_records(path, lines, lineno, fields, deltas, len(locations))
+        lineno = None  # a record the columns cannot hold has no one line
+        loc, rest = np.array(fields[0], dtype=np.int64), fields[1:]
+        if np.any(loc[1:] < loc[:-1]):
+            # the writer never interleaves locations, but the format
+            # allows it: each location's records, in order, one after
+            # the other
+            order = np.argsort(loc, kind="stable").tolist()
+            rest = [list(map(f.__getitem__, order)) for f in rest]
+        trace = RawTrace.from_columns(TraceColumns.from_fields(
+            header["mode"], regions, locations,
+            np.bincount(loc, minlength=len(locations)).tolist(), *rest,
+            runtime=header["runtime"]))
     except TraceFormatError:
         raise
     except _READ_ERRORS as exc:
         raise TraceFormatError(
             path, f"corrupt JSON-lines archive: {type(exc).__name__}: {exc}",
-            offset=f"line {lineno}") from exc
+            offset=None if lineno is None else f"line {lineno}") from exc
     trace.provenance = header.get("provenance")
     return trace
 
 
 def _load_records(path: Path, lines: List[str], last_lineno: int,
-                  events: List[List[Ev]], deltas: DeltaTable) -> None:
-    """Append the events of ``lines`` (ending at line ``last_lineno``).
+                  fields: List[list], deltas: DeltaTable, n_loc: int) -> None:
+    """Append the records of ``lines`` (ending at line ``last_lineno``)
+    to ``fields``, with their work deltas interned in ``deltas``.
 
     The chunk is decoded as one JSON array.  That decode stands for the
     line-by-line one when every line starts with ``[`` and ends with
@@ -446,25 +534,19 @@ def _load_records(path: Path, lines: List[str], last_lineno: int,
             recs = json.loads("[" + ",".join(lines) + "]")
         except ValueError:
             pass
-    fields = _bulk_fields(recs, len(lines), len(events)) if recs else None
-    if fields is None:
-        _load_lines(path, lines, last_lineno - len(lines) + 1, events)
+    bulk = _bulk_fields(recs, len(lines), n_loc) if recs else None
+    if bulk is None:
+        _load_lines(path, lines, last_lineno - len(lines) + 1, fields, n_loc)
         return
-    locs, ets, rgs, ts, ds, auxs, tes = fields
+    locs, ets, rgs, ts, ds, auxs, tes = bulk
     get = dict.get
-    evs = list(map(Ev, ets, rgs, ts,
-                   [deltas[(get(d, "omp_iters", 0.0), get(d, "bb", 0.0),
-                            get(d, "stmt", 0.0), get(d, "instr", 0.0),
-                            get(d, "burst_calls", 0.0),
-                            get(d, "omp_calls", 0.0))] if d else EMPTY_DELTA
-                    for d in ds],
-                   [tuple(a) if type(a) is list else a for a in auxs],
-                   [x or 0.0 for x in tes]))
-    loc_arr = np.array(locs)
-    cuts = [0] + (np.flatnonzero(loc_arr[1:] != loc_arr[:-1]) + 1).tolist() \
-        + [len(evs)]
-    for a, b in zip(cuts, cuts[1:]):
-        events[locs[a]].extend(evs[a:b])
+    ds = [deltas[(get(d, "omp_iters", 0.0), get(d, "bb", 0.0),
+                  get(d, "stmt", 0.0), get(d, "instr", 0.0),
+                  get(d, "burst_calls", 0.0), get(d, "omp_calls", 0.0))]
+          if d else EMPTY_DELTA for d in ds]
+    for field, values in zip(fields, (locs, ets, rgs, ts, ds, auxs,
+                                      [x or 0.0 for x in tes])):
+        field.extend(values)
 
 
 #: JSON types allowed for the scalar event fields on the bulk path
@@ -539,23 +621,23 @@ def _check_record(etype, region, aux) -> None:
 
 
 def _load_lines(path: Path, lines: List[str], first_lineno: int,
-                events: List[List[Ev]]) -> None:
+                fields: List[list], n_loc: int) -> None:
     """Line-by-line decode of a chunk; raises at the first bad record."""
     for k, line in enumerate(lines):
         try:
             loc, etype, region, t, delta, aux, t_enter = json.loads(line)
-            if type(loc) is not int or not 0 <= loc < len(events):
+            if type(loc) is not int or not 0 <= loc < n_loc:
                 raise ValueError(f"location {loc!r} outside the "
-                                 f"{len(events)} locations")
+                                 f"{n_loc} locations")
             _check_record(etype, region, aux)
-            if isinstance(aux, list):
-                aux = tuple(aux)
-            events[loc].append(Ev(etype, region, t, _delta_from_obj(delta),
-                                  aux=aux, t_enter=t_enter or 0.0))
+            delta = WorkDelta(**delta) if delta else EMPTY_DELTA
         except _READ_ERRORS as exc:
             raise TraceFormatError(
                 path, f"corrupt JSON-lines archive: {type(exc).__name__}: "
                 f"{exc}", offset=f"line {first_lineno + k}") from exc
+        for field, value in zip(fields, (loc, etype, region, t, delta, aux,
+                                         t_enter or 0.0)):
+            field.append(value)
 
 
 # ---------------------------------------------------------------------------
@@ -564,20 +646,9 @@ def _load_lines(path: Path, lines: List[str], first_lineno: int,
 
 def _write_trace_npz(trace: RawTrace, path: Path,
                      manifest: Optional[dict] = None) -> None:
-    """Bulk-dump the trace's columns (raises ``ColumnarConversionError``
-    for traces whose payloads do not follow the engine's conventions --
-    write those as JSON lines instead)."""
+    """Bulk-dump the trace's columns."""
     cols = trace.columns()
-    header = {
-        "format": "repro-trace-npz-1",
-        "mode": cols.mode,
-        "runtime": cols.runtime,
-        "locations": [list(lt) for lt in cols.locations],
-        "regions": list(cols.regions.names),
-        "paradigms": list(cols.regions.paradigms),
-    }
-    if manifest is not None:
-        header["provenance"] = manifest
+    header = build_header("npz", cols, manifest)
     arrays = {
         "header": np.frombuffer(json.dumps(header).encode("utf-8"), dtype=np.uint8),
         "offsets": cols.offsets(),
@@ -595,11 +666,7 @@ def _read_trace_npz(path: Path) -> RawTrace:
     try:
         with np.load(path) as data:
             header = json.loads(bytes(data["header"]).decode("utf-8"))
-            if not isinstance(header, dict) \
-                    or header.get("format") != "repro-trace-npz-1":
-                raise TraceFormatError(
-                    path, "not a columnar repro trace archive",
-                    offset="header")
+            regions, locations = parse_header(path, header, "npz")
             member = "offsets"
             offsets = data["offsets"]
             columns = {}
@@ -607,18 +674,10 @@ def _read_trace_npz(path: Path) -> RawTrace:
                 member = f
                 columns[f] = data[f]
         member = "header"
-        regions = RegionRegistry()
-        for name, paradigm in zip(header["regions"], header["paradigms"]):
-            regions.intern(name, paradigm)
-        locations: List[Tuple[int, int]] = [tuple(lt) for lt in header["locations"]]
         trace = RawTrace.from_columns(TraceColumns(
-            mode=header["mode"],
-            regions=regions,
-            locations=locations,
-            locs=split_columns(path, columns, len(locations), offsets=offsets),
-            runtime=header["runtime"],
-            pinning=None,
-        ))
+            header["mode"], regions, locations,
+            split_columns(path, columns, len(locations), offsets=offsets),
+            runtime=header["runtime"]))
     except TraceFormatError:
         raise
     except _READ_ERRORS as exc:

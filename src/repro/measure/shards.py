@@ -17,19 +17,22 @@ event kind, region id, timestamps, aux payload, work-delta components)
 stored in **global merged order** -- exactly the order
 :meth:`repro.measure.trace.RawTrace.merged` visits the trace (see
 :func:`repro.measure.trace.merged_order`).  Storing the merge order makes
-every streaming consumer (sanitize, race replay, Chrome export) a single
+every streaming consumer (the Chrome export, ``ClockAligner``) a single
 forward scan: :class:`ShardedTrace` memory-maps one shard at a time
 (``numpy.load(..., mmap_mode="r")``), materializes at most that shard's
-rows as Python objects, and drops them before opening the next shard.  Peak memory is bounded by the shard size
-regardless of trace length, which is what lets campaign-scale traces be
-checked out of core.  Wait-state analysis, the clock replays, the causal
-DAG and what-if read the archive whole (:meth:`ShardedTrace.to_raw`,
-what :func:`repro.measure.io.read_trace` returns): their compiled plans
-need the column-backed trace, and every archive was written from a
-trace that fit in memory.
+rows as Python objects, and drops them before opening the next shard.
+Peak memory is bounded by the shard size regardless of trace length.
+Wait-state analysis, the clock replays, the causal DAG, what-if, the
+sanitizer and the race detector read the archive whole
+(:meth:`ShardedTrace.to_raw`, what :func:`repro.measure.io.read_trace`
+returns): their compiled plans need the column-backed trace, and every
+archive was written from a trace that fit in memory.
 
-:func:`read_shard_manifest` reads *only* ``manifest.json`` -- provenance
-and shape queries never touch the event body.
+The manifest is the archive header: :func:`repro.measure.io.build_header`
+makes it and :func:`repro.measure.io.parse_header` checks it, as for the
+other two formats.  :func:`read_shard_manifest` reads *only*
+``manifest.json`` -- provenance and shape queries never touch the event
+body.
 
 Writes are atomic per file (see :func:`repro.measure.io.atomic_write_bytes`)
 and the manifest is written last, so a reader never observes a manifest
@@ -54,12 +57,18 @@ from repro.measure.columnar import (
     location_counts,
     split_columns,
 )
+from repro.measure.io import (
+    TraceFormatError,
+    atomic_write_bytes,
+    atomic_write_text,
+    build_header,
+    parse_header,
+)
 from repro.measure.trace import RawTrace
-from repro.sim.events import Ev, RegionRegistry
+from repro.sim.events import Ev
 
 __all__ = [
     "DEFAULT_SHARD_EVENTS",
-    "SHARD_FORMAT",
     "MANIFEST_NAME",
     "StreamStats",
     "ShardedTrace",
@@ -68,7 +77,8 @@ __all__ = [
     "open_sharded_trace",
 ]
 
-SHARD_FORMAT = "repro-shards-1"
+#: the header file (the offset :func:`repro.measure.io.parse_header`
+#: names for a shard manifest)
 MANIFEST_NAME = "manifest.json"
 
 #: default rows per shard; small enough that one shard of the structured
@@ -116,8 +126,6 @@ def write_sharded_trace(
     :func:`repro.obs.build_manifest` document) is embedded as provenance.
     Returns the archive directory path.
     """
-    from repro.measure.io import atomic_write_bytes, atomic_write_text
-
     if shard_events <= 0:
         raise ValueError(f"shard_events must be positive, got {shard_events}")
     path = Path(path)
@@ -147,32 +155,20 @@ def write_sharded_trace(
                 "t_max": float(chunk["t"].max()) if len(chunk) else 0.0,
             })
 
-        header = {
-            "format": SHARD_FORMAT,
-            "mode": cols.mode,
-            "runtime": cols.runtime,
-            "locations": [list(lt) for lt in cols.locations],
-            "regions": list(cols.regions.names),
-            "paradigms": list(cols.regions.paradigms),
-            "n_events": int(n_total),
-            "shard_events": int(shard_events),
-            "loc_counts": [int(len(lc)) for lc in cols.locs],
-            "shards": shard_meta,
-        }
-        if manifest is not None:
-            header["provenance"] = manifest
+        header = build_header(
+            "shards", cols, manifest, n_events=int(n_total),
+            shard_events=int(shard_events),
+            loc_counts=[int(len(lc)) for lc in cols.locs], shards=shard_meta)
         # manifest last: its appearance commits the archive
         atomic_write_text(path / MANIFEST_NAME, json.dumps(header, indent=1))
     obs.counter("io.traces_written", format="shards").inc()
     return path
 
 
-#: manifest fields every consumer indexes; validated up front so a
-#: truncated or hand-edited manifest fails as one typed error instead of
-#: a KeyError deep inside a streaming scan
-_MANIFEST_REQUIRED = ("mode", "runtime", "locations", "regions",
-                      "paradigms", "n_events", "shard_events",
-                      "loc_counts", "shards")
+#: the manifest's own fields (besides those of every archive header);
+#: checked up front so a truncated or hand-edited manifest fails as one
+#: typed error instead of a KeyError deep inside a streaming scan
+_MANIFEST_FIELDS = ("n_events", "shard_events", "loc_counts", "shards")
 
 
 def read_shard_manifest(path: Union[str, Path]) -> dict:
@@ -182,26 +178,17 @@ def read_shard_manifest(path: Union[str, Path]) -> dict:
     is missing, unparseable, not a sharded archive, or lacks required
     fields.
     """
-    from repro.measure.io import TraceFormatError
-
     path = Path(path)
     try:
         with open(path / MANIFEST_NAME, "r", encoding="utf-8") as fh:
             header = json.load(fh)
+        parse_header(path, header, "shards", _MANIFEST_FIELDS)
     except TraceFormatError:
         raise
-    except (OSError, ValueError, UnicodeDecodeError) as exc:
+    except (OSError, TypeError, ValueError, UnicodeDecodeError) as exc:
         raise TraceFormatError(
             path, f"unreadable shard manifest: {type(exc).__name__}: {exc}",
             offset=MANIFEST_NAME) from exc
-    if not isinstance(header, dict) or header.get("format") != SHARD_FORMAT:
-        raise TraceFormatError(path, "not a sharded repro trace archive",
-                               offset=MANIFEST_NAME)
-    missing = [k for k in _MANIFEST_REQUIRED if k not in header]
-    if missing:
-        raise TraceFormatError(
-            path, f"shard manifest lacks required field(s) {missing}",
-            offset=MANIFEST_NAME)
     return header
 
 
@@ -231,26 +218,20 @@ class ShardedTrace:
 
     Exposes the metadata surface of :class:`~repro.measure.trace.RawTrace`
     (``mode``, ``regions``, ``locations``, ``n_events``, ...) plus a
-    streaming :meth:`merged` iterator, so merged-order consumers --
-    :func:`repro.verify.races.find_races`, the streaming sanitizer and
-    the Chrome export -- accept it unchanged.  :meth:`to_raw`
-    materializes the whole trace; the clock replays, the causal DAG,
-    what-if and the analysis read an archive that way (DESIGN.md says
-    why).
+    streaming :meth:`merged` iterator, so merged-order consumers -- the
+    Chrome export and ``ClockAligner`` -- accept it unchanged.
+    :meth:`to_raw` materializes the whole trace; the clock replays, the
+    causal DAG, what-if, the analysis, the sanitizer and the race
+    detector read an archive that way (DESIGN.md says why).
     """
 
     def __init__(self, path: Path, header: dict):
         self.path = Path(path)
         self.header = header
+        self.regions, self.locations = parse_header(
+            self.path, header, "shards", _MANIFEST_FIELDS)
         self.mode: str = header["mode"]
         self.runtime: float = header["runtime"]
-        self.locations: List[Tuple[int, int]] = [
-            tuple(lt) for lt in header["locations"]
-        ]
-        regions = RegionRegistry()
-        for name, paradigm in zip(header["regions"], header["paradigms"]):
-            regions.intern(name, paradigm)
-        self.regions = regions
         self.provenance: Optional[dict] = header.get("provenance")
         self.loc_counts: List[int] = [int(c) for c in header["loc_counts"]]
         self.shard_events: int = int(header["shard_events"])
@@ -296,8 +277,6 @@ class ShardedTrace:
         manifest (record layout, row count, location ids), and a full
         pass checks the rows per location against ``loc_counts``.
         """
-        from repro.measure.io import TraceFormatError
-
         seen = np.zeros(self.n_locations, dtype=np.int64)
         for meta in self.header["shards"]:
             try:

@@ -7,9 +7,9 @@ from it, and the analyzer (:mod:`repro.analysis`) replays it.
 
 A trace holds its events in one of two forms, never both as sources of
 truth: *column-backed* (a :class:`~repro.measure.columnar.TraceColumns`;
-what the measurement and the npz and shards readers produce) or
-*event-backed* (per-location ``Ev`` lists; hand-built traces, JSON-lines
-read-backs, and any trace whose :attr:`RawTrace.events` was taken).
+what the measurement and every archive reader produce) or *event-backed*
+(per-location ``Ev`` lists; hand-built traces, ingest salvage's, and any
+trace whose :attr:`RawTrace.events` was taken).
 """
 
 from __future__ import annotations

@@ -52,6 +52,7 @@ from repro.measure.io import (
     TraceFormatError,
     archive_hash,
     archive_suffix,
+    quarantine,
     read_trace,
     store_archive_bytes,
 )
@@ -352,7 +353,7 @@ class AnalysisService:
         try:
             await asyncio.to_thread(read_trace, path)
         except TraceFormatError as exc:
-            moved = W._quarantine(path)
+            moved = quarantine(path)
             obs.counter("serve.upload_rejects").inc()
             return 400, _JSON, _jerr(
                 "malformed trace archive", str(exc)), {
@@ -387,7 +388,7 @@ class AnalysisService:
                 f"ingest-{archive_hash(body)[:20]}.upload")
             try:
                 stash.write_bytes(body)
-                moved = W._quarantine(stash)
+                moved = quarantine(stash)
             except OSError:
                 moved = None
             report = exc.report.to_dict()

@@ -46,6 +46,7 @@ from pathlib import Path
 from typing import Iterator, List, Optional, Tuple, Union
 
 from repro import obs as _obs
+from repro.measure.io import atomic_write_bytes, quarantine
 
 __all__ = [
     "ResultStore",
@@ -122,24 +123,6 @@ def _remove(path: Path) -> None:
         path.unlink(missing_ok=True)
 
 
-def _quarantine(path: Path) -> Optional[Path]:
-    """Rename a corrupt entry aside (``*.corrupt-N``), mirroring the
-    campaign supervisor's discipline; delete as a last resort."""
-    for n in range(1000):
-        dest = path.with_name(f"{path.name}.corrupt-{n}")
-        if dest.exists():
-            continue
-        try:
-            path.rename(dest)
-        except FileNotFoundError:
-            return None
-        except OSError:
-            break
-        return dest
-    _remove(path)
-    return None
-
-
 class StoreLease:
     """A held single-flight lease (see :meth:`ResultStore.acquire`)."""
 
@@ -203,8 +186,6 @@ class ResultStore:
     # -- blobs --------------------------------------------------------------
     def put_bytes(self, key: str, payload: bytes) -> Path:
         """Atomically publish a CRC-framed blob entry, then evict."""
-        from repro.measure.io import atomic_write_bytes
-
         path = self.entry_path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         frame = _CRC_FRAME + str(zlib.crc32(payload)).encode("ascii") + b"\n"
@@ -223,7 +204,7 @@ class ResultStore:
         if (not sep or not head.startswith(_CRC_FRAME)
                 or not self._crc_ok(head, payload)):
             _obs.counter("workflow.cache_corrupt").inc()
-            _quarantine(path)
+            quarantine(path)
             return None
         if touch:
             self.touch(key)

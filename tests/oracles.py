@@ -674,7 +674,7 @@ def analyze_stream(chunks, *, mode, regions, locations, pinning=None) -> CubePro
                 snap = dict(epoch[rank])
                 epoch[rank] = {}
                 grp["members"].append((loc, cp_stack[loc][-1], enter_stack[loc][-1], t, snap))
-                if len(grp["members"]) == size:
+                if len(grp["members"]) >= size:
                     _finish_collective(profile, grp, coll_wait_cells)
                     del coll_groups[coll_id]
             elif et == FORK:
@@ -708,7 +708,7 @@ def analyze_stream(chunks, *, mode, regions, locations, pinning=None) -> CubePro
                     # The implicit barrier ends the worker's participation in
                     # this construct; it idles until the next TEAM_BEGIN.
                     worker_idle[loc] = True
-                if len(grp["members"]) == size:
+                if len(grp["members"]) >= size:
                     _finish_barrier(profile, grp)
                     del bar_groups[omp_id]
             # BURST: no stack effect (interval already attributed above)
@@ -947,7 +947,7 @@ class LamportClock:
                 members = groups.setdefault(key, [])
                 members.append((loc, i, c))
                 counter[loc] = c  # provisional until the group completes
-                if len(members) == size:
+                if len(members) >= size:
                     m = max(pre for (_l, _i, pre) in members)
                     for (l2, i2, _pre) in members:
                         times[l2][i2] = m
@@ -1035,7 +1035,7 @@ class VectorClock:
                 key = ("c" if et == COLL_END else "b", gid)
                 members = groups.setdefault(key, [])
                 members.append((loc, len(self.vectors[loc]) - 1))
-                if len(members) == size:
+                if len(members) >= size:
                     merged = np.zeros(n, dtype=np.int64)
                     for (l2, ei) in members:
                         np.maximum(merged, self.vectors[l2][ei], out=merged)
@@ -1101,7 +1101,7 @@ class LazyLamportClock:
                 members = groups.setdefault(key, [])
                 members.append((loc, i, pre))
                 counter[loc] = pre
-                if len(members) == size:
+                if len(members) >= size:
                     m = max(p for (_l, _i, p) in members)
                     for (l2, i2, _p) in members:
                         times[l2][i2] = m
@@ -1266,7 +1266,7 @@ def walker_build_dag(trace_like, mode: Optional[str] = None,
             key = (et, gid)
             members = groups.setdefault(key, [])
             members.append((loc, c, nid, prev))
-            if len(members) == size:
+            if len(members) >= size:
                 if is_tsc:
                     completion = ev.t
                     waits = nxn_waits([en for (_l, _c, _n, en) in members],
@@ -1719,7 +1719,7 @@ def walker_find_races(trace) -> RaceReport:
             group_max[key] = current[loc].copy()
         else:
             np.maximum(gm, current[loc], out=gm)
-        if len(members) == size:
+        if len(members) >= size:
             merged = group_max.pop(key)
             for l2 in groups.pop(key):
                 np.maximum(current[l2], merged, out=current[l2])

@@ -8,12 +8,19 @@ lists only when a caller asks for ``.events``.  These tests pin that:
   list-of-Ev measurement oracle (both in ``tests/oracles.py``), here
   through crash recovery's mark/rewind and a sanitized run (the
   hypothesis-generated programs are in ``tests/test_properties.py``);
-* the campaign task path, engine -> replay -> analysis, npz/shards
-  write -> read -> replay -> analysis, engine -> sanitizer -> race
+* the campaign task path, engine -> replay -> analysis, JSON-lines/npz/
+  shards write -> read -> replay -> analysis, engine -> sanitizer -> race
   detector and a sanitized run never build an event;
+* the archives work over columns: writing leaves a trace column-backed
+  with the same columns, and JSON-lines records that interleave
+  locations, locations without events and non-finite times read back
+  exactly;
 * taking ``.events`` hands ownership to the lists: an edit reaches the
   next replay and archive write.
 """
+
+import gzip
+import json
 
 import numpy as np
 import pytest
@@ -28,6 +35,7 @@ from repro.machine.noise import NoiseConfig, NoiseModel
 from repro.measure import (
     MODES,
     Measurement,
+    RawTrace,
     read_trace,
     trace_archive_bytes,
     write_trace,
@@ -35,7 +43,7 @@ from repro.measure import (
 from repro.measure import columnar, shards
 from repro.miniapps import MiniFE, MiniFEConfig
 from repro.sim import CostModel, Engine, recovery, run_with_recovery
-from repro.sim.events import Ev
+from repro.sim.events import BURST, ENTER, LEAVE, Ev, RegionRegistry
 from repro.sim.kernels import WorkDelta
 from repro.verify import find_races, sanitize_trace
 from tests.oracles import EvListMeasurement, HeapEngine, event_bits
@@ -110,7 +118,7 @@ class TestNoEventsOnColumnarPaths:
         runtime, _phases, profile = W._run_task("MiniFE-1", mode, 0, 0)
         assert runtime > 0 and profile.total_time() > 0
 
-    @pytest.mark.parametrize("suffix", [".npz", ".shards"])
+    @pytest.mark.parametrize("suffix", [".trace.json.gz", ".npz", ".shards"])
     def test_archive_read_replay_analysis(self, no_events, tmp_path, suffix):
         trace = _trace("ltbb")
         want = {m: timestamp_trace(trace, m, counter_seed=5) for m in MODES}
@@ -145,6 +153,87 @@ class TestNoEventsOnColumnarPaths:
         trace = Engine(_app(), cluster, _cost(cluster), sanitize=True,
                        measurement=Measurement("lt1")).run().trace
         assert trace.n_events > 0 and trace.column_backed
+
+
+def _interleave(lines):
+    """Records of a JSON-lines body, round-robin over their locations
+    (each location's own order kept)."""
+    by_loc = {}
+    for line in lines:
+        by_loc.setdefault(json.loads(line)[0], []).append(line)
+    queues = list(by_loc.values())
+    out = []
+    while any(queues):
+        out.extend(q.pop(0) for q in queues if q)
+    return out
+
+
+class TestArchivesOverColumns:
+    @pytest.mark.parametrize("suffix", [".trace.json.gz", ".npz", ".shards"])
+    def test_writing_keeps_the_trace_column_backed(self, tmp_path, suffix):
+        trace = _trace("ltbb")
+        cols = trace.columns()
+        write_trace(trace, tmp_path / f"t{suffix}")
+        trace_archive_bytes(trace)
+        assert trace.column_backed and trace.columns() is cols
+
+    @pytest.mark.parametrize("line_path", [False, True])
+    def test_interleaved_locations_read_back_location_major(self, tmp_path,
+                                                            line_path):
+        # the writer emits each location's records in one run; a reader
+        # meeting them interleaved (on the bulk path, or line by line
+        # where a trailing blank sends every chunk) reorders them stably
+        trace = _trace("ltbb")
+        want = trace_archive_bytes(trace)
+        header, *records = gzip.decompress(want).decode().splitlines(True)
+        mixed = _interleave(records)
+        assert mixed != records
+        if line_path:
+            mixed = [line[:-1] + " \n" for line in mixed]
+        path = tmp_path / "t.trace.json.gz"
+        path.write_bytes(gzip.compress((header + "".join(mixed)).encode()))
+        back = read_trace(path)
+        assert back.column_backed
+        assert trace_archive_bytes(back) == want
+        assert event_bits(back) == event_bits(trace)
+
+    @pytest.mark.parametrize("suffix", [".trace.json.gz", ".npz", ".shards"])
+    def test_empty_locations_round_trip(self, tmp_path, suffix):
+        regions = RegionRegistry()
+        rid = regions.intern("main", "user")
+        trace = RawTrace("lt1", regions, [(0, 0), (0, 1), (1, 0), (1, 1)], [
+            [Ev(ENTER, rid, 0.5), Ev(LEAVE, rid, 1.0, WorkDelta(bb=2.0))],
+            [],
+            [Ev(ENTER, rid, 0.25), Ev(LEAVE, rid, 2.0)],
+            []])
+        path = tmp_path / f"t{suffix}"
+        write_trace(trace, path)
+        back = read_trace(path)
+        assert back.column_backed
+        assert [len(lc) for lc in back.columns().locs] == [2, 0, 2, 0]
+        assert trace_archive_bytes(back) == trace_archive_bytes(trace)
+        assert event_bits(back) == event_bits(trace)
+
+    def test_non_finite_times_are_spelled_as_json_spells_them(self,
+                                                              tmp_path):
+        # repr would write nan/inf, which no JSON reader takes: such rows
+        # are dumped whole, and read back bit for bit
+        nan, inf = float("nan"), float("inf")
+        regions = RegionRegistry()
+        rid = regions.intern("main", "user")
+        trace = RawTrace("tsc", regions, [(0, 0)], [[
+            Ev(ENTER, rid, nan), Ev(BURST, rid, 1.0, t_enter=-inf),
+            Ev(LEAVE, rid, inf, WorkDelta(bb=2.0))]])
+        data = trace_archive_bytes(trace)
+        assert gzip.decompress(data).decode().splitlines()[1:] == [
+            json.dumps([0, ENTER, rid, nan, None, None, None]),
+            json.dumps([0, BURST, rid, 1.0, None, None, -inf]),
+            json.dumps([0, LEAVE, rid, inf, {"bb": 2.0}, None, None])]
+        path = tmp_path / "t.trace.json.gz"
+        path.write_bytes(data)
+        back = read_trace(path)
+        assert trace_archive_bytes(back) == data
+        assert event_bits(back) == event_bits(trace)
 
 
 class TestEventsTakeOwnership:

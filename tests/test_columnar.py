@@ -262,6 +262,25 @@ class TestSyncPlan:
         assert [d.message for d in sanitize_raw(trace)] == [
             "coll instance 7 has 3 member event(s) but group size 2"]
 
+    def test_conflicting_size_claims_close_where_the_oracles_close(self):
+        # the last arrival claims 2 after two claims of 3: its count
+        # reaches its claim, so the plan and the per-event oracles all
+        # close the group there
+        from repro.causal import build_dag
+        from tests.oracles import dag_nodes, walker_build_dag
+
+        def trace():
+            return _hand_trace([
+                [(ENTER, 0.5, None), (COLL_END, t, (7, size)), (LEAVE, 2.5, None)]
+                for t, size in ((1.0, 3), (1.5, 3), (2.0, 2))])
+
+        got = timestamp_trace(trace(), "lt1").times
+        want, _final = lamport_replay(trace(), "lt1")
+        assert [t.tolist() for t in got] == [t.tolist() for t in want] \
+            == [[1.0, 2.0, 3.0]] * 3
+        assert dag_nodes(build_dag(trace(), "lt1")) \
+            == dag_nodes(walker_build_dag(trace(), "lt1"))
+
     def test_group_max_lands_at_the_last_arrival(self):
         # location 0 records two events after its completion record and
         # before the group's last arrival: they keep their provisional

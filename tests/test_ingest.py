@@ -29,6 +29,7 @@ from repro.machine.noise import NoiseConfig, NoiseModel, ZeroNoise
 from repro.measure import (
     Measurement,
     TraceFormatError,
+    read_manifest,
     read_trace,
     trace_archive_bytes,
     write_trace,
@@ -479,6 +480,24 @@ class TestTraceFormatError:
         assert err.value.offset == f"line {k + 1}"
         assert "outside int64" in err.value.reason
 
+    def test_record_the_columns_cannot_hold(self, tmp_path, minife_trace):
+        # a null kind passes the record checks (no payload, no int to
+        # range-check) but has no int64 column value: the read refuses
+        # the archive, with no one line to blame
+        path = tmp_path / "t.trace.json.gz"
+        write_trace(minife_trace, path)
+        lines = gzip.decompress(path.read_bytes()).decode().splitlines(True)
+        k = next(k for k in range(1, len(lines))
+                 if json.loads(lines[k])[5] is None)
+        rec = json.loads(lines[k])
+        rec[1] = None
+        lines[k] = json.dumps(rec) + "\n"
+        path.write_bytes(gzip.compress("".join(lines).encode()))
+        with pytest.raises(TraceFormatError) as err:
+            read_trace(path)
+        assert err.value.offset is None
+        assert "ColumnarConversionError" in err.value.reason
+
     def test_columns_refuse_ints_outside_int64(self, minife_trace):
         from repro.clocks import timestamp_trace as stamp
         from repro.measure import ColumnarConversionError, RawTrace
@@ -519,6 +538,30 @@ class TestTraceFormatError:
         with pytest.raises(TraceFormatError) as err:
             read_trace(path)
         assert "not a repro trace archive" in str(err.value)
+
+    @pytest.mark.parametrize("suffix", [".trace.json.gz", ".npz"])
+    @pytest.mark.parametrize("header", [
+        ["repro-trace-1", "repro-trace-npz-1"],
+        {"format": "something-else", "provenance": {"kind": "run"}},
+    ], ids=["list", "foreign-tag"])
+    def test_header_not_of_this_format(self, tmp_path, suffix, header):
+        # read_manifest checks the header as read_trace does: a header
+        # that is not an object, or carries another format's tag, is
+        # refused at the header, never answered with its provenance
+        import numpy as np
+
+        path = tmp_path / f"t{suffix}"
+        text = json.dumps(header).encode()
+        if suffix == ".npz":
+            np.savez_compressed(path, header=np.frombuffer(text, np.uint8))
+        else:
+            path.write_bytes(gzip.compress(text + b"\n"))
+        for read in (read_manifest, read_trace):
+            with pytest.raises(TraceFormatError) as err:
+                read(path)
+            assert err.value.offset == ("header" if suffix == ".npz"
+                                        else "line 1")
+            assert "not a" in err.value.reason
 
     def test_corrupt_npz(self, tmp_path, minife_trace):
         path = tmp_path / "t.npz"

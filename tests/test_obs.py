@@ -419,6 +419,33 @@ class TestObsCli:
         assert main_obs(["diff", str(archive), str(tmp_path / "same.json")]) == 0
         assert main_obs(["diff", str(archive), str(tmp_path / "other.json")]) == 1
 
+    @pytest.mark.parametrize("name", ["list.json", "list.trace.json.gz"])
+    def test_diff_refuses_a_header_that_is_not_an_object(self, archive,
+                                                          tmp_path, name):
+        import gzip
+
+        from repro.cli import main_obs
+
+        bad = tmp_path / name
+        text = json.dumps([obs.MANIFEST_FORMAT]).encode()
+        bad.write_bytes(gzip.compress(text) if name.endswith(".gz") else text)
+        with pytest.raises(SystemExit) as exc:
+            main_obs(["diff", str(archive), str(bad)])
+        assert exc.value.code == 2
+
+    def test_diff_reads_a_shards_archive(self, archive, tmp_path):
+        from repro.cli import main_obs
+        from repro.measure import RawTrace, write_trace
+        from repro.sim.events import ENTER, LEAVE, Ev, RegionRegistry
+
+        regions = RegionRegistry()
+        rid = regions.intern("main", "user")
+        trace = RawTrace("tsc", regions, [(0, 0)],
+                         [[Ev(ENTER, rid, 0.5), Ev(LEAVE, rid, 1.0)]])
+        same = obs.build_manifest("experiment", {"experiment": "X", "seed": 0})
+        write_trace(trace, tmp_path / "t.shards", manifest=same)
+        assert main_obs(["diff", str(archive), str(tmp_path / "t.shards")]) == 0
+
     def test_report_summary_block_per_experiment(self, tiny_obs_experiment):
         session = obs.enable()
         try:

@@ -21,12 +21,15 @@ invariants that every component of the pipeline relies on:
   trace and on a multi-shard archive) and ``build_dag``, whose DAG equals
   the per-event DAG walker's node for node -- on plain programs and on
   recovered fault runs with restart groups, wildcards and checkpoints,
+* JSON-lines, npz and multi-shard ``.shards`` archives read a trace
+  back bit for bit and column-backed, and re-encode to its JSON-lines
+  bytes -- on plain programs and on recovered fault runs,
 * the sanitizer and the race detector report what their per-event
   walkers report, list for list and witnesses included, on generated
   and recovered runs with OpenMP shared writes; the sanitizer also on
   traces with one event dropped, duplicated, swapped, moved back in time
-  or re-labelled (and there, where size claims agree, the replay and the
-  race detector too), and ``check_timestamps`` on one forged timestamp.
+  or re-labelled (and there the replay and the race detector too), and
+  ``check_timestamps`` on one forged timestamp.
 
 A last property pins the NumPy merged order to the heap merge it
 replaced, kept here as the test oracle.
@@ -50,7 +53,13 @@ from repro.experiments.faultsweep import default_fault_config
 from repro.machine import small_test_cluster
 from repro.machine.faults import FaultModel
 from repro.machine.noise import NoiseConfig, NoiseModel
-from repro.measure import MODES, Measurement
+from repro.measure import (
+    MODES,
+    Measurement,
+    read_trace,
+    trace_archive_bytes,
+    write_trace,
+)
 from repro.measure.shards import open_sharded_trace, write_sharded_trace
 from repro.scoring import jaccard_metric_callpath
 from repro.sim.events import (
@@ -320,6 +329,54 @@ def test_replay_plan_matches_per_event_walk_after_recovery(steps, seed,
 
 
 # ---------------------------------------------------------------------------
+# archive round-trips
+# ---------------------------------------------------------------------------
+
+def _assert_archives_round_trip(trace):
+    """JSON-lines, npz and a multi-shard ``.shards`` archive each read
+    ``trace`` back exactly, as columns, and re-encode to its bytes."""
+    want = trace_archive_bytes(trace)
+    backs = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for suffix in (".trace.json.gz", ".npz", ".shards"):
+            path = Path(tmp) / f"t{suffix}"
+            if suffix == ".shards":
+                write_sharded_trace(trace, path,
+                                    shard_events=max(1, trace.n_events // 3))
+                assert open_sharded_trace(path).n_shards >= 3
+            else:
+                write_trace(trace, path)
+            back = read_trace(path)
+            assert back.column_backed
+            assert trace_archive_bytes(back) == want
+            backs.append(back)
+    assert trace.column_backed
+    bits = event_bits(trace)
+    for back in backs:
+        assert event_bits(back) == bits
+
+
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(program_strategy, st.integers(min_value=0, max_value=100),
+       st.sampled_from(MODES))
+def test_archives_round_trip(steps, seed, mode):
+    _assert_archives_round_trip(_run(steps, seed, mode).trace)
+
+
+@settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(fault_program_strategy, st.integers(min_value=0, max_value=100),
+       st.integers(min_value=0, max_value=1000), st.sampled_from(MODES))
+def test_archives_round_trip_after_recovery(steps, seed, fault_seed, mode):
+    cluster = _cluster()
+    trace = run_with_recovery(
+        RandomProgram(steps), cluster,
+        lambda: CostModel(cluster, noise=NoiseModel(NoiseConfig(), seed=seed)),
+        FaultModel(_FAULTS, seed=fault_seed),
+        measurement=Measurement(mode)).result.trace
+    _assert_archives_round_trip(trace)
+
+
+# ---------------------------------------------------------------------------
 # the sanitizer and the race detector
 # ---------------------------------------------------------------------------
 
@@ -435,13 +492,11 @@ def test_sanitizer_matches_walker_on_mutated_traces(steps, seed, fault_seed,
     got = sanitize_raw(trace, got_cut)  # converts the edited events
     assert _findings(got) == _findings(walker_sanitize_raw(trace, want_cut))
     assert got_cut == want_cut
-    if mutation != "size":
-        # the replay and the race detector follow their walkers wherever
-        # the size claims agree (on a conflicting claim the walkers close
-        # a group at exactly the claim, the plan at reaching it)
-        assert _replayed(lambda: timestamp_trace(trace, "lt1").times) \
-            == _replayed(lambda: lamport_replay(trace, "lt1")[0])
-        assert _races(find_races(trace)) == _races(walker_find_races(trace))
+    # the replay and the race detector follow their walkers, conflicting
+    # size claims included: all close a group when it reaches the claim
+    assert _replayed(lambda: timestamp_trace(trace, "lt1").times) \
+        == _replayed(lambda: lamport_replay(trace, "lt1")[0])
+    assert _races(find_races(trace)) == _races(walker_find_races(trace))
 
 
 def _replayed(replay):

@@ -24,7 +24,7 @@ from repro.experiments.workflow import (
     run_experiment,
 )
 from repro.measure import MODES
-from repro.measure.io import atomic_write_bytes, atomic_write_text
+from repro.measure.io import atomic_write_bytes, atomic_write_text, quarantine
 
 
 @pytest.fixture
@@ -253,13 +253,13 @@ class TestCorruptionQuarantine:
         for i in range(3):
             victim = tmp_path / "state.json"
             victim.write_text(f"garbage {i}")
-            W._quarantine(victim)
+            quarantine(victim)
         names = sorted(p.name for p in tmp_path.iterdir())
         assert names == ["state.json.corrupt-0", "state.json.corrupt-1",
                          "state.json.corrupt-2"]
 
     def test_quarantine_missing_file_is_noop(self, tmp_path):
-        assert W._quarantine(tmp_path / "never-existed") is None
+        assert quarantine(tmp_path / "never-existed") is None
 
 
 class TestAtomicWrites:
