@@ -14,8 +14,10 @@ serving design's load-bearing claims end to end:
 * **bit-identity** -- the served bytes equal
   ``serialize_result(run_experiment(...))`` computed directly;
 * **quota** -- a tenant with a tiny bucket gets ``429`` + Retry-After;
-* **analysis** -- an uploaded trace answers blame/replay requests, warm
-  on repeat.
+* **analysis** -- an uploaded trace answers blame requests, warm on
+  repeat; replay under two modes and a what-if on the same upload (a
+  pool worker keeps the trace it decoded for the blame) answer the bytes
+  ``execute_analysis_job`` computes cold in this process.
 
 Artifacts left for upload: ``serve_load.json`` (the load report) and
 ``serve_metrics.json`` (the service's obs snapshot).
@@ -133,6 +135,21 @@ async def main() -> int:
         check("repeated analysis warm",
               again.headers.get("x-repro-cache") == "hit")
         check("repeated analysis byte-identical", again.body == blame.body)
+
+        # -- later ops on the upload: served == cold in-process job ---------
+        from repro.serve import jobs as J
+
+        stored = str(service._trace_path(up["hash"]))
+        for op, params in (("replay", {"mode": "lt1"}),
+                           ("replay", {"mode": "lthwctr", "counter_seed": 3}),
+                           ("whatif", {"mode": "ltbb",
+                                       "scale": {"matvec": 0.5}})):
+            served = await client.analyze(op, up["hash"], params=params)
+            J._TRACES.clear()
+            cold = J.execute_analysis_job(op, stored,
+                                          dict(params, trace=up["hash"]))
+            check(f"{op} {params} as computed cold",
+                  served.status == 200 and served.body == cold)
 
         # -- artifacts ------------------------------------------------------
         Path("serve_load.json").write_text(

@@ -10,7 +10,7 @@ figure without re-simulating.
 """
 
 from repro.experiments.configs import EXPERIMENTS, experiment_names, make_app, make_cluster
-from repro.experiments.workflow import ExperimentResult, run_experiment, clear_cache
+from repro.experiments.workflow import ExperimentResult, run_experiment
 from repro.experiments.faultsweep import (
     FaultSweepResult,
     run_fault_sweep,
@@ -26,7 +26,6 @@ __all__ = [
     "make_cluster",
     "ExperimentResult",
     "run_experiment",
-    "clear_cache",
     "FaultSweepResult",
     "run_fault_sweep",
     "trace_fingerprint",

@@ -8,7 +8,7 @@ the numbers and print the same rows/series the paper reports.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -34,10 +34,6 @@ __all__ = [
     "fig9_lulesh1_comp_and_delay",
     "callpath_shares",
 ]
-
-
-def _labels(modes: Sequence[str] = MODES) -> List[str]:
-    return [MODE_LABELS[m] for m in modes]
 
 
 # ---------------------------------------------------------------------------

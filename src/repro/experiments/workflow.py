@@ -90,7 +90,6 @@ __all__ = [
     "serialize_result",
     "deserialize_result",
     "result_document",
-    "clear_cache",
     "CACHE_VERSION",
     "RESULT_FORMAT",
 ]
@@ -769,11 +768,6 @@ def _cache_path(name: str, seed: int) -> Path:
 def _runs_dir(name: str, seed: int) -> Path:
     """Per-run checkpoints of an unfinished campaign (resume support)."""
     return _CACHE_DIR / f"v{CACHE_VERSION}-{name}-s{seed}.runs"
-
-
-def clear_cache() -> None:
-    """Delete all cached experiment results."""
-    shutil.rmtree(_CACHE_DIR, ignore_errors=True)
 
 
 def _store(result: ExperimentResult, path: Path,

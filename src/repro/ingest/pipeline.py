@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import gzip
 import io as _stdio
-import json
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
@@ -209,10 +208,3 @@ def _quarantine_path(path: Path) -> Optional[str]:
 
     moved = quarantine(path)
     return str(moved) if moved is not None else None
-
-
-def report_json(result_or_error) -> str:
-    """The ingest report of a result *or* error, as one JSON document."""
-    report = (result_or_error.report
-              if hasattr(result_or_error, "report") else result_or_error)
-    return json.dumps(report.to_dict(), indent=2, sort_keys=True)

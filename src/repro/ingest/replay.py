@@ -17,7 +17,7 @@ Two replay surfaces, matching the two things ingestion can produce:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.clocks.base import timestamp_trace
 from repro.machine.noise import NoiseConfig, NoiseModel, ZeroNoise
@@ -27,8 +27,7 @@ from repro.measure.trace import RawTrace
 from repro.sim import CostModel
 from repro.sim.engine import Engine
 
-__all__ = ["replay_clock_finals", "replay_program", "make_replay_cluster",
-           "clock_finals_by_location"]
+__all__ = ["replay_clock_finals", "replay_program", "make_replay_cluster"]
 
 
 def replay_clock_finals(trace: RawTrace, mode: Optional[str] = None,
@@ -80,10 +79,3 @@ def replay_program(
                     sanitize=sanitize and measurement is not None,
                     faults=faults)
     return engine.run()
-
-
-def clock_finals_by_location(trace: RawTrace, modes,
-                             counter_seed: int = 0) -> Dict[str, List[float]]:
-    """``{mode: finals}`` for each requested mode (convenience helper)."""
-    return {mode: replay_clock_finals(trace, mode, counter_seed)
-            for mode in modes}

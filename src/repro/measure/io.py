@@ -90,7 +90,7 @@ __all__ = [
     "archive_hash",
     "archive_suffix",
     "store_archive_bytes",
-    "iter_file_chunks",
+    "decode_trace",
 ]
 
 
@@ -175,17 +175,6 @@ def store_archive_bytes(data: bytes, dest_dir: Union[str, Path],
         obs.counter("io.archives_uploaded").inc()
         obs.counter("io.bytes_written", format="upload").add(len(data))
     return digest, path
-
-
-def iter_file_chunks(path: Union[str, Path],
-                     chunk_size: int = 1 << 16):
-    """Stream a file's bytes in bounded chunks (archive downloads)."""
-    with open(path, "rb") as fh:
-        while True:
-            chunk = fh.read(chunk_size)
-            if not chunk:
-                return
-            yield chunk
 
 
 def atomic_write_bytes(path: Union[str, Path], data: bytes) -> None:
@@ -355,11 +344,35 @@ def read_trace(path: Union[str, Path]) -> RawTrace:
 
         with obs.span("io.read_trace", format="shards"):
             return open_sharded_trace(path).to_raw()
-    with obs.span("io.read_trace", format=fmt):
-        trace = (_read_trace_npz(path) if fmt == "npz"
-                 else _read_trace_jsonl(path))
-    obs.counter("io.traces_read", format=fmt).inc()
+    trace = _decode(path, fmt, path)
     obs.counter("io.bytes_read", format=fmt).add(path.stat().st_size)
+    return trace
+
+
+def decode_trace(data: bytes, path: Union[str, Path]) -> RawTrace:
+    """The trace :func:`read_trace` would read from ``path`` if the file
+    held ``data``: the bytes of a JSON-lines or npz archive, decoded
+    without touching the file (``path`` names the format and the errors'
+    archive).  For callers that must decode exactly the bytes they
+    hashed, such as the serving layer's trace cache.
+    """
+    path = Path(path)
+    fmt = _format_of(path)
+    if fmt == "shards":
+        raise TraceFormatError(path, "a sharded archive is a directory, "
+                               "not one byte blob")
+    trace = _decode(path, fmt, io.BytesIO(data))
+    obs.counter("io.bytes_read", format=fmt).add(len(data))
+    return trace
+
+
+def _decode(path: Path, fmt: str, source) -> RawTrace:
+    """Decode a JSON-lines or npz archive from ``source`` (``path`` itself
+    or a file object holding its bytes)."""
+    with obs.span("io.read_trace", format=fmt):
+        trace = (_read_trace_npz if fmt == "npz"
+                 else _read_trace_jsonl)(path, source)
+    obs.counter("io.traces_read", format=fmt).inc()
     return trace
 
 
@@ -470,10 +483,10 @@ def _jsonl_records(loc: int, lc: LocationColumns,
     return lines
 
 
-def _read_trace_jsonl(path: Path) -> RawTrace:
+def _read_trace_jsonl(path: Path, source) -> RawTrace:
     lineno = 0
     try:
-        with gzip.open(path, "rt", encoding="utf-8") as fh:
+        with gzip.open(source, "rt", encoding="utf-8") as fh:
             lineno = 1
             header = json.loads(fh.readline())
             regions, locations = parse_header(path, header, "jsonl")
@@ -549,23 +562,25 @@ def _load_records(path: Path, lines: List[str], last_lineno: int,
         field.extend(values)
 
 
-#: JSON types allowed for the scalar event fields on the bulk path
+#: JSON types allowed for the event times on the bulk path
 _SCALARS = {int, float, bool, type(None)}
 
 
 def _bulk_fields(recs: list, n_lines: int, n_loc: int) -> Optional[tuple]:
     """The seven field columns of a decoded chunk, or ``None`` unless it
     qualifies for the bulk path: one 7-field record per line, locations
-    in range, scalar fields, deltas as dicts of float fields, aux
-    payloads that fit their kinds (one int, a pair of ints, or null), and
-    integer region ids and payloads inside int64."""
+    in range, int kinds and region ids (a float or bool would be
+    truncated into the int64 columns), scalar times, deltas as dicts of
+    float fields, aux payloads that fit their kinds (one int, a pair of
+    ints, or null), and region ids and payloads inside int64."""
     if len(recs) != n_lines or set(map(type, recs)) != {list} \
             or set(map(len, recs)) != {7}:
         return None
     fields = locs, ets, rgs, ts, ds, auxs, tes = tuple(zip(*recs))
     if set(map(type, locs)) != {int} or min(locs) < 0 or max(locs) >= n_loc:
         return None
-    if not set(map(type, chain(ets, rgs, ts, tes))) <= _SCALARS:
+    if set(map(type, chain(ets, rgs))) != {int} \
+            or not set(map(type, chain(ts, tes))) <= _SCALARS:
         return None
     dicts = [d for d in ds if d]
     if not (set(map(type, ds)) <= {dict, type(None)}
@@ -598,8 +613,12 @@ _AUX_ARITY_OF = {type(None): 0, int: 1, list: 2}
 
 
 def _check_record(etype, region, aux) -> None:
-    """``ValueError`` unless ``aux`` fits ``etype`` in the kind table and
-    the record's integers fit the int64 columns."""
+    """``ValueError`` unless ``etype`` and ``region`` are ints, ``aux``
+    fits ``etype`` in the kind table and the record's integers fit the
+    int64 columns."""
+    if type(etype) is not int or type(region) is not int:
+        raise ValueError(f"event kind {etype!r} and region {region!r} must "
+                         "be integers")
     arity = AUX_ARITY.get(etype, 0)
     if arity == 0:
         ok = aux is None
@@ -611,10 +630,8 @@ def _check_record(etype, region, aux) -> None:
     if not ok:
         raise ValueError(f"payload {aux!r} does not fit event kind {etype!r}")
     ints = (aux,) if arity == 1 else aux if arity == 2 else ()
-    if type(region) is int:
-        ints = (region, *ints)
     try:
-        array("q", ints)
+        array("q", (region, *ints))
     except OverflowError:
         raise ValueError(f"region {region!r} or payload {aux!r} holds an "
                          "integer outside int64") from None
@@ -661,10 +678,10 @@ def _write_trace_npz(trace: RawTrace, path: Path,
     atomic_write_bytes(path, buf.getvalue())
 
 
-def _read_trace_npz(path: Path) -> RawTrace:
+def _read_trace_npz(path: Path, source) -> RawTrace:
     member = "header"
     try:
-        with np.load(path) as data:
+        with np.load(source) as data:
             header = json.loads(bytes(data["header"]).decode("utf-8"))
             regions, locations = parse_header(path, header, "npz")
             member = "offsets"

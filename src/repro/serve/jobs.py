@@ -16,17 +16,26 @@ trace hashes, mode, edits, package/cache versions) is hashed through
 :func:`repro.obs.build_manifest` with kind ``"serve.analysis"``; the
 resulting manifest rides in the response document so clients can trace
 any served artifact back to its inputs.
+
+A worker keeps state across analysis jobs: the traces it decoded, in a
+per-process LRU keyed by the sha256 of the archive bytes (see
+:class:`_TraceCache`), so a repeat analysis of an upload reuses the
+decoded columns and the plans compiled on them.
 """
 
 from __future__ import annotations
 
 import os
 import traceback
+from collections import OrderedDict
 from pathlib import Path
 from typing import Optional
 
+from repro import obs
+
 __all__ = [
     "ANALYSIS_OPS",
+    "TRACE_CACHE_EVENTS",
     "analysis_manifest",
     "execute_experiment_job",
     "execute_analysis_job",
@@ -35,10 +44,15 @@ __all__ = [
 #: analysis operations the service accepts on uploaded trace archives
 ANALYSIS_OPS = ("blame", "replay", "score", "whatif")
 
+#: events of decoded traces one process keeps between analysis jobs: a
+#: decoded trace with its sync, replay and analysis plans compiled holds
+#: 210-260 bytes per event, so 21-26 MiB (docs/serving.md, "Pool workers
+#: keep decoded traces")
+TRACE_CACHE_EVENTS = 100_000
+
 
 def analysis_manifest(op: str, params: dict) -> dict:
     """Provenance manifest (hence content address) of one analysis job."""
-    from repro import obs
     from repro.experiments.workflow import CACHE_VERSION
 
     config = {
@@ -124,10 +138,61 @@ def execute_analysis_job(op: str, archive_path: str, params: dict,
 # ---------------------------------------------------------------------------
 
 
-def _load_trace(path: str):
-    from repro.measure import read_trace
+class _TraceCache:
+    """LRU of decoded traces, keyed by the sha256 of their archive bytes
+    (:func:`repro.measure.io.archive_hash`, an upload's content address)
+    and bounded by ``max_events`` events in all.
 
-    return read_trace(path)
+    :meth:`load` reads and hashes the file's bytes on every call and, on
+    a miss, decodes exactly those bytes: an archive replaced or rewritten
+    in place is decoded afresh, and one that fails to decode is never
+    kept.  A hit returns the same column-backed trace, with the plans
+    memoized on its columns; no op converts or edits a trace, which the
+    event budget relies on.  A trace over the budget is never kept.  A
+    pool worker runs one job at a time, so there is no lock.
+    """
+
+    def __init__(self, max_events: int) -> None:
+        self.max_events = max_events
+        self.events = 0
+        self._traces: OrderedDict = OrderedDict()
+
+    def load(self, path: str):
+        from repro.measure.io import TraceFormatError, archive_hash, decode_trace
+
+        try:
+            data = Path(path).read_bytes()
+        except OSError as exc:
+            raise TraceFormatError(
+                path, f"unreadable archive: {type(exc).__name__}: {exc}"
+            ) from exc
+        key = archive_hash(data)
+        trace = self._traces.get(key)
+        if trace is not None:
+            self._traces.move_to_end(key)
+            obs.counter("serve.trace_cache", result="hit").inc()
+            return trace
+        obs.counter("serve.trace_cache", result="miss").inc()
+        trace = decode_trace(data, path)
+        if trace.n_events <= self.max_events:
+            self._traces[key] = trace
+            self.events += trace.n_events
+            while self.events > self.max_events:
+                _key, old = self._traces.popitem(last=False)
+                self.events -= old.n_events
+                obs.counter("serve.trace_cache", result="evict").inc()
+        return trace
+
+    def clear(self) -> None:
+        self._traces.clear()
+        self.events = 0
+
+
+_TRACES = _TraceCache(TRACE_CACHE_EVENTS)
+
+
+def _load_trace(path: str):
+    return _TRACES.load(path)
 
 
 def _op_replay(archive_path: str, params: dict, _extra) -> dict:

@@ -61,7 +61,7 @@ from repro.verify.dryrun import (
 from repro.verify.fixtures import FIXTURES, fixture_names, make_fixture
 from repro.verify.linter import LintReport, lint_program
 from repro.verify.races import RaceReport, find_races
-from repro.verify.rules import RULES, Rule, Severity, get_rule, rule
+from repro.verify.rules import RULES, Rule, Severity, rule
 from repro.verify.sanitizer import (
     SanitizeReport,
     check_timestamps,
@@ -93,7 +93,6 @@ __all__ = [
     "find_races",
     "fixture_names",
     "format_diagnostics",
-    "get_rule",
     "has_errors",
     "lint_program",
     "make_fixture",

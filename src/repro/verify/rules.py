@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
-__all__ = ["Severity", "Rule", "RULES", "rule", "get_rule"]
+__all__ = ["Severity", "Rule", "RULES", "rule"]
 
 
 class Severity:
@@ -72,13 +72,6 @@ def rule(rule_id: str, severity: str, summary: str, hint: str = "") -> Rule:
     r = Rule(rule_id, severity, summary, hint)
     RULES[rule_id] = r
     return r
-
-
-def get_rule(rule_id: str) -> Rule:
-    try:
-        return RULES[rule_id]
-    except KeyError:
-        raise KeyError(f"unknown rule id {rule_id!r}; known: {sorted(RULES)}") from None
 
 
 # ---------------------------------------------------------------------------

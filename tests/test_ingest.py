@@ -481,22 +481,50 @@ class TestTraceFormatError:
         assert "outside int64" in err.value.reason
 
     def test_record_the_columns_cannot_hold(self, tmp_path, minife_trace):
-        # a null kind passes the record checks (no payload, no int to
-        # range-check) but has no int64 column value: the read refuses
-        # the archive, with no one line to blame
+        # a string timestamp passes the record checks (they check kinds,
+        # regions and payloads) but has no float64 column value: the read
+        # refuses the archive, with no one line to blame
         path = tmp_path / "t.trace.json.gz"
         write_trace(minife_trace, path)
         lines = gzip.decompress(path.read_bytes()).decode().splitlines(True)
         k = next(k for k in range(1, len(lines))
                  if json.loads(lines[k])[5] is None)
         rec = json.loads(lines[k])
-        rec[1] = None
+        rec[3] = "soon"
         lines[k] = json.dumps(rec) + "\n"
         path.write_bytes(gzip.compress("".join(lines).encode()))
         with pytest.raises(TraceFormatError) as err:
             read_trace(path)
         assert err.value.offset is None
         assert "ColumnarConversionError" in err.value.reason
+
+    @pytest.mark.parametrize("field, value", [
+        ("kind", 0.9), ("kind", True), ("kind", None), ("region", 2.5),
+        ("region", False)])
+    @pytest.mark.parametrize("line_path", [False, True])
+    def test_kind_or_region_not_an_int(self, tmp_path, minife_trace, field,
+                                       value, line_path):
+        # The int64 columns would truncate a float or bool kind or region
+        # (a kind of 0.9 read back as ENTER, true as LEAVE): the reader
+        # refuses the record at its line, whether its chunk first meets
+        # the bulk path or goes line by line (trailing blank).
+        from repro.measure.io import _bulk_fields
+
+        path = tmp_path / "t.trace.json.gz"
+        write_trace(minife_trace, path)
+        lines = gzip.decompress(path.read_bytes()).decode().splitlines(True)
+        k = next(k for k in range(1, len(lines))
+                 if json.loads(lines[k])[5] is None)
+        rec = json.loads(lines[k])
+        assert _bulk_fields([rec], 1, minife_trace.n_locations) is not None
+        rec[1 if field == "kind" else 2] = value
+        assert _bulk_fields([rec], 1, minife_trace.n_locations) is None
+        lines[k] = json.dumps(rec) + (" \n" if line_path else "\n")
+        path.write_bytes(gzip.compress("".join(lines).encode()))
+        with pytest.raises(TraceFormatError) as err:
+            read_trace(path)
+        assert err.value.offset == f"line {k + 1}"
+        assert "must be integers" in err.value.reason
 
     def test_columns_refuse_ints_outside_int64(self, minife_trace):
         from repro.clocks import timestamp_trace as stamp

@@ -24,6 +24,9 @@ invariants that every component of the pipeline relies on:
 * JSON-lines, npz and multi-shard ``.shards`` archives read a trace
   back bit for bit and column-backed, and re-encode to its JSON-lines
   bytes -- on plain programs and on recovered fault runs,
+* every serve analysis job answers the same bytes on a trace the job
+  process decoded before (its plans compiled by other jobs) as on a
+  fresh decode,
 * the sanitizer and the race detector report what their per-event
   walkers report, list for list and witnesses included, on generated
   and recovered runs with OpenMP shared writes; the sanitizer also on
@@ -374,6 +377,38 @@ def test_archives_round_trip_after_recovery(steps, seed, fault_seed, mode):
         FaultModel(_FAULTS, seed=fault_seed),
         measurement=Measurement(mode)).result.trace
     _assert_archives_round_trip(trace)
+
+
+# ---------------------------------------------------------------------------
+# the serve jobs' trace cache
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(program_strategy, st.integers(min_value=0, max_value=100),
+       st.sampled_from(MODES), st.sampled_from([".trace.json.gz", ".npz"]))
+def test_serve_ops_same_bytes_warm_and_cold(steps, seed, mode, suffix):
+    from repro.serve import jobs as J
+
+    jobs = [("replay", {"mode": m, "counter_seed": seed}) for m in MODES]
+    jobs += [("blame", {}), ("score", {}),
+             ("whatif", {"mode": "ltbb", "scale": {f"step0_{steps[0]}": 1.5}})]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / f"t{suffix}")
+        write_trace(_run(steps, seed, mode).trace, path)
+
+        def run(op, params):
+            return J.execute_analysis_job(op, path, params,
+                                          path if op == "score" else None)
+
+        try:
+            cold = []
+            for job in jobs:
+                J._TRACES.clear()
+                cold.append(run(*job))
+            J._TRACES.clear()
+            assert [run(*job) for job in jobs + jobs] == cold + cold
+        finally:
+            J._TRACES.clear()
 
 
 # ---------------------------------------------------------------------------

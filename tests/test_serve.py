@@ -7,7 +7,10 @@ via obs counters), served bytes are bit-identical to a direct
 process pool, quota rejections answer 429 + Retry-After and recover,
 the bounded queue sheds expensive requests before cheap ones with 503,
 and the offline workflow shares the same store: max-bytes LRU eviction,
-cross-process single-flight leases, staging-dir sweeping.
+cross-process single-flight leases, staging-dir sweeping.  The last
+section covers the analysis jobs' per-process trace cache: the same
+bytes cold and warm, a cached trace never converted or edited, keys
+that follow the archive's bytes, the event budget and its counters.
 """
 
 import asyncio
@@ -709,6 +712,50 @@ class TestIngestHardening:
         assert resp.status == 400
         assert "malformed trace archive" in resp.json()["error"]
 
+    def test_upload_with_non_int_kind_or_region_400_and_quarantined(
+            self, tmp_path, session):
+        # a float or bool kind or region would be truncated into the int64
+        # columns (0.9 read back as ENTER): the upload is refused instead
+        import gzip
+
+        from repro.measure import write_trace
+
+        f1 = tmp_path / "a.trace.json.gz"
+        write_trace(_make_trace("ltbb", seed=1), f1)
+        lines = gzip.decompress(f1.read_bytes()).decode().splitlines(True)
+        k = next(k for k in range(1, len(lines))
+                 if json.loads(lines[k])[5] is None)
+        uploads = []
+        for field, value in ((1, 0.9), (1, True), (2, 2.5)):
+            rec = json.loads(lines[k])
+            rec[field] = value
+            bad = lines[:k] + [json.dumps(rec) + "\n"] + lines[k + 1:]
+            uploads.append(gzip.compress("".join(bad).encode()))
+
+        async def main():
+            svc = _service(tmp_path)
+            await svc.start()
+            try:
+                from repro.serve.client import http_request
+
+                resps = [await http_request(
+                    "127.0.0.1", svc.port, "PUT", "/v1/traces", body=body,
+                    headers={"X-Archive-Name": "u.trace.json.gz"})
+                    for body in uploads]
+                root = svc.store.root
+            finally:
+                await svc.stop()
+            return resps, root
+
+        resps, root = asyncio.run(main())
+        for resp in resps:
+            assert resp.status == 400
+            assert f"line {k + 1}" in resp.json()["detail"]
+            assert resp.headers.get("x-repro-quarantine")
+        assert len(list(root.glob("*.corrupt-*"))) == 3
+        assert not list(root.glob("cas-*-trace.trace.json.gz"))
+        assert _total(session, "serve.upload_rejects") == 3.0
+
     def test_ingest_accept_chrome_then_analyze(self, tmp_path, session):
         from repro.obs.export import trace_chrome_events
         from repro.serve.client import http_request
@@ -798,3 +845,164 @@ class TestIngestHardening:
         assert any(d["rule"].startswith("ING")
                    for d in doc["report"]["rejections"])
         assert list(root.glob("*.corrupt-*"))
+
+
+# ---------------------------------------------------------------------------
+# the analysis jobs' per-process trace cache
+# ---------------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def minife1_traces():
+    """Two MiniFE-1 runs (ltbb, noise seeds 1 and 2)."""
+    from repro.experiments.configs import make_app, make_cluster
+    from repro.machine.noise import NoiseConfig, NoiseModel
+    from repro.measure import Measurement
+    from repro.sim import CostModel, Engine
+
+    cluster = make_cluster("MiniFE-1")
+    return [Engine(make_app("MiniFE-1"), cluster,
+                   CostModel(cluster, noise=NoiseModel(NoiseConfig(),
+                                                       seed=seed)),
+                   measurement=Measurement("ltbb")).run().trace
+            for seed in (1, 2)]
+
+
+@pytest.fixture
+def trace_cache():
+    """The process's trace cache, empty before and after the test."""
+    from repro.serve import jobs as J
+
+    J._TRACES.clear()
+    yield J._TRACES
+    J._TRACES.clear()
+
+
+def _columns_digest(trace):
+    import hashlib
+
+    from repro.measure.columnar import COLUMN_FIELDS
+
+    cols = trace.columns()
+    h = hashlib.sha256(cols.offsets().tobytes())
+    for f in COLUMN_FIELDS:
+        h.update(cols.column(f).tobytes())
+    return h.hexdigest()
+
+
+def _cached(path):
+    from repro.measure.io import archive_hash
+    from repro.serve import jobs as J
+
+    return J._TRACES._traces.get(archive_hash(path.read_bytes()))
+
+
+class TestTraceCache:
+    @pytest.mark.parametrize("suffix", [".trace.json.gz", ".npz"])
+    def test_ops_answer_the_same_bytes_cold_and_warm(
+            self, tmp_path, minife1_traces, trace_cache, suffix):
+        from repro.measure import MODES, write_trace
+        from repro.serve.jobs import execute_analysis_job
+
+        a, b = tmp_path / f"a{suffix}", tmp_path / f"b{suffix}"
+        write_trace(minife1_traces[0], a)
+        write_trace(minife1_traces[1], b)
+        jobs = [("replay", {"mode": m, "counter_seed": cs}, None)
+                for m in MODES for cs in (0, 7)]
+        jobs += [("blame", {"mode": "ltbb", "top": 5}, None),
+                 ("score", {"mode": "lt1"}, b),
+                 ("score", {}, a),
+                 ("whatif", {"mode": "ltstmt", "scale": {"matvec": 0.5},
+                             "drop": ["dot"]}, None)]
+
+        def run(op, params, extra):
+            return execute_analysis_job(op, str(a), params,
+                                        None if extra is None else str(extra))
+
+        cold = []
+        for job in jobs:
+            trace_cache.clear()
+            cold.append(run(*job))
+        trace_cache.clear()
+        first = run(*jobs[0])
+        cached = _cached(a)
+        digest = _columns_digest(cached)
+        # every op after the first, then all of them again, reads the
+        # cached trace with the plans the ops before it compiled; none
+        # converts or edits it
+        warm = [first]
+        for job in jobs[1:] + jobs:
+            warm.append(run(*job))
+            assert _cached(a) is cached
+            assert cached.column_backed
+            assert _columns_digest(cached) == digest
+        assert warm == cold + cold
+
+    def test_replaced_or_rewritten_archive_decoded_afresh(
+            self, tmp_path, minife1_traces, trace_cache):
+        from repro.measure import TraceFormatError, write_trace
+        from repro.serve import jobs as J
+
+        path = tmp_path / "u.trace.json.gz"
+        other = tmp_path / "v.trace.json.gz"
+        write_trace(minife1_traces[0], path)
+        write_trace(minife1_traces[1], other)
+        first = J._load_trace(str(path))
+        assert J._load_trace(str(path)) is first
+        os.replace(other, path)
+        second = J._load_trace(str(path))
+        assert second is not first
+        assert _columns_digest(second) == _columns_digest(minife1_traces[1])
+        # the same size and mtime, one bit flipped: a path-and-stat key
+        # would serve the old decode
+        st = path.stat()
+        blob = bytearray(path.read_bytes())
+        blob[len(blob) // 2] ^= 0x01
+        path.write_bytes(bytes(blob))
+        os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns))
+        assert path.stat().st_size == st.st_size
+        for _ in range(2):
+            with pytest.raises(TraceFormatError):
+                J._load_trace(str(path))
+            with pytest.raises(TraceFormatError):
+                J.execute_analysis_job("replay", str(path), {"mode": "lt1"})
+        assert trace_cache.events == 2 * first.n_events
+
+    def test_lru_evicts_at_the_event_budget_and_counts(
+            self, tmp_path, minife1_traces, session):
+        from repro.measure import write_trace
+        from repro.serve.jobs import _TraceCache
+
+        # three archives, three distinct byte strings (hence keys)
+        paths = []
+        for i, (k, suffix) in enumerate(((0, ".trace.json.gz"), (1, ".npz"),
+                                         (1, ".trace.json.gz"))):
+            paths.append(str(tmp_path / f"t{i}{suffix}"))
+            write_trace(minife1_traces[k], paths[-1])
+        n = minife1_traces[0].n_events
+        cache = _TraceCache(2 * n)
+        t0, t1 = cache.load(paths[0]), cache.load(paths[1])
+        assert cache.load(paths[0]) is t0          # t0 most recently used
+        cache.load(paths[2])                       # evicts t1
+        assert cache.events == 2 * n
+        assert cache.load(paths[0]) is t0
+        assert cache.load(paths[1]) is not t1      # evicts t2
+        assert cache.events == 2 * n
+
+        def count(result):
+            return session.metrics.value("serve.trace_cache", result=result)
+
+        assert (count("hit"), count("miss"), count("evict")) == (2, 4, 2)
+
+    def test_trace_over_the_budget_never_cached(
+            self, tmp_path, minife1_traces, session):
+        from repro.measure import write_trace
+        from repro.serve.jobs import _TraceCache
+
+        path = tmp_path / "t.npz"
+        write_trace(minife1_traces[0], path)
+        cache = _TraceCache(minife1_traces[0].n_events - 1)
+        assert cache.load(str(path)) is not cache.load(str(path))
+        assert cache.events == 0
+        assert session.metrics.value("serve.trace_cache", result="miss") == 2
+        assert session.metrics.value("serve.trace_cache", result="hit") is None
+        assert session.metrics.value("serve.trace_cache",
+                                     result="evict") is None
