@@ -6,7 +6,11 @@ configuration under two noise seeds, then drives the whole
 
 * ``repro-causal blame`` -- builds the DAG, writes the blame report and
   Cube blame profile; the critical-path fingerprint must be identical
-  across the two noise seeds under a deterministic logical mode.
+  across the two noise seeds under a deterministic logical mode.  A
+  second blame of an MPI+OpenMP run (TeaLeaf-2) checks the call paths:
+  every blamed path but ``<source>`` and ``<program>`` must be a path of
+  the wait-state profile of the same trace and mode, and only the sink
+  may sit at ``<program>`` in the critical-path table.
 * ``repro-causal align`` -- overlays the two physical-timer runs on one
   Perfetto timeline; shared markers must land exactly.
 * ``repro-causal whatif --validate`` -- the edited-replay prediction
@@ -17,8 +21,9 @@ configuration under two noise seeds, then drives the whole
   baseline exactly.
 
 Artifacts left for upload: ``causal_blame.json``,
-``causal_blame.cube.json.gz``, ``causal_aligned.chrome.json``,
-``causal_whatif.json``, ``causal_delayprop.json``.
+``causal_blame.cube.json.gz``, ``causal_blame_omp.json``,
+``causal_aligned.chrome.json``, ``causal_whatif.json``,
+``causal_delayprop.json``.
 
 Usage::
 
@@ -28,8 +33,11 @@ Usage::
 import json
 import sys
 
+from repro.analysis import analyze_trace
 from repro.causal import build_dag
 from repro.cli import main_causal, main_run
+from repro.clocks import timestamp_trace
+from repro.cube import read_profile
 from repro.measure import read_trace
 
 
@@ -59,6 +67,25 @@ def main_smoke() -> int:
     assert report["critical_path_fingerprint"] == fp2, (
         "critical path fingerprint differs across noise seeds under ltbb")
     print("critical path bit-identical across noise seeds: ok")
+
+    # call paths: an OpenMP run's blame uses the wait-state profile's paths
+    run(["TeaLeaf-2", "--mode", "tsc", "--seed", "1",
+         "-o", "causal_omp.trace.json.gz"], main=main_run)
+    run(["blame", "causal_omp.trace.json.gz", "--mode", "ltbb",
+         "--top", "1000000", "-o", "causal_blame_omp.json",
+         "--profile", "causal_blame_omp.cube.json.gz"])
+    blame = read_profile("causal_blame_omp.cube.json.gz")
+    blamed = {blame.calltree.path(cp) for m in blame.metrics
+              for (cp, _loc) in blame.cells(m)}
+    profile = analyze_trace(timestamp_trace(
+        read_trace("causal_omp.trace.json.gz"), "ltbb"))
+    foreign = blamed - {("<source>",), ("<program>",)} - set(
+        profile.calltree.paths())
+    assert not foreign, f"blamed paths outside the profile: {sorted(foreign)[:3]}"
+    rows = json.load(open("causal_blame_omp.json"))["rows"]
+    at_root = [r["hops"] for r in rows if r["path"] == "<program>"]
+    assert at_root in ([], [1]), f"<program> rows on the critical path: {at_root}"
+    print("blame call paths are wait-state profile paths: ok")
 
     # alignment: overlay the two physical runs on one timeline
     run(["align", "causal_s1.trace.json.gz", "causal_s2.trace.json.gz",

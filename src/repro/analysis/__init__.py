@@ -27,11 +27,9 @@ from repro.analysis.metrics import (
 from repro.analysis.patterns import (
     nxn_waits,
     nxn_waits_batch,
-    barrier_split,
     barrier_split_batch,
     late_sender_wait,
     late_sender_wait_many,
-    late_receiver_wait,
     late_receiver_wait_many,
 )
 from repro.analysis.analyzer import analyze_trace
@@ -58,11 +56,9 @@ __all__ = [
     "group_totals",
     "nxn_waits",
     "nxn_waits_batch",
-    "barrier_split",
     "barrier_split_batch",
     "late_sender_wait",
     "late_sender_wait_many",
-    "late_receiver_wait",
     "late_receiver_wait_many",
     "analyze_trace",
     "render_report",

@@ -73,7 +73,7 @@ from repro.sim.events import (
     TEAM_BEGIN,
 )
 
-__all__ = ["AnalysisPlan", "analyze_trace"]
+__all__ = ["AnalysisPlan", "analysis_plan", "analyze_trace"]
 
 # region kinds (classification of stack-top time)
 _K_USER = 0  # -> comp
@@ -149,6 +149,30 @@ class AnalysisPlan:
     def n_events(self) -> int:
         return len(self.perm)
 
+    def by_location(self, column: np.ndarray) -> np.ndarray:
+        """A merged-order ``column`` (one entry per event) in location-major
+        order, the order of the trace's columns."""
+        out = np.empty_like(column)
+        out[self.perm] = column
+        return out
+
+
+def analysis_plan(cols) -> AnalysisPlan:
+    """The :class:`AnalysisPlan` of the trace whose
+    :class:`~repro.measure.columnar.TraceColumns` are ``cols``: compiled
+    on first use, then memoized on the columns beside the replay plan.
+
+    It is the one derivation of call paths in the package: the
+    wait-state analysis, the plain profile, the causal DAG and what-if
+    region edits all read its ``cp`` column.
+    """
+    plan = cols._analysis_plan
+    if plan is None:
+        with obs.span("analysis.plan_compile", events=cols.n_events):
+            plan = cols._analysis_plan = _compile_columns(cols)
+        obs.counter("analysis.plan_compiles").inc()
+    return plan
+
 
 def analyze_trace(tt: TimestampedTrace) -> CubeProfile:
     """Analyze ``tt`` and return the profile (severities in clock units).
@@ -157,15 +181,7 @@ def analyze_trace(tt: TimestampedTrace) -> CubeProfile:
     later ones, in any mode, reuse it.
     """
     trace = tt.trace
-    cols = trace.columns()
-    counts = [len(lc) for lc in cols.locs]
-    if [len(t) for t in tt.times] != counts:
-        raise ValueError("timestamp arrays do not match the trace's events")
-    plan = cols._analysis_plan
-    if plan is None:
-        with obs.span("analysis.plan_compile", events=sum(counts)):
-            plan = cols._analysis_plan = _compile_columns(cols)
-        obs.counter("analysis.plan_compiles").inc()
+    plan = analysis_plan(trace.columns())
     pinning = trace.pinning
     system = SystemTree(
         trace.locations,
@@ -481,10 +497,15 @@ def _cells(keys: np.ndarray, values: np.ndarray,
                     sums[order].tolist()))
 
 
-def _evaluate(plan: AnalysisPlan, times, mode: str,
-              system: SystemTree) -> CubeProfile:
+def _intervals(plan: AnalysisPlan,
+               times) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per event in merged order: its timestamp under ``times`` (one
+    array per location), the length of the interval ending at it (0.0 at
+    a location's first event) and whether that interval counts -- it is
+    positive and not an idle worker's."""
+    if [len(t) for t in times] != np.diff(plan.starts).tolist():
+        raise ValueError("timestamp arrays do not match the trace's events")
     n = plan.n_events
-    n_loc = len(plan.starts) - 1
     t = (np.concatenate(times).astype(np.float64, copy=False) if n
          else np.empty(0, dtype=np.float64))
     dt = np.zeros(n, dtype=np.float64)
@@ -492,19 +513,33 @@ def _evaluate(plan: AnalysisPlan, times, mode: str,
     starts = plan.starts[:-1]
     dt[starts[starts < n]] = 0.0
     dt = dt[plan.perm]
-    t = t[plan.perm]
+    return t[plan.perm], dt, (dt > 0.0) & (plan.cls != _I_SKIP)
 
-    active = (dt > 0.0) & (plan.cls != _I_SKIP)
-    # intern order: every push, and a BURST child only if its interval counts
+
+def _intern_paths(plan: AnalysisPlan, ct, active: np.ndarray,
+                  by_location: bool = False) -> np.ndarray:
+    """The id in call tree ``ct`` of every plan path, interned in the order
+    of the walk: the root, then every push and every BURST child whose
+    interval counts (``active``), in merged order or, ``by_location``,
+    location-major.  Paths that are neither stay -1."""
     keep = ~plan.cand_cond | active[plan.cand_pos]
-    pids, first = np.unique(plan.cand_pid[keep], return_index=True)
-    profile = CubeProfile(system, M.TIME_LEAVES, mode=mode)
-    ct = profile.calltree
+    pids = plan.cand_pid[keep]
+    if by_location:
+        pids = pids[np.argsort(plan.perm[plan.cand_pos[keep]], kind="stable")]
+    pids, first = np.unique(pids, return_index=True)
     remap = np.full(len(plan.paths), -1, dtype=np.int64)
     remap[0] = ct.intern(())
     interned = pids[np.argsort(first, kind="stable")].tolist()
     remap[interned] = [ct.intern(plan.paths[p]) for p in interned]
-    del keep, pids, first
+    return remap
+
+
+def _evaluate(plan: AnalysisPlan, times, mode: str,
+              system: SystemTree) -> CubeProfile:
+    n_loc = len(plan.starts) - 1
+    t, dt, active = _intervals(plan, times)
+    profile = CubeProfile(system, M.TIME_LEAVES, mode=mode)
+    remap = _intern_paths(plan, profile.calltree, active)
 
     # (first add, metric, cells); the first add orders metric creation:
     # merged position, then the walk's order inside the event

@@ -5,14 +5,17 @@ the active clock produces (seconds for tsc, logical units otherwise) and
 return severities in the same unit.  Keeping them pure makes the pattern
 semantics unit-testable independent of the analyzer.
 
-Each pattern has one per-instance formula (plain Python, the definition;
-the causal DAG evaluates it per synchronisation) and one bulk form that
-the analyzer's plan evaluation calls over all instances of a trace at
-once: ``*_batch`` over flattened groups (``np.maximum.reduceat`` /
-``np.minimum.reduceat`` at the group starts) and ``*_many`` over aligned
-message arrays.  The bulk forms perform the same IEEE operations per
-element as the formulas, so both are bit-identical (locked by
-``tests/test_columnar.py``).
+The analyzer's plan evaluation calls the bulk forms over all instances
+of a trace at once: ``*_batch`` over flattened groups
+(``np.maximum.reduceat`` / ``np.minimum.reduceat`` at the group starts)
+and ``*_many`` over aligned message arrays.  The causal DAG evaluates
+the per-instance forms of the two patterns it needs, :func:`nxn_waits`
+and :func:`late_sender_wait`, once per synchronisation.  Every bulk form
+performs the same IEEE operations per element as its per-instance
+definition, so both are bit-identical (locked by
+``tests/test_columnar.py``; the per-instance definitions of the barrier
+split and the late-receiver wait, which only that check calls, live in
+``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -24,11 +27,9 @@ import numpy as np
 __all__ = [
     "nxn_waits",
     "nxn_waits_batch",
-    "barrier_split",
     "barrier_split_batch",
     "late_sender_wait",
     "late_sender_wait_many",
-    "late_receiver_wait",
     "late_receiver_wait_many",
 ]
 
@@ -70,32 +71,16 @@ def nxn_waits_batch(
     return np.maximum(0.0, np.repeat(lim, sizes) - e)
 
 
-def barrier_split(enters: Sequence[float], leaves: Sequence[float]) -> Tuple[List[float], List[float]]:
-    """(waits, overheads) for a barrier instance.
-
-    Each member's interval is ``d_i = leave_i - enter_i``; the *last*
-    arriver waits approximately nothing, so the minimum interval is the
-    intrinsic barrier overhead, and everything above it is waiting:
-    ``overhead_i = min_j d_j``, ``wait_i = d_i - overhead_i``.
-    """
-    if len(enters) != len(leaves):
-        raise ValueError("enters and leaves must have the same length")
-    if not len(enters):
-        return [], []
-    durations = [l - e for e, l in zip(enters, leaves)]
-    overhead = max(0.0, min(durations))
-    waits = [max(0.0, d - overhead) for d in durations]
-    return waits, [overhead] * len(durations)
-
-
 def barrier_split_batch(
     enters: np.ndarray, leaves: np.ndarray, starts: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
     """(waits, overheads) for many barrier instances at once.
 
-    Flat-array analogue of :func:`barrier_split` with the same
-    ``starts`` convention as :func:`nxn_waits_batch`; element for element
-    identical to the per-instance function.
+    ``starts`` follows the convention of :func:`nxn_waits_batch`.  Each
+    member's interval is ``d_i = leave_i - enter_i``; the *last* arriver
+    waits approximately nothing, so the minimum interval is the
+    intrinsic barrier overhead, and everything above it is waiting:
+    ``overhead_i = min_j d_j``, ``wait_i = d_i - overhead_i``.
     """
     e = np.asarray(enters, dtype=np.float64)
     if not len(e):
@@ -128,19 +113,15 @@ def late_sender_wait_many(
     )
 
 
-def late_receiver_wait(send_ts: float, recv_post_ts: float, complete_ts: float) -> float:
-    """Late-receiver severity at the sender (rendezvous protocol only).
+def late_receiver_wait_many(
+    send_ts: np.ndarray, recv_post_ts: np.ndarray, complete_ts: np.ndarray
+) -> np.ndarray:
+    """Late-receiver severity at the sender (rendezvous protocol only),
+    over aligned message arrays.
 
     A rendezvous sender cannot progress until the receive is posted; if
     the receiver posted after the send started, the sender waited.
     """
-    return max(0.0, min(recv_post_ts, complete_ts) - send_ts)
-
-
-def late_receiver_wait_many(
-    send_ts: np.ndarray, recv_post_ts: np.ndarray, complete_ts: np.ndarray
-) -> np.ndarray:
-    """Vectorized :func:`late_receiver_wait` over aligned message arrays."""
     return np.maximum(
         0.0,
         np.minimum(np.asarray(recv_post_ts, dtype=np.float64), complete_ts)

@@ -12,17 +12,21 @@ by noise than plain profiling."
 
 This module provides exactly that plain profile -- total clock units per
 (call path, location), one metric, no patterns -- so the claim can be
-tested on our substrate (see ``benchmarks/test_ablations.py``).
+tested on our substrate (see ``benchmarks/test_ablations.py``).  It is an
+evaluation of the trace's :class:`~repro.analysis.analyzer.AnalysisPlan`,
+so its call paths are the wait-state profile's: an OpenMP worker's sit
+under its fork's frame, and a barrier's under its ``omp_ibarrier_*``
+frame.
 """
 
 from __future__ import annotations
 
-from typing import List
+import numpy as np
 
+from repro.analysis.analyzer import _cells, _intern_paths, _intervals, analysis_plan
 from repro.clocks.base import TimestampedTrace
 from repro.cube.profile import CubeProfile
 from repro.cube.systemtree import SystemTree
-from repro.sim.events import BURST, ENTER, LEAVE, OBAR_ENTER, OBAR_LEAVE, TEAM_BEGIN
 
 __all__ = ["plain_profile", "PLAIN_TIME"]
 
@@ -33,53 +37,21 @@ PLAIN_TIME = "time"
 def plain_profile(tt: TimestampedTrace) -> CubeProfile:
     """Exclusive time per (call path, location), and nothing else.
 
-    Worker idle gaps between parallel regions are skipped (a plain
-    Score-P profile records them under the idle thread's own root, which
-    does not affect per-call-path noise comparisons).
+    Every interval the wait-state analysis counts lands on its call path,
+    whatever its class.  Worker idle gaps between parallel regions are
+    skipped (a plain Score-P profile records them under the idle thread's
+    own root, which does not affect per-call-path noise comparisons).
+    Call paths and cells are created location by location, in event
+    order, and each cell sums left to right.
     """
-    trace = tt.trace
-    ts = tt.times
-    regions = trace.regions
-    system = SystemTree(trace.locations)
-    profile = CubeProfile(system, (PLAIN_TIME,), mode=tt.mode, meta={"plain": True})
-    ct = profile.calltree
-    root = ct.intern(())
-
-    names: List[str] = [regions.name(r) for r in range(len(regions))]
-
-    for loc, evs in enumerate(trace.events):
-        cp_stack = [root]
-        path_stack = [()]
-        last_t = None
-        idle = trace.locations[loc][1] != 0  # workers start idle
-        arr = ts[loc]
-        for i, ev in enumerate(evs):
-            t = arr[i]
-            if last_t is not None and not idle:
-                dt = t - last_t
-                if dt > 0.0:
-                    if ev.etype == BURST:
-                        child = ct.intern(path_stack[-1] + (names[ev.region],))
-                        profile.add_id(PLAIN_TIME, child, loc, dt)
-                    else:
-                        profile.add_id(PLAIN_TIME, cp_stack[-1], loc, dt)
-            last_t = t
-            et = ev.etype
-            if et in (ENTER, OBAR_ENTER):
-                path = path_stack[-1] + (names[ev.region],)
-                path_stack.append(path)
-                cp_stack.append(ct.intern(path))
-            elif et in (LEAVE, OBAR_LEAVE):
-                if len(cp_stack) > 1:
-                    cp_stack.pop()
-                    path_stack.pop()
-                if et == OBAR_LEAVE and trace.locations[loc][1] != 0:
-                    idle = True
-            elif et == TEAM_BEGIN:
-                idle = False
-                # workers restart under the fork call path root; plain
-                # profiles key by region names only, so keep the current
-                # (empty) base -- attribution stays per-region.
-                cp_stack = [root]
-                path_stack = [()]
+    plan = analysis_plan(tt.trace.columns())
+    n_loc = len(plan.starts) - 1
+    profile = CubeProfile(SystemTree(tt.trace.locations), (PLAIN_TIME,),
+                          mode=tt.mode, meta={"plain": True})
+    _t, dt, active = _intervals(plan, tt.times)
+    remap = _intern_paths(plan, profile.calltree, active, by_location=True)
+    pos = np.flatnonzero(active)
+    pos = pos[np.argsort(plan.perm[pos], kind="stable")]
+    profile.set_cells(PLAIN_TIME, _cells(
+        remap[plan.cp[pos]] * n_loc + plan.loc[pos], dt[pos], n_loc))
     return profile

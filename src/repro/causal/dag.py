@@ -9,8 +9,12 @@ receive's or team begin's remote predecessor is its record's source
 slot.  Everything between two synchronisation events on a location
 collapses into the *program edge* connecting them, whose cost is the
 clock advance over the stretch, broken down by the call path in which
-the work happened.  Memory is therefore bounded by the synchronisation
-structure plus the trace's columns, not by ``Ev`` objects.
+the work happened.  Call paths are the trace's
+:class:`~repro.analysis.analyzer.AnalysisPlan`'s, the ones the
+wait-state profile keys its cells by, and the breakdown is held in three
+flat arrays; memory is therefore bounded by the synchronisation
+structure plus the trace's columns and plans, not by ``Ev`` objects or
+per-node lists.
 
 Per-edge costs follow the active clock mode: physical seconds under
 ``tsc``, logical units under the ``lt*`` modes, where every clock value
@@ -42,6 +46,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro import obs
+from repro.analysis.analyzer import analysis_plan
 from repro.analysis.patterns import late_sender_wait, nxn_waits
 from repro.clocks.columnar import (
     OP_FINAL,
@@ -55,7 +60,7 @@ from repro.cube.profile import CubeProfile
 from repro.cube.systemtree import SystemTree
 from repro.machine.noise import NoiseConfig
 from repro.measure.config import TSC, validate_mode
-from repro.sim.events import BURST, ENTER, LEAVE, MPI_RECV
+from repro.sim.events import MPI_RECV
 
 __all__ = [
     "BLAME_COMPUTE",
@@ -106,9 +111,15 @@ class CausalDag:
     severity ending at this node, ``pred_prog``/``pred_remote`` the
     program-order and remote predecessors (``-1`` when absent), and
     ``remote_critical`` whether the remote edge determined the clock
-    value.  ``seg[k]`` breaks node ``k``'s program-edge work down by call
-    path (``(callpath id, work)`` in first-touch order); ``callpaths``
-    interns the tuples.
+    value.  ``cpid`` is the call path the node's event sits in (a
+    terminal sits at the root), an id into ``callpaths``, the analysis
+    plan's name tuples.
+
+    The program edges' work per call path is held in CSR form: node
+    ``k``'s edge has entries ``seg_start[k]`` to ``seg_start[k + 1]`` of
+    ``seg_cp`` (call-path ids) and ``seg_work`` (the steps of the edge's
+    events in that call path, summed in event order), in the order the
+    edge first touched each call path.
     """
 
     def __init__(self, mode: str, region_names: List[str],
@@ -128,7 +139,9 @@ class CausalDag:
         self.pred_remote: List[int] = []
         self.remote_critical: List[bool] = []
         self.cpid: List[int] = []
-        self.seg: List[List[Tuple[int, float]]] = []
+        self.seg_start = np.zeros(1, dtype=np.int64)
+        self.seg_cp = np.empty(0, dtype=np.int64)
+        self.seg_work = np.empty(0)
         self.callpaths: List[Tuple[str, ...]] = []
         self.final: List[float] = []
         self.n_events = 0
@@ -214,21 +227,26 @@ def build_dag(
     per synchronisation event, in merged order), followed by one terminal
     node per location.  Under a logical mode every clock value comes from
     one execution of the plan; under ``tsc`` the plan gives only the
-    structure and the clocks are the physical timestamps.
+    structure and the clocks are the physical timestamps.  Call paths
+    come from the trace's analysis plan
+    (:func:`repro.analysis.analyzer.analysis_plan`, compiled here unless
+    an analysis of the trace already did).
     """
     mode = validate_mode(mode or trace_like.mode)
     cols = trace_columns(trace_like)
     records, _tails = replay_plan(cols)
+    plan = analysis_plan(cols)
     with obs.span("causal.dag", mode=mode,
                   nodes=len(records) + cols.n_locations):
-        dag = _plan_dag(cols, records, mode, counter_seed,
+        dag = _plan_dag(cols, records, plan, mode, counter_seed,
                         counter_noise_config)
     obs.counter("clocks.replays", mode=mode).inc()
     return dag
 
 
-def _plan_dag(cols, records, mode, counter_seed, counter_noise_config):
-    """The DAG of ``cols`` from its replay plan ``records``."""
+def _plan_dag(cols, records, plan, mode, counter_seed, counter_noise_config):
+    """The DAG of ``cols`` from its replay plan ``records`` and its
+    analysis ``plan``."""
     n = cols.n_locations
     regions = cols.regions
     dag = CausalDag(mode, list(regions.names), list(cols.locations))
@@ -300,7 +318,10 @@ def _plan_dag(cols, records, mode, counter_seed, counter_noise_config):
                 if not is_tsc:
                     clock[k] = last_clock[s_loc[k]] = m
 
-    cpid, seg = _segments(dag, cols, steps, s_loc, s_idx, n_sync)
+    cp = plan.by_location(plan.cp).astype(np.int64)
+    dag.callpaths = list(plan.paths)
+    dag.seg_start, dag.seg_cp, dag.seg_work = _edge_work(
+        cols, flat, cp, steps, len(plan.paths))
     dag.loc = list(s_loc) + list(range(n))
     dag.idx = list(s_idx) + [len(lc) for lc in cols.locs]
     dag.etype = list(s_et) + [TERMINAL] * n
@@ -312,72 +333,42 @@ def _plan_dag(cols, records, mode, counter_seed, counter_noise_config):
     dag.pred_prog = pred_prog + last_node
     dag.pred_remote = pred_remote + [-1] * n
     dag.remote_critical = remote_critical + [False] * n
-    dag.cpid = cpid
-    dag.seg = seg
+    dag.cpid = cp[flat].tolist() + [0] * n
     dag.final = list(final)
     dag.n_events = cols.n_events
     return dag
 
 
-def _segments(dag, cols, steps, s_loc, s_idx, n_sync):
-    """Call path and per-call-path work of every node's program edge.
+def _edge_work(cols, flat, cp, steps, n_paths):
+    """The program edges' work per call path, as ``(seg_start, seg_cp,
+    seg_work)`` CSR arrays over all nodes, terminals last.
 
-    One pass per location over its kind and region columns: a stack of
-    call-path ids, the ``BURST`` child path, and the steps accumulated
-    per call path (first-touch order) since the location's previous node.
-    An event's step belongs to the call path active *before* it (a
-    ``BURST``'s to the burst's own child path).  Interns ``dag.callpaths``
-    location by location; returns ``(cpid, seg)`` over all nodes,
-    terminals last.
+    ``flat`` holds the location-major index of every synchronisation
+    node's event, ``cp`` every event's call path (location-major) and
+    ``steps`` every event's clock advance (one array per location).  An
+    event belongs to the edge of the first node at or after it on its
+    location, or to the location's terminal node.  Inside an edge the
+    call paths are in first-touch order, and each sum adds the steps in
+    event order (``np.bincount`` adds in input order).
     """
-    n = cols.n_locations
-    names = cols.regions.names
-    paths = dag.callpaths
-    paths.append(())
-    child: Dict[Tuple[int, str], int] = {}
-
-    def child_of(parent: int, name: str) -> int:
-        cid = child.get((parent, name))
-        if cid is None:
-            cid = child[(parent, name)] = len(paths)
-            paths.append(paths[parent] + (name,))
-        return cid
-
-    nodes_of: List[List[int]] = [[] for _ in range(n)]
-    for s in range(n_sync):
-        nodes_of[s_loc[s]].append(s)
-    cpid = [0] * (n_sync + n)
-    seg: List[list] = [None] * (n_sync + n)
-    for loc, lc in enumerate(cols.locs):
-        kinds = lc.etype.tolist()
-        rids = lc.region.tolist()
-        nodes = nodes_of[loc] + [n_sync + loc]
-        at = [s_idx[s] for s in nodes[:-1]] + [-1]
-        k = 0
-        nxt = at[0]
-        stack = [0]
-        cur = 0
-        acc: Dict[int, float] = {}
-        for i, (et, step) in enumerate(zip(kinds, steps[loc].tolist())):
-            cp = child_of(cur, names[rids[i]]) if et == BURST else cur
-            acc[cp] = acc.get(cp, 0.0) + step
-            if et == ENTER:
-                cur = child_of(cur, names[rids[i]])
-                stack.append(cur)
-            elif et == LEAVE:
-                if len(stack) > 1:
-                    stack.pop()
-                cur = stack[-1]
-            elif i == nxt:
-                s = nodes[k]
-                cpid[s] = cur
-                seg[s] = list(acc.items())
-                acc.clear()
-                k += 1
-                nxt = at[k]
-        cpid[n_sync + loc] = cur
-        seg[n_sync + loc] = list(acc.items())
-    return cpid, seg
+    n_sync = len(flat)
+    n_nodes = n_sync + cols.n_locations
+    step = (np.concatenate(steps) if steps
+            else np.empty(0, dtype=np.float64))
+    # edge ends, doubled so that a location's end (odd) sorts after its
+    # last event and before the next location's first
+    ends = np.concatenate((2 * flat.astype(np.int64), 2 * cols.offsets()[1:] - 1))
+    by_end = np.argsort(ends, kind="stable")
+    edge = by_end[np.searchsorted(ends[by_end],
+                                  2 * np.arange(len(step), dtype=np.int64))]
+    pairs, first, inv = np.unique(edge * n_paths + cp, return_index=True,
+                                  return_inverse=True)
+    work = np.bincount(inv, weights=step, minlength=len(pairs))
+    order = np.lexsort((first, pairs // n_paths))
+    pairs = pairs[order]
+    seg_start = np.searchsorted(pairs // n_paths,
+                                np.arange(n_nodes + 1, dtype=np.int64))
+    return seg_start, pairs % n_paths, work[order]
 
 
 def blame_profile(dag: CausalDag, pinning=None) -> CubeProfile:
@@ -386,12 +377,12 @@ def blame_profile(dag: CausalDag, pinning=None) -> CubeProfile:
     For every node with a positive wait, walks the chain of edges that
     determined the delaying partner's arrival: transfer edges contribute
     to :data:`BLAME_TRANSFER`, program-edge work (consumed latest-first
-    from the segment's call-path breakdown) to :data:`BLAME_COMPUTE`,
-    and whatever reaches the program source unexplained to
-    :data:`BLAME_RESIDUAL`.  The wait severities themselves are recorded
-    under :data:`CAUSAL_WAIT` at the *waiting* call path, so the profile
-    shows both sides of every wait.  The result plugs directly into
-    :func:`repro.cube.diff.profile_diff` and
+    from the edge's call-path breakdown, ``seg_*``) to
+    :data:`BLAME_COMPUTE`, and whatever reaches the program source
+    unexplained to :data:`BLAME_RESIDUAL`.  The wait severities
+    themselves are recorded under :data:`CAUSAL_WAIT` at the *waiting*
+    call path, so the profile shows both sides of every wait.  The result
+    plugs directly into :func:`repro.cube.diff.profile_diff` and
     :func:`repro.cube.io.write_profile`.
     """
     nodes_of_ranks = None
@@ -403,18 +394,33 @@ def blame_profile(dag: CausalDag, pinning=None) -> CubeProfile:
     prof = CubeProfile(system, BLAME_LEAVES, mode=dag.mode,
                        meta={"kind": "causal_blame"})
     with obs.span("causal.blame", mode=dag.mode, nodes=dag.n_nodes):
+        segs = (dag.seg_start.tolist(), dag.seg_cp.tolist(),
+                dag.seg_work.tolist())
+        ids = [-1] * len(dag.callpaths)
+
+        def path_id(cpid: int) -> int:
+            """The profile's id of DAG call path ``cpid``, interned on
+            first use (the root as ``<program>``)."""
+            cid = ids[cpid]
+            if cid < 0:
+                cid = ids[cpid] = prof.calltree.intern(
+                    dag.callpaths[cpid] or ("<program>",))
+            return cid
+
         for nid in range(dag.n_nodes):
             w = dag.wait[nid]
             if w <= 0.0:
                 continue
-            prof.add(CAUSAL_WAIT, dag.callpath(nid), dag.loc[nid], w)
-            _distribute_blame(dag, nid, w, prof)
+            prof.add_id(CAUSAL_WAIT, path_id(dag.cpid[nid]), dag.loc[nid], w)
+            _distribute_blame(dag, segs, path_id, nid, w, prof)
     return prof
 
 
-def _distribute_blame(dag: CausalDag, nid: int, wait: float,
+def _distribute_blame(dag: CausalDag, segs, path_id, nid: int, wait: float,
                       prof: CubeProfile) -> None:
-    """Charge ``wait`` units to the edges that caused node ``nid``'s wait."""
+    """Charge ``wait`` units to the edges that caused node ``nid``'s wait
+    (``segs``: the DAG's ``seg_*`` arrays as lists)."""
+    seg_start, seg_cp, seg_work = segs
     remaining = wait
     cur = dag.pred_remote[nid]
     if cur < 0:
@@ -425,7 +431,7 @@ def _distribute_blame(dag: CausalDag, nid: int, wait: float,
     edge = dag.clock[nid] - dag.clock[cur]
     if edge > 0.0:
         take = min(edge, remaining)
-        prof.add(BLAME_TRANSFER, dag.callpath(cur), dag.loc[cur], take)
+        prof.add_id(BLAME_TRANSFER, path_id(dag.cpid[cur]), dag.loc[cur], take)
         remaining -= take
     hops = 0
     last_loc = dag.loc[cur]
@@ -437,18 +443,18 @@ def _distribute_blame(dag: CausalDag, nid: int, wait: float,
             edge = dag.clock[cur] - (dag.clock[prev] if prev >= 0 else 0.0)
             if edge > 0.0:
                 take = min(edge, remaining)
-                prof.add(BLAME_TRANSFER, dag.callpath(cur),
-                         dag.loc[cur], take)
+                prof.add_id(BLAME_TRANSFER, path_id(dag.cpid[cur]),
+                            dag.loc[cur], take)
                 remaining -= take
             cur = prev
         else:
             loc = dag.loc[cur]
-            for cpid, w in reversed(dag.seg[cur]):
+            for j in range(seg_start[cur + 1] - 1, seg_start[cur] - 1, -1):
+                w = seg_work[j]
                 if w <= 0.0:
                     continue
                 take = min(w, remaining)
-                path = dag.callpaths[cpid] or ("<program>",)
-                prof.add(BLAME_COMPUTE, path, loc, take)
+                prof.add_id(BLAME_COMPUTE, path_id(seg_cp[j]), loc, take)
                 remaining -= take
                 if remaining <= 0.0:
                     break

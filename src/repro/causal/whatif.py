@@ -5,8 +5,10 @@ this kernel were twice as fast / this straggler were fixed / this
 injected delay had not happened?*  Edits operate on the recorded
 work-delta columns -- every event attributed to the edited region (or
 rank) has its work fields multiplied by the edit factor, as if the
-program had performed scaled work -- and the **vectorized columnar
-clock replay** (:func:`repro.clocks.columnar.lamport_assign_columnar`,
+program had performed scaled work; an event is attributed by the call
+path of its interval in the trace's analysis plan, so an OpenMP worker's
+work belongs to the regions around its fork -- and the **vectorized
+columnar clock replay** (:func:`repro.clocks.columnar.lamport_assign_columnar`,
 reusing the trace's compiled replay plan) produces the edited logical
 timeline.  Synchronisation structure is preserved: every event, message
 match and collective group of the original trace survives the edit,
@@ -16,9 +18,10 @@ predictor (see ``docs/causal.md`` for the validity conditions).
 Validation (:func:`validate_whatif`) is deliberately expensive and
 independent: it re-runs the **full engine simulation** from scratch
 (deterministic programs regenerate the trace), applies the same edits
-through a *scalar per-event* Lamport walk of its own -- the one clock
-walk in ``src/`` besides the replay plan, kept on purpose so the check
-does not compare the plan with itself -- and demands the final clock of
+through a *scalar per-event* Lamport walk with a region stack of its
+own -- the one clock walk and the one region stack in ``src/`` besides
+the plans, kept on purpose so the check does not compare the plans with
+themselves -- and demands the final clock of
 every location match the vectorized prediction **bit for bit**.
 Scaling factors that are powers of two keep even the float
 multiplications exact, so ``factor=2.0``/``0.5``/``0.0`` edits carry the
@@ -37,6 +40,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.analysis.analyzer import analysis_plan
 from repro.clocks.columnar import (
     columnar_increments,
     lamport_assign_columnar,
@@ -59,6 +63,7 @@ from repro.sim.events import (
     LEAVE,
     MPI_RECV,
     MPI_SEND,
+    OBAR_ENTER,
     OBAR_LEAVE,
     RESTART,
     TEAM_BEGIN,
@@ -186,70 +191,66 @@ class WhatIfValidation:
 # ---------------------------------------------------------------------------
 
 
-def _region_edit_plan(edits: Sequence[WhatIfEdit], regions):
-    """Split edits into (region edits with interned target id, rank factors)."""
-    region_edits = []
-    rank_factors: Dict[int, float] = {}
+def _edit_factors(edits: Sequence[WhatIfEdit], regions,
+                  rank: int) -> Tuple[float, Dict[int, float]]:
+    """``(rank factor, {target region id: factor})`` of ``edits`` on
+    ``rank``: each factor composed in edit order, targets in the order
+    of their first edit; a region absent from the trace matches
+    nothing."""
+    rf = 1.0
+    factor_of: Dict[int, float] = {}
     for e in edits:
         if e.kind == "scale_rank":
-            rank_factors[e.rank] = rank_factors.get(e.rank, 1.0) * e.factor
-        else:
-            if e.region in regions:
-                region_edits.append((regions.id_of(e.region), e))
-            # a region absent from the trace matches nothing: no-op
-    return region_edits, rank_factors
+            if e.rank == rank:
+                rf *= e.factor
+        elif e.region in regions and e.rank in (None, rank):
+            rid = regions.id_of(e.region)
+            factor_of[rid] = factor_of.get(rid, 1.0) * e.factor
+    return rf, factor_of
 
 
 def _event_scales(cols, edits: Sequence[WhatIfEdit]) -> List[np.ndarray]:
     """Per-location per-event work scale factors for ``edits``.
 
-    Attribution convention (matches the DAG builder): an event's work
-    delta covers the interval since the previous event on the location,
-    so it is attributed to the region stack *before* the event -- an
-    ``ENTER``'s delta belongs to the parent, a ``LEAVE``'s to the region
-    being left, and a ``BURST``'s to the burst's own region.  A region
-    edit applies to the whole subtree below its target region.
+    An event's work delta covers the interval since the previous event on
+    its location, so it is scaled by the edits that hold for the call
+    path of that interval, the analysis plan's ``cp``: an ``ENTER``'s
+    delta belongs to the parent, a ``LEAVE``'s to the region being left,
+    a worker's to the path under its fork's frame.  One scale per (rank,
+    call path) multiplies the rank factor, then each target region on
+    the path in edit order; a ``BURST`` is scaled by its own region
+    last, unless its frame already holds that region.
     """
-    region_edits, rank_factors = _region_edit_plan(edits, cols.regions)
+    factors = [_edit_factors(edits, cols.regions, r) for r, _t in cols.locations]
+    if not any(f for _rf, f in factors):
+        return [np.full(len(lc), rf) for lc, (rf, _f) in zip(cols.locs, factors)]
+    plan = analysis_plan(cols)
+    names = cols.regions.names
+    cp = plan.by_location(plan.cp)
+    bounds = cols.offsets().tolist()
+    tables: Dict[tuple, np.ndarray] = {}
     out: List[np.ndarray] = []
-    for loc, lc in enumerate(cols.locs):
-        n = len(lc)
-        rank = cols.locations[loc][0]
-        rf = rank_factors.get(rank, 1.0)
-        factor_of: Dict[int, float] = {}
-        for rid, e in region_edits:
-            if e.rank is None or e.rank == rank:
-                factor_of[rid] = factor_of.get(rid, 1.0) * e.factor
-        s = np.full(n, rf, dtype=np.float64) if rf != 1.0 \
-            else np.ones(n, dtype=np.float64)
-        if factor_of:
-            ets = lc.etype.tolist()
-            rids = lc.region.tolist()
-            depth = {rid: 0 for rid in factor_of}
-            stack: List[int] = []
-            active = 0  # number of open target regions (any edit)
-            for i in range(n):
-                et = ets[i]
-                if active or (et == BURST and rids[i] in factor_of):
-                    f = rf
-                    for rid, d in depth.items():
-                        if d:
-                            f *= factor_of[rid]
-                    if et == BURST and rids[i] in factor_of and not depth[rids[i]]:
-                        f *= factor_of[rids[i]]
-                    s[i] = f
-                if et == ENTER:
-                    rid = rids[i]
-                    stack.append(rid)
-                    if rid in depth:
-                        depth[rid] += 1
-                        active += 1
-                elif et == LEAVE and stack:
-                    rid = stack.pop()
-                    if rid in depth:
-                        depth[rid] -= 1
-                        active -= 1
-        out.append(s)
+    for loc, (lc, (rf, factor_of)) in enumerate(zip(cols.locs, factors)):
+        by_name = {names[rid]: f for rid, f in factor_of.items()}
+        key = (rf, tuple(by_name.items()))
+        table = tables.get(key)
+        if table is None:
+            # column 0: the scale of work in the path's frame; column 1: a
+            # BURST's, whose path ends in its own region
+            table = tables[key] = np.empty((len(plan.paths), 2))
+            for pid, path in enumerate(plan.paths):
+                frame = path[:-1]
+                f = g = rf
+                for name, fac in by_name.items():
+                    if name in path:
+                        f *= fac
+                    if name in frame:
+                        g *= fac
+                if path and path[-1] in by_name and path[-1] not in frame:
+                    g *= by_name[path[-1]]
+                table[pid] = f, g
+        out.append(table[cp[bounds[loc]:bounds[loc + 1]],
+                         (lc.etype == BURST).astype(np.intp)])
     return out
 
 
@@ -338,54 +339,43 @@ def _edited_stream_finals(
     Algorithm 1 event by event over ``trace.merged()`` -- send/receive
     max-exchange, group maximum on completion, fork/team-begin adoption --
     with per-event scale factors tracked through a live region stack: no
-    columnar arrays, no replay plan.
+    columnar arrays, no replay or analysis plan.  The stack follows the
+    analysis' rule: ``ENTER`` and ``OBAR_ENTER`` push, ``LEAVE`` and
+    ``OBAR_LEAVE`` pop, and a team begin adopts the stack its fork saw
+    before its own work is scaled.
     """
-    region_edits, rank_factors = _region_edit_plan(edits, trace.regions)
     n = trace.n_locations
     inc = _scalar_inc(mode, x_bb, y_stmt)
-
-    rank_f = [rank_factors.get(trace.locations[loc][0], 1.0)
-              for loc in range(n)]
-    applicable: List[Dict[int, float]] = []
-    for loc in range(n):
-        rank = trace.locations[loc][0]
-        f_of: Dict[int, float] = {}
-        for rid, e in region_edits:
-            if e.rank is None or e.rank == rank:
-                f_of[rid] = f_of.get(rid, 1.0) * e.factor
-        applicable.append(f_of)
-    depth: List[Dict[int, int]] = [{rid: 0 for rid in applicable[loc]}
-                                   for loc in range(n)]
+    factors = [_edit_factors(edits, trace.regions, r)
+               for r, _t in trace.locations]
     stacks: List[List[int]] = [[] for _ in range(n)]
 
     counter = [0.0] * n
     send_clock: Dict[int, float] = {}
     fork_clock: Dict[int, float] = {}
+    fork_stack: Dict[int, List[int]] = {}
     groups: Dict[Tuple[int, int], List[Tuple[int, float]]] = {}
 
     for loc, ev in trace.merged():
         et = ev.etype
-        s = rank_f[loc]
-        dep = depth[loc]
-        for rid, d in dep.items():
-            if d:
-                s *= applicable[loc][rid]
-        if et == BURST and ev.region in applicable[loc] \
-                and not dep.get(ev.region):
-            s *= applicable[loc][ev.region]
+        if et == TEAM_BEGIN:
+            stacks[loc] = list(fork_stack[ev.aux])
+        stack = stacks[loc]
+        s, f_of = factors[loc]
+        for rid, f in f_of.items():
+            if rid in stack:
+                s *= f
+        if et == BURST and ev.region in f_of and ev.region not in stack:
+            s *= f_of[ev.region]
         c = counter[loc] + inc(ev.delta, s)
 
-        if et == ENTER:
-            stacks[loc].append(ev.region)
-            if ev.region in dep:
-                dep[ev.region] += 1
+        if et == ENTER or et == OBAR_ENTER:
+            stack.append(ev.region)
             counter[loc] = c
             continue
         if et == LEAVE:
-            if stacks[loc]:
-                rid = stacks[loc].pop()
-                if rid in dep:
-                    dep[rid] -= 1
+            if stack:
+                stack.pop()
             counter[loc] = c
             continue
 
@@ -396,6 +386,8 @@ def _edited_stream_finals(
             partner = send_clock.pop(ev.aux)
             counter[loc] = max(c, partner + 1.0)
         elif et == COLL_END or et == OBAR_LEAVE or et == RESTART:
+            if et == OBAR_LEAVE and stack:
+                stack.pop()
             gid, size = ev.aux
             key = (et, gid)
             members = groups.setdefault(key, [])
@@ -409,6 +401,7 @@ def _edited_stream_finals(
         elif et == FORK:
             counter[loc] = c
             fork_clock[ev.aux] = c
+            fork_stack[ev.aux] = list(stack)
         elif et == TEAM_BEGIN:
             counter[loc] = max(c, fork_clock[ev.aux] + 1.0)
         else:

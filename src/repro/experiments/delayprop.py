@@ -119,12 +119,8 @@ def _run(mode: str, seed: int, delay_units: float, *, n_ranks: int,
 def _recv_clocks(trace, mode: str) -> List[List[float]]:
     """Per rank, the clock at each iteration's receive completion."""
     tt = timestamp_trace(trace, mode)
-    marks: List[List[float]] = []
-    for loc, evs in enumerate(trace.events):
-        times = tt.times[loc]
-        marks.append([float(times[i]) for i, ev in enumerate(evs)
-                      if ev.etype == MPI_RECV])
-    return marks
+    return [times[lc.etype == MPI_RECV].tolist()
+            for lc, times in zip(trace.columns().locs, tt.times)]
 
 
 @dataclass

@@ -40,6 +40,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro import obs
 from repro.clocks import timestamp_trace
+from repro.clocks.columnar import trace_columns
 from repro.machine.faults import FaultConfig, FaultModel
 from repro.machine.noise import NoiseConfig, NoiseModel
 from repro.machine.presets import small_test_cluster
@@ -141,15 +142,17 @@ def trace_fingerprint(tt) -> str:
     the fingerprint self-describing) and the raw IEEE-754 bits of the
     timestamp.  Two traces share a fingerprint iff they are bit-identical
     in structure and timing.  Event aux payloads are excluded: match and
-    collective ids are arbitrary labels.
+    collective ids are arbitrary labels.  Reads the trace's columns.
     """
     h = hashlib.sha256()
-    names = tt.trace.regions.names
-    for loc, (evs, ts) in enumerate(zip(tt.trace.events, tt.times)):
-        h.update(struct.pack("<qq", loc, len(evs)))
-        for ev, t in zip(evs, ts):
-            h.update(struct.pack("<q", ev.etype))
-            h.update(names[ev.region].encode("utf-8"))
+    cols = trace_columns(tt.trace)
+    names = [nm.encode("utf-8") for nm in cols.regions.names]
+    for loc, (lc, ts) in enumerate(zip(cols.locs, tt.times)):
+        h.update(struct.pack("<qq", loc, len(lc)))
+        for et, rid, t in zip(lc.etype.tolist(), lc.region.tolist(),
+                              ts.tolist()):
+            h.update(struct.pack("<q", et))
+            h.update(names[rid])
             h.update(struct.pack("<d", t))
     return h.hexdigest()
 

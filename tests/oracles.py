@@ -33,7 +33,13 @@ mode.  Its times and finals are the reference the compiled replay plan
 (:mod:`repro.clocks.columnar`) -- and with it ``timestamp_trace``,
 ``stream_clock_replay`` and the DAG's clocks -- must equal bit for bit.
 :func:`walker_build_dag` is the DAG built by that walk, the reference of
-:func:`repro.causal.build_dag` node for node (:func:`dag_nodes`).
+:func:`repro.causal.build_dag` node for node (:func:`dag_nodes`), and
+:func:`walker_plain_profile` the per-location walk that
+:func:`repro.analysis.plain_profile` must equal byte for byte; both keep
+their own region stacks, by the analysis plan's rule (a team begin adopts
+its fork's stack, OpenMP barriers are frames).  :func:`barrier_split` and
+:func:`late_receiver_wait` are the per-instance pattern formulas the
+batch forms in :mod:`repro.analysis.patterns` must equal.
 :class:`VectorClock` and :class:`LazyLamportClock` are the paper's
 extension clocks (exact causality, deferred merging), kept as study
 references.
@@ -58,7 +64,8 @@ from typing import Dict, Iterator, List, Optional, Set, Tuple
 import numpy as np
 
 from repro.analysis import metrics as M
-from repro.analysis.patterns import barrier_split, late_receiver_wait, late_sender_wait, nxn_waits
+from repro.analysis.patterns import late_sender_wait, nxn_waits
+from repro.analysis.plain_profile import PLAIN_TIME
 from repro.causal.dag import TERMINAL, CausalDag
 from repro.clocks.base import TimestampedTrace
 from repro.cube.profile import CubeProfile
@@ -730,6 +737,38 @@ def analyze_stream(chunks, *, mode, regions, locations, pinning=None) -> CubePro
 # pattern finalisation
 # ---------------------------------------------------------------------------
 
+def barrier_split(enters, leaves) -> Tuple[List[float], List[float]]:
+    """(waits, overheads) for a barrier instance -- the per-instance
+    definition that :func:`repro.analysis.patterns.barrier_split_batch`
+    must equal element for element.
+
+    Each member's interval is ``d_i = leave_i - enter_i``; the *last*
+    arriver waits approximately nothing, so the minimum interval is the
+    intrinsic barrier overhead, and everything above it is waiting:
+    ``overhead_i = min_j d_j``, ``wait_i = d_i - overhead_i``.
+    """
+    if len(enters) != len(leaves):
+        raise ValueError("enters and leaves must have the same length")
+    if not len(enters):
+        return [], []
+    durations = [l - e for e, l in zip(enters, leaves)]
+    overhead = max(0.0, min(durations))
+    waits = [max(0.0, d - overhead) for d in durations]
+    return waits, [overhead] * len(durations)
+
+
+def late_receiver_wait(send_ts: float, recv_post_ts: float,
+                       complete_ts: float) -> float:
+    """Late-receiver severity at the sender (rendezvous protocol only) --
+    the per-message definition that
+    :func:`repro.analysis.patterns.late_receiver_wait_many` must equal.
+
+    A rendezvous sender cannot progress until the receive is posted; if
+    the receiver posted after the send started, the sender waited.
+    """
+    return max(0.0, min(recv_post_ts, complete_ts) - send_ts)
+
+
 def _finish_collective(
     profile: CubeProfile, grp: dict, cells: Dict[Tuple[int, int], float]
 ) -> None:
@@ -1125,6 +1164,63 @@ class LazyLamportClock:
 
 
 # ---------------------------------------------------------------------------
+# the per-event plain-profile walker
+# ---------------------------------------------------------------------------
+
+def walker_plain_profile(tt: TimestampedTrace) -> CubeProfile:
+    """The plain profile walked location by location over
+    ``trace.events`` (what :func:`repro.analysis.plain_profile` computed
+    before it evaluated the analysis plan), each team begin adopting the
+    call path its ``FORK`` saw.  A fork's location must come before its
+    team's, as masters do in every trace the engine writes."""
+    trace = tt.trace
+    names = trace.regions.names
+    profile = CubeProfile(SystemTree(trace.locations), (PLAIN_TIME,),
+                          mode=tt.mode, meta={"plain": True})
+    ct = profile.calltree
+    root = ct.intern(())
+    fork_paths: Dict[int, Tuple[str, ...]] = {}
+    for loc, evs in enumerate(trace.events):
+        cp_stack = [root]
+        path_stack = [()]
+        last_t = None
+        worker = trace.locations[loc][1] != 0
+        idle = worker  # workers start idle
+        arr = tt.times[loc]
+        for i, ev in enumerate(evs):
+            et = ev.etype
+            if et == TEAM_BEGIN:
+                fork = fork_paths[ev.aux]
+                path_stack = [fork[:k] for k in range(len(fork) + 1)]
+                cp_stack = [ct.intern(p) for p in path_stack]
+            t = arr[i]
+            if last_t is not None and not idle:
+                dt = t - last_t
+                if dt > 0.0:
+                    if et == BURST:
+                        child = ct.intern(path_stack[-1] + (names[ev.region],))
+                        profile.add_id(PLAIN_TIME, child, loc, dt)
+                    else:
+                        profile.add_id(PLAIN_TIME, cp_stack[-1], loc, dt)
+            last_t = t
+            if et in (ENTER, OBAR_ENTER):
+                path = path_stack[-1] + (names[ev.region],)
+                path_stack.append(path)
+                cp_stack.append(ct.intern(path))
+            elif et in (LEAVE, OBAR_LEAVE):
+                if len(cp_stack) > 1:
+                    cp_stack.pop()
+                    path_stack.pop()
+                if et == OBAR_LEAVE and worker:
+                    idle = True
+            elif et == FORK:
+                fork_paths[ev.aux] = path_stack[-1]
+            elif et == TEAM_BEGIN:
+                idle = False
+    return profile
+
+
+# ---------------------------------------------------------------------------
 # the per-event DAG walker
 # ---------------------------------------------------------------------------
 
@@ -1134,7 +1230,13 @@ def walker_build_dag(trace_like, mode: Optional[str] = None,
     """The happened-before DAG built by walking ``trace_like.merged()``
     through the clock state machine event by event (what
     :func:`repro.causal.build_dag` computed before it ran the replay
-    plan)."""
+    plan and read the analysis plan's call paths).
+
+    Each location keeps a stack of region names: ``ENTER`` and
+    ``OBAR_ENTER`` push, ``LEAVE`` pops, ``OBAR_LEAVE`` pops after its
+    node, and a team begin adopts the stack its ``FORK`` saw before its
+    own step is counted.  Terminal nodes sit at the root.
+    """
     mode = validate_mode(mode or trace_like.mode)
     n = trace_like.n_locations
     regions = trace_like.regions
@@ -1157,6 +1259,8 @@ def walker_build_dag(trace_like, mode: Optional[str] = None,
     stacks: List[List[str]] = [[] for _ in range(n)]
     cp_index: Dict[Tuple[str, ...], int] = {}
     seg_acc: List[Dict[int, float]] = [{} for _ in range(n)]
+    segs: List[List[Tuple[int, float]]] = []
+    dag.callpaths = []
 
     def intern(path: Tuple[str, ...]) -> int:
         cid = cp_index.get(path)
@@ -1183,17 +1287,18 @@ def walker_build_dag(trace_like, mode: Optional[str] = None,
         dag.pred_prog.append(last_node[loc])
         dag.pred_remote.append(pred_remote)
         dag.remote_critical.append(remote_critical)
-        dag.cpid.append(cur_cpid[loc])
+        dag.cpid.append(root if et == TERMINAL else cur_cpid[loc])
         acc = seg_acc[loc]
-        dag.seg.append(list(acc.items()))
+        segs.append(list(acc.items()))
         acc.clear()
         last_node[loc] = nid
         last_node_clock[loc] = c
         return nid
 
-    # match id -> (send node, send clock); omp id -> (fork node, fork clock)
+    # match id -> (send node, send clock); omp id -> (fork node, fork
+    # clock, the forking location's stack)
     send_info: Dict[int, Tuple[int, float]] = {}
-    fork_info: Dict[int, Tuple[int, float]] = {}
+    fork_info: Dict[int, Tuple[int, float, List[str]]] = {}
     # (etype, group id) -> list of (loc, provisional clock, node, enter clock)
     groups: Dict[Tuple[int, int], List[Tuple[int, float, int, float]]] = {}
 
@@ -1208,6 +1313,9 @@ def walker_build_dag(trace_like, mode: Optional[str] = None,
             step = inc_of[loc](ev)
             c = prev + step
         et = ev.etype
+        if et == TEAM_BEGIN:
+            stacks[loc] = list(fork_info[ev.aux][2])
+            cur_cpid[loc] = intern(tuple(stacks[loc]))
 
         # attribute the step to the call path active *before* the event
         # (a BURST's work belongs to the burst's own child call path)
@@ -1219,7 +1327,7 @@ def walker_build_dag(trace_like, mode: Optional[str] = None,
         acc = seg_acc[loc]
         acc[cp] = acc.get(cp, 0.0) + step
 
-        if et == ENTER:
+        if et == ENTER or et == OBAR_ENTER:
             stk = stacks[loc]
             stk.append(regions.name(ev.region))
             cur_cpid[loc] = intern(tuple(stk))
@@ -1289,12 +1397,17 @@ def walker_build_dag(trace_like, mode: Optional[str] = None,
                         dag.clock[nid2] = m
                         last_node_clock[l2] = m
                 del groups[key]
+            if et == OBAR_LEAVE:
+                stk = stacks[loc]
+                if stk:
+                    stk.pop()
+                cur_cpid[loc] = intern(tuple(stk))
         elif et == FORK:
             clock[loc] = c
             nid = new_node(loc, i, et, ev.region, ev.t, c, 0.0, -1, False)
-            fork_info[ev.aux] = (nid, c)
+            fork_info[ev.aux] = (nid, c, list(stacks[loc]))
         elif et == TEAM_BEGIN:
-            fnid, fclk = fork_info[ev.aux]
+            fnid, fclk, _stack = fork_info[ev.aux]
             if is_tsc:
                 new = c
                 rc = last_node[loc] < 0 or fclk > prev
@@ -1323,21 +1436,28 @@ def walker_build_dag(trace_like, mode: Optional[str] = None,
                  0.0, -1, False)
     dag.final = list(clock)
     dag.n_events = sum(ev_idx)
+    dag.seg_start = np.cumsum([0] + [len(sg) for sg in segs])
+    dag.seg_cp = np.array([cp for sg in segs for cp, _w in sg], dtype=np.int64)
+    dag.seg_work = np.array([w for sg in segs for _cp, w in sg],
+                            dtype=np.float64)
     return dag
 
 
 def dag_nodes(dag: CausalDag) -> list:
     """Every node of ``dag`` with call paths as tuples and floats as bits
-    (call-path ids depend on the interning order, the paths do not)."""
+    (call-path ids depend on the interning order, the paths do not), its
+    program edge's work per call path read from the ``seg_*`` arrays."""
     paths = dag.callpaths
+    start = dag.seg_start.tolist()
+    seg = list(zip(dag.seg_cp.tolist(), dag.seg_work.tolist()))
     return [
         (dag.loc[k], dag.idx[k], dag.etype[k], dag.region[k],
          _bits(dag.t[k]), _bits(dag.clock[k]), _bits(dag.work[k]),
          _bits(dag.wait[k]), dag.pred_prog[k], dag.pred_remote[k],
          dag.remote_critical[k], paths[dag.cpid[k]],
-         [(paths[cp], _bits(w)) for cp, w in dag.seg[k]])
+         [(paths[cp], _bits(w)) for cp, w in seg[start[k]:start[k + 1]]])
         for k in range(dag.n_nodes)
-    ] + [[_bits(x) for x in dag.final], dag.n_events]
+    ] + [[_bits(x) for x in dag.final], dag.n_events, len(start)]
 
 
 # ---------------------------------------------------------------------------

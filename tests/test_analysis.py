@@ -19,9 +19,7 @@ from repro.analysis import (
     OMP_MANAGEMENT,
     TIME_LEAVES,
     analyze_trace,
-    barrier_split,
     group_totals,
-    late_receiver_wait,
     late_sender_wait,
     nxn_waits,
     render_metric_tree,
@@ -52,7 +50,7 @@ from repro.sim.events import (
     Ev,
     RegionRegistry,
 )
-from tests.oracles import walker_analyze_trace
+from tests.oracles import barrier_split, late_receiver_wait, walker_analyze_trace
 
 K = KernelSpec("k", flops_per_unit=1e6, omp_iters_per_unit=1.0, bb_per_unit=5,
                stmt_per_unit=15, instr_per_unit=40, memory_scope="none")

@@ -12,9 +12,16 @@ The contracts under test (docs/causal.md):
   the paper's resilience claim extended to causal structure.
 * The blame profile is conservative: the blame metrics sum exactly to
   the total attributed wait.
+* Nodes, blame and the critical-path table carry the analysis plan's
+  call paths: every blamed path is a path of the wait-state profile of
+  the same trace and mode, only the sink sits at ``<program>``, a team
+  begin sits at its fork's frame and an OpenMP barrier completion under
+  its ``omp_ibarrier_*`` frame.
 * What-if replay (power-of-two factors) matches a full engine
   re-simulation bit for bit, and ``drop_region`` of an injected delay
-  reproduces the delay-free program's clocks exactly.
+  reproduces the delay-free program's clocks exactly; scaling a region
+  that encloses a parallel loop scales its worker threads too, as a run
+  with the region's units scaled does.
 * The aligner lands shared markers exactly; aligned Chrome exports carry
   the required keys and stream from ``.shards`` archives.
 """
@@ -24,6 +31,7 @@ import json
 import pytest
 
 from repro import obs
+from repro.analysis import analyze_trace
 from repro.causal import (
     BLAME_LEAVES,
     ClockAligner,
@@ -36,12 +44,13 @@ from repro.causal import (
     validate_whatif,
 )
 from repro.causal.whatif import REPLAYABLE_MODES
+from repro.clocks import timestamp_trace
 from repro.clocks.streaming import stream_clock_replay
 from repro.experiments.delayprop import DelayRing, run_delay_propagation
 from repro.machine import small_test_cluster
 from repro.machine.noise import NoiseConfig, NoiseModel
 from repro.measure import Measurement
-from repro.measure.config import MODES
+from repro.measure.config import MODES, X_BB_PER_OMP_CALL, Y_STMT_PER_OMP_CALL
 from repro.measure.shards import open_sharded_trace, write_sharded_trace
 from repro.miniapps import (
     Lulesh,
@@ -52,7 +61,17 @@ from repro.miniapps import (
     TeaLeafConfig,
 )
 from repro.obs import CHROME_REQUIRED_KEYS, ObsSession
-from repro.sim import CostModel, Engine
+from repro.sim import (
+    Allreduce,
+    CostModel,
+    Engine,
+    Enter,
+    KernelSpec,
+    Leave,
+    ParallelFor,
+    Program,
+)
+from repro.sim.events import FORK, OBAR_LEAVE, TEAM_BEGIN
 from tests.oracles import dag_nodes, lamport_replay, walker_build_dag
 
 LOGICAL_MODES = REPLAYABLE_MODES  # lt1, ltloop, ltbb, ltstmt
@@ -174,6 +193,82 @@ class TestBlame:
         assert len(finals) == 2
 
 
+class TestCallPaths:
+    """The DAG reads the analysis plan's call paths (docs/causal.md)."""
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("app", ["lulesh", "tealeaf"])
+    def test_blamed_paths_are_profile_paths(self, seed_traces, app, mode):
+        trace = seed_traces[app][1]
+        blame = blame_profile(build_dag(trace, mode, counter_seed=5))
+        profile = analyze_trace(timestamp_trace(trace, mode, counter_seed=5))
+        blamed = {path for (_m, path, _l) in _blame_cells(blame)}
+        assert len(blamed) > 2
+        assert blamed - {("<source>",), ("<program>",)} <= set(
+            profile.calltree.paths())
+
+    @pytest.mark.parametrize("mode", ["tsc", "ltbb"])
+    @pytest.mark.parametrize("app", ["minife", "lulesh", "tealeaf"])
+    def test_only_the_sink_sits_at_the_program_root(self, seed_traces, app,
+                                                    mode):
+        dag = build_dag(seed_traces[app][1], mode)
+        rows = [r for r in critical_path_table(dag, top=10**6)
+                if r[0] == "<program>"]
+        assert [hops for _p, hops, _wk, _wt in rows] == [1]
+        assert dag.callpath(dag.sink()) == ("<program>",)
+
+    @pytest.mark.parametrize("app", ["minife", "lulesh", "tealeaf"])
+    def test_workers_sit_under_their_fork_and_barrier_frames(self, seed_traces,
+                                                             app):
+        dag = build_dag(seed_traces[app][1], "lt1")
+        names = dag.region_names
+        teams = bars = 0
+        for k in range(dag.n_nodes):
+            path = dag.callpaths[dag.cpid[k]]
+            if dag.etype[k] == TEAM_BEGIN:
+                fork = dag.pred_remote[k]
+                assert dag.etype[fork] == FORK
+                assert path == dag.callpaths[dag.cpid[fork]]
+                teams += 1
+            elif dag.etype[k] == OBAR_LEAVE:
+                assert path[-1] == names[dag.region[k]]
+                assert path[-1].startswith("omp_ibarrier")
+                bars += 1
+        assert teams and bars
+
+
+K_LOOP = KernelSpec("k", flops_per_unit=1e5, bytes_per_unit=1e4,
+                    omp_iters_per_unit=1.0, bb_per_unit=4.0,
+                    stmt_per_unit=12.0, instr_per_unit=30.0)
+
+
+class _LoopInRegion(Program):
+    """Two ranks of four threads; region ``r`` holds one parallel loop
+    of ``units`` x (rank + 1) units, split evenly over the threads."""
+
+    name = "loop-in-region"
+    n_ranks = 2
+    threads_per_rank = 4
+
+    def __init__(self, units):
+        self.units = units
+
+    def make_rank(self, ctx):
+        yield Enter("main")
+        yield Enter("r")
+        yield ParallelFor("loop", K_LOOP, total_units=self.units * (ctx.rank + 1))
+        yield Leave("r")
+        yield Allreduce()
+        yield Leave("main")
+
+
+def _loop_trace(units):
+    cluster = small_test_cluster(cores_per_numa=4, numa_per_socket=2)
+    cost = CostModel(cluster, noise=NoiseModel(NoiseConfig(), seed=1))
+    return Engine(_LoopInRegion(units), cluster, cost,
+                  measurement=Measurement("ltloop")).run().trace
+
+
 class TestWhatIf:
     def test_empty_edit_is_identity(self, minife_trace):
         res = run_whatif(minife_trace, [], "ltbb")
@@ -198,6 +293,34 @@ class TestWhatIf:
         res = run_whatif(minife_trace, [scale_region("matvec", 2.0)], "ltbb")
         assert res.makespan > res.baseline_makespan
         assert res.speedup < 1.0
+
+    def test_region_edit_scales_its_worker_threads(self):
+        """Doubling ``r`` predicts the run whose loop in ``r`` does twice
+        the units: the workers' share, under the fork's frame, doubles
+        too."""
+        res = run_whatif(_loop_trace(40), [scale_region("r", 2.0)], "ltloop")
+        doubled = run_whatif(_loop_trace(80), [], "ltloop")
+        assert [f.hex() for f in res.final] == [
+            f.hex() for f in doubled.baseline_final]
+        assert res.final != res.baseline_final
+        v = validate_whatif(res, lambda: _loop_trace(40))
+        assert v.ok and v.max_abs_diff == 0.0
+
+    @pytest.mark.parametrize("mode", LOGICAL_MODES)
+    def test_scales_multiply_in_the_oracles_order(self, mode):
+        """Non-power-of-two factors round, so the per-(rank, path) scales
+        must multiply as the scalar oracle does: the rank factor, the
+        targets on the path in edit order, a burst's own region last."""
+        from repro.causal.whatif import _edited_stream_finals
+
+        trace = _run_trace(_apps()["minife"], "tsc", seed=1)
+        edits = [scale_region("operator()", 1.7), scale_region("init", 2.9),
+                 scale_rank(1, 1.3), scale_region("assemble_FE_data", 0.6, rank=0),
+                 scale_region("omp_ibarrier_matvec_loop", 3.1)]
+        res = run_whatif(trace, edits, mode)
+        oracle = _edited_stream_finals(trace, edits, mode, X_BB_PER_OMP_CALL,
+                                       Y_STMT_PER_OMP_CALL)
+        assert [f.hex() for f in res.final] == [f.hex() for f in oracle]
 
     def test_duplicate_edits_compose(self, minife_trace):
         once = run_whatif(minife_trace, [scale_region("matvec", 4.0)], "ltbb")

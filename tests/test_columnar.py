@@ -13,9 +13,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import (
-    barrier_split,
     barrier_split_batch,
-    late_receiver_wait,
     late_receiver_wait_many,
     late_sender_wait,
     late_sender_wait_many,
@@ -50,7 +48,12 @@ from repro.sim.events import (
 )
 from repro.sim.kernels import EMPTY_DELTA, WorkDelta
 from repro.verify import sanitize_raw
-from tests.oracles import lamport_replay, walker_sanitize_raw
+from tests.oracles import (
+    barrier_split,
+    lamport_replay,
+    late_receiver_wait,
+    walker_sanitize_raw,
+)
 
 
 def _run(app, seed=1):

@@ -340,3 +340,46 @@ class TestClockModesHandleRestarts:
             tt.validate_monotone()
             fps.append(trace_fingerprint(tt))
         assert fps[0] == fps[1], mode
+
+
+# the fingerprints of the three tiny mini-apps (tsc recording, noise seed
+# 1) as the per-event hash over ``trace.events`` computed them; the hash
+# now reads the trace's columns and must not move a bit
+_TINY_FINGERPRINTS = {
+    ("minife", "tsc"):
+        "aa41562ff4858337f851017283138f319143a1f987b362f797fc1f97234dd766",
+    ("minife", "ltbb"):
+        "247f31b5050ebbcf57c1b2b96ea5d792e9fa641a4a0d8e48d338bc4b9b21918d",
+    ("lulesh", "tsc"):
+        "5d002fa1e93218e165d4c9e4f7aa26f52c5cf3edee130ab0ed793341198e77f3",
+    ("lulesh", "ltbb"):
+        "9a096f20ecdbd88c4af75d67564f4d64d48071c14889fd104c321f5d970cf4db",
+    ("tealeaf", "tsc"):
+        "92efb6b9c4f8dfb0177de7a1f5b73a37c766794d74fea7b347357090e657686e",
+    ("tealeaf", "ltbb"):
+        "f1aa10193a185b74fd6027933c2db9d59bf02ac7ae562ab465df7eb450877e4a",
+}
+
+
+@pytest.mark.parametrize("app", ["minife", "lulesh", "tealeaf"])
+def test_trace_fingerprint_pinned_and_column_backed(app):
+    from repro.miniapps import (
+        Lulesh,
+        LuleshConfig,
+        MiniFE,
+        MiniFEConfig,
+        TeaLeaf,
+        TeaLeafConfig,
+    )
+
+    make = {"minife": lambda: MiniFE(MiniFEConfig.tiny()),
+            "lulesh": lambda: Lulesh(LuleshConfig.tiny()),
+            "tealeaf": lambda: TeaLeaf(TeaLeafConfig.tiny())}[app]
+    cluster = small_test_cluster(cores_per_numa=8, numa_per_socket=2)
+    cost = CostModel(cluster, noise=NoiseModel(NoiseConfig(), seed=1))
+    trace = Engine(make(), cluster, cost,
+                   measurement=Measurement("tsc")).run().trace
+    for mode in ("tsc", "ltbb"):
+        assert (trace_fingerprint(timestamp_trace(trace, mode))
+                == _TINY_FINGERPRINTS[app, mode])
+    assert trace.column_backed

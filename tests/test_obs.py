@@ -512,6 +512,43 @@ class TestAnalysisSpans:
             "analysis.plan_compiles": 1.0}
 
 
+    def test_every_call_path_consumer_shares_one_plan(self, cluster,
+                                                      quiet_cost):
+        # the wait-state analysis, the plain profile, the DAG and a region
+        # what-if read one memoized analysis plan; a rank edit needs none
+        from repro.analysis import analyze_trace, plain_profile
+        from repro.causal import build_dag, run_whatif, scale_rank, scale_region
+        from repro.clocks import timestamp_trace
+        from repro.measure import MODES, Measurement
+        from repro.miniapps.minife import MiniFE, MiniFEConfig
+        from repro.sim import Engine
+
+        def run():
+            return Engine(MiniFE(MiniFEConfig.tiny(nx=32, n_ranks=2)),
+                          cluster, quiet_cost,
+                          measurement=Measurement("tsc")).run().trace
+
+        trace = run()
+        session = obs.ObsSession()
+        with obs.scoped(session):
+            run_whatif(trace, [scale_rank(0, 2.0)], "ltbb")
+            assert session.metrics.totals("analysis.") == {}
+            for mode in MODES:
+                analyze_trace(timestamp_trace(trace, mode))
+            plain_profile(timestamp_trace(trace, "ltbb"))
+            build_dag(trace, "tsc")
+            run_whatif(trace, [scale_region("matvec", 2.0)], "ltbb")
+        assert trace.column_backed
+        names = [r.name for r in session.spans.records]
+        assert names.count("analysis.plan_compile") == 1
+        assert session.metrics.totals("analysis.") == {
+            "analysis.plan_compiles": 1.0}
+        with obs.scoped(obs.ObsSession()) as fresh:
+            run_whatif(run(), [scale_region("matvec", 2.0)], "ltbb")
+            assert fresh.metrics.totals("analysis.") == {
+                "analysis.plan_compiles": 1.0}
+
+
 class TestReplaySpans:
     def test_six_modes_and_a_dag_share_one_plan(self, cluster, quiet_cost):
         from repro.analysis import analyze_trace

@@ -15,7 +15,8 @@ invariants that every component of the pipeline relies on:
   through crash recovery records the same events and restarts as the
   per-event engine oracle,
 * the compiled wait-state analysis writes the same profile bytes, raw and
-  normalized, as the per-event walker oracle,
+  normalized, as the per-event walker oracle, and the plain profile the
+  same bytes as the per-location plain walker,
 * the Lamport replay plan gives the per-event walk's timestamps and final
   counters through ``timestamp_trace``, ``stream_clock_replay`` (on the
   trace and on a multi-shard archive) and ``build_dag``, whose DAG equals
@@ -47,7 +48,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.analysis import TIME_LEAVES, analyze_trace
+from repro.analysis import TIME_LEAVES, analyze_trace, plain_profile
 from repro.causal import build_dag
 from repro.clocks import timestamp_trace
 from repro.clocks.streaming import stream_clock_replay
@@ -106,6 +107,7 @@ from tests.oracles import (
     walker_build_dag,
     walker_check_timestamps,
     walker_find_races,
+    walker_plain_profile,
     walker_sanitize_raw,
 )
 
@@ -281,6 +283,15 @@ def test_analysis_plan_matches_walker_oracle(steps, seed, mode):
     assert json.dumps(profile_doc(got)) == json.dumps(profile_doc(want))
     assert (json.dumps(profile_doc(got.normalized()))
             == json.dumps(profile_doc(want.normalized())))
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(program_strategy, st.integers(min_value=0, max_value=100), st.sampled_from(MODES))
+def test_plain_profile_matches_walker_oracle(steps, seed, mode):
+    tt = timestamp_trace(_run(steps, seed).trace, mode, counter_seed=seed)
+    got = plain_profile(tt)
+    want = walker_plain_profile(tt)  # takes the events, so it runs last
+    assert json.dumps(profile_doc(got)) == json.dumps(profile_doc(want))
 
 
 # ---------------------------------------------------------------------------

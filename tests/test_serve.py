@@ -756,6 +756,42 @@ class TestIngestHardening:
         assert not list(root.glob("cas-*-trace.trace.json.gz"))
         assert _total(session, "serve.upload_rejects") == 3.0
 
+    def test_stray_leave_upload_refused_alike_by_call_path_ops(
+            self, tmp_path, session):
+        # a LEAVE that pops an empty region stack: the clocks replay it,
+        # and every op that reads call paths refuses it the same way, as
+        # they all read the one analysis plan
+        from repro.measure import write_trace
+        from repro.sim.events import LEAVE, Ev
+
+        trace = _make_trace("ltbb", seed=1)
+        evs = trace.events[0]
+        evs.append(Ev(LEAVE, evs[-1].region, evs[-1].t))
+        f1 = tmp_path / "stray.trace.json.gz"
+        write_trace(trace, f1)
+
+        async def main():
+            svc = _service(tmp_path)
+            await svc.start()
+            try:
+                client = _client(svc)
+                up = await client.upload_trace(f1.read_bytes())
+                replay = await client.analyze("replay", up["hash"])
+                score = await client.analyze("score", up["hash"],
+                                             trace_b=up["hash"])
+                blame = await client.analyze("blame", up["hash"])
+                whatif = await client.analyze(
+                    "whatif", up["hash"], params={"scale": {"matvec": 2.0}})
+            finally:
+                await svc.stop()
+            return replay, score, blame, whatif
+
+        replay, score, blame, whatif = asyncio.run(main())
+        assert replay.status == 200
+        assert score.status >= 400
+        assert blame.status == score.status
+        assert whatif.status == score.status
+
     def test_ingest_accept_chrome_then_analyze(self, tmp_path, session):
         from repro.obs.export import trace_chrome_events
         from repro.serve.client import http_request
