@@ -4,9 +4,13 @@ Run by the CI ``ingest-smoke`` job.  Exercises the hardened
 foreign-trace ingestion pipeline (docs/ingest.md) end to end:
 
 * **round trip** -- a Chrome trace-event export with the lossless
-  ``repro.raw`` sidecar re-ingests to a trace whose per-location clock
-  finals are bit-identical to the original under every deterministic
-  logical mode (lt1/ltloop/ltbb/ltstmt);
+  ``repro.raw`` sidecar re-ingests to a column-backed trace with the
+  original's archive bytes, whose per-location clock finals are
+  bit-identical to the original under every deterministic logical mode
+  (lt1/ltloop/ltbb/ltstmt);
+* **foreign corpus** -- the visible events of the same export are
+  accepted with no duplicate drop (ING011) and no synthesized LEAVE:
+  intervals that nest into two equal LEAVEs are two records;
 * **fuzz contract** -- >= 200 seeded corpus mutations *per format*
   (Chrome lossless + foreign, comm-op doc + JSON-lines) are ingested;
   every input must either parse clean, repair with an ING-diagnosed
@@ -57,14 +61,28 @@ def main(argv=None):
           result.report.accepted and not result.report.repairs)
     roundtrip = {}
     from repro.ingest.fuzz import _engine_trace
+    from repro.measure import trace_archive_bytes
 
     original = _engine_trace()
+    check("column-backed", result.trace.column_backed)
+    check("archive bytes equal the original's",
+          trace_archive_bytes(result.trace) == trace_archive_bytes(original))
     for mode in LOGICAL:
         want = replay_clock_finals(original, mode=mode)
         got = replay_clock_finals(result.trace, mode=mode)
         roundtrip[mode] = {"original": want, "ingested": got}
         check(f"{mode} finals bit-identical", got == want,
               f"final={got[-1]:.6g}")
+
+    # -- foreign corpus: clamps only, every LEAVE kept ------------------
+    print("foreign corpus (visible events only):")
+    foreign = ingest_bytes(by_name["chrome-foreign"], name="foreign.json",
+                           limits=FUZZ_LIMITS).report
+    check("accepted", foreign.accepted,
+          f"{len(foreign.repairs)} repair(s)")
+    check("no duplicate drop", "ING011" not in foreign.rule_ids())
+    check("no balance repair",
+          not any("synthesized" in d.message for d in foreign.repairs))
 
     # -- replay: comm-op program under all six clock modes --------------
     print("comm-op replay:")

@@ -17,7 +17,10 @@ serving design's load-bearing claims end to end:
 * **analysis** -- an uploaded trace answers blame requests, warm on
   repeat; replay under two modes and a what-if on the same upload (a
   pool worker keeps the trace it decoded for the blame) answer the bytes
-  ``execute_analysis_job`` computes cold in this process.
+  ``execute_analysis_job`` computes cold in this process;
+* **upload check** -- an archive that decodes but lost a receive record
+  (the sanitizer's TRC002) is refused at ``PUT /v1/traces`` with a 400
+  and a quarantine header instead of being stored.
 
 Artifacts left for upload: ``serve_load.json`` (the load report) and
 ``serve_metrics.json`` (the service's obs snapshot).
@@ -150,6 +153,23 @@ async def main() -> int:
                                           dict(params, trace=up["hash"]))
             check(f"{op} {params} as computed cold",
                   served.status == 200 and served.body == cold)
+
+        # -- an upload the sanitizer refuses is never stored ----------------
+        from repro.measure import trace_archive_bytes
+        from repro.serve.client import http_request
+        from repro.sim.events import MPI_RECV
+
+        evs = next(evs for evs in trace.events
+                   if any(ev.etype == MPI_RECV for ev in evs))
+        evs.remove(next(ev for ev in evs if ev.etype == MPI_RECV))
+        resp = await http_request(
+            "127.0.0.1", service.port, "PUT", "/v1/traces",
+            body=trace_archive_bytes(trace),
+            headers={"X-Archive-Name": "dropped-recv.trace.json.gz"})
+        check("upload without a receive refused (400)", resp.status == 400,
+              resp.json().get("detail", "")[:60])
+        check("refused upload quarantined",
+              bool(resp.headers.get("x-repro-quarantine")))
 
         # -- artifacts ------------------------------------------------------
         Path("serve_load.json").write_text(

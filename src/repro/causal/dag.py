@@ -466,7 +466,11 @@ def _distribute_blame(dag: CausalDag, segs, path_id, nid: int, wait: float,
 def critical_path_table(dag: CausalDag, top: int = 10) -> List[Tuple[str, int, float, float]]:
     """Critical path aggregated by call path: (path, hops, work, wait).
 
-    Rows are sorted by descending work share; ``top`` bounds the list.
+    ``work`` sums the program edges the path takes: a node's
+    :attr:`~CausalDag.work` counts only where the path enters it by its
+    program edge, not by its remote one.  The column therefore adds up to
+    at most the makespan.  Rows are sorted by descending work share;
+    ``top`` bounds the list.
     """
     agg: Dict[Tuple[str, ...], List[float]] = {}
     order: List[Tuple[str, ...]] = []
@@ -477,7 +481,8 @@ def critical_path_table(dag: CausalDag, top: int = 10) -> List[Tuple[str, int, f
             row = agg[path] = [0, 0.0, 0.0]
             order.append(path)
         row[0] += 1
-        row[1] += dag.work[nid]
+        if not dag.remote_critical[nid]:
+            row[1] += dag.work[nid]
         row[2] += dag.wait[nid]
     rows = [(" / ".join(p), int(agg[p][0]), agg[p][1], agg[p][2])
             for p in order]

@@ -33,9 +33,6 @@ class SystemTree:
     def threads_of(self, rank: int) -> List[int]:
         return sorted(t for (r, t) in self.locations if r == rank)
 
-    def locations_of_rank(self, rank: int) -> List[int]:
-        return [i for i, (r, _t) in enumerate(self.locations) if r == rank]
-
     def master_locations(self) -> List[int]:
         return [self._index[(r, 0)] for r in self.ranks]
 

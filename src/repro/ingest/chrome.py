@@ -1,81 +1,63 @@
 """Tolerant Chrome trace-event parser.
 
-Two reconstruction paths out of one record stream:
+Two reconstruction paths out of one record stream, both into
+:class:`~repro.measure.columnar.TraceColumns`:
 
 * **Lossless** -- the input carries the ``repro-chrome-raw-1`` sidecar
   that :func:`repro.obs.export.trace_chrome_events` embeds with
   ``embed_raw=True``: a ``repro_trace`` metadata header (mode, location
   table, region table) plus one ``cat:"repro.raw"`` instant per engine
-  event.  Every field is validated against the aux/delta conventions of
-  :mod:`repro.measure.columnar`; the rebuilt :class:`PendingTrace` is
-  bit-identical to the original archive when the input is undamaged.
+  event.  The header goes through the archives' header check
+  (:func:`repro.measure.io.parse_header`) and the ingest caps, every
+  record through the archives' record check (the type and value layers
+  of :mod:`repro.measure.columnar`); a record that breaks it is dropped
+  (ING003), and so is one equal to an earlier record of its location
+  (ING011).  The rebuilt columns are bit-identical to the original
+  archive's when the input is undamaged.
 * **Foreign** -- any other Chrome trace (``X`` complete events and
   ``B``/``E`` duration pairs, as produced by browsers, TensorFlow,
   ``chrome://tracing`` exporters...).  Intervals are normalised into a
-  properly nested ENTER/LEAVE forest per ``(pid, tid)`` location,
+  properly nested ENTER/LEAVE forest per ``(pid, tid)`` location (an
+  interval equal to an earlier one of its location is dropped, ING011),
   microseconds become seconds, and the trace is labelled mode ``tsc``
   (foreign timestamps are physical; no logical counters survive export).
 
 The record *scanner* never trusts the container: strict ``json.loads``
 first, then a string-aware balanced-brace walk that skips damaged
 chunks (ING003) and detects a truncated tail (ING004).  A corrupt raw
-sidecar degrades to the foreign path instead of rejecting -- the visible
-events are usually still salvageable.
+sidecar header degrades to the foreign path instead of rejecting -- the
+visible events are usually still salvageable.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from typing import List, Optional, Tuple
+from itertools import compress
+from typing import List, Optional
+
+import numpy as np
 
 from repro.ingest.limits import IngestBudget
 from repro.ingest.report import IngestReport
-from repro.ingest.salvage import PendingTrace
-from repro.measure.config import MODES
-from repro.obs.export import CHROME_RAW_FORMAT
-from repro.sim.events import (
-    BURST,
-    COLL_END,
-    ENTER,
-    EVENT_NAMES,
-    FAULT,
-    FORK,
-    JOIN,
-    LEAVE,
-    MPI_RECV,
-    MPI_SEND,
-    OBAR_ENTER,
-    OBAR_LEAVE,
-    RESTART,
-    TEAM_BEGIN,
-    EMPTY_DELTA,
-    Ev,
-    RegionRegistry,
-    WorkDelta,
+from repro.measure.columnar import (
+    COLUMN_FIELDS,
+    DeltaTable,
+    TraceColumns,
+    record_problem,
+    value_defects,
 )
+from repro.measure.io import TraceFormatError, parse_header
+from repro.sim.events import ENTER, LEAVE, RegionRegistry
+from repro.sim.kernels import EMPTY_DELTA
 
 __all__ = ["parse_chrome"]
 
-_NAME_TO_ETYPE = {name: et for et, name in EVENT_NAMES.items()}
-_PAIR_AUX = (MPI_SEND, COLL_END, OBAR_LEAVE, RESTART)
-_SCALAR_AUX = (MPI_RECV, FORK, JOIN, TEAM_BEGIN, FAULT)
-_DELTA_FIELDS = ("omp_iters", "bb", "stmt", "instr", "burst_calls",
-                 "omp_calls")
 _US = 1e-6  # Chrome timestamps are microseconds
 
 
 class _SidecarCorrupt(Exception):
     """The embedded raw sidecar is unusable; fall back to visible events."""
-
-
-def _is_num(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool) \
-        and math.isfinite(x)
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 # -- record extraction ---------------------------------------------------
@@ -203,104 +185,63 @@ def _extract_records(text: str, report: IngestReport,
 
 # -- lossless reconstruction from the repro.raw sidecar ------------------
 
-def _validate_header(args: dict, budget: IngestBudget):
-    """Decode the ``repro_trace`` header; :class:`_SidecarCorrupt` if bad."""
-    if not isinstance(args, dict):
-        raise _SidecarCorrupt("header args is not an object")
-    if args.get("format") != CHROME_RAW_FORMAT:
-        raise _SidecarCorrupt(
-            f"unknown sidecar format {args.get('format')!r}")
-    mode = args.get("mode")
-    if not isinstance(mode, str) or mode not in MODES:
-        raise _SidecarCorrupt(f"unknown mode {mode!r}")
-    locs = args.get("locations")
-    if not isinstance(locs, list):
-        raise _SidecarCorrupt("locations is not a list")
-    budget.check_locations(len(locs))
-    locations: List[Tuple[int, int]] = []
-    for entry in locs:
-        if (not isinstance(entry, (list, tuple)) or len(entry) != 2
-                or not _is_int(entry[0]) or not _is_int(entry[1])
-                or entry[0] < 0 or entry[1] < 0):
-            raise _SidecarCorrupt(f"bad location entry {entry!r}")
-        locations.append((entry[0], entry[1]))
-    if len(set(locations)) != len(locations):
-        raise _SidecarCorrupt("duplicate (rank, thread) location")
-    names = args.get("regions")
-    paradigms = args.get("paradigms")
-    if (not isinstance(names, list) or not isinstance(paradigms, list)
-            or len(names) != len(paradigms)):
-        raise _SidecarCorrupt("region/paradigm tables malformed")
-    budget.check_regions(len(names))
-    regions = RegionRegistry()
-    for name, paradigm in zip(names, paradigms):
-        if not isinstance(name, str) or not isinstance(paradigm, str):
-            raise _SidecarCorrupt("non-string region entry")
-        if regions.intern(name, paradigm) != len(regions) - 1:
-            raise _SidecarCorrupt(f"duplicate region name {name!r}")
-    runtime = args.get("runtime")
-    if not _is_num(runtime) or runtime < 0:
-        runtime = 0.0
-    return mode, regions, locations, float(runtime)
+#: the sidecar record keys of the seven archive record fields, in order
+_RAW_KEYS = ("loc", "etype", "region", "t", "delta", "aux", "t_enter")
 
 
-def _decode_raw_event(args: dict, n_locs: int, n_regions: int):
-    """One ``cat:"repro.raw"`` record -> ``(loc, Ev)``, or ``None`` if bad."""
-    if not isinstance(args, dict):
-        return None
-    loc = args.get("loc")
-    et = args.get("etype")
-    region = args.get("region")
-    t = args.get("t")
-    if (not _is_int(loc) or not 0 <= loc < n_locs
-            or not _is_int(et) or et not in EVENT_NAMES
-            or not _is_int(region) or not -1 <= region < n_regions
-            or not _is_num(t)):
-        return None
-    t_enter = args.get("t_enter", 0.0)
-    if not _is_num(t_enter):
-        return None
-    aux = args.get("aux")
-    if et in _PAIR_AUX:
-        if (not isinstance(aux, (list, tuple)) or len(aux) != 2
-                or not _is_int(aux[0]) or not _is_int(aux[1])):
-            return None
-        aux = (aux[0], aux[1])
-    elif et in _SCALAR_AUX:
-        if not _is_int(aux):
-            return None
-    elif aux is not None:
-        return None
-    delta = args.get("delta")
-    if delta is None:
-        wd = EMPTY_DELTA
-    else:
-        if not isinstance(delta, dict):
-            return None
-        kw = {}
-        for k, v in delta.items():
-            if k not in _DELTA_FIELDS or not _is_num(v) or v < 0:
-                return None
-            kw[k] = float(v)
-        wd = WorkDelta(**kw) if kw else EMPTY_DELTA
-    return loc, Ev(et, region, float(t), wd, aux, float(t_enter))
+def _raw_fields(raw_records: List[dict]) -> List[list]:
+    """The seven field sequences of ``repro.raw`` records (absent keys,
+    and every field of a record whose ``args`` is no object, read as
+    null)."""
+    args = [a if isinstance(a, dict) else {}
+            for a in (rec.get("args") for rec in raw_records)]
+    return [[a.get(k) for a in args] for k in _RAW_KEYS]
 
 
-def _reconstruct_lossless(header_args: dict, raw_records: List[dict],
+def _exact_copies(cols: TraceColumns) -> np.ndarray:
+    """The rows equal, column for column, to an earlier row of their
+    location (a repeated input record)."""
+    keys = [cols.column(f) for f in COLUMN_FIELDS] + [cols.row_locations()]
+    order = np.lexsort(keys)  # stable: equal rows keep their order
+    same = np.ones(max(len(order) - 1, 0), dtype=bool)
+    for k in keys:
+        k = k[order]
+        same &= k[1:] == k[:-1]
+    copies = np.zeros(len(order), dtype=bool)
+    copies[order[1:][same]] = True
+    return copies
+
+
+def _reconstruct_lossless(header_args, raw_records: List[dict],
                           report: IngestReport,
-                          budget: IngestBudget) -> PendingTrace:
-    mode, regions, locations, runtime = _validate_header(header_args,
-                                                         budget)
-    events: List[List[Ev]] = [[] for _ in locations]
-    bad = 0
-    for rec in raw_records:
-        decoded = _decode_raw_event(rec.get("args"), len(locations),
-                                    len(regions))
-        if decoded is None:
-            bad += 1
-            continue
-        loc, ev = decoded
-        events[loc].append(ev)
+                          budget: IngestBudget) -> TraceColumns:
+    try:
+        regions, locations = parse_header("<sidecar>", header_args, "chrome")
+    except TraceFormatError as exc:
+        raise _SidecarCorrupt(exc.reason) from None
+    budget.check_locations(len(locations))
+    budget.check_regions(len(regions))
+    n_loc = len(locations)
+    fields = _raw_fields(raw_records)
+    if record_problem(fields, n_loc):
+        ok = [not record_problem([[x] for x in rec], n_loc)
+              for rec in zip(*fields)]
+        fields = [list(compress(f, ok)) for f in fields]
+    # each location's records, in order, one location after the other
+    loc = np.array(fields[0], dtype=np.int64)
+    order = np.argsort(loc, kind="stable").tolist()
+    etype, region, t, delta, aux, t_enter = (
+        list(map(f.__getitem__, order)) for f in fields[1:])
+    cols = TraceColumns.from_fields(
+        header_args["mode"], regions, locations,
+        np.bincount(loc, minlength=n_loc).tolist(),
+        etype, region, t, DeltaTable().of_records(delta), aux,
+        [x or 0.0 for x in t_enter], runtime=float(header_args["runtime"]))
+    defects = value_defects({f: cols.column(f) for f in COLUMN_FIELDS},
+                            len(regions))
+    if defects:
+        cols = cols.select(~np.logical_or.reduce(list(defects.values())))
+    bad = len(raw_records) - cols.n_events
     if raw_records and bad == len(raw_records):
         raise _SidecarCorrupt("every raw record is malformed")
     if bad:
@@ -308,8 +249,19 @@ def _reconstruct_lossless(header_args: dict, raw_records: List[dict],
         report.repair("ING003",
                       f"dropped {bad} malformed raw record(s)")
     report.n_records += len(raw_records) - bad
-    return PendingTrace(mode=mode, regions=regions, locations=locations,
-                        events=events, runtime=runtime)
+    copies = _exact_copies(cols)
+    if copies.any():
+        per_loc = np.bincount(cols.row_locations()[copies], minlength=n_loc)
+        for loc in np.flatnonzero(per_loc).tolist():
+            _report_copies(report, int(per_loc[loc]), "record", loc)
+        cols = cols.select(~copies)
+    return cols
+
+
+def _report_copies(report: IngestReport, n: int, what: str,
+                   loc: int) -> None:
+    report.n_dropped += n
+    report.repair("ING011", f"dropped {n} duplicate {what}(s)", location=loc)
 
 
 # -- foreign reconstruction from visible X / B / E events ----------------
@@ -336,7 +288,8 @@ def _collect_intervals(records: List[dict], report: IngestReport):
         ts = rec.get("ts")
         pid = rec.get("pid", 0)
         tid = rec.get("tid", 0)
-        if not _is_num(ts) or not _is_int(pid) or not _is_int(tid):
+        if type(ts) not in (int, float) or not math.isfinite(ts) \
+                or type(pid) is not int or type(tid) is not int:
             bad += 1
             continue
         key = (pid, tid)
@@ -345,7 +298,8 @@ def _collect_intervals(records: List[dict], report: IngestReport):
         if ph == "X":
             dur = rec.get("dur", 0.0)
             name = rec.get("name")
-            if not _is_num(dur) or dur < 0 or not isinstance(name, str):
+            if type(dur) not in (int, float) or not 0 <= dur < math.inf \
+                    or not isinstance(name, str):
                 bad += 1
                 continue
             t1 = t0 + dur * _US
@@ -387,22 +341,27 @@ def _collect_intervals(records: List[dict], report: IngestReport):
 
 
 def _nest_intervals(pairs, regions: RegionRegistry, report: IngestReport,
-                    loc: int) -> List[Ev]:
-    """Turn possibly-overlapping intervals into a nested ENTER/LEAVE list.
+                    loc: int):
+    """Turn possibly-overlapping intervals into a nested ENTER/LEAVE
+    sequence: ``(etype, region, t)`` lists.
 
     Sorted by ``(t0, -t1)`` so an enclosing interval precedes its
     children; a child overhanging its parent is clamped to the parent's
     end (one ING009 diagnostic per location, occurrences counted).
     """
     pairs = sorted(pairs, key=lambda p: (p[0], -p[1]))
-    out: List[Ev] = []
-    stack: List[Tuple[int, float]] = []  # (region id, t_end)
+    etype: List[int] = []
+    region: List[int] = []
+    t: List[float] = []
+    stack = []  # (region id, t_end)
     clamped = 0
 
-    def pop_until(t: float) -> None:
-        while stack and stack[-1][1] <= t:
+    def pop_until(t_now: float) -> None:
+        while stack and stack[-1][1] <= t_now:
             rid, t_end = stack.pop()
-            out.append(Ev(LEAVE, rid, t_end))
+            etype.append(LEAVE)
+            region.append(rid)
+            t.append(t_end)
 
     for t0, t1, name in pairs:
         pop_until(t0)
@@ -410,7 +369,9 @@ def _nest_intervals(pairs, regions: RegionRegistry, report: IngestReport,
             t1 = stack[-1][1]
             clamped += 1
         rid = regions.intern(name)
-        out.append(Ev(ENTER, rid, t0))
+        etype.append(ENTER)
+        region.append(rid)
+        t.append(t0)
         stack.append((rid, max(t1, t0)))
     pop_until(math.inf)
     if clamped:
@@ -418,49 +379,57 @@ def _nest_intervals(pairs, regions: RegionRegistry, report: IngestReport,
             "ING009",
             f"clamped {clamped} overlapping interval(s) to proper "
             f"nesting", location=loc)
-    return out
+    return etype, region, t
 
 
 def _reconstruct_foreign(records: List[dict], report: IngestReport,
-                         budget: IngestBudget) -> PendingTrace:
+                         budget: IngestBudget) -> TraceColumns:
     intervals = _collect_intervals(records, report)
     if not intervals:
         report.reject("ING002", "input contains no usable trace events")
         raise ValueError("no trace events")
     keys = sorted(intervals)
     budget.check_locations(len(keys))
+    # ranks number the pids, threads each pid's tids, both in order; the
+    # sorted keys list them location-major
     pids = sorted({pid for pid, _tid in keys})
     rank_of = {pid: i for i, pid in enumerate(pids)}
-    locations: List[Tuple[int, int]] = []
-    for pid in pids:
-        tids = sorted(tid for p, tid in keys if p == pid)
-        for thread, _tid in enumerate(tids):
-            locations.append((rank_of[pid], thread))
-    loc_of = {}
-    for pid in pids:
-        tids = sorted(tid for p, tid in keys if p == pid)
-        for thread, tid in enumerate(tids):
-            loc_of[(pid, tid)] = locations.index((rank_of[pid], thread))
+    locations = []
+    for pid, _tid in keys:
+        rank = rank_of[pid]
+        same = locations and locations[-1][0] == rank
+        locations.append((rank, locations[-1][1] + 1 if same else 0))
     regions = RegionRegistry()
-    events: List[List[Ev]] = [[] for _ in locations]
+    etype: List[int] = []
+    region: List[int] = []
+    t: List[float] = []
+    counts: List[int] = []
     runtime = 0.0
-    for key in keys:
-        loc = loc_of[key]
-        evs = _nest_intervals(intervals[key], regions, report, loc)
+    for loc, key in enumerate(keys):
+        pairs = list(dict.fromkeys(intervals[key]))
+        if len(pairs) < len(intervals[key]):
+            _report_copies(report, len(intervals[key]) - len(pairs),
+                           "interval", loc)
+        e, r, ts = _nest_intervals(pairs, regions, report, loc)
         budget.check_regions(len(regions))
-        events[loc] = evs
-        if evs:
-            runtime = max(runtime, evs[-1].t)
+        etype += e
+        region += r
+        t += ts
+        counts.append(len(e))
+        if ts:
+            runtime = max(runtime, ts[-1])
         report.n_records += len(intervals[key])
-    return PendingTrace(mode="tsc", regions=regions, locations=locations,
-                        events=events, runtime=runtime)
+    n = len(t)
+    return TraceColumns.from_fields(
+        "tsc", regions, locations, counts, etype, region, t,
+        [EMPTY_DELTA] * n, [None] * n, [0.0] * n, runtime=runtime)
 
 
 # -- entry point ---------------------------------------------------------
 
 def parse_chrome(text: str, report: IngestReport,
-                 budget: IngestBudget) -> PendingTrace:
-    """Parse Chrome trace-event JSON into a :class:`PendingTrace`.
+                 budget: IngestBudget) -> TraceColumns:
+    """Parse Chrome trace-event JSON into columns.
 
     Prefers the lossless ``repro.raw`` sidecar when present and intact;
     otherwise reconstructs from visible duration events.  Raises

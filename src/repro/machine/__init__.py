@@ -31,7 +31,6 @@ from repro.machine.noise import (
 from repro.machine.faults import (
     FaultConfig,
     FaultModel,
-    ZeroFaults,
     CrashPoint,
     RankCrash,
     MessageLoss,
@@ -63,7 +62,6 @@ __all__ = [
     "ZeroNoise",
     "FaultConfig",
     "FaultModel",
-    "ZeroFaults",
     "CrashPoint",
     "RankCrash",
     "MessageLoss",

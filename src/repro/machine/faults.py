@@ -42,7 +42,6 @@ from repro.util.validation import check_nonnegative
 
 __all__ = [
     "FaultConfig",
-    "ZeroFaults",
     "CrashPoint",
     "RankCrash",
     "MessageLoss",
@@ -138,11 +137,6 @@ class FaultConfig:
             self.link_degradation_probability > 0.0,
             self.straggler_probability > 0.0,
         ))
-
-
-def ZeroFaults() -> FaultConfig:
-    """A config with every injector switched off (the default)."""
-    return FaultConfig()
 
 
 @dataclass(frozen=True)

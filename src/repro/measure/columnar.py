@@ -37,9 +37,11 @@ Conversion (:meth:`TraceColumns.from_fields`, shared by the measurement
 and :meth:`TraceColumns.from_raw`) is strict: traces whose ``aux``
 payloads do not follow the engine's conventions (possible for hand-built
 test traces) raise :class:`ColumnarConversionError`.  Every replay and
-analysis runs on columns, so such a trace has no timestamps; the archive
-writers refuse it and the JSON-lines reader rejects records that break
-the table (:data:`AUX_ARITY`) at their line.
+analysis runs on columns, so such a trace has no timestamps.  Beside the
+kind table sits the one *record check* of every trace decoder and writer
+(the archive codecs and the Chrome sidecar): its type layer,
+:func:`record_problem`, runs on decoded JSON records, its value layer,
+:func:`value_defects`, on columns.
 
 The way back to events is one bulk builder, :func:`events_from_columns`,
 shared by :meth:`TraceColumns.event_lists` (what
@@ -54,15 +56,17 @@ so events may share them, as the engine's own events already do.
 
 from __future__ import annotations
 
+from array import array
 from functools import cached_property
-from itertools import chain
+from itertools import chain, compress, repeat
 from operator import attrgetter
-from typing import TYPE_CHECKING, List, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 from repro.sim.events import (
     COLL_END,
+    EVENT_NAMES,
     FAULT,
     FORK,
     JOIN,
@@ -80,9 +84,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.machine.topology import Pinning
     from repro.measure.trace import RawTrace
 
-__all__ = ["AUX_ARITY", "COLUMN_FIELDS", "ColumnarConversionError", "DeltaTable",
-           "LocationColumns", "SyncPlan", "TraceColumns", "aux_values",
-           "events_from_columns", "location_counts", "split_columns"]
+__all__ = ["AUX_ARITY", "COLUMN_FIELDS", "DELTA_FIELDS",
+           "ColumnarConversionError", "DeltaTable", "LocationColumns",
+           "SyncPlan", "TraceColumns", "aux_values", "events_from_columns",
+           "location_counts", "record_problem", "split_columns",
+           "value_defects", "value_error"]
 
 #: event kinds that participate in clock synchronisation (send/fork are
 #: producers, the rest consumers); everything else only accumulates work
@@ -95,12 +101,14 @@ _SCALAR_AUX = (MPI_RECV, FORK, JOIN, TEAM_BEGIN, FAULT)
 #: kinds not listed carry no payload
 AUX_ARITY = {**dict.fromkeys(_PAIR_AUX, 2), **dict.fromkeys(_SCALAR_AUX, 1)}
 
-_DELTA_FIELDS = ("omp_iters", "bb", "stmt", "instr", "burst_calls", "omp_calls")
-_delta_values = attrgetter(*_DELTA_FIELDS)
+#: the work-delta fields in ``WorkDelta`` order: the names of their
+#: columns and the keys a record's delta object may use
+DELTA_FIELDS = ("omp_iters", "bb", "stmt", "instr", "burst_calls", "omp_calls")
+_delta_values = attrgetter(*DELTA_FIELDS)
 
 #: every column, in ``LocationColumns`` slot order; the integer ones
 #: hold event kind, region and aux payload, the rest are float64
-COLUMN_FIELDS = ("etype", "region", "t", "t_enter", "aux_a", "aux_b") + _DELTA_FIELDS
+COLUMN_FIELDS = ("etype", "region", "t", "t_enter", "aux_a", "aux_b") + DELTA_FIELDS
 _INT_FIELDS = ("etype", "region", "aux_a", "aux_b")
 
 _INT_TYPES = (int, np.integer)
@@ -131,6 +139,119 @@ class DeltaTable(dict):
     def __missing__(self, key: tuple) -> WorkDelta:
         delta = self[key] = WorkDelta(*key)
         return delta
+
+    def of_records(self, deltas) -> list:
+        """The interned ``WorkDelta`` of each record's delta object (a
+        dict of :data:`DELTA_FIELDS` keys; ``None`` or empty for none)."""
+        get = dict.get
+        return [self[(get(d, "omp_iters", 0.0), get(d, "bb", 0.0),
+                      get(d, "stmt", 0.0), get(d, "instr", 0.0),
+                      get(d, "burst_calls", 0.0), get(d, "omp_calls", 0.0))]
+                if d else EMPTY_DELTA for d in deltas]
+
+
+# ---------------------------------------------------------------------------
+# the record check: a type layer on decoded JSON records (the JSON-lines
+# reader, the Chrome sidecar) and a value layer on columns (those two, the
+# npz and sharded readers, the archive writers)
+# ---------------------------------------------------------------------------
+
+_NUMBERS = {int, float}
+_T_ENTER_TYPES = {int, float, type(None)}
+_DELTA_KEYS = frozenset(DELTA_FIELDS)
+#: payload arity by JSON ``aux`` type (a list counts once it holds two ints)
+_AUX_ARITY_OF = {type(None): 0, int: 1, list: 2}
+
+
+def record_problem(records: tuple, n_loc: int) -> Optional[str]:
+    """The type layer: the first rule some record of a batch breaks, or
+    ``None``.  ``records`` holds the batch's seven field sequences
+    (location, kind, region, ``t``, delta, ``aux``, ``t_enter``).
+
+    Locations are ``int`` in ``[0, n_loc)``; kinds and regions ``int``
+    (never bool or float); a payload has its kind's :data:`AUX_ARITY`
+    shape (an int, a list of two ints, or null); those ints fit int64;
+    ``t`` is an ``int`` or ``float``, ``t_enter`` one or null (0.0); a
+    delta is null or an object of :data:`DELTA_FIELDS` numbers; times and
+    deltas fit float64.
+    """
+    locs, etypes, regions, ts, deltas, auxs, t_enters = records
+    if not locs:
+        return None
+    if set(map(type, locs)) != {int} or min(locs) < 0 or max(locs) >= n_loc:
+        return f"location outside the {n_loc} locations"
+    if set(map(type, chain(etypes, regions))) != {int}:
+        return "event kind and region must be integers"
+    lists = [a for a in auxs if type(a) is list]
+    arity = list(map(_AUX_ARITY_OF.get, map(type, auxs)))
+    if not set(map(len, lists)) <= {2} \
+            or not set(map(type, chain.from_iterable(lists))) <= {int} \
+            or arity != list(map(AUX_ARITY.get, etypes, repeat(0))):
+        return "payload does not fit event kind"
+    try:
+        array("q", chain(etypes, regions,
+                         compress(auxs, map((1).__eq__, arity)),
+                         chain.from_iterable(lists)))
+    except OverflowError:
+        return "kind, region or payload holds an integer outside int64"
+    if not set(map(type, ts)) <= _NUMBERS \
+            or not set(map(type, t_enters)) <= _T_ENTER_TYPES:
+        return "times must be numbers"
+    dicts = [d for d in deltas if d is not None]
+    if not (set(map(type, dicts)) <= {dict}
+            and set(chain.from_iterable(dicts)) <= _DELTA_KEYS
+            and set(map(type, chain.from_iterable(map(dict.values, dicts))))
+            <= _NUMBERS):
+        return "work delta is not an object of work-delta field numbers"
+    try:
+        array("d", chain(ts, filter(None, t_enters),
+                         chain.from_iterable(map(dict.values, dicts))))
+    except OverflowError:
+        return "a time or work delta is outside float64"
+    return None
+
+
+_KINDS = np.array(sorted(EVENT_NAMES), dtype=np.int64)
+#: payload arity per known kind, indexed by kind
+_ARITY = np.zeros(max(EVENT_NAMES) + 1, dtype=np.int64)
+_ARITY[list(AUX_ARITY)] = list(AUX_ARITY.values())
+#: per column, what the value layer asks of its rows
+_VALUE_RULES = {"etype": "a kind of the kind table",
+                "region": "a region id of the registry or -1",
+                "t": "finite", "t_enter": "finite",
+                "aux_a": "-1 on a kind without a payload",
+                "aux_b": "-1 on a kind without a payload pair",
+                **dict.fromkeys(DELTA_FIELDS, "finite and non-negative")}
+
+
+def value_defects(columns: Mapping[str, np.ndarray],
+                  n_regions: int) -> Dict[str, np.ndarray]:
+    """The value layer: per column some row breaks it in, the mask of
+    those rows (in :data:`COLUMN_FIELDS` order; empty when all pass).
+
+    A row's kind is one of :data:`~repro.sim.events.EVENT_NAMES`, its
+    region in ``[-1, n_regions)``, its payload columns -1 where its kind
+    carries none, its times finite and its work deltas finite and >= 0.
+    """
+    etype, region = columns["etype"], columns["region"]
+    known = np.isin(etype, _KINDS)
+    arity = _ARITY[np.where(known, etype, 0)]
+    bad = {"etype": ~known,
+           "region": (region < -1) | (region >= n_regions),
+           "t": ~np.isfinite(columns["t"]),
+           "t_enter": ~np.isfinite(columns["t_enter"]),
+           "aux_a": (arity < 1) & (columns["aux_a"] != -1),
+           "aux_b": (arity < 2) & (columns["aux_b"] != -1)}
+    for f in DELTA_FIELDS:
+        bad[f] = ~(np.isfinite(columns[f]) & (columns[f] >= 0.0))
+    return {f: bad[f] for f in COLUMN_FIELDS if bad[f].any()}
+
+
+def value_error(columns: Mapping[str, np.ndarray],
+                defects: Mapping[str, np.ndarray], row: int) -> str:
+    """What row ``row`` breaks in :func:`value_defects`' ``defects``."""
+    f = next(f for f, bad in defects.items() if bad[row])
+    return f"{f} {columns[f][row].item()!r} is not {_VALUE_RULES[f]}"
 
 
 def _require_ints(values: list, what: str, kinds) -> None:
@@ -179,8 +300,8 @@ def _delta_columns(deltas: list) -> List[np.ndarray]:
     # list, so no per-delta container reaches the cyclic collector
     table = np.array([v if v else 0.0 for d in distinct.values()
                       for v in _delta_values(d)],
-                     dtype=np.float64).reshape(-1, len(_DELTA_FIELDS))
-    return [table[:, j][rows] for j in range(len(_DELTA_FIELDS))]
+                     dtype=np.float64).reshape(-1, len(DELTA_FIELDS))
+    return [table[:, j][rows] for j in range(len(DELTA_FIELDS))]
 
 
 def aux_values(etype: np.ndarray, aux_a: np.ndarray, aux_b: np.ndarray) -> list:
@@ -207,7 +328,7 @@ def events_from_columns(columns: Mapping[str, np.ndarray],
     """
     etype = columns["etype"]
     n = len(etype)
-    dcols = [columns[f] for f in _DELTA_FIELDS]
+    dcols = [columns[f] for f in DELTA_FIELDS]
     nonzero = np.flatnonzero(np.logical_or.reduce([d != 0 for d in dcols]))
     delta_l = [EMPTY_DELTA] * n
     keys = zip(*(d[nonzero].tolist() for d in dcols))
@@ -220,14 +341,17 @@ def events_from_columns(columns: Mapping[str, np.ndarray],
 
 
 def split_columns(path, columns: Mapping[str, np.ndarray], n_locations: int,
-                  offsets=None, loc=None) -> List[LocationColumns]:
+                  n_regions: int, offsets=None, loc=None
+                  ) -> List[LocationColumns]:
     """Validated per-location views of flat archive columns.
 
     Rows are either location-major with ``offsets`` (the npz layout) or
     in any order that keeps each location's own order, tagged by ``loc``
     (the shard layout).  Raises :class:`~repro.measure.io.TraceFormatError`
     naming the member whose offsets, length, dtype or location ids do not
-    describe a trace of ``n_locations`` locations.
+    describe a trace of ``n_locations`` locations, or the column whose
+    values break the record check (:func:`value_defects`, with
+    ``n_regions`` regions).
     """
     from repro.measure.io import TraceFormatError
 
@@ -250,6 +374,11 @@ def split_columns(path, columns: Mapping[str, np.ndarray], n_locations: int,
                 offset=f)
         cols[f] = arr.astype(np.int64 if f in _INT_FIELDS else np.float64,
                              copy=False)
+    defects = value_defects(cols, n_regions)
+    if defects:
+        f, bad = next(iter(defects.items()))
+        raise TraceFormatError(
+            path, value_error(cols, defects, int(np.argmax(bad))), offset=f)
     if loc is not None:
         counts = location_counts(path, loc, n_locations, "loc")
         order = np.argsort(loc, kind="stable")
@@ -350,7 +479,7 @@ class TraceColumns:
                 "t_enter": np.array(t_enter, dtype=np.float64),
             }
             flat["aux_a"], flat["aux_b"] = _aux_columns(etype, aux)
-            flat.update(zip(_DELTA_FIELDS, _delta_columns(delta)))
+            flat.update(zip(DELTA_FIELDS, _delta_columns(delta)))
         except ColumnarConversionError:
             raise
         except (TypeError, ValueError, OverflowError) as exc:
@@ -376,6 +505,35 @@ class TraceColumns:
             [ev.t for ev in evs], [ev.delta for ev in evs],
             [ev.aux for ev in evs], [ev.t_enter for ev in evs],
             runtime=trace.runtime, pinning=trace.pinning)
+
+    def with_rows(self, flat: Mapping[str, np.ndarray],
+                  counts) -> "TraceColumns":
+        """A trace like this one over other rows: ``flat`` maps every name
+        of :data:`COLUMN_FIELDS` to location-major rows, ``counts[l]`` of
+        them on location ``l``."""
+        bounds = np.cumsum([0, *counts]).tolist()
+        return TraceColumns(self.mode, self.regions, self.locations,
+                            _location_views(flat, bounds), self.runtime,
+                            self.pinning)
+
+    def select(self, keep: np.ndarray) -> "TraceColumns":
+        """These columns with only the rows where the mask ``keep`` (over
+        :meth:`column`'s rows) holds; ``self`` when it holds everywhere."""
+        if keep.all():
+            return self
+        kept = np.concatenate(([0], np.cumsum(keep)))[self.offsets()]
+        return self.with_rows({f: self.column(f)[keep] for f in COLUMN_FIELDS},
+                              np.diff(kept).tolist())
+
+    def check_values(self) -> None:
+        """Raise :class:`ColumnarConversionError` naming the first row that
+        breaks the value layer of the record check (:func:`value_defects`),
+        in :meth:`column` order."""
+        flat = {f: self.column(f) for f in COLUMN_FIELDS}
+        defects = value_defects(flat, len(self.regions))
+        if defects:
+            row = min(int(np.argmax(bad)) for bad in defects.values())
+            raise ColumnarConversionError(value_error(flat, defects, row))
 
     def event_lists(self) -> List[List[Ev]]:
         """Fresh per-location ``Ev`` lists of these rows (built in bulk by
@@ -404,6 +562,11 @@ class TraceColumns:
     def offsets(self) -> np.ndarray:
         """Start of every location's rows in :meth:`column` (plus the end)."""
         return np.cumsum([0] + [len(lc) for lc in self.locs])
+
+    def row_locations(self) -> np.ndarray:
+        """The location of every row of :meth:`column`."""
+        return np.repeat(np.arange(self.n_locations, dtype=np.int64),
+                         [len(lc) for lc in self.locs])
 
     def merged_order(self) -> Tuple[np.ndarray, np.ndarray]:
         """The ``(perm, loc)`` arrays of the global merged order (memoized;

@@ -12,9 +12,7 @@ Three formats, dispatched on the file suffix:
   the record, with one cached text per distinct work delta); the reader
   decodes bounded chunks of lines with one ``json.loads`` each, and line
   by line where a chunk fails its checks, so a malformed record is
-  reported at its exact line, and builds the columns once at the end.  A
-  record's ``aux`` payload must fit its kind (the table in
-  :mod:`repro.measure.columnar`): the columns hold nothing else.
+  reported at its exact line, and builds the columns once at the end.
 * ``*.npz`` -- ``repro-trace-npz-1``, the columnar dump: the
   structure-of-arrays columns concatenated over locations plus an
   offsets array, written with :func:`numpy.savez_compressed`.  One bulk
@@ -27,9 +25,21 @@ Three formats, dispatched on the file suffix:
   (:class:`~repro.measure.shards.ShardedTrace`) walk it while holding
   at most one shard in memory; see :mod:`repro.measure.shards`.
 
-The three headers share one codec: :func:`build_header` makes every
-header and :func:`parse_header` checks and parses it for every reader,
+The three headers -- and the ``repro_trace`` header of a lossless Chrome
+export -- share one codec: :func:`build_header` makes every header and
+:func:`parse_header` checks and parses it for every reader,
 :func:`read_manifest` included.
+
+Every format refuses what the record check of
+:mod:`repro.measure.columnar` refuses, whichever way in: a kind outside
+the kind table, a region outside the registry, a payload that does not
+fit its kind or int64, a non-finite time (there are none in a trace), a
+negative or non-finite work delta -- and every reader refuses a header
+with an unknown mode, a runtime that is not a finite number >= 0,
+repeated locations or repeated region names.  The JSON-lines reader
+names the record's line, the npz and sharded readers the member, and
+the writers raise :class:`~repro.measure.columnar.ColumnarConversionError`
+(no writer produces an archive its reader refuses).
 
 All three round-trip exactly (float timestamps bit-preserved), read back
 column-backed traces, and leave the trace they write as it was.  Used by
@@ -50,13 +60,13 @@ from __future__ import annotations
 import gzip
 import io
 import json
+import math
 import os
 import shutil
 import tempfile
 import zipfile
 import zlib
-from array import array
-from itertools import chain, compress, repeat
+from itertools import chain, repeat
 from pathlib import Path
 from typing import List, Optional, Tuple, Union
 
@@ -64,17 +74,21 @@ import numpy as np
 
 from repro import obs
 from repro.measure.columnar import (
-    AUX_ARITY,
     COLUMN_FIELDS,
+    DELTA_FIELDS,
     DeltaTable,
     LocationColumns,
     TraceColumns,
     aux_values,
+    record_problem,
     split_columns,
+    value_defects,
+    value_error,
 )
+from repro.measure.config import MODES
 from repro.measure.trace import RawTrace
+from repro.obs.export import CHROME_RAW_FORMAT
 from repro.sim.events import RegionRegistry
-from repro.sim.kernels import EMPTY_DELTA, WorkDelta
 
 __all__ = [
     "TraceFormatError",
@@ -233,17 +247,20 @@ def quarantine(path: Union[str, Path]) -> Optional[Path]:
 
 
 # ---------------------------------------------------------------------------
-# the header codec (all three formats)
+# the header codec (the three archive formats and the Chrome sidecar)
 # ---------------------------------------------------------------------------
 
 #: per format: the header's tag, where its readers find the header (the
-#: offset of a header error), and what a header without the tag is not
+#: offset of a header error), and what a header without the tag is not;
+#: ``chrome`` is the ``repro_trace`` record of a lossless Chrome export
 _FORMATS = {
     "jsonl": ("repro-trace-1", "line 1", "not a repro trace archive"),
     "npz": ("repro-trace-npz-1", "header",
             "not a columnar repro trace archive"),
     "shards": ("repro-shards-1", "manifest.json",
                "not a sharded repro trace archive"),
+    "chrome": (CHROME_RAW_FORMAT, "repro_trace",
+               "not a repro raw sidecar header"),
 }
 
 #: header fields every format carries
@@ -276,10 +293,13 @@ def parse_header(path, header, fmt: str, required: Tuple[str, ...] = ()
     """Check a decoded ``fmt`` header; return its region registry and
     location tuples.
 
-    Raises :class:`TraceFormatError` when ``header`` is not a JSON object
-    carrying the format's tag, or lacks a field every format has or one
-    of ``required``.  Fields of the wrong type raise the bare error the
-    rebuild hits, for the reader to wrap with its own position.
+    Raises :class:`TraceFormatError` at the format's header position when
+    ``header`` is not a JSON object carrying the format's tag, lacks a
+    field every format has or one of ``required``, or breaks the header
+    check: the mode is one of the six clock modes, the runtime a finite
+    number >= 0, the locations distinct ``[rank, thread]`` pairs of
+    non-negative ints, and the regions and paradigms equal-length lists
+    of strings with distinct region names.
     """
     tag, offset, what = _FORMATS[fmt]
     if not isinstance(header, dict) or header.get("format") != tag:
@@ -289,10 +309,41 @@ def parse_header(path, header, fmt: str, required: Tuple[str, ...] = ()
         raise TraceFormatError(
             path, f"archive header lacks required field(s) {missing}",
             offset=offset)
+    problem = _header_problem(header)
+    if problem:
+        raise TraceFormatError(path, f"archive header {problem}",
+                               offset=offset)
     regions = RegionRegistry()
     for name, paradigm in zip(header["regions"], header["paradigms"]):
         regions.intern(name, paradigm)
     return regions, [tuple(lt) for lt in header["locations"]]
+
+
+def _header_problem(header: dict) -> Optional[str]:
+    """What a header with every field breaks in the header check, or
+    ``None``."""
+    mode, runtime = header["mode"], header["runtime"]
+    if not isinstance(mode, str) or mode not in MODES:
+        return f"names no clock mode: {mode!r}"
+    if type(runtime) not in (int, float) or not math.isfinite(runtime) \
+            or runtime < 0:
+        return f"runtime {runtime!r} is not a finite number >= 0"
+    locations = header["locations"]
+    if not isinstance(locations, list) or not all(
+            isinstance(lt, (list, tuple)) and len(lt) == 2
+            and all(type(x) is int and x >= 0 for x in lt)
+            for lt in locations):
+        return "locations are not [rank, thread] pairs of non-negative ints"
+    if len(set(map(tuple, locations))) != len(locations):
+        return "repeats a location"
+    names, paradigms = header["regions"], header["paradigms"]
+    if not (isinstance(names, list) and isinstance(paradigms, list)
+            and len(names) == len(paradigms)
+            and all(type(x) is str for x in chain(names, paradigms))):
+        return "regions and paradigms are not equal-length lists of strings"
+    if len(set(names)) != len(names):
+        return "repeats a region name"
+    return None
 
 
 def _format_of(path: Path) -> str:
@@ -307,8 +358,9 @@ def write_trace(trace: RawTrace, path: Union[str, Path],
     one, everything else the gzipped JSON-lines format (see the module
     docstring).  Every format writes from :meth:`RawTrace.columns`, so it
     raises :class:`~repro.measure.columnar.ColumnarConversionError` for a
-    trace whose payloads do not follow the engine's conventions (no
-    writer produces an archive its reader rejects) and leaves a
+    trace whose payloads do not follow the engine's conventions or whose
+    values break the record check (no writer produces an archive its
+    reader rejects) and leaves a
     column-backed trace column-backed.  ``manifest`` (a
     :func:`repro.obs.build_manifest` document) is embedded in the
     archive header as run provenance; :func:`read_manifest` retrieves it
@@ -411,8 +463,6 @@ def read_manifest(path: Union[str, Path]) -> Optional[dict]:
 # JSON-lines format
 # ---------------------------------------------------------------------------
 
-_DELTA_FIELDS = ("omp_iters", "bb", "stmt", "instr", "burst_calls", "omp_calls")
-
 #: lines decoded per ``json.loads`` call by the JSON-lines reader; small
 #: enough that a chunk's decoded records die young in the cyclic garbage
 #: collector instead of reaching (and triggering) its full collections,
@@ -431,6 +481,7 @@ def trace_archive_bytes(trace: RawTrace,
     store traces content-addressed -- the serving layer's ingest endpoint.
     """
     cols = trace.columns()  # the payload check (ColumnarConversionError)
+    cols.check_values()
     buf = io.BytesIO()
     with gzip.GzipFile(fileobj=buf, mode="wb", mtime=0) as gz:
         # one write per line: the text layer's flush points decide the
@@ -446,7 +497,7 @@ def trace_archive_bytes(trace: RawTrace,
 def _delta_obj(key: tuple) -> Optional[dict]:
     """A work delta as its record spells it: the nonzero fields of the
     six, or ``None`` when all are zero."""
-    return {f: v for f, v in zip(_DELTA_FIELDS, key) if v != 0.0} or None
+    return {f: v for f, v in zip(DELTA_FIELDS, key) if v != 0.0} or None
 
 
 class _DeltaText(dict):
@@ -462,25 +513,20 @@ class _DeltaText(dict):
 def _jsonl_records(loc: int, lc: LocationColumns,
                    delta_text: _DeltaText) -> List[str]:
     """One line per row of ``lc``, equal to ``json.dumps([loc, etype,
-    region, t, delta, aux, t_enter or None]) + "\\n"``: ints and finite
-    floats are spelled as ``json`` spells them (``repr``), and rows with
-    a non-finite time go through ``json.dumps`` whole."""
+    region, t, delta, aux, t_enter or None]) + "\\n"``: ints and (finite,
+    as the record check has it) floats are spelled as ``json`` spells
+    them (``repr``)."""
     et, rg, t, te = (lc.etype.tolist(), lc.region.tolist(), lc.t.tolist(),
                      lc.t_enter.tolist())
-    keys = list(zip(*(getattr(lc, f).tolist() for f in _DELTA_FIELDS)))
-    aux = aux_values(lc.etype, lc.aux_a, lc.aux_b)
+    keys = zip(*(getattr(lc, f).tolist() for f in DELTA_FIELDS))
     aux_text = ["null" if a is None else f"{a}" if type(a) is int
-                else f"[{a[0]}, {a[1]}]" for a in aux]
+                else f"[{a[0]}, {a[1]}]"
+                for a in aux_values(lc.etype, lc.aux_a, lc.aux_b)]
     te_text = [f"{x!r}" if x else "null" for x in te]
-    lines = [f"[{loc}, {e}, {r}, {x!r}, {d}, {a}, {y}]\n"
-             for e, r, x, d, a, y in zip(et, rg, t,
-                                         map(delta_text.__getitem__, keys),
-                                         aux_text, te_text)]
-    for i in np.flatnonzero(~(np.isfinite(lc.t) & np.isfinite(lc.t_enter))
-                            ).tolist():
-        lines[i] = json.dumps([loc, et[i], rg[i], t[i], _delta_obj(keys[i]),
-                               aux[i], te[i] or None]) + "\n"
-    return lines
+    return [f"[{loc}, {e}, {r}, {x!r}, {d}, {a}, {y}]\n"
+            for e, r, x, d, a, y in zip(et, rg, t,
+                                        map(delta_text.__getitem__, keys),
+                                        aux_text, te_text)]
 
 
 def _read_trace_jsonl(path: Path, source) -> RawTrace:
@@ -505,16 +551,19 @@ def _read_trace_jsonl(path: Path, source) -> RawTrace:
             _load_records(path, lines, lineno, fields, deltas, len(locations))
         lineno = None  # a record the columns cannot hold has no one line
         loc, rest = np.array(fields[0], dtype=np.int64), fields[1:]
+        order = None
         if np.any(loc[1:] < loc[:-1]):
             # the writer never interleaves locations, but the format
             # allows it: each location's records, in order, one after
             # the other
-            order = np.argsort(loc, kind="stable").tolist()
-            rest = [list(map(f.__getitem__, order)) for f in rest]
-        trace = RawTrace.from_columns(TraceColumns.from_fields(
+            order = np.argsort(loc, kind="stable")
+            rest = [list(map(f.__getitem__, order.tolist())) for f in rest]
+        cols = TraceColumns.from_fields(
             header["mode"], regions, locations,
             np.bincount(loc, minlength=len(locations)).tolist(), *rest,
-            runtime=header["runtime"]))
+            runtime=header["runtime"])
+        _check_values(path, cols, order)
+        trace = RawTrace.from_columns(cols)
     except TraceFormatError:
         raise
     except _READ_ERRORS as exc:
@@ -523,6 +572,24 @@ def _read_trace_jsonl(path: Path, source) -> RawTrace:
             offset=None if lineno is None else f"line {lineno}") from exc
     trace.provenance = header.get("provenance")
     return trace
+
+
+def _check_values(path: Path, cols: TraceColumns, order) -> None:
+    """The value layer of the record check on the read columns: raise
+    :class:`TraceFormatError` at the line of the first record in the file
+    that breaks it (``order[r]`` is the file position of column row ``r``,
+    or ``None`` when the rows are in file order)."""
+    flat = {f: cols.column(f) for f in COLUMN_FIELDS}
+    defects = value_defects(flat, len(cols.regions))
+    if not defects:
+        return
+    rows = np.flatnonzero(np.logical_or.reduce(list(defects.values())))
+    at = rows if order is None else order[rows]
+    k = int(np.argmin(at))
+    raise TraceFormatError(
+        path, "corrupt JSON-lines archive: "
+        + value_error(flat, defects, int(rows[k])),
+        offset=f"line {int(at[k]) + 2}")
 
 
 def _load_records(path: Path, lines: List[str], last_lineno: int,
@@ -549,112 +616,50 @@ def _load_records(path: Path, lines: List[str], last_lineno: int,
             pass
     bulk = _bulk_fields(recs, len(lines), n_loc) if recs else None
     if bulk is None:
-        _load_lines(path, lines, last_lineno - len(lines) + 1, fields, n_loc)
+        _load_lines(path, lines, last_lineno - len(lines) + 1, fields, deltas,
+                    n_loc)
         return
-    locs, ets, rgs, ts, ds, auxs, tes = bulk
-    get = dict.get
-    ds = [deltas[(get(d, "omp_iters", 0.0), get(d, "bb", 0.0),
-                  get(d, "stmt", 0.0), get(d, "instr", 0.0),
-                  get(d, "burst_calls", 0.0), get(d, "omp_calls", 0.0))]
-          if d else EMPTY_DELTA for d in ds]
-    for field, values in zip(fields, (locs, ets, rgs, ts, ds, auxs,
+    _extend(fields, bulk, deltas)
+
+
+def _extend(fields: List[list], records: tuple, deltas: DeltaTable) -> None:
+    """Append records (the seven field sequences) that passed the type
+    layer to ``fields``, as the sequences ``TraceColumns.from_fields``
+    takes: deltas interned in ``deltas``, a null ``t_enter`` read as 0."""
+    locs, ets, rgs, ts, ds, auxs, tes = records
+    for field, values in zip(fields, (locs, ets, rgs, ts,
+                                      deltas.of_records(ds), auxs,
                                       [x or 0.0 for x in tes])):
         field.extend(values)
 
 
-#: JSON types allowed for the event times on the bulk path
-_SCALARS = {int, float, bool, type(None)}
-
-
 def _bulk_fields(recs: list, n_lines: int, n_loc: int) -> Optional[tuple]:
     """The seven field columns of a decoded chunk, or ``None`` unless it
-    qualifies for the bulk path: one 7-field record per line, locations
-    in range, int kinds and region ids (a float or bool would be
-    truncated into the int64 columns), scalar times, deltas as dicts of
-    float fields, aux payloads that fit their kinds (one int, a pair of
-    ints, or null), and region ids and payloads inside int64."""
+    qualifies for the bulk path: one 7-field record per line, every
+    record passing the type layer of the record check
+    (:func:`~repro.measure.columnar.record_problem`)."""
     if len(recs) != n_lines or set(map(type, recs)) != {list} \
             or set(map(len, recs)) != {7}:
         return None
-    fields = locs, ets, rgs, ts, ds, auxs, tes = tuple(zip(*recs))
-    if set(map(type, locs)) != {int} or min(locs) < 0 or max(locs) >= n_loc:
-        return None
-    if set(map(type, chain(ets, rgs))) != {int} \
-            or not set(map(type, chain(ts, tes))) <= _SCALARS:
-        return None
-    dicts = [d for d in ds if d]
-    if not (set(map(type, ds)) <= {dict, type(None)}
-            and set(chain.from_iterable(dicts)) <= set(_DELTA_FIELDS)
-            and set(map(type, chain.from_iterable(map(dict.values, dicts))))
-            <= {float}):
-        return None
-    lists = [a for a in auxs if type(a) is list]
-    if not (set(map(type, chain.from_iterable(lists))) <= {int}
-            and set(map(len, lists)) <= {2}):
-        return None
-    # the payload arity of every record equals its kind's (other payload
-    # types map to None and never match)
-    arity = list(map(_AUX_ARITY_OF.get, map(type, auxs)))
-    if arity != list(map(AUX_ARITY.get, ets, repeat(0))):
-        return None
-    # region ids and payload ints fit the int64 columns
-    try:
-        array("q", rgs)
-        array("q", chain(compress(auxs, map((1).__eq__, arity)),
-                         chain.from_iterable(lists)))
-    except (TypeError, OverflowError):
-        return None
-    return fields
-
-
-#: payload arity by ``aux`` type on the bulk path (lists are int pairs
-#: by the time it is read)
-_AUX_ARITY_OF = {type(None): 0, int: 1, list: 2}
-
-
-def _check_record(etype, region, aux) -> None:
-    """``ValueError`` unless ``etype`` and ``region`` are ints, ``aux``
-    fits ``etype`` in the kind table and the record's integers fit the
-    int64 columns."""
-    if type(etype) is not int or type(region) is not int:
-        raise ValueError(f"event kind {etype!r} and region {region!r} must "
-                         "be integers")
-    arity = AUX_ARITY.get(etype, 0)
-    if arity == 0:
-        ok = aux is None
-    elif arity == 1:
-        ok = type(aux) is int
-    else:
-        ok = (type(aux) is list and len(aux) == 2
-              and type(aux[0]) is int and type(aux[1]) is int)
-    if not ok:
-        raise ValueError(f"payload {aux!r} does not fit event kind {etype!r}")
-    ints = (aux,) if arity == 1 else aux if arity == 2 else ()
-    try:
-        array("q", (region, *ints))
-    except OverflowError:
-        raise ValueError(f"region {region!r} or payload {aux!r} holds an "
-                         "integer outside int64") from None
+    fields = tuple(zip(*recs))
+    return None if record_problem(fields, n_loc) else fields
 
 
 def _load_lines(path: Path, lines: List[str], first_lineno: int,
-                fields: List[list], n_loc: int) -> None:
+                fields: List[list], deltas: DeltaTable, n_loc: int) -> None:
     """Line-by-line decode of a chunk; raises at the first bad record."""
     for k, line in enumerate(lines):
         try:
-            loc, etype, region, t, delta, aux, t_enter = json.loads(line)
-            if type(loc) is not int or not 0 <= loc < n_loc:
-                raise ValueError(f"location {loc!r} outside the "
-                                 f"{n_loc} locations")
-            _check_record(etype, region, aux)
-            delta = WorkDelta(**delta) if delta else EMPTY_DELTA
+            rec = tuple([x] for x in json.loads(line))
+            problem = (f"{len(rec)} fields, not 7" if len(rec) != 7
+                       else record_problem(rec, n_loc))
+            if problem:
+                raise ValueError(f"{problem}: {line.strip()[:160]}")
         except _READ_ERRORS as exc:
             raise TraceFormatError(
                 path, f"corrupt JSON-lines archive: {type(exc).__name__}: "
                 f"{exc}", offset=f"line {first_lineno + k}") from exc
-        for field, value in zip(fields, (loc, etype, region, t, delta, aux,
-                                         t_enter or 0.0)):
-            field.append(value)
+        _extend(fields, rec, deltas)
 
 
 # ---------------------------------------------------------------------------
@@ -665,6 +670,7 @@ def _write_trace_npz(trace: RawTrace, path: Path,
                      manifest: Optional[dict] = None) -> None:
     """Bulk-dump the trace's columns."""
     cols = trace.columns()
+    cols.check_values()
     header = build_header("npz", cols, manifest)
     arrays = {
         "header": np.frombuffer(json.dumps(header).encode("utf-8"), dtype=np.uint8),
@@ -693,7 +699,8 @@ def _read_trace_npz(path: Path, source) -> RawTrace:
         member = "header"
         trace = RawTrace.from_columns(TraceColumns(
             header["mode"], regions, locations,
-            split_columns(path, columns, len(locations), offsets=offsets),
+            split_columns(path, columns, len(locations), len(regions),
+                          offsets=offsets),
             runtime=header["runtime"]))
     except TraceFormatError:
         raise

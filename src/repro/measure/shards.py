@@ -133,6 +133,7 @@ def write_sharded_trace(
 
     with obs.span("io.write_sharded", shard_events=shard_events):
         cols = trace.columns()  # validates aux payload conventions
+        cols.check_values()
         perm, loc = cols.merged_order()
         n_total = len(perm)
         rec = np.empty(n_total, dtype=SHARD_DTYPE)
@@ -338,7 +339,8 @@ class ShardedTrace:
                else np.empty(0, dtype=SHARD_DTYPE))
         del shards
         self._resident(len(rec))
-        locs = split_columns(self.path, rec, self.n_locations, loc=rec["loc"])
+        locs = split_columns(self.path, rec, self.n_locations,
+                             len(self.regions), loc=rec["loc"])
         trace = RawTrace.from_columns(TraceColumns(
             self.mode, self.regions, list(self.locations), locs,
             runtime=self.runtime))

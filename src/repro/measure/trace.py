@@ -7,8 +7,8 @@ from it, and the analyzer (:mod:`repro.analysis`) replays it.
 
 A trace holds its events in one of two forms, never both as sources of
 truth: *column-backed* (a :class:`~repro.measure.columnar.TraceColumns`;
-what the measurement and every archive reader produce) or *event-backed*
-(per-location ``Ev`` lists; hand-built traces, ingest salvage's, and any
+what the measurement, every archive reader and ingestion produce) or
+*event-backed* (per-location ``Ev`` lists; hand-built traces and any
 trace whose :attr:`RawTrace.events` was taken).
 """
 

@@ -86,9 +86,6 @@ def to_chrome(doc: Mapping) -> dict:
 #: recognizes it and reconstructs the original trace bit-exactly
 CHROME_RAW_FORMAT = "repro-chrome-raw-1"
 
-_RAW_DELTA_FIELDS = ("omp_iters", "bb", "stmt", "instr",
-                     "burst_calls", "omp_calls")
-
 
 def trace_chrome_events(
     trace_like,
@@ -120,6 +117,8 @@ def trace_chrome_events(
     carry the *unwarped* timestamps.
     """
     # local imports keep repro.obs importable without the sim package
+    from repro.measure.columnar import DELTA_FIELDS
+    from repro.measure.io import build_header
     from repro.sim.events import (
         BURST,
         ENTER,
@@ -136,12 +135,7 @@ def trace_chrome_events(
     if embed_raw:
         yield {"name": "repro_trace", "cat": "repro.meta", "ph": "M",
                "ts": 0.0, "pid": pid_offset, "tid": 0,
-               "args": {"format": CHROME_RAW_FORMAT,
-                        "mode": trace_like.mode,
-                        "runtime": trace_like.runtime,
-                        "locations": [list(lt) for lt in locations],
-                        "regions": list(regions.names),
-                        "paradigms": list(regions.paradigms)}}
+               "args": build_header("chrome", trace_like)}
 
     for loc, (rank, thread) in enumerate(locations):
         name = f"rank {rank}"
@@ -163,7 +157,7 @@ def trace_chrome_events(
                 args["aux"] = (list(ev.aux) if isinstance(ev.aux, tuple)
                                else ev.aux)
             if not ev.delta.is_empty:
-                args["delta"] = {f: v for f in _RAW_DELTA_FIELDS
+                args["delta"] = {f: v for f in DELTA_FIELDS
                                  if (v := getattr(ev.delta, f)) != 0.0}
             yield {"name": EVENT_NAMES.get(et, str(et)), "cat": "repro.raw",
                    "ph": "i", "ts": ev.t * 1e6, "s": "t",

@@ -3,13 +3,11 @@
 from repro.scoring.jaccard import (
     jaccard,
     jaccard_metric_callpath,
-    jaccard_callpaths_for_metric,
     min_pairwise_jaccard,
 )
 
 __all__ = [
     "jaccard",
     "jaccard_metric_callpath",
-    "jaccard_callpaths_for_metric",
     "min_pairwise_jaccard",
 ]

@@ -27,7 +27,6 @@ from repro.cube.profile import CubeProfile
 __all__ = [
     "jaccard",
     "jaccard_metric_callpath",
-    "jaccard_callpaths_for_metric",
     "min_pairwise_jaccard",
 ]
 
@@ -73,11 +72,6 @@ def jaccard_metric_callpath(
         ma = a.as_mapping(metrics if metrics is not None else _default_metrics(a))
         mb = b.as_mapping(metrics if metrics is not None else _default_metrics(b))
         return jaccard(ma, mb)
-
-
-def jaccard_callpaths_for_metric(a: CubeProfile, b: CubeProfile, metric: str) -> float:
-    """``J_C^metric``: similarity of call-path shares of one metric (%M)."""
-    return jaccard(a.metric_selection_percent(metric), b.metric_selection_percent(metric))
 
 
 def min_pairwise_jaccard(

@@ -347,16 +347,19 @@ class AnalysisService:
             return 400, _JSON, _jerr(str(exc)), {}
         digest, path = store_archive_bytes(
             body, self.store.root, suffix=suffix, prefix="cas-")
-        # full-archive validation off the event loop: a truncated or
-        # bit-flipped upload is quarantined and answered with the typed
-        # diagnostic instead of poisoning later /v1/analyze jobs
+        # full-archive validation off the event loop, by the rule
+        # /v1/ingest applies to its output: an upload that does not
+        # decode, or that the sanitizer finds errors in, is quarantined
+        # and answered with the first findings instead of failing later
+        # /v1/analyze jobs
         try:
-            await asyncio.to_thread(read_trace, path)
+            problem = await asyncio.to_thread(_upload_problem, path)
         except TraceFormatError as exc:
+            problem = ("malformed trace archive", str(exc))
+        if problem:
             moved = quarantine(path)
             obs.counter("serve.upload_rejects").inc()
-            return 400, _JSON, _jerr(
-                "malformed trace archive", str(exc)), {
+            return 400, _JSON, _jerr(*problem), {
                 "X-Repro-Quarantine": moved.name if moved else "deleted"}
         self.store.evict(protect=(path.name,))
         return 201, _JSON, _jdoc({"hash": digest, "path": path.name}), {}
@@ -650,6 +653,19 @@ class AnalysisService:
 # -- module helpers ---------------------------------------------------------
 def _jdoc(doc: dict) -> bytes:
     return (json.dumps(doc, sort_keys=True) + "\n").encode("utf-8")
+
+
+def _upload_problem(path: Path) -> Optional[Tuple[str, str]]:
+    """The first errors :func:`repro.verify.sanitize_raw` finds in the
+    archive at ``path``, or ``None`` (:class:`TraceFormatError` when it
+    does not decode)."""
+    from repro.verify.rules import Severity
+    from repro.verify.sanitizer import sanitize_raw
+
+    errors = [f"{d.rule_id}: {d.message}" for d in sanitize_raw(
+        read_trace(path)) if d.severity == Severity.ERROR]
+    return ("trace fails the sanitizer", "; ".join(errors[:3])) \
+        if errors else None
 
 
 def _jerr(message: str, detail: str = "") -> bytes:

@@ -162,10 +162,6 @@ class WorkDelta:
             omp_calls=self.omp_calls + other.omp_calls,
         )
 
-    def with_instr(self, instr: float) -> "WorkDelta":
-        """A copy with the instruction count replaced (spin-wait accrual)."""
-        return replace(self, instr=instr)
-
     def without_omp_iters(self) -> "WorkDelta":
         """A copy with OpenMP loop iterations zeroed (serial execution)."""
         if self.omp_iters == 0.0:

@@ -54,25 +54,6 @@ class ProgramContext:
             out["z+"] = r + nx * ny
         return out
 
-    def neighbors_2d(self, dims: Tuple[int, int]) -> dict:
-        """Face neighbours on a 2-D cartesian decomposition (TeaLeaf)."""
-        nx, ny = dims
-        if nx * ny != self.n_ranks:
-            raise ValueError(f"dims {dims} do not factor {self.n_ranks} ranks")
-        r = self.rank
-        ix = r % nx
-        iy = r // nx
-        out = {}
-        if ix > 0:
-            out["x-"] = r - 1
-        if ix < nx - 1:
-            out["x+"] = r + 1
-        if iy > 0:
-            out["y-"] = r - nx
-        if iy < ny - 1:
-            out["y+"] = r + nx
-        return out
-
 
 class Program:
     """Base class for simulated applications.

@@ -8,7 +8,7 @@ them without import cycles.
 from repro.util.rng import RngStreams, stream_seed
 from repro.util.stats import mean_ci, summarize, welford
 from repro.util.tables import format_table, format_grouped_bars
-from repro.util.validation import check_positive, check_in, check_type
+from repro.util.validation import check_positive
 
 __all__ = [
     "RngStreams",
@@ -19,6 +19,4 @@ __all__ = [
     "format_table",
     "format_grouped_bars",
     "check_positive",
-    "check_in",
-    "check_type",
 ]

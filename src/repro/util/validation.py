@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Tuple, Type, Union
-
-__all__ = ["check_positive", "check_nonnegative", "check_in", "check_type"]
+__all__ = ["check_positive", "check_nonnegative"]
 
 
 def check_positive(name: str, value) -> None:
@@ -18,16 +16,3 @@ def check_nonnegative(name: str, value) -> None:
     if not value >= 0:
         raise ValueError(f"{name} must be non-negative, got {value!r}")
 
-
-def check_in(name: str, value: Any, allowed: Iterable) -> None:
-    """Raise ``ValueError`` unless ``value`` is one of ``allowed``."""
-    allowed = tuple(allowed)
-    if value not in allowed:
-        raise ValueError(f"{name} must be one of {allowed}, got {value!r}")
-
-
-def check_type(name: str, value: Any, types: Union[Type, Tuple[Type, ...]]) -> None:
-    """Raise ``TypeError`` unless ``isinstance(value, types)``."""
-    if not isinstance(value, types):
-        expected = types.__name__ if isinstance(types, type) else "/".join(t.__name__ for t in types)
-        raise TypeError(f"{name} must be {expected}, got {type(value).__name__}")

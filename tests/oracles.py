@@ -52,18 +52,26 @@ one location at a time), :func:`walker_check_timestamps` and
 and :func:`repro.verify.find_races` replaced with columnar passes over the
 trace's synchronisation plan; their findings are the reference those
 must equal list for list, witnesses included.
+
+:func:`walker_salvage` is ingest salvage as passes over per-location
+``Ev`` lists that match ids with their own dicts and sets; the column
+edits of :func:`repro.ingest.salvage.salvage_trace`, chosen by the
+trace's synchronisation plan, must reproduce its verdict, its report and
+its repaired archive bytes.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from dataclasses import dataclass, field
 from itertools import chain
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
 
 from repro.analysis import metrics as M
+from repro.ingest.report import IngestReport
 from repro.analysis.patterns import late_sender_wait, nxn_waits
 from repro.analysis.plain_profile import PLAIN_TIME
 from repro.causal.dag import TERMINAL, CausalDag
@@ -104,6 +112,7 @@ from repro.sim.events import (
     TEAM_BEGIN,
     Ev,
     Paradigm,
+    RegionRegistry,
 )
 from repro.sim.kernels import EMPTY_DELTA, WorkDelta
 from repro.util.rng import RngStreams
@@ -1890,3 +1899,405 @@ def walker_find_races(trace) -> RaceReport:
 
     _report(report, trace.locations, any_matches, shared_writes)
     return report
+
+
+# ---------------------------------------------------------------------------
+# the per-event ingest salvage
+# ---------------------------------------------------------------------------
+
+@dataclass
+class _Pending:
+    """Mutable trace under repair: per-location ``Ev`` lists."""
+
+    mode: str
+    regions: RegionRegistry
+    locations: List[Tuple[int, int]]
+    events: List[List[Ev]] = field(default_factory=list)
+    runtime: float = 0.0
+
+
+#: timestamp-loop iterations before salvage gives up with ING014
+_SALVAGE_MAX_PASSES = 10
+#: incoming causality violations on one location before the whole
+#: location is shifted (ING008) instead of bumping edges one by one
+_SKEW_MIN_EDGES = 3
+
+
+def _bump(t: float) -> float:
+    """Smallest float strictly greater than ``t``."""
+    return math.nextafter(t, math.inf)
+
+
+def _drop_duplicates(p: _Pending, report: IngestReport,
+                     exact_copies: bool) -> None:
+    """Keep the first record for every must-be-unique id (ING011); with
+    ``exact_copies``, also drop a byte-for-byte repeat of an earlier
+    event of its location."""
+    seen_send: set = set()
+    seen_recv: set = set()
+    seen_member: set = set()  # (loc, etype, gid)
+    for loc, evs in enumerate(p.events):
+        kept: List[Ev] = []
+        seen_exact: set = set()
+        dropped = 0
+        for ev in evs:
+            et = ev.etype
+            # a byte-for-byte repeat of an earlier event on the same
+            # location (classic duplicated-record damage) is never
+            # legitimate: the engine strictly orders a location's events
+            d = ev.delta
+            fingerprint = (et, ev.region, ev.t, ev.t_enter, ev.aux,
+                           d.omp_iters, d.bb, d.stmt, d.instr,
+                           d.burst_calls, d.omp_calls)
+            if exact_copies and fingerprint in seen_exact:
+                dropped += 1
+                continue
+            seen_exact.add(fingerprint)
+            if et == MPI_SEND:
+                key = ev.aux[0]
+                if key in seen_send:
+                    dropped += 1
+                    continue
+                seen_send.add(key)
+            elif et == MPI_RECV:
+                if ev.aux in seen_recv:
+                    dropped += 1
+                    continue
+                seen_recv.add(ev.aux)
+            elif et in (COLL_END, OBAR_LEAVE, RESTART):
+                key = (loc, et, ev.aux[0])
+                if key in seen_member:
+                    dropped += 1
+                    continue
+                seen_member.add(key)
+            elif et in (FORK, TEAM_BEGIN):
+                key = (loc, et, ev.aux)
+                if key in seen_member:
+                    dropped += 1
+                    continue
+                seen_member.add(key)
+            kept.append(ev)
+        if dropped:
+            p.events[loc] = kept
+            report.n_dropped += dropped
+            report.repair("ING011",
+                          f"dropped {dropped} duplicate record(s)",
+                          location=loc)
+
+
+def _repair_balance(p: _Pending, report: IngestReport) -> None:
+    """Make every location's ENTER/LEAVE stack balance (ING009)."""
+    for loc, evs in enumerate(p.events):
+        stack: List[int] = []
+        out: List[Ev] = []
+        dropped = synthesized = 0
+        for ev in evs:
+            et = ev.etype
+            if et == ENTER:
+                stack.append(ev.region)
+            elif et == LEAVE:
+                if not stack or ev.region not in stack:
+                    dropped += 1
+                    continue
+                # close intervening regions so this LEAVE matches its ENTER
+                while stack and stack[-1] != ev.region:
+                    out.append(Ev(LEAVE, stack.pop(), ev.t))
+                    synthesized += 1
+                stack.pop()
+            out.append(ev)
+        t_end = out[-1].t if out else 0.0
+        while stack:
+            out.append(Ev(LEAVE, stack.pop(), t_end))
+            synthesized += 1
+        if dropped or synthesized:
+            p.events[loc] = out
+            report.n_dropped += dropped
+            report.repair(
+                "ING009",
+                f"dropped {dropped} stray LEAVE(s), synthesized "
+                f"{synthesized} missing LEAVE(s)",
+                location=loc)
+
+
+def _repair_matching(p: _Pending, report: IngestReport) -> None:
+    """Pair every match id exactly once; drop orphans and dangling refs."""
+    sends: Dict[int, int] = {}
+    recvs: Dict[int, int] = {}
+    for loc, evs in enumerate(p.events):
+        for ev in evs:
+            if ev.etype == MPI_SEND:
+                sends[ev.aux[0]] = loc
+            elif ev.etype == MPI_RECV:
+                recvs[ev.aux] = loc
+    orphan_sends = set(sends) - set(recvs)
+    orphan_recvs = set(recvs) - set(sends)
+    matched = set(recvs) & set(sends)
+    for loc, evs in enumerate(p.events):
+        kept: List[Ev] = []
+        unmatched = dangling = 0
+        for ev in evs:
+            et = ev.etype
+            if et == MPI_SEND and ev.aux[0] in orphan_sends:
+                unmatched += 1
+                continue
+            if et == MPI_RECV and ev.aux in orphan_recvs:
+                unmatched += 1
+                continue
+            if et == FAULT and ev.aux not in matched:
+                dangling += 1
+                continue
+            kept.append(ev)
+        if unmatched or dangling:
+            p.events[loc] = kept
+            report.n_dropped += unmatched + dangling
+            if unmatched:
+                report.repair(
+                    "ING006",
+                    f"dropped {unmatched} unmatched send/receive "
+                    "record(s)", location=loc)
+            if dangling:
+                report.repair(
+                    "ING012",
+                    f"dropped {dangling} FAULT marker(s) referencing "
+                    "messages without receive records", location=loc)
+
+
+def _repair_team_begins(p: _Pending, report: IngestReport) -> None:
+    """Drop TEAM_BEGIN records whose FORK never made it (ING012)."""
+    forks = {ev.aux for evs in p.events for ev in evs if ev.etype == FORK}
+    for loc, evs in enumerate(p.events):
+        kept = [ev for ev in evs
+                if not (ev.etype == TEAM_BEGIN and ev.aux not in forks)]
+        if len(kept) != len(evs):
+            n = len(evs) - len(kept)
+            p.events[loc] = kept
+            report.n_dropped += n
+            report.repair(
+                "ING012",
+                f"dropped {n} TEAM_BEGIN record(s) without a FORK",
+                location=loc)
+
+
+def _group_fixups(p: _Pending, report: IngestReport,
+                  first_pass: bool) -> int:
+    """Correct group sizes and align member times to the max (ING007).
+
+    Returns the number of timestamp modifications (drives the fixpoint
+    loop); size corrections and member drops only happen on the first
+    pass so their diagnostics are not repeated.
+    """
+    changes = 0
+    groups: Dict[Tuple[int, int], List[Tuple[int, Ev]]] = {}
+    for loc, evs in enumerate(p.events):
+        for ev in evs:
+            if ev.etype in (COLL_END, OBAR_LEAVE):
+                groups.setdefault((ev.etype, ev.aux[0]), []).append((loc, ev))
+    for (et, gid), members in sorted(groups.items()):
+        sizes = {ev.aux[1] for _loc, ev in members}
+        if first_pass and (len(sizes) > 1 or sizes != {len(members)}):
+            for _loc, ev in members:
+                ev.aux = (gid, len(members))
+            report.repair(
+                "ING007",
+                f"{'coll' if et == COLL_END else 'obar'} instance {gid}: "
+                f"group size corrected to its {len(members)} present "
+                "member(s)", location=members[0][0])
+        t_max = max(ev.t for _loc, ev in members)
+        moved = sum(1 for _loc, ev in members if ev.t != t_max)
+        if moved:
+            for _loc, ev in members:
+                ev.t = t_max
+            changes += moved
+            if first_pass:
+                report.repair(
+                    "ING007",
+                    f"{'coll' if et == COLL_END else 'obar'} instance "
+                    f"{gid}: aligned {moved} member time(s) to the group "
+                    f"completion at t={t_max:.9g}",
+                    location=members[0][0])
+
+    # RESTART groups must appear exactly once per rank at one time
+    ranks = sorted({r for (r, _t) in p.locations})
+    restarts: Dict[int, List[Tuple[int, Ev]]] = {}
+    for loc, evs in enumerate(p.events):
+        for ev in evs:
+            if ev.etype == RESTART:
+                restarts.setdefault(ev.aux[0], []).append((loc, ev))
+    for gid, members in sorted(restarts.items()):
+        member_ranks = sorted(p.locations[loc][0] for loc, _ev in members)
+        if member_ranks != ranks:
+            if first_pass:
+                drop = {id(ev) for _loc, ev in members}
+                for loc in range(len(p.events)):
+                    before = len(p.events[loc])
+                    p.events[loc] = [e for e in p.events[loc]
+                                     if id(e) not in drop]
+                    report.n_dropped += before - len(p.events[loc])
+                report.repair(
+                    "ING007",
+                    f"restart {gid} does not cover every rank; its "
+                    f"{len(members)} record(s) were dropped",
+                    location=members[0][0])
+                changes += len(members)
+            continue
+        if first_pass and {ev.aux[1] for _loc, ev in members} != {len(ranks)}:
+            for _loc, ev in members:
+                ev.aux = (gid, len(ranks))
+            report.repair(
+                "ING007",
+                f"restart {gid}: group size corrected to {len(ranks)} "
+                "rank(s)", location=members[0][0])
+        t_max = max(ev.t for _loc, ev in members)
+        moved = sum(1 for _loc, ev in members if ev.t != t_max)
+        if moved:
+            for _loc, ev in members:
+                ev.t = t_max
+            changes += moved
+            if first_pass:
+                report.repair(
+                    "ING007",
+                    f"restart {gid}: aligned {moved} resume time(s) to "
+                    f"t={t_max:.9g}", location=members[0][0])
+    return changes
+
+
+def _causal_fixups(p: _Pending, report: IngestReport,
+                   first_pass: bool) -> int:
+    """Receives must come strictly after their sends in merged order."""
+    send_at: Dict[int, Tuple[int, float]] = {}
+    for loc, evs in enumerate(p.events):
+        for ev in evs:
+            if ev.etype == MPI_SEND:
+                send_at[ev.aux[0]] = (loc, ev.t)
+    # collect per-location violation magnitudes to detect systematic skew
+    lags: Dict[int, float] = {}
+    edges: Dict[int, int] = {}
+    for loc, evs in enumerate(p.events):
+        for ev in evs:
+            if ev.etype != MPI_RECV or ev.aux not in send_at:
+                continue
+            send_loc, t_send = send_at[ev.aux]
+            need = t_send if send_loc < loc else _bump(t_send)
+            if ev.t < need:
+                edges[loc] = edges.get(loc, 0) + 1
+                lags[loc] = max(lags.get(loc, 0.0), need - ev.t)
+    changes = 0
+    for loc, n_edges in sorted(edges.items()):
+        if n_edges >= _SKEW_MIN_EDGES:
+            # the per-edge bump pass below mops up any rounding remainder
+            shift = lags[loc]
+            for ev in p.events[loc]:
+                ev.t += shift
+                if ev.t_enter:
+                    ev.t_enter += shift
+            changes += len(p.events[loc])
+            if first_pass:
+                report.repair(
+                    "ING008",
+                    f"location clock ran {lags[loc]:.3g}s behind its "
+                    f"peers over {n_edges} message(s); timeline shifted "
+                    "forward", location=loc)
+    # per-edge bumps for the remainder
+    for loc, evs in enumerate(p.events):
+        for ev in evs:
+            if ev.etype != MPI_RECV or ev.aux not in send_at:
+                continue
+            send_loc, t_send = send_at[ev.aux]
+            need = t_send if send_loc < loc else _bump(t_send)
+            if ev.t < need:
+                ev.t = need
+                changes += 1
+                if first_pass:
+                    report.repair(
+                        "ING005",
+                        f"receive of message {ev.aux} moved after its "
+                        "send", location=loc)
+    return changes
+
+
+def _monotone_fixups(p: _Pending, report: IngestReport,
+                     first_pass: bool) -> int:
+    """Clamp per-location timestamps to non-decreasing order (ING005)."""
+    changes = 0
+    for loc, evs in enumerate(p.events):
+        prev = -math.inf
+        clamped = 0
+        for ev in evs:
+            if ev.etype == BURST and ev.t_enter > ev.t:
+                ev.t_enter = ev.t
+                clamped += 1
+            if ev.t < prev:
+                ev.t = prev
+                clamped += 1
+            prev = ev.t
+        if clamped:
+            changes += clamped
+            if first_pass:
+                report.repair(
+                    "ING005",
+                    f"clamped {clamped} decreasing timestamp(s) to "
+                    "non-decreasing order", location=loc)
+    return changes
+
+
+def walker_salvage(cols, report: IngestReport, budget=None,
+                   exact_copies: bool = True) -> RawTrace:
+    """Salvage as ``repro.ingest.salvage.salvage_trace`` did it: its
+    passes over per-location ``Ev`` lists of ``cols`` (a parsed
+    :class:`~repro.measure.columnar.TraceColumns`), matching ids with
+    dicts and sets.  ``exact_copies=False`` leaves out the byte-for-byte
+    duplicate rule, which the decoders now apply where a record is a
+    unit of the input."""
+    p = _Pending(cols.mode, cols.regions, list(cols.locations),
+                 cols.event_lists(), cols.runtime)
+
+    def tick():
+        if budget is not None:
+            budget.check_deadline()
+
+    _drop_duplicates(p, report, exact_copies)
+    tick()
+    _repair_balance(p, report)
+    tick()
+    _repair_matching(p, report)
+    _repair_team_begins(p, report)
+    tick()
+
+    converged = False
+    for it in range(_SALVAGE_MAX_PASSES):
+        changes = _group_fixups(p, report, first_pass=(it == 0))
+        changes += _causal_fixups(p, report, first_pass=(it == 0))
+        changes += _monotone_fixups(p, report, first_pass=(it == 0))
+        tick()
+        if not changes:
+            converged = True
+            break
+    if not converged:
+        report.reject(
+            "ING014",
+            f"timestamp repairs did not converge in {_SALVAGE_MAX_PASSES} "
+            "passes")
+        raise ValueError("salvage did not converge")
+
+    t_end = max((evs[-1].t for evs in p.events if evs), default=0.0)
+    trace = RawTrace(
+        mode=p.mode,
+        regions=p.regions,
+        locations=list(p.locations),
+        events=p.events,
+        runtime=max(p.runtime, t_end),
+        pinning=None,
+    )
+
+    from repro.verify.rules import Severity
+    from repro.verify.sanitizer import sanitize_raw
+
+    residual = [d for d in sanitize_raw(trace)
+                if d.severity == Severity.ERROR]
+    if residual:
+        worst = "; ".join(f"{d.rule_id}: {d.message}" for d in residual[:3])
+        report.reject(
+            "ING014",
+            f"{len(residual)} sanitizer error(s) survive salvage ({worst})")
+        raise ValueError("repaired trace still fails the sanitizer")
+    return trace

@@ -148,6 +148,22 @@ class TestDagClocks:
             assert isinstance(path, str) and hops > 0
             assert work >= 0.0 and wait >= 0.0
 
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("app", ["minife", "lulesh", "tealeaf"])
+    def test_critical_path_work_counts_program_edges_once(self, seed_traces,
+                                                          app, mode):
+        # the work column sums the program edges the path takes; a node
+        # the path enters by its remote edge adds none (its program edge
+        # is off the path), so the column is at most the makespan
+        dag = build_dag(seed_traces[app][1], mode, counter_seed=5)
+        rows = critical_path_table(dag, top=10**6)
+        taken = [nid for nid in dag.critical_path()
+                 if not dag.remote_critical[nid]]
+        assert sum(r[1] for r in rows) == len(dag.critical_path())
+        assert sum(r[2] for r in rows) == pytest.approx(
+            sum(dag.work[nid] for nid in taken), rel=1e-12)
+        assert sum(r[2] for r in rows) <= dag.makespan * (1 + 1e-12)
+
     def test_sharded_trace_parity(self, minife_trace, tmp_path):
         archive = tmp_path / "trace.shards"
         write_sharded_trace(minife_trace, archive, shard_events=256)

@@ -12,9 +12,9 @@ lists only when a caller asks for ``.events``.  These tests pin that:
   shards write -> read -> replay -> analysis, engine -> sanitizer -> race
   detector and a sanitized run never build an event;
 * the archives work over columns: writing leaves a trace column-backed
-  with the same columns, and JSON-lines records that interleave
-  locations, locations without events and non-finite times read back
-  exactly;
+  with the same columns, JSON-lines records that interleave locations
+  and locations without events read back exactly, and non-finite times
+  are refused by the writers and the reader;
 * taking ``.events`` hands ownership to the lists: an edit reaches the
   next replay and archive write.
 """
@@ -216,24 +216,38 @@ class TestArchivesOverColumns:
 
     def test_non_finite_times_are_spelled_as_json_spells_them(self,
                                                               tmp_path):
-        # repr would write nan/inf, which no JSON reader takes: such rows
-        # are dumped whole, and read back bit for bit
+        # A non-finite time has no place in a trace: a NaN breaks the
+        # merged order (the running maximum carries it to the rest of its
+        # location).  The writers refuse one, and the reader refuses one
+        # spelled as json spells it, at its line.
+        from repro.measure import ColumnarConversionError, TraceFormatError
+
         nan, inf = float("nan"), float("inf")
         regions = RegionRegistry()
         rid = regions.intern("main", "user")
-        trace = RawTrace("tsc", regions, [(0, 0)], [[
-            Ev(ENTER, rid, nan), Ev(BURST, rid, 1.0, t_enter=-inf),
-            Ev(LEAVE, rid, inf, WorkDelta(bb=2.0))]])
-        data = trace_archive_bytes(trace)
-        assert gzip.decompress(data).decode().splitlines()[1:] == [
-            json.dumps([0, ENTER, rid, nan, None, None, None]),
-            json.dumps([0, BURST, rid, 1.0, None, None, -inf]),
-            json.dumps([0, LEAVE, rid, inf, {"bb": 2.0}, None, None])]
-        path = tmp_path / "t.trace.json.gz"
-        path.write_bytes(data)
-        back = read_trace(path)
-        assert trace_archive_bytes(back) == data
-        assert event_bits(back) == event_bits(trace)
+        for bad in ([Ev(ENTER, rid, nan), Ev(LEAVE, rid, 1.0)],
+                    [Ev(BURST, rid, 1.0, t_enter=-inf)],
+                    [Ev(ENTER, rid, 0.5), Ev(LEAVE, rid, inf)]):
+            trace = RawTrace("tsc", regions, [(0, 0)], [bad])
+            for suffix in (".trace.json.gz", ".npz", ".shards"):
+                with pytest.raises(ColumnarConversionError):
+                    write_trace(trace, tmp_path / f"w{suffix}")
+        good = RawTrace("tsc", regions, [(0, 0)], [[
+            Ev(ENTER, rid, 0.5), Ev(BURST, rid, 1.0, t_enter=0.75),
+            Ev(LEAVE, rid, 2.0, WorkDelta(bb=2.0))]])
+        lines = gzip.decompress(trace_archive_bytes(good)).decode() \
+            .splitlines(True)
+        for k, record in ((1, [0, ENTER, rid, nan, None, None, None]),
+                          (2, [0, BURST, rid, 1.0, None, None, -inf]),
+                          (3, [0, LEAVE, rid, inf, {"bb": 2.0}, None, None])):
+            path = tmp_path / "t.trace.json.gz"
+            path.write_bytes(gzip.compress("".join(
+                lines[:k] + [json.dumps(record) + "\n"] + lines[k + 1:])
+                .encode()))
+            with pytest.raises(TraceFormatError) as err:
+                read_trace(path)
+            assert err.value.offset == f"line {k + 1}"
+            assert "is not finite" in err.value.reason
 
 
 class TestEventsTakeOwnership:

@@ -21,7 +21,7 @@ from repro.experiments.faultsweep import (
 )
 from repro.clocks import timestamp_trace
 from repro.machine import small_test_cluster
-from repro.machine.faults import CrashPoint, FaultConfig, FaultModel, ZeroFaults
+from repro.machine.faults import CrashPoint, FaultConfig, FaultModel
 from repro.machine.noise import NoiseConfig, NoiseModel
 from repro.measure import Measurement
 from repro.measure.config import NOISY_MODES
@@ -76,7 +76,7 @@ class TestFaultSchedules:
         assert all(isinstance(cp, CrashPoint) for cp in a.values())
 
     def test_zero_faults_draw_nothing(self):
-        fm = FaultModel(ZeroFaults(), seed=1)
+        fm = FaultModel(FaultConfig(), seed=1)
         assert fm.crash_schedule(64) == {}
         assert not fm.loss.lost(0, 1, 7, 0)
         assert not fm.duplication.duplicated(0, 1, 7, 0)
@@ -162,7 +162,7 @@ class TestRecovery:
 
     def test_no_faults_is_plain_run(self):
         cluster, cost = _cost_factory(3)
-        faults = FaultModel(ZeroFaults(), seed=1)
+        faults = FaultModel(FaultConfig(), seed=1)
         measurement = Measurement("lt1")
         outcome = run_with_recovery(CheckpointedRing(), cluster, cost,
                                     faults, measurement=measurement)

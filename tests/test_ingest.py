@@ -481,9 +481,8 @@ class TestTraceFormatError:
         assert "outside int64" in err.value.reason
 
     def test_record_the_columns_cannot_hold(self, tmp_path, minife_trace):
-        # a string timestamp passes the record checks (they check kinds,
-        # regions and payloads) but has no float64 column value: the read
-        # refuses the archive, with no one line to blame
+        # a string timestamp has no float64 column value: the type layer
+        # of the record check (times are numbers) refuses it at its line
         path = tmp_path / "t.trace.json.gz"
         write_trace(minife_trace, path)
         lines = gzip.decompress(path.read_bytes()).decode().splitlines(True)
@@ -495,8 +494,8 @@ class TestTraceFormatError:
         path.write_bytes(gzip.compress("".join(lines).encode()))
         with pytest.raises(TraceFormatError) as err:
             read_trace(path)
-        assert err.value.offset is None
-        assert "ColumnarConversionError" in err.value.reason
+        assert err.value.offset == f"line {k + 1}"
+        assert "must be numbers" in err.value.reason
 
     @pytest.mark.parametrize("field, value", [
         ("kind", 0.9), ("kind", True), ("kind", None), ("region", 2.5),

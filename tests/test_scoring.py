@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 from repro.cube import CubeProfile, SystemTree
 from repro.scoring import (
     jaccard,
-    jaccard_callpaths_for_metric,
     jaccard_metric_callpath,
     min_pairwise_jaccard,
 )
@@ -102,7 +101,9 @@ class TestProfileJaccard:
     def test_callpath_score_for_metric(self):
         a = _profile({("comp", ("f",)): 8.0, ("comp", ("g",)): 2.0})
         b = _profile({("comp", ("f",)): 2.0, ("comp", ("g",)): 8.0})
-        j = jaccard_callpaths_for_metric(a, b, "comp")
+        # J_C^comp: the call-path shares of one metric (%M) compared
+        j = jaccard(a.metric_selection_percent("comp"),
+                    b.metric_selection_percent("comp"))
         assert j == pytest.approx((20 + 20) / (80 + 80))
 
     def test_min_pairwise_single(self):

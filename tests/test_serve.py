@@ -758,39 +758,59 @@ class TestIngestHardening:
 
     def test_stray_leave_upload_refused_alike_by_call_path_ops(
             self, tmp_path, session):
-        # a LEAVE that pops an empty region stack: the clocks replay it,
-        # and every op that reads call paths refuses it the same way, as
-        # they all read the one analysis plan
-        from repro.measure import write_trace
-        from repro.sim.events import LEAVE, Ev
+        # Archives that decode but that the sanitizer finds errors in: a
+        # LEAVE that pops an empty region stack (TRC006), a collective
+        # missing a member (TRC007) and a send whose receive is gone
+        # (TRC002).  The analysis ops cannot read them (score, blame and
+        # what-if fail in the pool worker), so PUT refuses them as
+        # /v1/ingest refuses its output: 400 with the findings,
+        # quarantined, never stored.
+        from repro.measure import trace_archive_bytes
+        from repro.serve.client import http_request
+        from repro.sim.events import COLL_END, LEAVE, MPI_RECV, Ev
 
-        trace = _make_trace("ltbb", seed=1)
-        evs = trace.events[0]
-        evs.append(Ev(LEAVE, evs[-1].region, evs[-1].t))
-        f1 = tmp_path / "stray.trace.json.gz"
-        write_trace(trace, f1)
+        def damaged(edit):
+            trace = _make_trace("ltbb", seed=1)
+            edit(trace.events)
+            return trace_archive_bytes(trace)
+
+        def stray_leave(events):
+            evs = events[0]
+            evs.append(Ev(LEAVE, evs[-1].region, evs[-1].t))
+
+        def drop_first(kind):
+            def edit(events):
+                evs = next(evs for evs in events
+                           if any(ev.etype == kind for ev in evs))
+                evs.remove(next(ev for ev in evs if ev.etype == kind))
+            return edit
+
+        uploads = [("TRC006", damaged(stray_leave)),
+                   ("TRC007", damaged(drop_first(COLL_END))),
+                   ("TRC002", damaged(drop_first(MPI_RECV)))]
 
         async def main():
             svc = _service(tmp_path)
             await svc.start()
             try:
-                client = _client(svc)
-                up = await client.upload_trace(f1.read_bytes())
-                replay = await client.analyze("replay", up["hash"])
-                score = await client.analyze("score", up["hash"],
-                                             trace_b=up["hash"])
-                blame = await client.analyze("blame", up["hash"])
-                whatif = await client.analyze(
-                    "whatif", up["hash"], params={"scale": {"matvec": 2.0}})
+                resps = [await http_request(
+                    "127.0.0.1", svc.port, "PUT", "/v1/traces", body=body,
+                    headers={"X-Archive-Name": "u.trace.json.gz"})
+                    for _rule, body in uploads]
+                root = svc.store.root
             finally:
                 await svc.stop()
-            return replay, score, blame, whatif
+            return resps, root
 
-        replay, score, blame, whatif = asyncio.run(main())
-        assert replay.status == 200
-        assert score.status >= 400
-        assert blame.status == score.status
-        assert whatif.status == score.status
+        resps, root = asyncio.run(main())
+        for (rule, _body), resp in zip(uploads, resps):
+            assert resp.status == 400
+            assert resp.json()["error"] == "trace fails the sanitizer"
+            assert resp.json()["detail"].startswith(f"{rule}: ")
+            assert resp.headers.get("x-repro-quarantine")
+        assert len(list(root.glob("*.corrupt-*"))) == 3
+        assert not list(root.glob("cas-*-trace.trace.json.gz"))
+        assert _total(session, "serve.upload_rejects") == 3.0
 
     def test_ingest_accept_chrome_then_analyze(self, tmp_path, session):
         from repro.obs.export import trace_chrome_events
@@ -823,7 +843,12 @@ class TestIngestHardening:
 
     def test_ingest_reject_int64_overflow_400_with_report(self, tmp_path,
                                                           session):
-        # a lossless export whose collective id no int64 column holds
+        # a lossless export whose collective id no int64 column holds:
+        # the record check drops those records (ING003), the rest is a
+        # trace without that collective
+        import numpy as np
+
+        from repro.measure import read_trace
         from repro.obs.export import trace_chrome_events
         from repro.serve.client import http_request
         from repro.sim.events import COLL_END
@@ -845,17 +870,23 @@ class TestIngestHardening:
             try:
                 return await http_request(
                     "127.0.0.1", svc.port, "POST", "/v1/ingest",
-                    body=payload, headers={"X-Archive-Name": "big.json"})
+                    body=payload, headers={"X-Archive-Name": "big.json"}), \
+                    svc.store.root
             finally:
                 await svc.stop()
 
-        resp = asyncio.run(main())
-        assert resp.status == 400
+        resp, root = asyncio.run(main())
+        assert resp.status == 201
         doc = resp.json()
-        assert doc["error"] == "ingest rejected"
-        assert not doc["report"]["accepted"]
-        assert any(d["rule"].startswith("ING")
-                   for d in doc["report"]["rejections"])
+        assert doc["report"]["accepted"]
+        assert [d["rule"] for d in doc["report"]["repairs"]] == ["ING003"]
+        assert doc["report"]["n_dropped"] == len(members)
+        stored = read_trace(root / doc["path"])
+        assert stored.n_events == sum(
+            1 for e in events if e.get("cat") == "repro.raw") - len(members)
+        cols = stored.columns()
+        assert not np.any((cols.column("etype") == COLL_END)
+                          & (cols.column("aux_a") == gid))
 
     def test_ingest_reject_garbage_400_with_report(self, tmp_path, session):
         from repro.serve.client import http_request

@@ -6,9 +6,7 @@ from hypothesis import given, strategies as st
 
 from repro.util import (
     RngStreams,
-    check_in,
     check_positive,
-    check_type,
     format_grouped_bars,
     format_table,
     mean_ci,
@@ -133,13 +131,3 @@ class TestValidation:
         check_nonnegative("x", 0)
         with pytest.raises(ValueError):
             check_nonnegative("x", -1)
-
-    def test_check_in(self):
-        check_in("m", "a", ("a", "b"))
-        with pytest.raises(ValueError):
-            check_in("m", "c", ("a", "b"))
-
-    def test_check_type(self):
-        check_type("v", 1, int)
-        with pytest.raises(TypeError):
-            check_type("v", "s", int)
