@@ -18,9 +18,14 @@ serving design's load-bearing claims end to end:
   repeat; replay under two modes and a what-if on the same upload (a
   pool worker keeps the trace it decoded for the blame) answer the bytes
   ``execute_analysis_job`` computes cold in this process;
+* **ingest** -- a lossless Chrome export of the uploaded trace ingests
+  (201) into an npz archive that answers a replay, and the same export
+  ingested again answers the same content address;
 * **upload check** -- an archive that decodes but lost a receive record
   (the sanitizer's TRC002) is refused at ``PUT /v1/traces`` with a 400
-  and a quarantine header instead of being stored.
+  and a quarantine header instead of being stored;
+* **pool metrics** -- ``/metrics`` lists the counters the pool processes
+  count (``clocks.replays``, ``serve.trace_cache``, ``ingest.records``).
 
 Artifacts left for upload: ``serve_load.json`` (the load report) and
 ``serve_metrics.json`` (the service's obs snapshot).
@@ -154,9 +159,28 @@ async def main() -> int:
             check(f"{op} {params} as computed cold",
                   served.status == 200 and served.body == cold)
 
+        # -- ingest: a lossless export is stored as one npz archive -------
+        from repro.obs.export import trace_chrome_events
+        from repro.serve.client import http_request
+
+        export = json.dumps({"traceEvents": list(
+            trace_chrome_events(trace, embed_raw=True))}).encode()
+        ingested = [await http_request(
+            "127.0.0.1", service.port, "POST", "/v1/ingest", body=export,
+            headers={"X-Archive-Name": "smoke-export.json"})
+            for _ in range(2)]
+        doc = ingested[0].json()
+        check("lossless export ingested as npz (201)",
+              ingested[0].status == 201
+              and doc.get("path", "").endswith(".npz"), doc.get("path"))
+        replay = await client.analyze("replay", doc["hash"])
+        check("replay on the ingested trace", replay.status == 200)
+        check("same export ingested again, same hash",
+              ingested[1].status == 201
+              and ingested[1].json().get("hash") == doc["hash"])
+
         # -- an upload the sanitizer refuses is never stored ----------------
         from repro.measure import trace_archive_bytes
-        from repro.serve.client import http_request
         from repro.sim.events import MPI_RECV
 
         evs = next(evs for evs in trace.events
@@ -170,6 +194,13 @@ async def main() -> int:
               resp.json().get("detail", "")[:60])
         check("refused upload quarantined",
               bool(resp.headers.get("x-repro-quarantine")))
+
+        # -- the pool processes' metrics reach /metrics ----------------------
+        metrics = (await client.metrics(fmt="json")).json()
+        names = {row["name"] for row in metrics["metrics"]["counters"]}
+        for name in ("clocks.replays", "serve.trace_cache",
+                     "ingest.records"):
+            check(f"/metrics lists {name}", name in names)
 
         # -- artifacts ------------------------------------------------------
         Path("serve_load.json").write_text(

@@ -150,14 +150,11 @@ def _extract_records(text: str, report: IngestReport,
                           "valid JSON but not a Chrome trace (no "
                           "traceEvents array)")
             raise ValueError("not a chrome trace container")
-        records = []
-        bad = 0
-        for rec in events:
-            if isinstance(rec, dict):
-                records.append(rec)
-                budget.charge_events(1)
-            else:
-                bad += 1
+        # parsed already: charged at once (the scanner below charges
+        # record by record, which bounds its own walk)
+        records = [rec for rec in events if isinstance(rec, dict)]
+        budget.charge_events(len(records))
+        bad = len(events) - len(records)
         if bad:
             report.n_dropped += bad
             report.repair("ING003",

@@ -96,6 +96,7 @@ __all__ = [
     "read_trace",
     "read_manifest",
     "trace_archive_bytes",
+    "npz_archive_bytes",
     "build_header",
     "parse_header",
     "atomic_write_bytes",
@@ -374,10 +375,8 @@ def write_trace(trace: RawTrace, path: Union[str, Path],
         write_sharded_trace(trace, path, manifest=manifest)
         return
     with obs.span("io.write_trace", format=fmt):
-        if fmt == "npz":
-            _write_trace_npz(trace, path, manifest)
-        else:
-            atomic_write_bytes(path, trace_archive_bytes(trace, manifest))
+        encode = npz_archive_bytes if fmt == "npz" else trace_archive_bytes
+        atomic_write_bytes(path, encode(trace, manifest))
     obs.counter("io.traces_written", format=fmt).inc()
     obs.counter("io.bytes_written", format=fmt).add(path.stat().st_size)
 
@@ -465,10 +464,7 @@ def read_manifest(path: Union[str, Path]) -> Optional[dict]:
 
 #: lines decoded per ``json.loads`` call by the JSON-lines reader; small
 #: enough that a chunk's decoded records die young in the cyclic garbage
-#: collector instead of reaching (and triggering) its full collections,
-#: and that one call holds the interpreter lock for well under a
-#: millisecond (the service validates uploads on a thread beside its
-#: event loop)
+#: collector instead of reaching (and triggering) its full collections
 _CHUNK_LINES = 128
 
 
@@ -478,7 +474,7 @@ def trace_archive_bytes(trace: RawTrace,
 
     The exact bytes :func:`write_trace` would put in a ``*.trace.json.gz``
     archive (deterministic: the gzip mtime is pinned), for callers that
-    store traces content-addressed -- the serving layer's ingest endpoint.
+    hash or store traces by their bytes.
     """
     cols = trace.columns()  # the payload check (ColumnarConversionError)
     cols.check_values()
@@ -666,9 +662,16 @@ def _load_lines(path: Path, lines: List[str], first_lineno: int,
 # columnar (npz) format
 # ---------------------------------------------------------------------------
 
-def _write_trace_npz(trace: RawTrace, path: Path,
-                     manifest: Optional[dict] = None) -> None:
-    """Bulk-dump the trace's columns."""
+def npz_archive_bytes(trace: RawTrace,
+                      manifest: Optional[dict] = None) -> bytes:
+    """Canonical npz archive bytes of ``trace`` (no file involved): the
+    exact bytes :func:`write_trace` puts in a ``*.npz`` archive.
+
+    Deterministic, so fit for content addressing (the serving layer
+    stores ingested traces this way): NumPy stamps every zip member with
+    the zip epoch (1980-01-01), and the header's JSON and the columns
+    follow from the trace alone.
+    """
     cols = trace.columns()
     cols.check_values()
     header = build_header("npz", cols, manifest)
@@ -681,7 +684,7 @@ def _write_trace_npz(trace: RawTrace, path: Path,
             else np.empty(0, dtype=np.float64)
     buf = io.BytesIO()
     np.savez_compressed(buf, **arrays)
-    atomic_write_bytes(path, buf.getvalue())
+    return buf.getvalue()
 
 
 def _read_trace_npz(path: Path, source) -> RawTrace:

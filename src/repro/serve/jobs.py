@@ -21,6 +21,13 @@ A worker keeps state across analysis jobs: the traces it decoded, in a
 per-process LRU keyed by the sha256 of the archive bytes (see
 :class:`_TraceCache`), so a repeat analysis of an upload reuses the
 decoded columns and the plans compiled on them.
+
+The two upload jobs, :func:`check_upload` (``PUT /v1/traces``) and
+:func:`ingest_upload` (``POST /v1/ingest``), run in the service's upload
+process: every byte a client uploads is parsed there, never in the
+event-loop process.  They answer what the route answers instead of
+raising for the client's faults.  The service runs every job through
+:func:`observed`, which brings the job's metrics back with its result.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ import os
 import traceback
 from collections import OrderedDict
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Tuple
 
 from repro import obs
 
@@ -37,8 +44,11 @@ __all__ = [
     "ANALYSIS_OPS",
     "TRACE_CACHE_EVENTS",
     "analysis_manifest",
+    "observed",
     "execute_experiment_job",
     "execute_analysis_job",
+    "check_upload",
+    "ingest_upload",
 ]
 
 #: analysis operations the service accepts on uploaded trace archives
@@ -63,6 +73,24 @@ def analysis_manifest(op: str, params: dict) -> dict:
     }
     return obs.build_manifest("serve.analysis", config,
                               environment=obs.default_environment())
+
+
+def observed(fn, *args):
+    """``fn(*args)`` under a fresh :class:`repro.obs.ObsSession`; returns
+    ``(result, metrics)``, ``metrics`` the session's metrics snapshot.
+
+    The service runs every pool job through this and merges ``metrics``
+    into its own session, so a job's counters and histograms reach the
+    server's ``/metrics``; its spans and manifests go with the session
+    instead of piling up in the one the process inherited at fork.  A
+    job that raises brings no metrics back.  ``fn`` crosses the pool
+    boundary by reference: the process calls what its module holds
+    under that name, a wrapper installed before the fork included.
+    """
+    session = obs.ObsSession()
+    with obs.scoped(session):
+        result = fn(*args)
+    return result, session.metrics.snapshot()
 
 
 def _rewrap(fn, *args, tag):
@@ -131,6 +159,56 @@ def execute_analysis_job(op: str, archive_path: str, params: dict,
         return (canonical_json(doc) + "\n").encode("utf-8")
 
     return _rewrap(work, tag=(op, "serve.analysis"))
+
+
+def check_upload(data: bytes, name: str) -> Optional[Tuple[str, str]]:
+    """``PUT /v1/traces``'s check of the archive bytes ``data`` (``name``
+    gives the format, as :func:`repro.measure.io.decode_trace` reads it):
+    ``None`` when they decode and the sanitizer finds no error, else the
+    400's ``(error, detail)`` -- the first errors it finds, by the rule
+    ``/v1/ingest`` applies to its output.
+    """
+    from repro.measure.io import TraceFormatError, decode_trace
+    from repro.verify.rules import Severity
+    from repro.verify.sanitizer import sanitize_raw
+
+    try:
+        trace = decode_trace(data, name)
+    except TraceFormatError as exc:
+        return "malformed trace archive", str(exc)
+    errors = [f"{d.rule_id}: {d.message}" for d in sanitize_raw(trace)
+              if d.severity == Severity.ERROR]
+    return ("trace fails the sanitizer", "; ".join(errors[:3])) \
+        if errors else None
+
+
+def ingest_upload(data: bytes, name: str, fmt: Optional[str],
+                  max_bytes: int) -> Tuple[bool, dict, Optional[bytes]]:
+    """``POST /v1/ingest``'s work on the upload ``data`` (``max_bytes``
+    caps its inflated size): ``(accepted, doc, archive)``.
+
+    An accepted trace comes back as its npz archive bytes
+    (:func:`repro.measure.io.npz_archive_bytes`, deterministic, so one
+    export always gets one content address) beside the response document
+    (``kind`` and ``report``); an accepted comm-op program as its
+    normalized op document inline (``archive`` is ``None``).  A rejection
+    is ``(False, report, None)`` with the ingest report as a dict.
+    """
+    from repro.ingest import IngestError, IngestLimits, ingest_bytes
+    from repro.ingest.commops import commops_doc
+    from repro.measure.io import npz_archive_bytes
+
+    try:
+        result = ingest_bytes(data, name=name, fmt=fmt,
+                              limits=IngestLimits(max_bytes=max_bytes))
+    except IngestError as exc:
+        return False, exc.report.to_dict(), None
+    doc = {"kind": result.kind, "report": result.report.to_dict()}
+    if result.kind == "trace":
+        return True, doc, npz_archive_bytes(result.trace)
+    doc["n_ranks"] = result.program.n_ranks
+    doc["ops"] = commops_doc(result.program)["ops"]
+    return True, doc, None
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,12 @@ funnel, cheapest exit first:
    context), each job under the campaign supervisor's watchdog/retry
    discipline (bounded attempts, timeout per attempt).
 
+Uploads (``PUT /v1/traces``, ``POST /v1/ingest``) are parsed in one
+upload process of their own, started and stopped with the pool and
+replaced when it dies; the event-loop process only hashes, stores and
+answers bytes.  Every pool job's metrics come back with its result and
+are merged into this process's ``/metrics``.
+
 Responses for experiment requests are the workflow's canonical result
 serialization, so served bytes are bit-identical to
 ``serialize_result(run_experiment(...))`` -- the suite asserts equality.
@@ -38,6 +44,7 @@ import re
 import traceback
 from collections import OrderedDict, deque
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from multiprocessing import get_context
 from pathlib import Path
@@ -52,8 +59,8 @@ from repro.measure.io import (
     TraceFormatError,
     archive_hash,
     archive_suffix,
+    atomic_write_bytes,
     quarantine,
-    read_trace,
     store_archive_bytes,
 )
 from repro.serve import jobs as J
@@ -77,6 +84,9 @@ _STORED_SUFFIXES = tuple(sorted(UPLOAD_SUFFIXES))
 #: sentinel body from ``_read_request`` for a declared-oversize request
 #: (the body is never read; the connection must close after the 413)
 _OVERSIZE = object()
+
+#: the 500 of an upload whose process died under it
+_DIED = "the upload process died parsing this upload"
 
 _STATUS = {
     200: "OK", 201: "Created", 400: "Bad Request", 404: "Not Found",
@@ -144,6 +154,7 @@ class AnalysisService:
         self._server: Optional[asyncio.base_events.Server] = None
         self._dispatcher: Optional[asyncio.Task] = None
         self._pool: Optional[ProcessPoolExecutor] = None
+        self._uploads: Optional[ProcessPoolExecutor] = None
         self._job_ewma = 1.0   # seconds; drives Retry-After on shed
         self._closing = False
 
@@ -153,8 +164,10 @@ class AnalysisService:
             obs.enable()
         self.store.root.mkdir(parents=True, exist_ok=True)
         self.store.sweep_staging()
-        self._pool = ProcessPoolExecutor(
-            max_workers=self.n_workers, mp_context=get_context("fork"))
+        self._pool = _fork_pool(self.n_workers)
+        # one upload process: uploads ran one at a time under this
+        # process's interpreter lock before they left it
+        self._uploads = _fork_pool(1)
         if self.config.start_dispatcher:
             self._dispatcher = asyncio.get_running_loop().create_task(
                 self._dispatch_loop())
@@ -187,8 +200,9 @@ class AnalysisService:
             if not job.future.done():
                 job.future.cancel()
         self._queue.clear()
-        if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
+        for pool in (self._pool, self._uploads):
+            if pool is not None:
+                pool.shutdown(wait=False, cancel_futures=True)
 
     def resume_dispatcher(self) -> None:
         """Start the dispatcher late (tests boot with it paused)."""
@@ -345,75 +359,100 @@ class AnalysisService:
             suffix = archive_suffix(name)
         except ValueError as exc:
             return 400, _JSON, _jerr(str(exc)), {}
+        # the upload process decodes the archive and runs the sanitizer,
+        # by the rule /v1/ingest applies to its output: an upload that
+        # does not decode, or that has errors, is quarantined and
+        # answered with the first findings instead of failing later
+        # /v1/analyze jobs
+        status = 400
+        try:
+            problem = await self._upload(J.check_upload, body, name)
+        except BrokenProcessPool:
+            status, problem = 500, (_DIED,)
+        if problem:
+            moved = self._quarantine(
+                body, f"cas-{archive_hash(body)[:20]}-trace{suffix}")
+            obs.counter("serve.upload_rejects").inc()
+            return status, _JSON, _jerr(*problem), {
+                "X-Repro-Quarantine": moved or "deleted"}
         digest, path = store_archive_bytes(
             body, self.store.root, suffix=suffix, prefix="cas-")
-        # full-archive validation off the event loop, by the rule
-        # /v1/ingest applies to its output: an upload that does not
-        # decode, or that the sanitizer finds errors in, is quarantined
-        # and answered with the first findings instead of failing later
-        # /v1/analyze jobs
-        try:
-            problem = await asyncio.to_thread(_upload_problem, path)
-        except TraceFormatError as exc:
-            problem = ("malformed trace archive", str(exc))
-        if problem:
-            moved = quarantine(path)
-            obs.counter("serve.upload_rejects").inc()
-            return 400, _JSON, _jerr(*problem), {
-                "X-Repro-Quarantine": moved.name if moved else "deleted"}
         self.store.evict(protect=(path.name,))
         return 201, _JSON, _jdoc({"hash": digest, "path": path.name}), {}
 
     async def _post_ingest(self, headers, body):
         """Hardened ingestion of a foreign trace upload.
 
-        Accepted Chrome inputs are converted to a canonical archive and
-        stored content-addressed (immediately analyzable via
-        ``/v1/analyze``); accepted comm-op inputs return their
-        normalized op document inline.  Rejected bytes are quarantined
-        beside the store (``*.corrupt-N``) and answered ``400`` with the
-        full ingest report.
+        Accepted Chrome inputs are stored content-addressed as npz
+        archives (immediately analyzable via ``/v1/analyze``); accepted
+        comm-op inputs return their normalized op document inline.
+        Rejected bytes are quarantined beside the store (``*.corrupt-N``)
+        and answered ``400`` with the full ingest report.
         """
-        from repro.ingest import IngestError, IngestLimits, ingest_bytes
-        from repro.measure.io import trace_archive_bytes
-
         ok, retry = self._admit(headers)
         if not ok:
             return retry
         name = headers.get("x-archive-name", "<upload>")
         fmt = headers.get("x-ingest-format") or None
-        limits = IngestLimits(max_bytes=self.config.max_body_bytes)
+        stash = f"ingest-{archive_hash(body)[:20]}.upload"
         try:
-            result = await asyncio.to_thread(
-                ingest_bytes, body, name=name, fmt=fmt, limits=limits)
-        except IngestError as exc:
-            stash = self.store.root / (
-                f"ingest-{archive_hash(body)[:20]}.upload")
-            try:
-                stash.write_bytes(body)
-                moved = quarantine(stash)
-            except OSError:
-                moved = None
-            report = exc.report.to_dict()
-            report["quarantine_path"] = moved.name if moved else None
+            accepted, doc, archive = await self._upload(
+                J.ingest_upload, body, name, fmt, self.config.max_body_bytes)
+        except BrokenProcessPool:
+            moved = self._quarantine(body, stash) or "deleted"
+            return 500, _JSON, _jerr(_DIED), {"X-Repro-Quarantine": moved}
+        if not accepted:
+            doc["quarantine_path"] = self._quarantine(body, stash)
             return 400, _JSON, _jdoc(
-                {"error": "ingest rejected", "report": report}), {}
-        doc = {"kind": result.kind, "report": result.report.to_dict()}
-        if result.kind == "trace":
-            data = await asyncio.to_thread(trace_archive_bytes,
-                                           result.trace)
+                {"error": "ingest rejected", "report": doc}), {}
+        if archive is not None:
             digest, path = store_archive_bytes(
-                data, self.store.root, suffix=".trace.json.gz",
-                prefix="cas-")
+                archive, self.store.root, suffix=".npz", prefix="cas-")
             self.store.evict(protect=(path.name,))
             doc["hash"] = digest
             doc["path"] = path.name
-        else:
-            from repro.ingest.commops import commops_doc
-
-            doc["n_ranks"] = result.program.n_ranks
-            doc["ops"] = commops_doc(result.program)["ops"]
         return 201, _JSON, _jdoc(doc), {}
+
+    def _quarantine(self, body: bytes, name: str) -> Optional[str]:
+        """Write refused upload bytes beside the store as ``name`` and move
+        them aside at once; the quarantined file's name, or ``None``."""
+        path = self.store.root / name
+        try:
+            atomic_write_bytes(path, body)
+            moved = quarantine(path)
+        except OSError:
+            moved = None
+        return moved.name if moved else None
+
+    async def _upload(self, fn, *args):
+        """``fn(*args)`` in the upload process (see :meth:`_submit`).
+
+        A process found dead before the upload reached it is replaced
+        and the upload sent to the new one.  One that dies under the
+        upload is replaced too, and ``BrokenProcessPool`` reaches the
+        route, which quarantines the upload and answers 500.
+        """
+        pool = self._uploads
+        try:
+            future = self._submit(pool, fn, *args)
+        except BrokenProcessPool:
+            pool = self._replace_uploads(pool)
+            future = self._submit(pool, fn, *args)
+        try:
+            return await self._merged(future)
+        except BrokenProcessPool:
+            obs.counter("serve.upload_crashes").inc()
+            self._replace_uploads(pool)
+            raise
+
+    def _replace_uploads(self, broken: ProcessPoolExecutor
+                         ) -> ProcessPoolExecutor:
+        """A new upload process in place of ``broken`` (once: uploads
+        that shared the dead process find it replaced already)."""
+        if self._uploads is broken:
+            broken.shutdown(wait=False, cancel_futures=True)
+            self._uploads = _fork_pool(1)
+        return self._uploads
 
     def _trace_path(self, digest: str) -> Optional[Path]:
         """The stored upload of ``digest``, or ``None`` if there is none.
@@ -601,6 +640,24 @@ class AnalysisService:
             f"queue full ({depth}/{limit}) for {kind} requests"), {
             "Retry-After": self.quotas.retry_after_header(eta)}
 
+    # -- pool processes -----------------------------------------------------
+    @staticmethod
+    def _submit(pool: ProcessPoolExecutor, fn, *args) -> "asyncio.Future":
+        """Send ``fn(*args)`` to ``pool`` under :func:`J.observed`; raises
+        ``BrokenProcessPool`` at once for a pool already known dead."""
+        return asyncio.get_running_loop().run_in_executor(
+            pool, J.observed, fn, *args)
+
+    @staticmethod
+    async def _merged(future: "asyncio.Future"):
+        """The result of a :meth:`_submit` future, its job's metrics
+        merged into this process's session."""
+        result, metrics = await future
+        session = obs.active()
+        if session is not None:
+            session.metrics.merge(metrics)
+        return result
+
     # -- dispatcher ---------------------------------------------------------
     async def _dispatch_loop(self) -> None:
         """Drain the queue in adaptive batches, shard across the pool."""
@@ -626,7 +683,8 @@ class AnalysisService:
                 t0 = loop.time()
                 try:
                     data = await asyncio.wait_for(
-                        loop.run_in_executor(self._pool, job.fn, *job.args),
+                        self._merged(self._submit(self._pool, job.fn,
+                                                  *job.args)),
                         timeout=self.config.job_timeout)
                 except Exception as exc:
                     obs.counter("serve.job_failures", kind=job.kind).inc()
@@ -655,17 +713,9 @@ def _jdoc(doc: dict) -> bytes:
     return (json.dumps(doc, sort_keys=True) + "\n").encode("utf-8")
 
 
-def _upload_problem(path: Path) -> Optional[Tuple[str, str]]:
-    """The first errors :func:`repro.verify.sanitize_raw` finds in the
-    archive at ``path``, or ``None`` (:class:`TraceFormatError` when it
-    does not decode)."""
-    from repro.verify.rules import Severity
-    from repro.verify.sanitizer import sanitize_raw
-
-    errors = [f"{d.rule_id}: {d.message}" for d in sanitize_raw(
-        read_trace(path)) if d.severity == Severity.ERROR]
-    return ("trace fails the sanitizer", "; ".join(errors[:3])) \
-        if errors else None
+def _fork_pool(workers: int) -> ProcessPoolExecutor:
+    return ProcessPoolExecutor(max_workers=workers,
+                               mp_context=get_context("fork"))
 
 
 def _jerr(message: str, detail: str = "") -> bytes:

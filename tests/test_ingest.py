@@ -366,6 +366,25 @@ class TestCaps:
                          limits=IngestLimits(max_events=10))
         assert "ING001" in err.value.report.rule_ids()
 
+    @pytest.mark.parametrize("damaged", [False, True])
+    def test_event_cap_counts_every_record_once(self, minife_trace,
+                                                damaged):
+        # the strict path charges the parsed container at once, the
+        # tolerant scanner (a container json.loads refuses) record by
+        # record: both accept N records under max_events=N and refuse
+        # N + 1
+        events = list(trace_chrome_events(minife_trace, embed_raw=True))
+        blob = json.dumps({"traceEvents": events}).encode()
+        if damaged:
+            blob = blob[:-2]                 # the closing "]}" is gone
+        n = len(events)
+        result = ingest_bytes(blob, limits=IngestLimits(max_events=n))
+        assert result.report.accepted
+        assert "ING001" not in result.report.rule_ids()
+        with pytest.raises(IngestError) as err:
+            ingest_bytes(blob, limits=IngestLimits(max_events=n - 1))
+        assert "ING001" in err.value.report.rule_ids()
+
     def test_deadline(self, minife_trace):
         with pytest.raises(IngestError) as err:
             ingest_bytes(_chrome_bytes(minife_trace),

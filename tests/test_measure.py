@@ -185,6 +185,27 @@ class TestTraceIO:
         p2 = analyze_trace(timestamp_trace(loaded, "lt1"))
         assert p1.total_time() == pytest.approx(p2.total_time())
 
+    def test_one_npz_encoder(self, cluster, tmp_path):
+        # write_trace(*.npz) writes npz_archive_bytes, and the bytes are
+        # the same call after call (zip members carry the zip epoch), so
+        # a trace stored by them has one content address
+        from repro.measure.io import decode_trace, npz_archive_bytes
+
+        cost = CostModel(cluster, noise=NoiseModel(ZeroNoise(), seed=1))
+        trace = Engine(_App(), cluster, cost,
+                       measurement=Measurement("ltbb")).run().trace
+        manifest = {"run": 1}
+        for k in range(2):
+            path = tmp_path / f"x{k}.npz"
+            write_trace(trace, path, manifest=manifest)
+            assert path.read_bytes() == npz_archive_bytes(trace, manifest)
+        data = npz_archive_bytes(trace)
+        assert npz_archive_bytes(trace) == data
+        assert data != npz_archive_bytes(trace, manifest)
+        back = decode_trace(data, "x.npz")
+        assert back.column_backed and back.provenance is None
+        assert npz_archive_bytes(back) == data
+
     def test_rejects_garbage(self, tmp_path):
         import gzip, json
 
