@@ -168,8 +168,9 @@ def main_report(argv: Optional[List[str]] = None) -> int:
         "fig9": reports.fig9_lulesh1_comp_and_delay,
     }
     parser = argparse.ArgumentParser(prog="repro-report", description=main_report.__doc__)
-    parser.add_argument("items", nargs="*", default=list(all_items),
-                        choices=list(all_items) + [[]], help="which tables/figures")
+    parser.add_argument("items", nargs="*", default=[],
+                        choices=list(all_items) + [[]],
+                        help="which tables/figures (default: all)")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--workers", type=int, default=None,
                         help="processes per measurement campaign (default: "

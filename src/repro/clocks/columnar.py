@@ -52,7 +52,6 @@ from repro.measure.config import (
     Y_STMT_PER_OMP_CALL,
 )
 from repro.sim.events import COLL_END, OBAR_LEAVE, TEAM_BEGIN
-from repro.util.rng import RngStreams
 
 __all__ = ["PlanReplay", "columnar_increments", "lamport_assign_columnar",
            "mode_increments", "replay_columnar", "timestamp_columns",
@@ -84,10 +83,10 @@ def columnar_increments(
     accordingly.  ``lthwctr`` reads the simulated
     PERF_COUNT_HW_INSTRUCTIONS delta (kernel instructions, including
     those retired busy-polling inside MPI) through
-    :meth:`CounterNoise.perturb_many`, which keeps the per-event draw
-    interleaving of the location's noise stream, and clamps it to at
-    least 1 so a location's clock still advances.  Every element equals
-    the per-event callables of ``tests/oracles.py`` bit for bit.
+    :meth:`CounterNoise.perturb_many`, in one keyed pass over the
+    trace's location-major ``instr`` column, and clamps it to at least 1
+    so a location's clock still advances.  Every element equals the
+    per-event callables of ``tests/oracles.py`` bit for bit.
 
     ``scales`` (per-location per-event factors, what-if replay --
     :mod:`repro.causal.whatif`) multiplies every *work-delta field*
@@ -98,9 +97,17 @@ def columnar_increments(
     magnitude-dependent, so scaled replay would not commute with the
     noise draw).
     """
-    if scales is not None and mode == LTHWCTR:
-        raise ValueError("what-if scaling is not defined for lthwctr "
-                         "(counter noise is magnitude-dependent)")
+    if mode == LTHWCTR:
+        if scales is not None:
+            raise ValueError("what-if scaling is not defined for lthwctr "
+                             "(counter noise is magnitude-dependent)")
+        if counter_noise is None:
+            raise ValueError("lthwctr increments need a CounterNoise")
+        bounds = cols.offsets()
+        inc = np.maximum(1.0, counter_noise.perturb_many(
+            cols.locations, np.diff(bounds), cols.column("instr")))
+        bounds = bounds.tolist()
+        return [inc[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
     out: List[np.ndarray] = []
     for loc, lc in enumerate(cols.locs):
         if scales is not None:
@@ -127,12 +134,6 @@ def columnar_increments(
             inc = base + lc.bb + x_bb * lc.omp_calls
         elif mode == LTSTMT:
             inc = base + lc.stmt + y_stmt * lc.omp_calls
-        elif mode == LTHWCTR:
-            if counter_noise is None:
-                raise ValueError("lthwctr increments need a CounterNoise")
-            rank, thread = cols.locations[loc]
-            readings = counter_noise.perturb_many(rank, thread, lc.instr)
-            inc = np.maximum(1.0, readings)
         else:
             raise ValueError(f"no increment model for mode {mode!r}")
         out.append(inc)
@@ -375,7 +376,7 @@ def mode_increments(
     if mode == LTHWCTR:
         cfg = counter_noise_config if counter_noise_config is not None \
             else NoiseConfig()
-        noise = CounterNoise(RngStreams(counter_seed), cfg)
+        noise = CounterNoise(counter_seed, cfg)
     return columnar_increments(cols, mode, noise)
 
 

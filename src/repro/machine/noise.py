@@ -16,8 +16,10 @@ al.).  This module implements independently switchable, seeded injectors:
   counters are noisy but *less* noisy than run-time; the default levels
   preserve that ordering.
 
-All draws come from :class:`repro.util.rng.RngStreams`, so a (seed,
-repetition) pair fully determines every noise realization.
+The engine's draws come from :class:`repro.util.rng.RngStreams`, so a
+(seed, repetition) pair fully determines every noise realization.
+Counter noise is applied at replay, not by the engine: its readings are
+keyed by the replay's counter seed (:class:`CounterNoise`).
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro import obs
-from repro.util.rng import RngStreams, first_normals, stream_seed
+from repro.util.rng import (RngStreams, first_normals, keyed_uniforms,
+                             stream_seed)
 from repro.util.validation import check_nonnegative
 
 __all__ = [
@@ -278,57 +281,74 @@ def _id_block(key) -> Optional[Tuple[int, int]]:
 
 
 class CounterNoise:
-    """Run-to-run variation of the simulated instruction counter."""
+    """Run-to-run variation of the simulated instruction counter.
 
-    def __init__(self, rngs: RngStreams, config: NoiseConfig):
-        self._rngs = rngs
+    Keyed draws: reading ``i`` of location ``(rank, thread)`` under
+    counter seed ``seed`` is a pure function of the three.  Its draws are
+    the :func:`~repro.util.rng.keyed_uniforms` of the location's stream
+    key ``stream_seed(seed, "ctr-noise", rank, thread)`` at counters
+    ``4i`` and ``4i + 1`` (one Box--Muller normal: the mean-1 lognormal
+    factor) and ``4i + 2`` (``-log1p(-u)``: the exponential offset).  So a
+    location's first readings do not depend on how many follow, a whole
+    trace's readings are one NumPy pass, and a zero ``counter_sigma``
+    leaves the offsets as they were (and the reverse).
+    """
+
+    def __init__(self, seed: int, config: NoiseConfig):
+        self.seed = int(seed)
         self._sigma = config.counter_sigma
         self._offset = config.counter_offset_instructions
         self._injections = obs.counter("noise.injections", kind="counter")
 
-    def perturb(self, rank: int, thread: int, instructions: float) -> float:
-        """Counter reading for a true count of ``instructions``."""
-        check_nonnegative("instructions", instructions)
-        self._injections.inc()
-        rng = self._rngs.get("ctr-noise", rank=rank, thread=thread)
-        value = instructions * _lognormal_factor(rng, self._sigma)
-        if self._offset > 0.0:
-            value += float(rng.exponential(self._offset))
-        return value
+    def key(self, rank: int, thread: int) -> int:
+        """The stream key of location ``(rank, thread)``."""
+        return stream_seed(self.seed, "ctr-noise", rank, thread)
 
-    def perturb_many(self, rank: int, thread: int, instructions) -> np.ndarray:
-        """Readings for a whole sequence of counts on one location.
-
-        Bit-compatible with calling :meth:`perturb` once per element in
-        order: the lognormal and offset draws stay *interleaved* per event
-        (they share one bitstream, so batching the draws by kind would
-        change every value after the first).  Only those scalar draws run
-        per event; ``np.exp``, the multiply and the add then run once over
-        the location, each element the same IEEE operation as the scalar
-        path's.
-        """
+    def readings(self, keys, index, instructions) -> np.ndarray:
+        """Counter readings for true counts ``instructions``: element ``j``
+        is reading ``index[j]`` of the location whose :meth:`key` is
+        ``keys[j]`` (1-d sequences of one length)."""
         out = np.array(instructions, dtype=np.float64)
-        n = len(out)
-        self._injections.add(n)
-        rng = self._rngs.get("ctr-noise", rank=rank, thread=thread)
+        self._injections.add(len(out))
+        counter = np.array(index, dtype=np.uint64)
+        counter <<= np.uint64(2)
         sigma = self._sigma
-        offset = self._offset
-        mu = -0.5 * sigma * sigma
-        normal = rng.normal
-        exponential = rng.exponential
-        if sigma > 0.0 and offset > 0.0:
-            draws = np.array([(normal(mu, sigma), exponential(offset))
-                              for _ in range(n)]).reshape(n, 2)
-            out = out * np.exp(draws[:, 0]) + draws[:, 1]
-        elif sigma > 0.0:
-            out = out * np.exp([normal(mu, sigma) for _ in range(n)])
-        elif offset > 0.0:
-            out = out + [exponential(offset) for _ in range(n)]
+        # in place, so a trace-wide pass holds few arrays of its length
+        if sigma > 0.0:
+            z = np.log(keyed_uniforms(keys, counter))
+            z *= -2.0
+            np.sqrt(z, out=z)
+            c = keyed_uniforms(keys, counter | np.uint64(1))
+            c *= 2.0 * np.pi
+            np.cos(c, out=c)
+            z *= c  # one standard normal per reading (Box--Muller)
+            del c
+            z *= sigma
+            z += -0.5 * sigma * sigma
+            out *= np.exp(z, out=z)
+        if self._offset > 0.0:
+            u = keyed_uniforms(keys, counter | np.uint64(2))
+            np.negative(u, out=u)
+            np.log1p(u, out=u)
+            u *= self._offset
+            out -= u
         return out
+
+    def perturb_many(self, locations, counts, instructions) -> np.ndarray:
+        """Readings of location-major true counts: the first ``counts[0]``
+        elements of ``instructions`` are readings ``0, 1, ...`` of
+        ``locations[0]`` (a ``(rank, thread)`` pair), the next
+        ``counts[1]`` those of ``locations[1]``, and so on."""
+        counts = np.asarray(counts, dtype=np.int64)
+        keys = np.array([self.key(r, t) for r, t in locations],
+                        dtype=np.uint64)
+        index = np.arange(int(counts.sum()))
+        index -= np.repeat(np.cumsum(counts) - counts, counts)
+        return self.readings(np.repeat(keys, counts), index, instructions)
 
 
 class NoiseModel:
-    """Facade bundling all injectors behind one seeded object."""
+    """Facade bundling the engine's injectors behind one seeded object."""
 
     def __init__(self, config: NoiseConfig, seed: int):
         self.config = config
@@ -339,7 +359,6 @@ class NoiseModel:
         self.os = OsJitter(rngs, config)
         self.memory = MemoryNoise(rngs, config)
         self.network = NetworkNoise(rngs, config)
-        self.counter = CounterNoise(rngs, config)
 
     def compute_time(self, rank: int, thread: int, base: float) -> float:
         """Noisy duration of a compute interval of noiseless length ``base``."""

@@ -23,13 +23,15 @@ funnel, cheapest exit first:
 5. **dispatch** -- an adaptive batcher drains the queue and shards the
    batch across a process pool (``resolve_workers`` sizing, fork
    context), each job under the campaign supervisor's watchdog/retry
-   discipline (bounded attempts, timeout per attempt).
+   discipline (bounded attempts, timeout per attempt).  A pool whose
+   worker died is replaced, and the job retried on the new one.
 
 Uploads (``PUT /v1/traces``, ``POST /v1/ingest``) are parsed in one
 upload process of their own, started and stopped with the pool and
-replaced when it dies; the event-loop process only hashes, stores and
-answers bytes.  Every pool job's metrics come back with its result and
-are merged into this process's ``/metrics``.
+replaced when it dies (by the same helper as the pool); the event-loop
+process only hashes, stores and answers bytes.  Every pool job's
+metrics come back with its result and are merged into this process's
+``/metrics``.
 
 Responses for experiment requests are the workflow's canonical result
 serialization, so served bytes are bit-identical to
@@ -436,23 +438,14 @@ class AnalysisService:
         try:
             future = self._submit(pool, fn, *args)
         except BrokenProcessPool:
-            pool = self._replace_uploads(pool)
+            pool = self._replace_pool("_uploads", pool)
             future = self._submit(pool, fn, *args)
         try:
             return await self._merged(future)
         except BrokenProcessPool:
             obs.counter("serve.upload_crashes").inc()
-            self._replace_uploads(pool)
+            self._replace_pool("_uploads", pool)
             raise
-
-    def _replace_uploads(self, broken: ProcessPoolExecutor
-                         ) -> ProcessPoolExecutor:
-        """A new upload process in place of ``broken`` (once: uploads
-        that shared the dead process find it replaced already)."""
-        if self._uploads is broken:
-            broken.shutdown(wait=False, cancel_futures=True)
-            self._uploads = _fork_pool(1)
-        return self._uploads
 
     def _trace_path(self, digest: str) -> Optional[Path]:
         """The stored upload of ``digest``, or ``None`` if there is none.
@@ -648,6 +641,20 @@ class AnalysisService:
         return asyncio.get_running_loop().run_in_executor(
             pool, J.observed, fn, *args)
 
+    def _replace_pool(self, attr: str, broken: ProcessPoolExecutor
+                      ) -> ProcessPoolExecutor:
+        """``self.<attr>`` -- the analysis pool ``_pool`` or the upload
+        process ``_uploads`` -- after replacing it with a new pool of its
+        size if it still is ``broken`` (so once, however many jobs shared
+        the dead pool; never while the service stops)."""
+        if getattr(self, attr) is broken and not self._closing:
+            analysis = attr == "_pool"
+            broken.shutdown(wait=False, cancel_futures=True)
+            setattr(self, attr, _fork_pool(self.n_workers if analysis else 1))
+            obs.counter("serve.pool_replacements",
+                        pool="analysis" if analysis else "upload").inc()
+        return getattr(self, attr)
+
     @staticmethod
     async def _merged(future: "asyncio.Future"):
         """The result of a :meth:`_submit` future, its job's metrics
@@ -681,13 +688,17 @@ class AnalysisService:
             while True:
                 job.attempts += 1
                 t0 = loop.time()
+                pool = self._pool
                 try:
                     data = await asyncio.wait_for(
-                        self._merged(self._submit(self._pool, job.fn,
-                                                  *job.args)),
+                        self._merged(self._submit(pool, job.fn, *job.args)),
                         timeout=self.config.job_timeout)
                 except Exception as exc:
                     obs.counter("serve.job_failures", kind=job.kind).inc()
+                    if isinstance(exc, BrokenProcessPool):
+                        # a worker died (under this job or idle): this
+                        # and later jobs go to a new pool
+                        self._replace_pool("_pool", pool)
                     # a malformed archive fails identically every
                     # attempt; surface it without burning retries
                     if (isinstance(exc, TraceFormatError)

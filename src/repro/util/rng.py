@@ -12,6 +12,10 @@ spawning.  Two properties matter:
 * A stream's output depends only on its key, never on how many draws other
   streams have made.  Adding a new noise source therefore never perturbs an
   existing one -- essential when comparing measurement modes.
+
+:func:`keyed_uniforms` goes one step further: a counter-based generator
+whose ``n``-th draw of a stream is a pure function of ``(stream key, n)``,
+so draws need no order and a whole array of them is one NumPy expression.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["stream_seed", "first_normals", "RngStreams"]
+__all__ = ["stream_seed", "keyed_uniforms", "first_normals", "RngStreams"]
 
 
 def stream_seed(base_seed: int, *key) -> int:
@@ -37,6 +41,44 @@ def stream_seed(base_seed: int, *key) -> int:
         h.update(b"\x1f")
         h.update(repr(part).encode())
     return int.from_bytes(h.digest()[:8], "little")
+
+
+# splitmix64 (Steele, Lea & Flood, "Fast splittable pseudorandom number
+# generators", OOPSLA 2014): the Weyl increment and the two multipliers
+# of its output mix
+_SM_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_SM_MUL1 = np.uint64(0xBF58476D1CE4E5B9)
+_SM_MUL2 = np.uint64(0x94D049BB133111EB)
+_U64 = tuple(np.uint64(k) for k in (1, 11, 27, 30, 31))
+
+
+def keyed_uniforms(keys, counters) -> np.ndarray:
+    """Uniform doubles in the open interval (0, 1), one per element of the
+    broadcast ``keys`` and ``counters`` (uint64 arrays, at least 1-d).
+
+    Element ``j`` is splitmix64's output for state ``keys[j] + (counters[j]
+    + 1) * gamma``: the ``counters[j]``-th draw of a SplitMix64 stream
+    seeded with ``keys[j]``, computed without the draws before it.  Its
+    top 53 bits ``k`` give ``(k + 0.5) / 2**53``, which is never 0 or 1,
+    so ``log(u)`` and ``log1p(-u)`` stay finite.  Only NumPy uint64
+    arithmetic (wrapping) is used; the result depends on nothing but the
+    two inputs.
+    """
+    one, s11, s27, s30, s31 = _U64
+    z = np.asarray(counters, dtype=np.uint64) + one
+    z *= _SM_GAMMA
+    z = np.asarray(keys, dtype=np.uint64) + z
+    # in place: at most two arrays of the result's size are live
+    z ^= z >> s30
+    z *= _SM_MUL1
+    z ^= z >> s27
+    z *= _SM_MUL2
+    z ^= z >> s31
+    z >>= s11
+    u = z.astype(np.float64)
+    u += 0.5
+    u *= 2.0 ** -53
+    return u
 
 
 # numpy.random.SeedSequence's hash constants (bit_generator.pyx) and the

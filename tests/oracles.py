@@ -65,7 +65,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, count
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
@@ -115,7 +115,6 @@ from repro.sim.events import (
     RegionRegistry,
 )
 from repro.sim.kernels import EMPTY_DELTA, WorkDelta
-from repro.util.rng import RngStreams
 from repro.verify.diagnostics import Diagnostic
 from repro.verify.races import (
     _ANY_REGIONS,
@@ -916,11 +915,21 @@ def make_increment(mode: str, x_bb: float = X_BB_PER_OMP_CALL,
     raise ValueError(f"no static increment model for mode {mode!r}")
 
 
+def counter_perturb(noise: CounterNoise, rank: int, thread: int,
+                    index: int, instructions: float) -> float:
+    """Reading ``index`` of location ``(rank, thread)`` for a true count of
+    ``instructions``: the scalar form of :meth:`CounterNoise.perturb_many`,
+    the keyed draw of that one index."""
+    return float(noise.readings([noise.key(rank, thread)], [index],
+                                [instructions])[0])
+
+
 class HwCounterIncrement:
     """lt_hwctr per event: the noisy instruction-counter delta, at least 1.
 
-    ``for_location(loc)`` returns the location's callable; its draws come
-    from the location's own counter-noise stream, in event order.
+    ``for_location(loc)`` returns the location's callable; it counts the
+    events it is called for and takes reading ``i`` of the location for
+    its ``i``-th event (:func:`counter_perturb`), one index at a time.
     """
 
     def __init__(self, trace, noise: CounterNoise):
@@ -930,9 +939,11 @@ class HwCounterIncrement:
     def for_location(self, loc: int):
         rank, thread = self._rank_thread[loc]
         noise = self._noise
+        index = count()
 
         def increment(ev: Ev) -> float:
-            return max(1.0, noise.perturb(rank, thread, ev.delta.instr))
+            return max(1.0, counter_perturb(noise, rank, thread, next(index),
+                                            ev.delta.instr))
 
         return increment
 
@@ -1034,7 +1045,7 @@ def lamport_replay(trace, mode: str, counter_seed: int = 0,
         cfg = counter_noise_config if counter_noise_config is not None \
             else NoiseConfig()
         clock = LamportClock(HwCounterIncrement(
-            trace, CounterNoise(RngStreams(counter_seed), cfg)))
+            trace, CounterNoise(counter_seed, cfg)))
     else:
         clock = LamportClock(make_increment(mode))
     times = clock.assign(trace)
@@ -1256,7 +1267,7 @@ def walker_build_dag(trace_like, mode: Optional[str] = None,
         cfg = (counter_noise_config if counter_noise_config is not None
                else NoiseConfig())
         model = HwCounterIncrement(
-            trace_like, CounterNoise(RngStreams(counter_seed), cfg))
+            trace_like, CounterNoise(counter_seed, cfg))
         inc_of = [model.for_location(loc) for loc in range(n)]
     elif not is_tsc:
         inc_of = [make_increment(mode)] * n

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from repro.machine import (
     CacheModel,
     CollectiveCostModel,
+    CounterNoise,
     MemoryModel,
     NetworkModel,
     NoiseConfig,
@@ -19,7 +20,7 @@ from repro.machine import (
 )
 from repro.machine.topology import build_cluster
 from repro.sim import ComputeContext, CostModel, KernelSpec
-from tests.oracles import kernel_time
+from tests.oracles import counter_perturb, kernel_time
 
 
 class TestTopology:
@@ -199,7 +200,8 @@ class TestNoise:
     def test_zero_noise_is_identity(self):
         nm = NoiseModel(ZeroNoise(), seed=1)
         assert nm.compute_time(0, 0, 1.0) == 1.0
-        assert nm.counter.perturb(0, 0, 100.0) == 100.0
+        assert counter_perturb(CounterNoise(1, ZeroNoise()), 0, 0, 0,
+                               100.0) == 100.0
 
     def test_noise_reproducible_per_seed(self):
         a = NoiseModel(NoiseConfig(), seed=5).compute_time(0, 0, 1.0)
@@ -223,8 +225,8 @@ class TestNoise:
         assert t > 1.0
 
     def test_counter_noise_nonnegative_offset(self):
-        nm = NoiseModel(NoiseConfig(), seed=4)
-        assert nm.counter.perturb(0, 0, 1e6) > 0
+        assert counter_perturb(CounterNoise(4, NoiseConfig()), 0, 0, 0,
+                               1e6) > 0
 
     def test_scaled_config(self):
         cfg = NoiseConfig().scaled(0.0)
@@ -242,10 +244,14 @@ class TestNoise:
         ZeroNoise(),
     ], ids=["lognormal+offset", "lognormal", "offset", "none"])
     def test_perturb_many_equals_per_event_perturb(self, config):
+        # the one-pass readings equal the oracle's keyed draw taken one
+        # index at a time
         counts = [0.0, 1.0, 3.0e9, 12345.678] + \
             (np.random.default_rng(2).random(500) * 1e6).tolist()
-        many = NoiseModel(config, seed=4).counter.perturb_many(1, 2, np.array(counts))
-        one = NoiseModel(config, seed=4).counter
-        each = np.array([one.perturb(1, 2, c) for c in counts])
+        many = CounterNoise(4, config).perturb_many(
+            [(1, 2)], [len(counts)], np.array(counts))
+        one = CounterNoise(4, config)
+        each = np.array([counter_perturb(one, 1, 2, i, c)
+                         for i, c in enumerate(counts)])
         assert many.view(np.uint64).tolist() == each.view(np.uint64).tolist()
-        assert len(NoiseModel(config, seed=4).counter.perturb_many(0, 0, [])) == 0
+        assert len(CounterNoise(4, config).perturb_many([(0, 0)], [0], [])) == 0

@@ -126,6 +126,23 @@ class TestCli:
         assert main_report(["fig1"]) == 0
         assert "wait_nxn" in capsys.readouterr().out
 
+    def test_report_without_items_prints_every_item(self, monkeypatch, capsys):
+        from repro.experiments import reports
+
+        names = ["table1_overheads", "table2_tealeaf", "fig1_metric_tree",
+                 "fig2_minife_init", "fig3_jaccard_minife_lulesh",
+                 "fig4_jaccard_tealeaf", "fig5_minife_comp",
+                 "fig6_minife_waitnxn", "fig7_minife2_paradigms",
+                 "fig8_lulesh1_paradigms", "fig9_lulesh1_comp_and_delay"]
+        for name in names:
+            monkeypatch.setattr(reports, name,
+                                lambda seed=0, _n=name: (None, f"<{_n} {seed}>"))
+        monkeypatch.setenv("REPRO_WORKERS", "1")  # restored after the test
+        assert main_report(["--workers", "2", "--seed", "3"]) == 0
+        out = capsys.readouterr().out
+        assert [line for line in out.splitlines() if line.startswith("<")] == \
+            [f"<{n} {0 if n == 'fig1_metric_tree' else 3}>" for n in names]
+
     def test_run_rejects_unknown_experiment(self):
         with pytest.raises(SystemExit):
             main_run(["NoSuchExperiment"])

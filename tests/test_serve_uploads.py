@@ -4,9 +4,10 @@
 upload process, never in the event-loop process; ingested traces are
 stored as npz archives with one content address per export; a dead
 upload process is replaced (the upload it died under is quarantined and
-answered 500); and the metrics of every pool job -- uploads, analyses,
-experiments -- reach the server's ``/metrics``, while their spans are
-dropped with the job's session.
+answered 500), and so is an analysis pool whose worker died (the job
+retried within its attempts); and the metrics of every pool job --
+uploads, analyses, experiments -- reach the server's ``/metrics``, while
+their spans are dropped with the job's session.
 """
 
 import asyncio
@@ -268,3 +269,79 @@ def test_upload_process_dying_under_an_upload(tmp_path, monkeypatch,
     assert len(list(root.glob("*.corrupt-*"))) == 2
     assert [r.status for r in after] == [201, 201]
     assert session.metrics.value("serve.upload_crashes") == 2.0
+
+
+async def _replay(svc, digest: str, counter_seed: int):
+    return await _client(svc).analyze("replay", digest,
+                                      {"counter_seed": counter_seed})
+
+
+def test_dead_analysis_worker_is_replaced(tmp_path, monkeypatch, session):
+    # the one worker of a workers=1 service is killed between replays:
+    # the replays after it run on a new pool
+    import repro.serve.jobs as J
+
+    log = tmp_path / "pids.txt"
+    _log_pids(monkeypatch, log, (J, "_load_trace"))
+    body = trace_archive_bytes(_make_trace("lthwctr", seed=1))
+
+    async def main():
+        svc = _service(tmp_path, workers=1)
+        await svc.start()
+        try:
+            digest = (await _client(svc).upload_trace(body))["hash"]
+            first = await _replay(svc, digest, 0)
+            dead = _pids(log)[-1]
+            assert dead != os.getpid(), "the replay ran here"
+            os.kill(dead, signal.SIGKILL)
+            await _reaped(dead)
+            after = [await _replay(svc, digest, s) for s in (1, 2, 3, 4)]
+            return first, after, dead
+        finally:
+            await svc.stop()
+
+    first, after, dead = asyncio.run(main())
+    assert [first.status] + [r.status for r in after] == [200] * 5
+    assert dead not in _pids(log)[1:]
+    assert session.metrics.value("serve.pool_replacements",
+                                 pool="analysis") == 1.0
+    assert session.metrics.value("serve.pool_replacements",
+                                 pool="upload") is None
+
+
+def test_job_killing_its_worker_fails_alone(tmp_path, monkeypatch, session):
+    # a replay that kills its worker on every attempt answers 500 once
+    # its attempts are spent, each attempt on a new pool; the next
+    # ordinary replay answers 200
+    import repro.serve.jobs as J
+
+    server = os.getpid()
+    replay = J._ANALYSIS_IMPL["replay"]
+
+    def poisoned(path, params, extra):
+        if os.getpid() != server and params["counter_seed"] == 13:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return replay(path, params, extra)
+
+    monkeypatch.setitem(J._ANALYSIS_IMPL, "replay", poisoned)
+    body = trace_archive_bytes(_make_trace("lthwctr", seed=1))
+
+    async def main():
+        svc = _service(tmp_path, workers=1)
+        await svc.start()
+        try:
+            digest = (await _client(svc).upload_trace(body))["hash"]
+            poison = await _replay(svc, digest, 13)
+            ok = [await _replay(svc, digest, s) for s in (14, 15)]
+            return poison, ok, svc.config.max_job_attempts
+        finally:
+            await svc.stop()
+
+    poison, ok, attempts = asyncio.run(main())
+    assert poison.status == 500
+    assert "BrokenProcessPool" in poison.json()["detail"]
+    assert [r.status for r in ok] == [200, 200]
+    value = session.metrics.value
+    assert value("serve.pool_replacements", pool="analysis") == attempts
+    assert value("serve.job_failures", kind="analysis") == attempts
+    assert value("serve.jobs_executed", kind="analysis") == 2.0
