@@ -72,6 +72,21 @@ def test_perf_npz_write_read(benchmark, trace, tmp_path):
     assert back.n_events == trace.n_events
 
 
+def test_perf_jsonl_write_read(benchmark, trace, tmp_path):
+    from repro.measure import read_trace, write_trace
+    from repro.measure.io import npz_archive_bytes
+
+    path = tmp_path / "t.trace.json.gz"
+
+    def round_trip():
+        write_trace(trace, path)
+        return read_trace(path)
+
+    back = benchmark(round_trip)
+    assert back.n_events == trace.n_events
+    assert npz_archive_bytes(back) == npz_archive_bytes(trace)
+
+
 def test_perf_sharded_write(benchmark, trace, tmp_path):
     from repro.measure.shards import write_sharded_trace
 

@@ -15,6 +15,7 @@ from typing import Union
 
 from repro.cube.profile import CubeProfile
 from repro.cube.systemtree import SystemTree
+from repro.measure.io import GZIP_LEVEL, atomic_write_bytes
 
 __all__ = ["write_profile", "read_profile", "profile_doc", "profile_from_doc"]
 
@@ -63,17 +64,16 @@ def profile_from_doc(doc: dict) -> CubeProfile:
     return profile
 
 
-#: gzip level of written profiles.  On the six LULESH-2 mode profiles
-#: (136-188 kB of JSON each), level 6 compresses in under a third of
-#: level 9's time for 3.4 % more bytes (docs/performance.md).  Readers
-#: do not depend on the level, so profiles written at any level load.
-_GZIP_LEVEL = 6
+#: gzip level of written profiles, the one level of the package.  On the
+#: six LULESH-2 mode profiles (136-188 kB of JSON each), level 6
+#: compresses in under a third of level 9's time for 3.4 % more bytes
+#: (docs/performance.md).  Readers do not depend on the level, so
+#: profiles written at any level load.
+_GZIP_LEVEL = GZIP_LEVEL
 
 
 def write_profile(profile: CubeProfile, path: Union[str, Path]) -> None:
     """Write ``profile`` to ``path`` (gzipped JSON)."""
-    from repro.measure.io import atomic_write_bytes
-
     buf = io.BytesIO()
     with gzip.GzipFile(fileobj=buf, mode="wb", mtime=0,
                        compresslevel=_GZIP_LEVEL) as gz:

@@ -9,10 +9,14 @@ Three formats, dispatched on the file suffix:
   human-greppable.  The codec runs over
   :class:`~repro.measure.columnar.TraceColumns`: the writer spells each
   location's rows from its columns (byte-identical to ``json.dumps`` of
-  the record, with one cached text per distinct work delta); the reader
-  decodes bounded chunks of lines with one ``json.loads`` each, and line
-  by line where a chunk fails its checks, so a malformed record is
-  reported at its exact line, and builds the columns once at the end.
+  the record, with one cached text per distinct work delta) and deflates
+  the text as one gzip stream at :data:`GZIP_LEVEL` (6) with the mtime
+  pinned, so the archive bytes are a function of the text and the level
+  alone (for a given zlib), whatever the Python version and however the
+  text is fed in; the reader decodes bounded chunks of lines with one
+  ``json.loads`` each, and line by line where a chunk fails its checks,
+  so a malformed record is reported at its exact line, and builds the
+  columns once at the end.
 * ``*.npz`` -- ``repro-trace-npz-1``, the columnar dump: the
   structure-of-arrays columns concatenated over locations plus an
   offsets array, written with :func:`numpy.savez_compressed`.  One bulk
@@ -467,26 +471,47 @@ def read_manifest(path: Union[str, Path]) -> Optional[dict]:
 #: collector instead of reaching (and triggering) its full collections
 _CHUNK_LINES = 128
 
+#: gzip level of every gzip stream the package writes: JSON-lines trace
+#: archives here, profiles in :mod:`repro.cube.io`.  ``GzipFile`` over
+#: the 9.2 MB text of a LULESH-2 archive (medians of 5, 2-vCPU VM,
+#: Python 3.11.7; docs/performance.md)::
+#:
+#:     level    time      bytes
+#:         1   89 ms  1,529,575
+#:         5  185 ms  1,184,117
+#:         6  262 ms  1,119,459
+#:         9  819 ms  1,069,253
+#:
+#: Level 6 (zlib's default) takes a third of level 9's time for 4.7 %
+#: more bytes (TeaLeaf-2's 6.1 MB: 183 against 451 ms, 5.3 % more).
+#: Readers do not depend on the level.
+GZIP_LEVEL = 6
+
 
 def trace_archive_bytes(trace: RawTrace,
                         manifest: Optional[dict] = None) -> bytes:
     """Canonical JSON-lines archive bytes of ``trace`` (no file involved).
 
     The exact bytes :func:`write_trace` would put in a ``*.trace.json.gz``
-    archive (deterministic: the gzip mtime is pinned), for callers that
-    hash or store traces by their bytes.
+    archive, for callers that hash or store traces by their bytes: one
+    ``GzipFile`` stream at :data:`GZIP_LEVEL` with the mtime pinned, fed
+    the header line and then one write per location.  Deflate's output
+    does not depend on how its input is split into writes, so the bytes
+    are a function of the text and the level alone (for a given zlib).
     """
     cols = trace.columns()  # the payload check (ColumnarConversionError)
     cols.check_values()
+    # GzipFile, not gzip.compress: with mtime=0 the latter writes the
+    # header's OS byte as 0x03 on some Python versions and 0xff on others
     buf = io.BytesIO()
-    with gzip.GzipFile(fileobj=buf, mode="wb", mtime=0) as gz:
-        # one write per line: the text layer's flush points decide the
-        # deflate input chunks, and with them the compressed bytes
-        with io.TextIOWrapper(gz, encoding="utf-8") as fh:
-            fh.write(json.dumps(build_header("jsonl", trace, manifest)) + "\n")
-            delta_text = _DeltaText()
-            for loc, lc in enumerate(cols.locs):
-                fh.writelines(_jsonl_records(loc, lc, delta_text))
+    with gzip.GzipFile(fileobj=buf, mode="wb", mtime=0,
+                       compresslevel=GZIP_LEVEL) as gz:
+        header = build_header("jsonl", trace, manifest)
+        gz.write((json.dumps(header) + "\n").encode("utf-8"))
+        delta_text = _DeltaText()
+        for loc, lc in enumerate(cols.locs):
+            gz.write("".join(_jsonl_records(loc, lc, delta_text))
+                     .encode("utf-8"))
     return buf.getvalue()
 
 

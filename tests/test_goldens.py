@@ -5,7 +5,10 @@ under every measurement mode, ``goldens.json`` holds (keyed seed, app,
 mode) the sha256 of
 
 * ``trace_archive_bytes(trace)`` -- the JSON-lines archive the serving
-  layer stores content-addressed, and
+  layer stores content-addressed (``archive``), and
+* ``gzip.decompress`` of those bytes -- the archive's JSON-lines text
+  (``archive_text``), which pins the spelling of the records apart from
+  their compression, and
 * ``json.dumps(profile_doc(analyze_trace(timestamp_trace(trace))))`` --
   the wait-state profile of that trace in its own mode, and
 * ``json.dumps(profile_doc(profile.normalized()))`` -- the normalized
@@ -24,8 +27,13 @@ the analyzer that moves a single byte fails here.  Re-record (only for
 an intended format change) with::
 
     PYTHONPATH=src python -m tests.test_goldens
+
+A change to the archive's compression alone moves ``archive`` and
+nothing else; after re-recording, every other value (``archive_text``
+included) must read as before.
 """
 
+import gzip
 import hashlib
 import json
 from functools import lru_cache
@@ -63,21 +71,29 @@ def _doc_sha(profile) -> str:
     return _sha(json.dumps(profile_doc(profile)).encode("utf-8"))
 
 
+def golden_trace(app: str, seed: int, mode: str):
+    """The trace ``app``'s ``tiny()`` configuration records under
+    ``mode`` at noise ``seed``, as the fingerprints take it."""
+    cluster = jureca_dc(1)
+    cost = CostModel(cluster, noise=NoiseModel(NoiseConfig(), seed=seed))
+    return Engine(APPS[app](), cluster, cost,
+                  measurement=Measurement(mode)).run().trace
+
+
 @lru_cache(maxsize=None)
 def fingerprints(app: str, seed: int) -> dict:
     """``{mode: fingerprint dict}`` for one app at one noise seed."""
-    cluster = jureca_dc(1)
     out, normalized = {}, {}
     for mode in MODES:
-        cost = CostModel(cluster, noise=NoiseModel(NoiseConfig(), seed=seed))
-        trace = Engine(APPS[app](), cluster, cost,
-                       measurement=Measurement(mode)).run().trace
+        trace = golden_trace(app, seed, mode)
         tt = timestamp_trace(trace, mode, counter_seed=seed)
         finals = [float(t[-1]) if len(t) else 0.0 for t in tt.times]
         profile = analyze_trace(tt)
         normalized[mode] = profile.normalized()
+        archive = trace_archive_bytes(trace)
         out[mode] = {
-            "archive": _sha(trace_archive_bytes(trace)),
+            "archive": _sha(archive),
+            "archive_text": _sha(gzip.decompress(archive)),
             "finals": _sha(np.array(finals, dtype="<f8").tobytes()),
             "profile": _doc_sha(profile),
             "normalized": _doc_sha(normalized[mode]),

@@ -1,5 +1,13 @@
 """Tests for the measurement layer: modes, filters, overhead, trace IO."""
 
+import gzip
+import hashlib
+import io
+import json
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.machine.noise import NoiseModel, ZeroNoise
@@ -10,9 +18,11 @@ from repro.measure import (
     Measurement,
     OverheadModel,
     read_trace,
+    trace_archive_bytes,
     write_trace,
 )
 from repro.measure.config import validate_mode
+from repro.measure.io import decode_trace, npz_archive_bytes
 from repro.sim import (
     CallBurst,
     CostModel,
@@ -189,8 +199,6 @@ class TestTraceIO:
         # write_trace(*.npz) writes npz_archive_bytes, and the bytes are
         # the same call after call (zip members carry the zip epoch), so
         # a trace stored by them has one content address
-        from repro.measure.io import decode_trace, npz_archive_bytes
-
         cost = CostModel(cluster, noise=NoiseModel(ZeroNoise(), seed=1))
         trace = Engine(_App(), cluster, cost,
                        measurement=Measurement("ltbb")).run().trace
@@ -207,10 +215,93 @@ class TestTraceIO:
         assert npz_archive_bytes(back) == data
 
     def test_rejects_garbage(self, tmp_path):
-        import gzip, json
-
         path = tmp_path / "bad.json.gz"
         with gzip.open(path, "wt") as fh:
             fh.write(json.dumps({"format": "nope"}) + "\n")
         with pytest.raises(ValueError):
             read_trace(path)
+
+
+#: sha256 of the JSON-lines archive of the MiniFE ``tiny()`` trace at
+#: noise seed 3 under ltbb as an earlier build wrote it (gzip level 9
+#: through a text layer); ``tests/goldens.json`` held it as ``archive``
+LEVEL9_ARCHIVE = \
+    "208229abb91210f74ad565abaa2484bafb9e45a5d9bcfb6cedf8219d95406e34"
+
+#: the archive bytes the subprocess test recomputes, as a sha256
+_ARCHIVE_SNIPPET = """
+import hashlib
+from repro.measure import trace_archive_bytes
+from tests.test_goldens import golden_trace
+trace = golden_trace("minife", 3, "ltbb")
+print(hashlib.sha256(trace_archive_bytes(trace, {"run": 1})).hexdigest())
+"""
+
+
+def _gzip(text: str, level: int, lines_per_write=None, text_layer=False):
+    """``text`` through one ``GzipFile(mtime=0)`` at ``level``: all at
+    once, ``lines_per_write`` lines per write, or through an
+    ``io.TextIOWrapper`` (whose close flushes the stream first)."""
+    buf = io.BytesIO()
+    with gzip.GzipFile(fileobj=buf, mode="wb", mtime=0,
+                       compresslevel=level) as gz:
+        if text_layer:
+            with io.TextIOWrapper(gz, encoding="utf-8") as fh:
+                fh.write(text)
+        elif lines_per_write is None:
+            gz.write(text.encode("utf-8"))
+        else:
+            lines = text.splitlines(keepends=True)
+            for i in range(0, len(lines), lines_per_write):
+                gz.write("".join(lines[i:i + lines_per_write]).encode("utf-8"))
+    return buf.getvalue()
+
+
+class TestJsonlCompression:
+    """JSON-lines archive bytes are a function of the archive's text and
+    the gzip level: one level-6 ``GzipFile`` stream, and archives written
+    at level 9 through a text layer still read."""
+
+    @pytest.fixture(scope="class")
+    def trace(self):
+        from tests.test_goldens import golden_trace
+
+        return golden_trace("minife", 3, "ltbb")
+
+    @pytest.mark.parametrize("manifest", [None, {"run": 1}])
+    def test_level9_archive_reads_back(self, trace, manifest):
+        new = trace_archive_bytes(trace, manifest)
+        old = _gzip(gzip.decompress(new).decode("utf-8"), 9, text_layer=True)
+        if manifest is None:
+            assert hashlib.sha256(old).hexdigest() == LEVEL9_ARCHIVE
+        assert old != new
+        a, b = (decode_trace(x, "t.trace.json.gz") for x in (old, new))
+        assert a.provenance == b.provenance == manifest
+        # columns bit for bit, header fields and provenance
+        assert npz_archive_bytes(a, a.provenance) == \
+            npz_archive_bytes(b, b.provenance) == \
+            npz_archive_bytes(trace, manifest)
+
+    @pytest.mark.parametrize("lines_per_write", [1, 700])
+    def test_bytes_do_not_depend_on_write_sizes(self, trace, lines_per_write):
+        data = trace_archive_bytes(trace)
+        text = gzip.decompress(data).decode("utf-8")
+        assert len(text.splitlines()) > 700
+        assert _gzip(text, 6, lines_per_write) == _gzip(text, 6) == data
+        assert _gzip(text, 9, lines_per_write) == _gzip(text, 9)
+
+    def test_same_bytes_in_a_fresh_interpreter(self, trace):
+        root = Path(__file__).resolve().parents[1]
+        out = subprocess.run(
+            [sys.executable, "-c", _ARCHIVE_SNIPPET], check=True,
+            capture_output=True, text=True, cwd=root,
+            env={"PYTHONPATH": f"{root / 'src'}:{root}", "PATH": ""},
+        ).stdout.strip()
+        here = trace_archive_bytes(trace, {"run": 1})
+        assert out == hashlib.sha256(here).hexdigest()
+
+    def test_one_gzip_level(self):
+        import repro.cube.io as cube_io
+        import repro.measure.io as mio
+
+        assert cube_io._GZIP_LEVEL == mio.GZIP_LEVEL == 6
