@@ -33,10 +33,10 @@ is positive, the waits come from the batch forms in
 :mod:`repro.analysis.patterns`, and only the delay-cost epochs run in
 Python, over master intervals and synchronisation events.
 
-Profiles are byte-identical to those of the per-event walk the plan
-replaced (kept as a test oracle): evaluation reproduces the walk's
-call-path intern order, the order in which it created metrics and their
-cells, and the left-to-right order of every cell's sum.
+Profiles come in the one order of :mod:`repro.cube.profile`, which the
+logical trace alone fixes, so traces whose logical timestamps agree give
+byte-identical profiles whatever the noise.  The per-event walk the plan
+replaced is kept as a test oracle.
 
 Because all formulas consume the clock's own timestamps, running the same
 analyzer over tsc and logical timestamps reproduces the paper's central
@@ -129,9 +129,9 @@ class AnalysisPlan:
     the idle-thread multiplier W (nonzero on masters outside parallel
     regions); ``master``, the master flag.  ``paths`` lists the call
     paths (name tuples) by plan id, root first, and ``cand_pos`` /
-    ``cand_pid`` / ``cand_cond`` the events that intern one, in merged
-    order -- ``cand_cond`` marks a BURST's child, interned only when its
-    interval is positive.
+    ``cand_pid`` / ``cand_cond`` the events that intern one (merged
+    positions, pushes then BURSTs) -- ``cand_cond`` marks a BURST's
+    child, interned only when its interval is positive.
 
     ``pairs`` holds the matched messages in receive order, ``colls`` and
     ``bars`` the collective and OpenMP-barrier groups in completion order
@@ -375,8 +375,7 @@ def _compile(etype, region, counts, perm, loc, sync, locations,
     def members(fs: np.ndarray, sizes: np.ndarray, end_key: str) -> dict:
         starts = np.cumsum(sizes) - sizes
         return {"loc": loc_f[fs], "cp": frame_pid[fs], "enter": enter_pos(fs),
-                end_key: mpos[fs], "starts": starts,
-                "done": mpos[fs[starts + sizes - 1]]}
+                end_key: mpos[fs], "starts": starts}
 
     recv_f, send_f, coll_f = sy["recv"], sy["send"], sy["coll"]
     plan_pairs = {
@@ -418,13 +417,11 @@ def _compile(etype, region, counts, perm, loc, sync, locations,
     plan.paths = paths
     plan.pairs, plan.colls, plan.bars, plan.ops = (plan_pairs, plan_colls,
                                                    plan_bars, ops)
-    cand_pos = mpos[np.concatenate((push_idx, burst))]
+    plan.cand_pos = mpos[np.concatenate((push_idx, burst))]
     del mpos
-    order = np.argsort(cand_pos, kind="stable")
-    plan.cand_pos = cand_pos[order]
-    plan.cand_pid = np.concatenate((own[:-1], burst_pid))[order]
-    plan.cand_cond = (np.arange(len(order)) >= len(push_idx))[order]
-    del cand_pos, order, own, push_idx
+    plan.cand_pid = np.concatenate((own[:-1], burst_pid))
+    plan.cand_cond = np.arange(len(plan.cand_pid)) >= len(push_idx)
+    del own, push_idx
     frame_pid[burst] = burst_pid  # a BURST's interval is its child path
     plan.cp = frame_pid.astype(np.min_scalar_type(len(paths)))[perm]
     del frame_pid
@@ -484,17 +481,19 @@ def _sync_edges(sync, barrier: np.ndarray) -> Dict[str, np.ndarray]:
 # evaluate (once per mode)
 # ---------------------------------------------------------------------------
 
-def _cells(keys: np.ndarray, values: np.ndarray,
-           n_loc: int) -> Dict[Tuple[int, int], float]:
+def _cells(keys: np.ndarray, values: np.ndarray, n_loc: int,
+           at=None) -> Dict[Tuple[int, int], float]:
     """``{(cpid, loc): sum}`` of ``values`` by cell key ``cpid * n_loc +
-    loc``: cells in first-occurrence order, each summed left to right
-    (``np.bincount`` adds in input order, as the walk did)."""
-    u, first, inv = np.unique(keys, return_index=True, return_inverse=True)
+    loc``, cells in key order.  Each cell adds its values in input order
+    (``np.bincount`` adds left to right) or, given ``at`` (each value's
+    event as a location-major index), in that order."""
+    if at is not None:
+        order = np.argsort(at, kind="stable")
+        keys, values = keys[order], values[order]
+    u, inv = np.unique(keys, return_inverse=True)
     sums = np.bincount(inv, weights=values, minlength=len(u))
-    order = np.argsort(first, kind="stable")
-    u = u[order]
     return dict(zip(zip((u // n_loc).tolist(), (u % n_loc).tolist()),
-                    sums[order].tolist()))
+                    sums.tolist()))
 
 
 def _intervals(plan: AnalysisPlan,
@@ -516,21 +515,17 @@ def _intervals(plan: AnalysisPlan,
     return t[plan.perm], dt, (dt > 0.0) & (plan.cls != _I_SKIP)
 
 
-def _intern_paths(plan: AnalysisPlan, ct, active: np.ndarray,
-                  by_location: bool = False) -> np.ndarray:
-    """The id in call tree ``ct`` of every plan path, interned in the order
-    of the walk: the root, then every push and every BURST child whose
-    interval counts (``active``), in merged order or, ``by_location``,
-    location-major.  Paths that are neither stay -1."""
+def _intern_paths(plan: AnalysisPlan, ct, active: np.ndarray) -> np.ndarray:
+    """The id in call tree ``ct`` of every plan path, interned in the
+    profile order: the root, then every push and every BURST child whose
+    interval counts (``active``), sorted by path.  Paths that are neither
+    stay -1."""
     keep = ~plan.cand_cond | active[plan.cand_pos]
-    pids = plan.cand_pid[keep]
-    if by_location:
-        pids = pids[np.argsort(plan.perm[plan.cand_pos[keep]], kind="stable")]
-    pids, first = np.unique(pids, return_index=True)
+    pids = sorted(np.unique(plan.cand_pid[keep]).tolist(),
+                  key=plan.paths.__getitem__)
     remap = np.full(len(plan.paths), -1, dtype=np.int64)
     remap[0] = ct.intern(())
-    interned = pids[np.argsort(first, kind="stable")].tolist()
-    remap[interned] = [ct.intern(plan.paths[p]) for p in interned]
+    remap[pids] = [ct.intern(plan.paths[p]) for p in pids]
     return remap
 
 
@@ -540,14 +535,7 @@ def _evaluate(plan: AnalysisPlan, times, mode: str,
     t, dt, active = _intervals(plan, times)
     profile = CubeProfile(system, M.TIME_LEAVES, mode=mode)
     remap = _intern_paths(plan, profile.calltree, active)
-
-    # (first add, metric, cells); the first add orders metric creation:
-    # merged position, then the walk's order inside the event
-    found = []
-
-    def found_at(metric, first_key, cells):
-        if cells:
-            found.append((first_key, metric, cells))
+    at = plan.perm  # merged position -> location-major index
 
     pos = np.flatnonzero(active)
     del active
@@ -558,18 +546,14 @@ def _evaluate(plan: AnalysisPlan, times, mode: str,
     del dt
     for c, metric in ((_I_COMP, M.COMP), (_I_OMP, M.OMP_MANAGEMENT)):
         s = cls == c
-        if s.any():
-            found_at(metric, (int(pos[s][0]), 0),
-                     _cells(key[s], d[s], n_loc))
+        profile.set_cells(metric, _cells(key[s], d[s], n_loc))
     s = cls == _I_P2P
     p2p_total = _cells(key[s], d[s], n_loc)
     s = cls == _I_COLL
     coll_total = _cells(key[s], d[s], n_loc)
     w = plan.idle_w[pos]
     s = w > 0
-    if s.any():
-        found_at(M.IDLE_THREADS, (int(pos[s][0]), 1),
-                 _cells(key[s], d[s] * w[s], n_loc))
+    profile.set_cells(M.IDLE_THREADS, _cells(key[s], d[s] * w[s], n_loc))
     s = plan.master[pos]
     work = (pos[s], cpk[s], plan.rank_of[plan.loc[pos[s]]], d[s])
     del pos, cls, cpk, key, d, w, s
@@ -585,7 +569,7 @@ def _evaluate(plan: AnalysisPlan, times, mode: str,
                       ls[s], n_loc)
     s = pr["rndv"] & (lr > 0.0)
     lr_cells = _cells(remap[pr["send_cp"][s]] * n_loc + pr["send_loc"][s],
-                      lr[s], n_loc)
+                      lr[s], n_loc, at=at[pr["send"][s]])
 
     co = plan.colls
     coll_wait: Dict[Tuple[int, int], float] = {}
@@ -601,9 +585,7 @@ def _evaluate(plan: AnalysisPlan, times, mode: str,
                                                              len(waits))))
         for metric, s in ((M.MPI_COLL_WAIT_BARRIER, positive & barrier),
                           (M.MPI_COLL_WAIT_NXN, positive & ~barrier)):
-            if s.any():
-                found_at(metric, _member_key(co, np.flatnonzero(s)[0], 2),
-                         _cells(key[s], waits[s], n_loc))
+            profile.set_cells(metric, _cells(key[s], waits[s], n_loc))
         n2n = _delayers(co, enters, waits)
 
     ba = plan.bars
@@ -611,32 +593,21 @@ def _evaluate(plan: AnalysisPlan, times, mode: str,
         enters = np.where(ba["enter"] >= 0, t[ba["enter"]], 0.0)
         bw, bo = barrier_split_batch(enters, t[ba["leave"]], ba["starts"])
         key = remap[ba["cp"]] * n_loc + ba["loc"]
-        for metric, values, k in ((M.OMP_BARRIER_WAIT, bw, 0),
-                                  (M.OMP_BARRIER_OVERHEAD, bo, 1)):
+        for metric, values in ((M.OMP_BARRIER_WAIT, bw),
+                               (M.OMP_BARRIER_OVERHEAD, bo)):
             s = values != 0.0
-            if s.any():
-                found_at(metric, _member_key(ba, np.flatnonzero(s)[0], 2) + (k,),
-                         _cells(key[s], values[s], n_loc))
+            profile.set_cells(metric, _cells(key[s], values[s], n_loc))
     del t
 
-    delay_ls, delay_n2n, first_ls, first_n2n = _delay_costs(
-        plan, work, ls, n2n)
-    if first_ls is not None:
-        found_at(M.DELAY_LATESENDER, (int(pr["recv"][first_ls]), 2), delay_ls)
-    if first_n2n is not None:
-        found_at(M.DELAY_N2N, (int(co["done"][first_n2n]), 3), delay_n2n)
-
-    for _first, metric, cells in sorted(found, key=lambda f: f[0]):
-        profile.set_cells(metric, cells)
+    for metric, records in zip((M.DELAY_LATESENDER, M.DELAY_N2N),
+                               _delay_costs(plan, work, ls, n2n)):
+        if records:
+            wait_pos, cp, loc, v = (np.array(c) for c in zip(*records))
+            profile.set_cells(metric, _cells(cp * n_loc + loc, v, n_loc,
+                                             at=at[wait_pos]))
     _split_p2p(profile, p2p_total, ls_cells, lr_cells)
     _split_collectives(profile, coll_total, coll_wait)
     return profile
-
-
-def _member_key(groups: dict, j: int, sub: int) -> tuple:
-    """Creation key of a group metric whose first add is flat member ``j``."""
-    g = int(np.searchsorted(groups["starts"], j, side="right")) - 1
-    return (int(groups["done"][g]), sub, j - int(groups["starts"][g]))
 
 
 def _delayers(co: dict, enters: np.ndarray, waits: np.ndarray) -> dict:
@@ -662,7 +633,7 @@ def _delay_costs(plan: AnalysisPlan, work, ls: np.ndarray, n2n: dict):
 
     ``work`` holds the master intervals ``(pos, cpid, rank, dt)``.  Walks
     them merged with the plan's synchronisation stream; returns the late-
-    sender and NxN delay cells and the receive / group of their first add.
+    sender and the NxN delay records (:func:`_attribute_delay`).
     """
     ops = plan.ops
     w_pos, w_cp, w_rank, w_dt = work
@@ -680,15 +651,16 @@ def _delay_costs(plan: AnalysisPlan, work, ls: np.ndarray, n2n: dict):
     need = (ls > 0.0).tolist()
     send_master = ops["send_master"].tolist()
     send_loc = pr["send_loc"].tolist()
+    recv_pos = pr["recv"].tolist()
     coll_loc = co["loc"].tolist()
+    coll_pos = co["end"].tolist()
     completes = ops["completes"].tolist()
     ls_l = ls.tolist()
     epoch: Dict[int, Dict[int, float]] = {r: {} for r in plan.rank_of.tolist()}
     send_snap: Dict[int, Dict[int, float]] = {}
     coll_snap: List[Dict[int, float]] = [None] * len(coll_loc)
-    delay_ls: Dict[Tuple[int, int], float] = {}
-    delay_n2n: Dict[Tuple[int, int], float] = {}
-    first_ls = first_n2n = None
+    delay_ls: list = []
+    delay_n2n: list = []
     for c, a, r, v in chain.from_iterable(
             zip(code[lo:lo + _CHUNK].tolist(), arg[lo:lo + _CHUNK].tolist(),
                 rank[lo:lo + _CHUNK].tolist(), value[lo:lo + _CHUNK].tolist())
@@ -701,10 +673,8 @@ def _delay_costs(plan: AnalysisPlan, work, ls: np.ndarray, n2n: dict):
                 send_snap[a] = dict(epoch[r]) if send_master[a] else {}
         elif c == _OP_RECV:
             if need[a]:
-                _attribute_delay(delay_ls, ls_l[a], send_snap.pop(a),
-                                 epoch[r], send_loc[a])
-                if first_ls is None and delay_ls:
-                    first_ls = a
+                _attribute_delay(delay_ls, recv_pos[a], ls_l[a],
+                                 send_snap.pop(a), epoch[r], send_loc[a])
         else:
             coll_snap[a] = epoch[r]
             epoch[r] = {}
@@ -713,20 +683,22 @@ def _delay_costs(plan: AnalysisPlan, work, ls: np.ndarray, n2n: dict):
                 delayer, waiting = n2n[g]
                 d_snap, d_loc = coll_snap[delayer], coll_loc[delayer]
                 for j, w in waiting:
-                    _attribute_delay(delay_n2n, w, d_snap, coll_snap[j], d_loc)
-                if first_n2n is None and delay_n2n:
-                    first_n2n = g
-    return delay_ls, delay_n2n, first_ls, first_n2n
+                    _attribute_delay(delay_n2n, coll_pos[j], w, d_snap,
+                                     coll_snap[j], d_loc)
+    return delay_ls, delay_n2n
 
 
 def _attribute_delay(
-    cells: Dict[Tuple[int, int], float],
+    records: list,
+    wait_pos: int,
     wait: float,
     delayer_epoch: Dict[int, float],
     waiter_epoch: Dict[int, float],
     delayer_loc: int,
 ) -> None:
-    """Distribute ``wait`` over call paths where the delayer did excess work."""
+    """Distribute ``wait`` over call paths where the delayer did excess
+    work: one ``(wait_pos, cpid, delayer_loc, share)`` record per path,
+    ``wait_pos`` the merged position of the waiting event."""
     diffs = []
     total = 0.0
     for cpid, v in delayer_epoch.items():
@@ -740,8 +712,7 @@ def _attribute_delay(
     for cpid, d in diffs:
         v = d * scale
         if v != 0.0:
-            key = (cpid, delayer_loc)
-            cells[key] = cells.get(key, 0.0) + v
+            records.append((wait_pos, cpid, delayer_loc, v))
 
 
 def _split_p2p(
@@ -755,7 +726,7 @@ def _split_p2p(
     Waits are capped by the cell's total MPI time so the time tree remains
     a partition of the measured execution.
     """
-    for key in set(totals) | set(ls) | set(lr):
+    for key in sorted(set(totals) | set(ls) | set(lr)):
         total = totals.get(key, 0.0)
         w_ls = min(ls.get(key, 0.0), total)
         w_lr = min(lr.get(key, 0.0), total - w_ls)

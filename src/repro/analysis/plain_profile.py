@@ -41,17 +41,16 @@ def plain_profile(tt: TimestampedTrace) -> CubeProfile:
     whatever its class.  Worker idle gaps between parallel regions are
     skipped (a plain Score-P profile records them under the idle thread's
     own root, which does not affect per-call-path noise comparisons).
-    Call paths and cells are created location by location, in event
-    order, and each cell sums left to right.
+    Call paths and cells are in the profile order of
+    :mod:`repro.cube.profile`, and each cell sums in event order.
     """
     plan = analysis_plan(tt.trace.columns())
     n_loc = len(plan.starts) - 1
     profile = CubeProfile(SystemTree(tt.trace.locations), (PLAIN_TIME,),
                           mode=tt.mode, meta={"plain": True})
     _t, dt, active = _intervals(plan, tt.times)
-    remap = _intern_paths(plan, profile.calltree, active, by_location=True)
+    remap = _intern_paths(plan, profile.calltree, active)
     pos = np.flatnonzero(active)
-    pos = pos[np.argsort(plan.perm[pos], kind="stable")]
     profile.set_cells(PLAIN_TIME, _cells(
         remap[plan.cp[pos]] * n_loc + plan.loc[pos], dt[pos], n_loc))
     return profile

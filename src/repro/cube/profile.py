@@ -11,6 +11,27 @@ dimensionless fractions the paper compares across clocks ("These values
 should be interpreted as fractions of the total reported effort for a
 given effort model"); ``mean()`` averages normalized profiles over
 repetitions.
+
+Every profile :func:`~repro.analysis.analyze_trace` and
+:func:`~repro.analysis.plain_profile` build has one order, which depends
+on the logical trace alone (so two runs whose logical traces agree give
+byte-identical profiles, whatever the noise):
+
+* *call paths*: the root, then every interned path in lexicographic
+  order of its region-name tuple;
+* *cells*: each metric's cells sorted by (call-path id, location);
+* *sums*: a cell adds its inputs in the event order of the one location
+  they come from (the cell's own location, or the sender's for a
+  late-receiver wait); a delay-cost cell, whose inputs come from waits on
+  several locations, adds them in the location-major order (location,
+  then index on it) of the waiting events;
+* *metrics* are created in the analyzer's code order; documents list
+  them sorted.
+
+``normalized()`` keeps its profile's call paths and cells as they are.
+``mean()`` holds the union of its inputs' call paths in the order above,
+each metric's cells sorted, and each cell sums the inputs in input order.
+(Blame profiles, :mod:`repro.causal`, keep the DAG's own order.)
 """
 
 from __future__ import annotations
@@ -78,8 +99,8 @@ class CubeProfile:
         """Install ``metric``'s cells wholesale (the analyzer's bulk form of
         :meth:`add_id`).
 
-        ``cells`` maps ``(cpid, loc)`` to a nonzero severity, in the order
-        the cells were first added; the metric must not exist yet.  An
+        ``cells`` maps ``(cpid, loc)`` to a nonzero severity, in the
+        profile order (sorted by key); the metric must not exist yet.  An
         empty mapping creates nothing.
         """
         if cells:
@@ -179,16 +200,18 @@ class CubeProfile:
         return out
 
     def normalized(self) -> "CubeProfile":
-        """A copy with all severities divided by the total time severity."""
+        """A copy with all severities divided by the total time severity,
+        call paths and cells in this profile's order."""
         with obs.span("cube.normalized", mode=self.mode):
             total = self.total_time()
             if total <= 0.0:
                 raise ValueError("cannot normalize a profile with zero total time")
             out = CubeProfile(self.system, self.time_metrics, mode=self.mode,
                               meta=dict(self.meta))
+            for path in self.calltree.paths():
+                out.calltree.intern(path)
             for m, cell in self._sev.items():
-                for (cpid, loc), v in cell.items():
-                    out.add(m, self.calltree.path(cpid), loc, v / total)
+                out._sev[m] = {key: v / total for key, v in cell.items()}
             out.meta["normalized"] = True
             return out
 
@@ -196,8 +219,10 @@ class CubeProfile:
     def mean(cls, profiles: Sequence["CubeProfile"]) -> "CubeProfile":
         """Arithmetic mean of normalized profiles (paper Sec. IV-B).
 
-        All profiles must share the system tree.  Missing cells count as
-        zero, as they would in Cube.
+        All profiles must share the system tree.  A profile whose
+        ``meta["normalized"]`` is unset is normalized first; normalized
+        ones are averaged as they are.  Missing cells count as zero, as
+        they would in Cube.
         """
         if not profiles:
             raise ValueError("mean() of no profiles")
@@ -206,14 +231,23 @@ class CubeProfile:
             if p.system != first.system:
                 raise ValueError("profiles to average must share the system tree")
         with obs.span("cube.mean", profiles=len(profiles)):
+            norms = [p if p.meta.get("normalized") else p.normalized()
+                     for p in profiles]
             out = cls(first.system, first.time_metrics, mode=first.mode,
                       meta={"averaged_over": len(profiles)})
+            ct = out.calltree
+            for path in sorted(set().union(*(p.calltree.paths() for p in norms))):
+                ct.intern(path)
+            remaps = [[ct.id_of(path) for path in p.calltree.paths()]
+                      for p in norms]
             n = float(len(profiles))
-            for p in profiles:
-                norm = p.normalized()
-                for m, cell in norm._sev.items():
-                    for (cpid, loc), v in cell.items():
-                        out.add(m, norm.calltree.path(cpid), loc, v / n)
+            for m in sorted(set().union(*(p._sev for p in norms))):
+                cell: Dict[Tuple[int, int], float] = {}
+                for p, remap in zip(norms, remaps):
+                    for (cpid, loc), v in p.cells(m).items():
+                        key = (remap[cpid], loc)
+                        cell[key] = cell.get(key, 0.0) + v / n
+                out._sev[m] = dict(sorted(cell.items()))
             out.meta["normalized"] = True
             return out
 

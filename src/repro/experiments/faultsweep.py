@@ -27,20 +27,25 @@ ghost-replayed restart protocol yields traces indistinguishable from a
 continuous measurement -- and cross-checks the static **determinism
 certificate** (:func:`repro.verify.analyze_determinism`) against the
 observed fingerprints: a mode the prover certified ``bit-identical``
-must never diverge, and the noisy physical modes must.  A wrong verdict
-is a test failure, not a footnote.
+must never diverge, and the noisy physical modes must.  A repetition's
+fingerprints cover the timestamped trace and its wait-state profile, so
+the certificate is checked from trace to profile.  A wrong verdict is a
+test failure, not a footnote.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import struct
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro import obs
+from repro.analysis import analyze_trace
 from repro.clocks import timestamp_trace
 from repro.clocks.columnar import trace_columns
+from repro.cube.io import profile_doc
 from repro.machine.faults import FaultConfig, FaultModel
 from repro.machine.noise import NoiseConfig, NoiseModel
 from repro.machine.presets import small_test_cluster
@@ -74,6 +79,7 @@ __all__ = [
     "CheckpointedRing",
     "FaultSweepResult",
     "default_fault_config",
+    "profile_fingerprint",
     "trace_fingerprint",
     "run_fault_sweep",
 ]
@@ -157,6 +163,13 @@ def trace_fingerprint(tt) -> str:
     return h.hexdigest()
 
 
+def profile_fingerprint(tt) -> str:
+    """SHA-256 of the ``profile_doc`` JSON of ``tt``'s wait-state
+    profile: equal iff the two profiles are byte-identical."""
+    doc = json.dumps(profile_doc(analyze_trace(tt)))
+    return hashlib.sha256(doc.encode("utf-8")).hexdigest()
+
+
 @dataclass
 class FaultSweepResult:
     """Outcome of :func:`run_fault_sweep`."""
@@ -165,6 +178,8 @@ class FaultSweepResult:
     noise_seeds: Tuple[int, ...]
     #: mode -> one trace fingerprint per noise repetition
     fingerprints: Dict[str, List[str]] = field(default_factory=dict)
+    #: mode -> one profile fingerprint per noise repetition
+    profile_fingerprints: Dict[str, List[str]] = field(default_factory=dict)
     #: mode -> restarts survived per repetition
     n_restarts: Dict[str, List[int]] = field(default_factory=dict)
     #: mode -> sanitizer error-diagnostic count summed over repetitions
@@ -175,9 +190,10 @@ class FaultSweepResult:
     certificate_hash: str = ""
 
     def identical(self, mode: str) -> bool:
-        """Whether all repetitions of ``mode`` are bit-identical."""
-        fps = self.fingerprints[mode]
-        return len(set(fps)) == 1
+        """Whether all repetitions of ``mode`` are bit-identical, in their
+        timestamped traces and in their profiles."""
+        return (len(set(self.fingerprints[mode])) == 1
+                and len(set(self.profile_fingerprints[mode])) == 1)
 
     @property
     def deterministic_ok(self) -> bool:
@@ -204,11 +220,13 @@ class FaultSweepResult:
             verdict = self.certificate_verdicts.get(mode)
             if verdict is None:
                 continue
-            identical = len(set(fps)) == 1
+            identical = self.identical(mode)
             if verdict == BIT_IDENTICAL and not identical:
                 out.append(
                     f"{mode}: certified {BIT_IDENTICAL} but "
-                    f"{len(set(fps))} distinct fingerprints observed"
+                    f"{len(set(fps))} distinct trace and "
+                    f"{len(set(self.profile_fingerprints[mode]))} distinct "
+                    "profile fingerprints observed"
                 )
             if mode in NOISY_MODES and len(fps) >= 2 and identical:
                 out.append(
@@ -238,7 +256,10 @@ class FaultSweepResult:
             )
             status = "identical" if self.identical(mode) else "differs"
             lines.append(
-                f"  {mode:8s} {status:10s} ({expected}; restarts "
+                f"  {mode:8s} {status:10s} ({expected}; "
+                f"{len(set(fps))} trace / "
+                f"{len(set(self.profile_fingerprints[mode]))} profile "
+                f"fingerprints; restarts "
                 f"{self.n_restarts[mode]}, sanitizer errors "
                 f"{self.sanitizer_errors[mode]})"
             )
@@ -275,7 +296,8 @@ def run_fault_sweep(
     (``base_noise_seed + rep``), runs ``program`` (default: a 4-rank
     :class:`CheckpointedRing`) through :func:`repro.sim.run_with_recovery`
     with a :class:`~repro.machine.faults.FaultModel` seeded by
-    ``fault_seed``, timestamps the recovered trace and fingerprints it.
+    ``fault_seed``, timestamps the recovered trace and fingerprints it
+    and its wait-state profile.
     The ``lthwctr`` counter seed is held fixed (derived from
     ``fault_seed`` only) so any divergence is attributable to machine
     noise, not counter noise.
@@ -300,6 +322,7 @@ def run_fault_sweep(
     with obs.span("faultsweep", fault_seed=fault_seed, reps=reps):
         for mode in modes:
             result.fingerprints[mode] = []
+            result.profile_fingerprints[mode] = []
             result.n_restarts[mode] = []
             result.sanitizer_errors[mode] = 0
             for noise_seed in result.noise_seeds:
@@ -334,6 +357,8 @@ def run_fault_sweep(
                     counter_seed=stream_seed(fault_seed, "faultsweep-ctr"),
                 )
                 result.fingerprints[mode].append(trace_fingerprint(tt))
+                result.profile_fingerprints[mode].append(
+                    profile_fingerprint(tt))
                 result.n_restarts[mode].append(outcome.n_restarts)
             obs.counter(
                 "faultsweep.modes_swept", mode=mode,

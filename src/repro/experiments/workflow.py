@@ -95,7 +95,7 @@ __all__ = [
 ]
 
 #: bump to invalidate cached results after calibration/code changes
-CACHE_VERSION = 9
+CACHE_VERSION = 10
 
 #: format tag of the canonical served-result serialization
 RESULT_FORMAT = "repro-result-1"

@@ -23,7 +23,10 @@ equal bit for bit.
 plan; :func:`analyze_stream` runs it over flat per-event lists in merged
 order, from a trace (:func:`_merged_chunks`) or from the shards of an
 out-of-core archive (:func:`shard_event_lists`).  Its profiles are the
-reference the plan must reproduce byte for byte.
+reference the plan must reproduce value for value, bit for bit
+(:func:`assert_same_profile`); the walker sums every cell in the order
+:mod:`repro.cube.profile` states, with its own code, and
+:func:`in_profile_order` puts its profile in that order.
 
 :class:`LamportClock` is Algorithm 1 walked event by event over
 ``trace.merged()`` with the per-event increment callables
@@ -35,7 +38,7 @@ mode.  Its times and finals are the reference the compiled replay plan
 :func:`walker_build_dag` is the DAG built by that walk, the reference of
 :func:`repro.causal.build_dag` node for node (:func:`dag_nodes`), and
 :func:`walker_plain_profile` the per-location walk that
-:func:`repro.analysis.plain_profile` must equal byte for byte; both keep
+:func:`repro.analysis.plain_profile` must equal value for value; both keep
 their own region stacks, by the analysis plan's rule (a team begin adopts
 its fork's stack, OpenMP barriers are frames).  :func:`barrier_split` and
 :func:`late_receiver_wait` are the per-instance pattern formulas the
@@ -467,7 +470,7 @@ def _classify(name: str) -> int:
 
 def walker_analyze_trace(tt: TimestampedTrace) -> CubeProfile:
     """The per-event walk over ``tt`` (what ``analyze_trace`` computed
-    before the analysis plan)."""
+    before the analysis plan), in the one profile order."""
     trace = tt.trace
     return analyze_stream(
         _merged_chunks(trace, tt.times),
@@ -529,9 +532,15 @@ def analyze_stream(chunks, *, mode, regions, locations, pinning=None) -> CubePro
     payload and the mode's timestamp -- which together list every event
     of the trace once, in merged order.  :func:`walker_analyze_trace` passes
     chunks of :data:`_WALK_CHUNK` events; an out-of-core archive passes
-    one per shard (:func:`shard_event_lists`, physical time).  Walker
-    state stays bounded by locations x call
-    paths plus in-flight synchronisation groups.
+    one per shard (:func:`shard_event_lists`, physical time).
+
+    Interval, late-sender, collective and barrier cells add their inputs
+    as the walk meets them.  A late-receiver wait is recorded with the
+    ``(location, index)`` of its send, and a delay-cost share with that
+    of its waiting event (the receive, or the waiter's collective end);
+    each of those cells adds its inputs in that order at the end.  The
+    profile is then rebuilt in the one profile order
+    (:func:`in_profile_order`).
     """
     n_loc = len(locations)
 
@@ -561,6 +570,7 @@ def analyze_stream(chunks, *, mode, regions, locations, pinning=None) -> CubePro
     enter_stack: List[List[float]] = [[0.0] for _ in range(n_loc)]
     last_ts: List[float] = [0.0] * n_loc
     started: List[bool] = [False] * n_loc
+    n_seen: List[int] = [0] * n_loc  # events walked per location
 
     loc_rank = [r for (r, _t) in locations]
     is_master = [t == 0 for (_r, t) in locations]
@@ -588,14 +598,16 @@ def analyze_stream(chunks, *, mode, regions, locations, pinning=None) -> CubePro
     p2p_total: Dict[Tuple[int, int], float] = {}
     coll_total: Dict[Tuple[int, int], float] = {}
     ls_wait: Dict[Tuple[int, int], float] = {}
-    lr_wait: Dict[Tuple[int, int], float] = {}
     coll_wait_cells: Dict[Tuple[int, int], float] = {}
+    # inputs summed at the end: ((loc, index), target, (cpid, loc), value),
+    # target a delay metric or "lr" (the split's late-receiver totals)
+    later: List[tuple] = []
 
     # delay-cost state (per rank, masters only)
     epoch: Dict[int, Dict[int, float]] = {r: {} for r in workers_of}
 
     # synchronisation bookkeeping
-    sends: Dict[int, tuple] = {}  # match -> (ts, loc, cpid, rndv, epoch snapshot, rank)
+    sends: Dict[int, tuple] = {}  # match -> (ts, (loc, index), cpid, rndv, epoch snapshot)
     fork_info: Dict[int, Tuple[tuple, int]] = {}  # omp_id -> (path, cpid)
     coll_groups: Dict[int, dict] = {}
     bar_groups: Dict[int, dict] = {}
@@ -606,6 +618,8 @@ def analyze_stream(chunks, *, mode, regions, locations, pinning=None) -> CubePro
         for loc, et, rid, aux, t in zip(loc_l, kind_l, region_l, aux_l, t_l):
             rank = loc_rank[loc]
             master = is_master[loc]
+            at = (loc, n_seen[loc])
+            n_seen[loc] += 1
 
             # ---- phase A: attribute the interval since the previous event ----
             if started[loc]:
@@ -663,23 +677,22 @@ def analyze_stream(chunks, *, mode, regions, locations, pinning=None) -> CubePro
             elif et == MPI_SEND:
                 match_id, rndv = aux
                 snap = dict(epoch[rank]) if master else {}
-                sends[match_id] = (t, loc, cp_stack[loc][-1], rndv, snap, rank)
+                sends[match_id] = (t, at, cp_stack[loc][-1], rndv, snap)
             elif et == MPI_RECV:
-                send_ts, send_loc, send_cp, rndv, send_snap, _send_rank = sends.pop(aux)
+                send_ts, send_at, send_cp, rndv, send_snap = sends.pop(aux)
+                send_loc = send_at[0]
                 recv_enter = enter_stack[loc][-1]
                 cpid = cp_stack[loc][-1]
                 w = late_sender_wait(send_ts, recv_enter, t)
                 if w > 0.0:
                     key = (cpid, loc)
                     ls_wait[key] = ls_wait.get(key, 0.0) + w
-                    _attribute_delay(
-                        profile, M.DELAY_LATESENDER, w, send_snap, epoch[rank], send_loc
-                    )
+                    _attribute_delay(later, M.DELAY_LATESENDER, at, w, send_snap,
+                                     epoch[rank], send_loc)
                 if rndv:
                     wlr = late_receiver_wait(send_ts, recv_enter, t)
                     if wlr > 0.0:
-                        key = (send_cp, send_loc)
-                        lr_wait[key] = lr_wait.get(key, 0.0) + wlr
+                        later.append((send_at, "lr", (send_cp, send_loc), wlr))
             elif et == COLL_END:
                 coll_id, size = aux
                 name, _kind = region_info(rid)
@@ -688,9 +701,10 @@ def analyze_stream(chunks, *, mode, regions, locations, pinning=None) -> CubePro
                 )
                 snap = dict(epoch[rank])
                 epoch[rank] = {}
-                grp["members"].append((loc, cp_stack[loc][-1], enter_stack[loc][-1], t, snap))
+                grp["members"].append((loc, cp_stack[loc][-1], enter_stack[loc][-1], t,
+                                       snap, at))
                 if len(grp["members"]) >= size:
-                    _finish_collective(profile, grp, coll_wait_cells)
+                    _finish_collective(profile, grp, coll_wait_cells, later)
                     del coll_groups[coll_id]
             elif et == FORK:
                 fork_info[aux] = (path_stack[loc][-1], cp_stack[loc][-1])
@@ -736,9 +750,57 @@ def analyze_stream(chunks, *, mode, regions, locations, pinning=None) -> CubePro
     if sends:
         raise AssertionError(f"{len(sends)} sends without matching receives")
 
+    summed: Dict[str, Dict[Tuple[int, int], float]] = {"lr": {}}
+    for _at, target, key, v in sorted(later, key=lambda e: e[0]):
+        cells = summed.setdefault(target, {})
+        cells[key] = cells.get(key, 0.0) + v
+    lr_wait = summed.pop("lr")
+    for metric, cells in summed.items():
+        for (cpid, loc), v in cells.items():
+            add(metric, cpid, loc, v)
     _split_p2p(profile, p2p_total, ls_wait, lr_wait)
     _split_collectives(profile, coll_total, coll_wait_cells)
-    return profile
+    return in_profile_order(profile)
+
+
+def in_profile_order(profile: CubeProfile) -> CubeProfile:
+    """``profile`` rebuilt in the one profile order: call paths sorted by
+    name tuple (root first), each metric's cells sorted by (call-path id,
+    location)."""
+    out = CubeProfile(profile.system, profile.time_metrics, mode=profile.mode,
+                      meta=profile.meta)
+    old = profile.calltree
+    new_id = {p: out.calltree.intern(p) for p in sorted(old.paths())}
+    for metric in profile.metrics:
+        cells = {(new_id[old.path(cpid)], loc): v
+                 for (cpid, loc), v in profile.cells(metric).items()}
+        for (cpid, loc), v in sorted(cells.items()):
+            out.add_id(metric, cpid, loc, v)
+    return out
+
+
+def profile_content(profile: CubeProfile) -> Dict[tuple, float]:
+    """``{(metric, call path, location): severity}``: a profile's values,
+    apart from its order."""
+    path = profile.calltree.path
+    return {(m, path(cpid), loc): v for m in profile.metrics
+            for (cpid, loc), v in profile.cells(m).items()}
+
+
+def assert_same_profile(got: CubeProfile, want: CubeProfile) -> None:
+    """``got`` holds ``want``'s call paths and, bit for bit, its values,
+    raw and normalized, and is in the one profile order: call paths
+    sorted, each metric's cells sorted."""
+    assert set(got.calltree.paths()) == set(want.calltree.paths())
+    assert profile_content(got) == profile_content(want)
+    checked = [got]
+    if got.total_time() > 0.0:
+        checked.append(got.normalized())
+        assert profile_content(checked[1]) == profile_content(want.normalized())
+    for p in checked:
+        assert p.calltree.paths() == sorted(p.calltree.paths())
+        for m in p.metrics:
+            assert list(p.cells(m)) == sorted(p.cells(m)), m
 
 
 # ---------------------------------------------------------------------------
@@ -778,7 +840,8 @@ def late_receiver_wait(send_ts: float, recv_post_ts: float,
 
 
 def _finish_collective(
-    profile: CubeProfile, grp: dict, cells: Dict[Tuple[int, int], float]
+    profile: CubeProfile, grp: dict, cells: Dict[Tuple[int, int], float],
+    later: list,
 ) -> None:
     members = grp["members"]
     enters = [m[2] for m in members]
@@ -786,7 +849,7 @@ def _finish_collective(
     waits = nxn_waits(enters, completion)
     metric = M.MPI_COLL_WAIT_BARRIER if grp["barrier"] else M.MPI_COLL_WAIT_NXN
     for (m, w) in zip(members, waits):
-        loc, cpid, _enter, _end, _snap = m
+        loc, cpid, _enter, _end, _snap, _at = m
         if w > 0.0:
             profile.add_id(metric, cpid, loc, w)
             key = (cpid, loc)
@@ -795,23 +858,25 @@ def _finish_collective(
         return
     # delay costs: the last rank to enter delayed everyone else
     delayer = max(range(len(members)), key=lambda j: enters[j])
-    d_loc, _d_cp, _d_enter, _d_end, d_snap = members[delayer]
+    d_loc, _d_cp, _d_enter, _d_end, d_snap, _d_at = members[delayer]
     for j, (m, w) in enumerate(zip(members, waits)):
         if j == delayer or w <= 0.0:
             continue
-        _loc, _cpid, _enter, _end, snap = m
-        _attribute_delay(profile, M.DELAY_N2N, w, d_snap, snap, d_loc)
+        _loc, _cpid, _enter, _end, snap, at = m
+        _attribute_delay(later, M.DELAY_N2N, at, w, d_snap, snap, d_loc)
 
 
 def _attribute_delay(
-    profile: CubeProfile,
+    later: list,
     metric: str,
+    at: Tuple[int, int],
     wait: float,
     delayer_epoch: Dict[int, float],
     waiter_epoch: Dict[int, float],
     delayer_loc: int,
 ) -> None:
-    """Distribute ``wait`` over call paths where the delayer did excess work."""
+    """Distribute ``wait`` over call paths where the delayer did excess
+    work, each share recorded with the waiting event ``at``."""
     diffs: Dict[int, float] = {}
     total = 0.0
     for cpid, v in delayer_epoch.items():
@@ -823,7 +888,9 @@ def _attribute_delay(
         return
     scale = wait / total
     for cpid, d in diffs.items():
-        profile.add_id(metric, cpid, delayer_loc, d * scale)
+        v = d * scale
+        if v != 0.0:
+            later.append((at, metric, (cpid, delayer_loc), v))
 
 
 def _finish_barrier(profile: CubeProfile, grp: dict) -> None:
@@ -1191,8 +1258,9 @@ def walker_plain_profile(tt: TimestampedTrace) -> CubeProfile:
     """The plain profile walked location by location over
     ``trace.events`` (what :func:`repro.analysis.plain_profile` computed
     before it evaluated the analysis plan), each team begin adopting the
-    call path its ``FORK`` saw.  A fork's location must come before its
-    team's, as masters do in every trace the engine writes."""
+    call path its ``FORK`` saw, in the one profile order.  A fork's
+    location must come before its team's, as masters do in every trace
+    the engine writes."""
     trace = tt.trace
     names = trace.regions.names
     profile = CubeProfile(SystemTree(trace.locations), (PLAIN_TIME,),
@@ -1237,7 +1305,7 @@ def walker_plain_profile(tt: TimestampedTrace) -> CubeProfile:
                 fork_paths[ev.aux] = path_stack[-1]
             elif et == TEAM_BEGIN:
                 idle = False
-    return profile
+    return in_profile_order(profile)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,6 @@
 and the compiled analysis plan against the per-event walker oracle
 (``tests/oracles.py``)."""
 
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,7 +24,6 @@ from repro.analysis import (
 )
 from repro.clocks import timestamp_trace
 from repro.clocks.base import TimestampedTrace
-from repro.cube.io import profile_doc
 from repro.measure import Measurement, RawTrace
 from repro.sim import (
     Allreduce,
@@ -50,7 +47,12 @@ from repro.sim.events import (
     Ev,
     RegionRegistry,
 )
-from tests.oracles import barrier_split, late_receiver_wait, walker_analyze_trace
+from tests.oracles import (
+    assert_same_profile,
+    barrier_split,
+    late_receiver_wait,
+    walker_analyze_trace,
+)
 
 K = KernelSpec("k", flops_per_unit=1e6, omp_iters_per_unit=1.0, bb_per_unit=5,
                stmt_per_unit=15, instr_per_unit=40, memory_scope="none")
@@ -324,10 +326,6 @@ class TestClockAgnosticism:
 # ---------------------------------------------------------------------------
 
 
-def _doc(profile) -> str:
-    return json.dumps(profile_doc(profile))
-
-
 def _hand_tt(events_by_loc, times=None):
     """A tsc-timestamped hand-built trace; events ``(kind, region, t, aux)``."""
     regions = RegionRegistry()
@@ -343,22 +341,23 @@ def _hand_tt(events_by_loc, times=None):
 
 class TestAnalysisPlan:
     def test_zero_length_burst_interns_no_path(self):
-        # the first BURST of x closes a zero-length interval: the walk
-        # interns main/x only at the second one, after main/y
-        tt = _hand_tt([[(ENTER, 0, 1.0, None), (BURST, 1, 1.0, None),
-                        (ENTER, 2, 2.0, None), (LEAVE, 2, 3.0, None),
-                        (BURST, 1, 4.0, None), (LEAVE, 0, 5.0, None)]])
-        got, want = analyze_trace(tt), walker_analyze_trace(tt)
-        assert got.calltree.paths() == want.calltree.paths() == [
-            (), ("main",), ("main", "y"), ("main", "x")]
-        assert _doc(got) == _doc(want)
-        assert _doc(got.normalized()) == _doc(want.normalized())
+        # a BURST of x that closes a zero-length interval interns no path;
+        # a later positive one does, and main/x sorts before main/y
+        events = [(ENTER, 0, 1.0, None), (BURST, 1, 1.0, None),
+                  (ENTER, 2, 2.0, None), (LEAVE, 2, 3.0, None),
+                  (BURST, 1, 4.0, None), (LEAVE, 0, 5.0, None)]
+        for evs, paths in ((events[:4] + events[5:], [(), ("main",), ("main", "y")]),
+                           (events, [(), ("main",), ("main", "x"), ("main", "y")])):
+            tt = _hand_tt([evs])
+            got = analyze_trace(tt)
+            assert got.calltree.paths() == paths
+            assert_same_profile(got, walker_analyze_trace(tt))
 
     @pytest.mark.parametrize("events", [[[], []], [[], [(ENTER, 0, 1.0, None),
                                                        (LEAVE, 0, 2.0, None)]]])
     def test_empty_locations(self, events):
         tt = _hand_tt(events)
-        assert _doc(analyze_trace(tt)) == _doc(walker_analyze_trace(tt))
+        assert_same_profile(analyze_trace(tt), walker_analyze_trace(tt))
 
     def test_cells_sum_left_to_right(self):
         # 300 bursts land in one cell: its value must be the walk's
@@ -373,7 +372,7 @@ class TestAnalysisPlan:
             total += b - a
         cp = got.calltree.id_of(("main", "x"))
         assert got.cells(COMP)[(cp, 0)] == total
-        assert _doc(got) == _doc(want)
+        assert_same_profile(got, want)
 
     @pytest.mark.parametrize("case,exc", [
         ("short-times", ValueError),
@@ -425,4 +424,4 @@ class TestAnalysisPlan:
         got = analyze_trace(tt)
         assert trace.columns() is not cols
         assert ("main", "renamed") in got.calltree.paths()
-        assert _doc(got) == _doc(walker_analyze_trace(tt))
+        assert_same_profile(got, walker_analyze_trace(tt))

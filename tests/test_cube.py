@@ -1,5 +1,10 @@
 """Tests for the Cube profile model."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -171,3 +176,26 @@ class TestProfileDiff:
         rows = profile_diff(profile, other, top=2)
         paths = {r[1] for r in rows}
         assert ("main", "g") in paths or ("main", "h") in paths
+
+    def test_ties_do_not_follow_the_hash_seed(self):
+        # five equal differences behind a larger one: a top that cuts
+        # through the tie must pick the same rows under any hash seed
+        code = (
+            "from repro.cube import CubeProfile, SystemTree, profile_diff\n"
+            "a = CubeProfile(SystemTree([(0, 0)]), ('comp',))\n"
+            "b = CubeProfile(SystemTree([(0, 0)]), ('comp',))\n"
+            "for name in 'pqrst':\n"
+            "    a.add('comp', ('main', name), 0, 1.0)\n"
+            "    b.add('comp', ('main', name), 0, 1.0)\n"
+            "b.add('comp', ('main', 'u'), 0, 5.0)\n"
+            "print(profile_diff(a, b, top=3))\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        out = [subprocess.run([sys.executable, "-c", code], check=True,
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONHASHSEED": seed,
+                                   "PYTHONPATH": src}).stdout
+               for seed in ("1", "2")]
+        assert out[0] == out[1]
+        assert out[0] == str([("comp", ("main", "u"), 0.0, 0.5, 0.5),
+                              ("comp", ("main", "p"), 0.2, 0.1, 0.1),
+                              ("comp", ("main", "q"), 0.2, 0.1, 0.1)]) + "\n"

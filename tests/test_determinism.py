@@ -252,6 +252,19 @@ class TestCertificateCrossCheck:
         assert sweep.certificate_ok is False
         assert "REFUTED" in sweep.report()
 
+    def test_profile_divergence_refutes_the_certificate(self):
+        sweep = run_fault_sweep(
+            reps=2, modes=("lt1",), fault_config=FaultConfig(),
+            program=make_fixture("clean"),
+        )
+        assert sweep.identical("lt1")
+        # equal traces, forged profile: a certificate covers the profile
+        sweep.profile_fingerprints["lt1"][1] = "0" * 64
+        assert not sweep.identical("lt1")
+        mismatches = sweep.certificate_mismatches()
+        assert mismatches and "2 distinct profile fingerprints" in mismatches[0]
+        assert "1 trace / 2 profile fingerprints" in sweep.report()
+
     def test_certify_false_skips_the_check(self):
         sweep = run_fault_sweep(
             reps=1, modes=("lt1",), fault_config=FaultConfig(),

@@ -86,14 +86,15 @@ class TestEffortConstantFit:
     def test_minife_fit_is_pinned(self):
         # The paper's X/Y fitting procedure (Sec. II-A) re-timestamps and
         # re-analyzes one trace per mode; the float bits pin it to the
-        # values it returned with the per-event Lamport walk.
+        # values it returns with the per-event Lamport walk's timestamps
+        # and total times summed in the profile order.
         from repro.experiments import fit_omp_effort_constants
 
         got = fit_omp_effort_constants("MiniFE-1", seed=0, iterations=3)
         assert {k: v.hex() for k, v in got.items()} == {
-            "x_bb": "0x1.1758ae0551ec8p+8",
-            "y_stmt": "0x1.a9b974dff265dp+9",
-            "target_omp_fraction": "0x1.285c1ef5e9ecap-17",
+            "x_bb": "0x1.1758ae0551ec5p+8",
+            "y_stmt": "0x1.a9b974dff2659p+9",
+            "target_omp_fraction": "0x1.285c1ef5e9ec7p-17",
             "x_omp_fraction": "0x1.258bdd3488319p-17",
             "y_omp_fraction": "0x1.28780d74ae505p-17",
         }

@@ -12,9 +12,10 @@ mode) the sha256 of
 * ``json.dumps(profile_doc(analyze_trace(timestamp_trace(trace))))`` --
   the wait-state profile of that trace in its own mode, and
 * ``json.dumps(profile_doc(profile.normalized()))`` -- the normalized
-  profile.  Raw ``profile_doc`` lists metrics sorted; normalizing
-  re-interns call paths in the order the analyzer created its metrics,
-  so these bytes pin that order too, and
+  profile.  Both documents list call paths and cells in the one profile
+  order (:mod:`repro.cube.profile`: the root, then paths sorted by name
+  tuple; each metric's cells sorted by call path and location;
+  metrics sorted), so these bytes pin that order too, and
 * the little-endian float64 bytes of every location's final clock value
   under that replay (``0.0`` for an empty location) -- the clock finals
   the replay itself produces, before the analyzer normalizes anything,
@@ -31,6 +32,10 @@ an intended format change) with::
 A change to the archive's compression alone moves ``archive`` and
 nothing else; after re-recording, every other value (``archive_text``
 included) must read as before.
+
+The paper's claim is checked on the fingerprints themselves: under the
+four logical modes the two noise seeds give equal profiles, raw and
+normalized, and under tsc and lthwctr they do not.
 """
 
 import gzip
@@ -48,6 +53,7 @@ from repro.cube.io import profile_doc
 from repro.machine import jureca_dc
 from repro.machine.noise import NoiseConfig, NoiseModel
 from repro.measure import MODES, Measurement, trace_archive_bytes
+from repro.measure.config import NOISY_MODES
 from repro.miniapps.lulesh import Lulesh, LuleshConfig
 from repro.miniapps.minife import MiniFE, MiniFEConfig
 from repro.miniapps.tealeaf import TeaLeaf, TeaLeafConfig
@@ -114,6 +120,14 @@ def goldens():
 def test_golden_fingerprints(goldens, app, mode):
     for seed in SEEDS:
         assert fingerprints(app, seed)[mode] == goldens[str(seed)][app][mode], seed
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("app", sorted(APPS))
+def test_logical_profiles_equal_across_noise_seeds(app, mode):
+    a, b = (fingerprints(app, seed)[mode] for seed in SEEDS)
+    for key in ("profile", "normalized"):
+        assert (a[key] != b[key]) == (mode in NOISY_MODES), key
 
 
 if __name__ == "__main__":

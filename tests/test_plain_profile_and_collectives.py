@@ -1,12 +1,9 @@
 """Tests for plain profiling and the remaining collective operations."""
 
-import json
-
 import pytest
 
 from repro.analysis import MPI_COLL_WAIT_NXN, PLAIN_TIME, analyze_trace, plain_profile
 from repro.clocks import timestamp_trace
-from repro.cube.io import profile_doc
 from repro.machine.noise import NoiseConfig, NoiseModel
 from repro.measure import Measurement
 from repro.scoring import min_pairwise_jaccard
@@ -25,7 +22,7 @@ from repro.sim import (
     Program,
     Reduce,
 )
-from tests.oracles import walker_plain_profile
+from tests.oracles import assert_same_profile, walker_plain_profile
 
 K = KernelSpec("k", flops_per_unit=1e6, omp_iters_per_unit=1.0, bb_per_unit=5,
                stmt_per_unit=15, instr_per_unit=40, memory_scope="none")
@@ -116,9 +113,9 @@ class TestPlainProfile:
     @pytest.mark.parametrize("mode", ["tsc", "ltbb"])
     def test_matches_walker_where_ranks_differ(self, quiet_cost, mode):
         """Rank 1 enters ``b`` before rank 0 enters ``a``: the profile
-        interns paths and creates cells location by location, as the
-        per-location walk does, not in merged order; workers sit under
-        their fork's frame."""
+        holds the per-location walk's paths and values, in the one
+        profile order whatever the merged order; workers sit under their
+        fork's frame."""
         def script(ctx):
             order = ("a", "b") if ctx.rank == 0 else ("b", "a")
             if ctx.rank == 0:
@@ -134,8 +131,8 @@ class TestPlainProfile:
         got = plain_profile(tt)
         assert ("main", "a", "omp_parallel_loop", "omp_for_loop") in \
             got.by_callpath(PLAIN_TIME)
-        want = walker_plain_profile(tt)  # takes the events, so it runs last
-        assert json.dumps(profile_doc(got)) == json.dumps(profile_doc(want))
+        # the walker takes the events, so it runs last
+        assert_same_profile(got, walker_plain_profile(tt))
 
     def test_plain_profile_all_modes(self, quiet_cost):
         for mode in ("tsc", "lt1", "ltbb", "lthwctr"):

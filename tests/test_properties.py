@@ -6,7 +6,9 @@ invariants that every component of the pipeline relies on:
 
 * the simulation terminates without deadlock and time never runs backwards,
 * every clock's timestamps are strictly increasing per location,
-* logical timestamps are invariant under the noise seed,
+* logical timestamps are invariant under the noise seed, and so are
+  logical profiles, byte for byte, raw and normalized -- on plain
+  programs and on recovered fault runs,
 * the analyzer's time tree exactly partitions the measured execution,
 * severities are non-negative and the Jaccard score stays in [0, 1],
 * the column-born trace's events equal, bit for bit, the ``Ev`` objects
@@ -14,9 +16,9 @@ invariants that every component of the pipeline relies on:
 * with wildcard receives, checkpoints and seeded faults added, a run
   through crash recovery records the same events and restarts as the
   per-event engine oracle,
-* the compiled wait-state analysis writes the same profile bytes, raw and
-  normalized, as the per-event walker oracle, and the plain profile the
-  same bytes as the per-location plain walker,
+* the compiled wait-state analysis holds the per-event walker oracle's
+  call paths and values, bit for bit, raw and normalized, in the one
+  profile order, and the plain profile the per-location plain walker's,
 * the Lamport replay plan gives the per-event walk's timestamps and final
   counters through ``timestamp_trace``, ``stream_clock_replay`` (on the
   trace and on a multi-shard archive) and ``build_dag``, whose DAG equals
@@ -64,6 +66,7 @@ from repro.measure import (
     trace_archive_bytes,
     write_trace,
 )
+from repro.measure.config import NOISY_MODES
 from repro.measure.shards import open_sharded_trace, write_sharded_trace
 from repro.scoring import jaccard_metric_callpath
 from repro.sim.events import (
@@ -100,6 +103,7 @@ from repro.sim import (
 from tests.oracles import (
     EvListMeasurement,
     HeapEngine,
+    assert_same_profile,
     dag_nodes,
     event_bits,
     lamport_replay,
@@ -124,6 +128,8 @@ program_strategy = st.lists(step_strategy, min_size=1, max_size=8)
 # recovery its restart points.
 fault_program_strategy = st.lists(
     st.sampled_from(_STEPS + ["wildcard", "checkpoint"]), min_size=1, max_size=8)
+checkpoint_program_strategy = st.lists(
+    st.sampled_from(_STEPS + ["checkpoint"]), min_size=1, max_size=8)
 # Shared writes let the race detector find RACE002; the verify
 # properties draw them on top of both vocabularies.
 race_program_strategy = st.lists(
@@ -217,6 +223,23 @@ def test_logical_noise_invariance(steps, seed_a, seed_b):
         assert np.array_equal(a, b)
 
 
+def _profile_docs(trace, mode):
+    """The ``profile_doc`` JSON of ``trace``'s profile, raw and normalized."""
+    profile = analyze_trace(timestamp_trace(trace, mode))
+    return [json.dumps(profile_doc(p)) for p in (profile, profile.normalized())]
+
+
+_NOISE_FREE_MODES = [m for m in MODES if m not in NOISY_MODES]
+
+
+@settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(program_strategy, st.integers(min_value=0, max_value=50),
+       st.integers(min_value=51, max_value=100), st.sampled_from(_NOISE_FREE_MODES))
+def test_logical_profiles_noise_invariant(steps, seed_a, seed_b, mode):
+    assert (_profile_docs(_run(steps, seed_a, mode).trace, mode)
+            == _profile_docs(_run(steps, seed_b, mode).trace, mode))
+
+
 @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(program_strategy)
 def test_time_tree_partitions_total(steps):
@@ -275,14 +298,29 @@ def test_recovered_run_matches_heap_engine_oracle(steps, seed, fault_seed, mode)
     assert event_bits(born.result.trace) == event_bits(oracle.result.trace)
 
 
+@settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(checkpoint_program_strategy, st.integers(min_value=0, max_value=50),
+       st.integers(min_value=51, max_value=100),
+       st.integers(min_value=0, max_value=1000), st.sampled_from(_NOISE_FREE_MODES))
+def test_recovered_logical_profiles_noise_invariant(steps, seed_a, seed_b,
+                                                    fault_seed, mode):
+    def docs(seed):
+        cluster = _cluster()
+        trace = run_with_recovery(
+            RandomProgram(steps), cluster,
+            lambda: CostModel(cluster, noise=NoiseModel(NoiseConfig(), seed=seed)),
+            FaultModel(_FAULTS, seed=fault_seed),
+            measurement=Measurement(mode)).result.trace
+        return _profile_docs(trace, mode)
+
+    assert docs(seed_a) == docs(seed_b)
+
+
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(program_strategy, st.integers(min_value=0, max_value=100), st.sampled_from(MODES))
 def test_analysis_plan_matches_walker_oracle(steps, seed, mode):
     tt = timestamp_trace(_run(steps, seed, mode).trace, mode, counter_seed=seed)
-    got, want = analyze_trace(tt), walker_analyze_trace(tt)
-    assert json.dumps(profile_doc(got)) == json.dumps(profile_doc(want))
-    assert (json.dumps(profile_doc(got.normalized()))
-            == json.dumps(profile_doc(want.normalized())))
+    assert_same_profile(analyze_trace(tt), walker_analyze_trace(tt))
 
 
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -290,8 +328,8 @@ def test_analysis_plan_matches_walker_oracle(steps, seed, mode):
 def test_plain_profile_matches_walker_oracle(steps, seed, mode):
     tt = timestamp_trace(_run(steps, seed).trace, mode, counter_seed=seed)
     got = plain_profile(tt)
-    want = walker_plain_profile(tt)  # takes the events, so it runs last
-    assert json.dumps(profile_doc(got)) == json.dumps(profile_doc(want))
+    # the walker takes the events, so it runs last
+    assert_same_profile(got, walker_plain_profile(tt))
 
 
 # ---------------------------------------------------------------------------

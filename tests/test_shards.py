@@ -20,7 +20,6 @@ from repro.measure import Measurement
 from repro.measure.config import MODES
 from repro.measure.io import read_manifest, read_trace, write_trace
 from repro.measure.shards import (
-    MANIFEST_NAME,
     open_sharded_trace,
     read_shard_manifest,
     write_sharded_trace,
@@ -30,7 +29,12 @@ from repro.sim import CostModel, Engine
 from repro.sim.events import MPI_SEND
 from repro.verify import sanitize_raw
 from repro.verify.races import find_races
-from tests.oracles import analyze_stream, lamport_replay, shard_event_lists
+from tests.oracles import (
+    analyze_stream,
+    assert_same_profile,
+    lamport_replay,
+    shard_event_lists,
+)
 
 SHARD_EVENTS = 256  # far below the fixture's ~1.7k events -> multi-shard
 
@@ -177,6 +181,5 @@ class TestStreamingConsumers:
             shard_event_lists(st),
             mode="tsc", regions=st.regions, locations=st.locations)
         assert streamed.metrics == full.metrics
-        for metric in full.metrics:
-            assert streamed.cells(metric) == full.cells(metric), metric
+        assert_same_profile(full, streamed)
         assert st.stats.peak_resident_rows <= SHARD_EVENTS

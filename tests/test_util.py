@@ -1,4 +1,4 @@
-"""Tests for repro.util: rng streams, stats, tables, validation."""
+"""Tests for repro.util: rng streams, tables, validation."""
 
 import numpy as np
 import pytest
@@ -9,12 +9,8 @@ from repro.util import (
     check_positive,
     format_grouped_bars,
     format_table,
-    mean_ci,
     stream_seed,
-    summarize,
-    welford,
 )
-from repro.util.stats import RunningStats, relative_spread
 from repro.util.validation import check_nonnegative
 
 
@@ -60,40 +56,6 @@ class TestRngStreams:
         a = RngStreams(3).fresh("k", i=0).random(4)
         b = RngStreams(3).fresh("k", i=0).random(4)
         assert np.allclose(a, b)
-
-
-class TestStats:
-    def test_mean_ci_single_value(self):
-        m, h = mean_ci([5.0])
-        assert m == 5.0 and h == 0.0
-
-    def test_mean_ci_width_positive(self):
-        m, h = mean_ci([1.0, 2.0, 3.0])
-        assert m == pytest.approx(2.0)
-        assert h > 0
-
-    def test_mean_ci_empty_raises(self):
-        with pytest.raises(ValueError):
-            mean_ci([])
-
-    def test_summarize(self):
-        s = summarize([1.0, 3.0])
-        assert s["n"] == 2 and s["mean"] == 2.0 and s["min"] == 1.0 and s["max"] == 3.0
-
-    def test_relative_spread(self):
-        assert relative_spread([1.0, 1.0]) == 0.0
-        assert relative_spread([1.0, 2.0]) == pytest.approx(1.0 / 1.5)
-
-    @given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=2, max_size=50))
-    def test_welford_matches_numpy(self, values):
-        rs = welford(values)
-        assert rs.mean == pytest.approx(float(np.mean(values)), abs=1e-6)
-        assert rs.std == pytest.approx(float(np.std(values, ddof=1)), abs=1e-4)
-
-    def test_running_stats_zero(self):
-        rs = RunningStats()
-        rs.add(4.0)
-        assert rs.variance == 0.0
 
 
 class TestTables:

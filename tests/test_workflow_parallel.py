@@ -12,11 +12,13 @@ import shutil
 
 import pytest
 
+from repro.cube.io import profile_doc
 from repro.experiments import configs as C
 from repro.experiments import workflow as W
 from repro.experiments.configs import ExperimentSpec
 from repro.experiments.workflow import resolve_workers, run_experiment
 from repro.measure import MODES
+from repro.measure.config import NOISY_MODES
 
 
 @pytest.fixture
@@ -68,6 +70,19 @@ class TestParallelDeterminism:
     def test_invalid_worker_count_rejected(self):
         with pytest.raises(ValueError):
             resolve_workers(0)
+
+
+class TestNoiseInvariance:
+    def test_logical_mean_profiles_equal_across_seeds(self, tiny_experiment):
+        """The campaign's means hold the paper's claim byte for byte: two
+        noise seeds give equal logical mean profiles, and different tsc
+        and lthwctr ones."""
+        a, b = (run_experiment(tiny_experiment, seed=seed, use_cache=False)
+                for seed in (1, 2))
+        for mode in MODES:
+            same = (json.dumps(profile_doc(a.mean_profiles[mode]))
+                    == json.dumps(profile_doc(b.mean_profiles[mode])))
+            assert same == (mode not in NOISY_MODES), mode
 
 
 class TestCampaignResume:
@@ -175,16 +190,6 @@ def _n_profiles(result):
     return sum(len(p) for p in result.profiles.values())
 
 
-def _entry_values(result):
-    """Every number of a result, floats exact.  Not its bytes: a mean of
-    profiles read back from checkpoints interns its call paths in another
-    order than a mean of the in-memory profiles."""
-    return (result.ref_runtimes, result.ref_phases, result.runtimes,
-            result.phases, _profile_cells(result),
-            {m: p.as_mapping(per_location=True)
-             for m, p in result.mean_profiles.items()})
-
-
 class TestWriteOnce:
     def test_published_profiles_are_the_checkpoints(self, tiny_experiment,
                                                      monkeypatch):
@@ -209,9 +214,11 @@ class TestWriteOnce:
         assert len(dests) == _n_profiles(result) + len(MODES)
 
     def test_resumed_entry_loads_equal(self, tiny_experiment, monkeypatch):
-        run_experiment(tiny_experiment, seed=0, use_cache=True)
+        uninterrupted = W.serialize_result(
+            run_experiment(tiny_experiment, seed=0, use_cache=True))
         cache = W._cache_path(tiny_experiment, 0)
-        uninterrupted = _entry_values(W._load(cache, tiny_experiment, 0))
+        assert W.serialize_result(W._load(cache, tiny_experiment, 0)) == \
+            uninterrupted
         shutil.rmtree(cache)
 
         # every run checkpointed by an interrupted campaign of an earlier
@@ -227,9 +234,11 @@ class TestWriteOnce:
                 W._store_run(runs_dir, task,
                              W._run_task(tiny_experiment, task[0], 0, task[1]))
 
+        # the means of the read-back checkpoints hold the same bytes
         resumed = run_experiment(tiny_experiment, seed=0, use_cache=True)
-        assert _entry_values(W._load(cache, tiny_experiment, 0)) == uninterrupted
-        assert _entry_values(resumed) == uninterrupted
+        assert W.serialize_result(W._load(cache, tiny_experiment, 0)) == \
+            uninterrupted
+        assert W.serialize_result(resumed) == uninterrupted
 
     @pytest.mark.parametrize("runs_dir", [None, "empty"])
     def test_store_without_checkpoints_writes(self, tiny_experiment,
@@ -244,7 +253,6 @@ class TestWriteOnce:
 
     def test_level9_profile_reads_back(self, tiny_experiment, tmp_path):
         from repro.cube import read_profile, write_profile
-        from repro.cube.io import profile_doc
 
         profile = W._run_task(tiny_experiment, "ltbb", 0, 0)[2]
         doc = json.dumps(profile_doc(profile)).encode("utf-8")
